@@ -52,20 +52,29 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _load_groups(catalog_path: str | None) -> dict[str, FinGroup]:
-    if catalog_path is None:
-        return dict(catalog_groups())
-    return load_catalog(catalog_path)["groups"]
+class _InputError(Exception):
+    """Bad input found inside a subcommand; main() reports it and exits 2."""
 
 
-def _resolve_group(name_or_path: str, catalog_path: str | None) -> FinGroup | None:
+def _load_catalog(path: str | None) -> dict | None:
+    """The --catalog file, or None when none was given."""
+    if not path:
+        return None
+    try:
+        return load_catalog(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise _InputError(f"malformed catalog: {exc}") from exc
+
+
+def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup | None:
     if name_or_path.endswith(".json") or os.path.sep in name_or_path:
         try:
             with open(name_or_path, encoding="utf-8") as fh:
                 return group_from_json(json.load(fh))
         except (OSError, ValueError, KeyError):
             return None
-    return _load_groups(catalog_path).get(name_or_path)
+    groups = catalog["groups"] if catalog else catalog_groups()
+    return groups.get(name_or_path)
 
 
 def _parse_members(G: FinGroup, text: str) -> Subgroup:
@@ -81,12 +90,7 @@ def _parse_members(G: FinGroup, text: str) -> Subgroup:
 
 
 def cmd_verify(args) -> int:
-    catalog = None
-    if args.catalog:
-        try:
-            catalog = load_catalog(args.catalog)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            return _fail(f"malformed catalog: {exc}", 2)
+    catalog = _load_catalog(args.catalog)
     if args.suite not in SUITES:
         return _fail(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", 2)
     report = run_suite(args.suite, args.seed, catalog)
@@ -203,7 +207,7 @@ def _fairness_sl2(args) -> int:
 def _fairness_finite(args) -> int:
     if args.group is None:
         return _fail("finite mode requires --group", 2)
-    G = _resolve_group(args.group, args.catalog)
+    G = _resolve_group(args.group, _load_catalog(args.catalog))
     if G is None:
         return _fail(f"unknown group {args.group!r}", 2)
     try:
@@ -252,15 +256,13 @@ def _is_power_of(n: int, p: int) -> bool:
 
 
 def cmd_stable(args) -> int:
-    G = _resolve_group(args.group, args.catalog)
+    catalog = _load_catalog(args.catalog)
+    G = _resolve_group(args.group, catalog)
     if G is None:
         return _fail(f"unknown group {args.group!r}", 2)
     fields = dict(catalog_fields())
-    if args.catalog:
-        try:
-            fields.update(load_catalog(args.catalog)["fields"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            return _fail(f"malformed catalog: {exc}", 2)
+    if catalog:
+        fields.update(catalog["fields"])
     F = fields.get(args.field)
     if F is None:
         return _fail(f"unknown field {args.field!r}", 2)
@@ -406,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        return _fail(str(exc), 2)
 
 
 if __name__ == "__main__":

@@ -275,6 +275,8 @@ def fairness_refinement(m: int, n: int, p: int | None = None) -> FairnessCertifi
     """Minimal refined depth n' whose overlap triple strictly dominates the
     original for every contraction exponent; the torus component is the
     designated a-independent strict one."""
+    if p is not None and not is_prime(p):
+        raise ValueError("p must be prime")
     _check_depth_args(m, n, 0)
     n_prime = max(m, n) + 1
     upper_strict = n_prime > max(m, n)  # then n'+2a beats both m and n+2a

@@ -4,7 +4,10 @@ A field element is a plain int in ``[0, p**k)``: the integer ``a`` encodes
 the residue polynomial ``sum(d_i * x**i)`` where ``d_0, d_1, ...`` are the
 base-p digits of ``a``.  Prime fields compute with modular arithmetic
 directly; extension fields go through small precomputed operation tables.
-Everything is exact, no floats anywhere.
+All arithmetic is exact.  The one place floats appear is ``ax_matmul`` over
+an extension field, which multiplies integer-valued float32/float64 digit
+planes with BLAS; every sum it forms stays below 2**24 (float32) or 2**53
+(float64), where those types hold integers exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import numpy as np
 
 # largest extension-field order we materialize q x q tables for
 TABLE_LIMIT = 1024
+# matrices store element codes as int16
+CODE_LIMIT = 2**15
 
 
 def is_prime(n: int) -> bool:
@@ -106,6 +111,8 @@ class FiniteField:
     """The field with p**k elements under a fixed monic irreducible modulus."""
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+        if p >= CODE_LIMIT:
+            raise ValueError(f"p = {p} is too large: element codes are int16, so p < {CODE_LIMIT}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
@@ -185,6 +192,16 @@ class FiniteField:
                 conv[r, s, r + s] = 1
         prod = np.einsum("ar,bs,rst->abt", digits, digits, conv) % p
         self.MUL = ((prod @ red % p) @ pw).astype(np.int16)
+
+        # ax_matmul's digit planes: DIGITS[j, a] is digit j of a, and
+        # CONV[j, r*k + s] is digit j of x^(r+s) mod f.
+        self.DIGITS = np.ascontiguousarray(digits.T, dtype=np.float32)
+        self.CONV = red[np.add.outer(np.arange(k), np.arange(k)).reshape(-1)].T.astype(np.float32)
+        self.PW = pw.astype(np.float32)
+        # Largest inner dimension m whose sums k*k*m*(p-1)**3 stay exact.
+        worst = k * k * (p - 1) ** 3
+        self.F32_INNER = (2**24 - 1) // worst
+        self.F64_INNER = (2**53 - 1) // worst
 
         inv = np.zeros(q, dtype=np.int16)
         for a in range(1, q):
@@ -290,10 +307,19 @@ class FiniteField:
             return np.zeros((n, r), dtype=np.int16)
         if self.k == 1:
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
-        acc = np.zeros((n, r), dtype=np.int16)
-        for t in range(m):
-            acc = self.ADD[acc, self.MUL[A[:, t][:, None], B[t][None, :]]]
-        return acc
+        # One gemm multiplies every pair of digit planes (FFLAS, Dumas,
+        # Giorgi & Pernet 2008); CONV then folds plane pair (r, s) into the
+        # digits of x^(r+s) mod f.  Entries of P are at most m*(p-1)**2 and
+        # those of C at most k*k*m*(p-1)**3, so both are exact in dtype.
+        k, p = self.k, self.p
+        assert m <= self.F64_INNER
+        dtype = np.float32 if m <= self.F32_INNER else np.float64
+        L = self.DIGITS[:, A].reshape(k * n, m).astype(dtype, copy=False)
+        R = self.DIGITS[:, B].transpose(1, 0, 2).reshape(m, k * r).astype(dtype, copy=False)
+        P = (L @ R).reshape(k, n, k, r).transpose(0, 2, 1, 3).reshape(k * k, n * r)
+        C = self.CONV.astype(dtype, copy=False) @ P
+        C %= p
+        return (self.PW.astype(dtype, copy=False) @ C).reshape(n, r).astype(np.int16)
 
     def ax_kron(self, A, B):
         r1, c1 = A.shape

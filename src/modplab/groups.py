@@ -313,7 +313,7 @@ class Subgroup:
         )
 
     def __hash__(self):
-        return hash((id(self.parent), self.members))
+        return hash((hash(self.parent), self.members))
 
     def __repr__(self):
         return f"Subgroup({self.members})"

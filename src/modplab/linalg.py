@@ -166,8 +166,13 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
             M[r] = field.ax_scale(M[r], field.inv(pv))
         factors = M[:, c].copy()
         factors[r] = 0
-        if factors.any():
-            M = field.ax_sub(M, field.ax_mul(factors[:, None], M[r][None, :]))
+        # The pivot row is zero left of c, so only rows with a nonzero
+        # factor change, and only in columns c onwards.
+        hit = np.nonzero(factors)[0]
+        if len(hit):
+            M[hit, c:] = field.ax_sub(
+                M[hit, c:], field.ax_mul(factors[hit, None], M[r, c:][None, :])
+            )
         pivots.append(c)
         r += 1
     return M, pivots

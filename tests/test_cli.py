@@ -41,6 +41,29 @@ def test_verify_malformed_catalog(tmp_path, capsys):
     assert code == 2 and "catalog" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["stable", "--group", "C3", "--field", "F3"], ["fairness", "--mode", "finite", "--group", "S3"]],
+)
+def test_malformed_catalog_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "cat.json"
+    bad.write_text('{"groups": 7}')
+    code, out, err = run(argv + ["--catalog", str(bad)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: malformed catalog")
+
+
+def test_catalog_field_beyond_int16_exits_2(tmp_path, capsys):
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"groups": [{"ref": "C2"}], "fields": [{"p": 32771}]}))
+    code, _, err = run(["verify", "--suite", "chi-functor", "--catalog", str(cat)], capsys)
+    assert code == 2 and "too large" in err
+
+
+def test_fairness_sl2_rejects_composite_p(capsys):
+    code, out, err = run(["fairness", "--mode", "sl2", "--p", "4", "--m", "1", "--n", "1"], capsys)
+    assert code == 2 and out == "" and "prime" in err
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run(["verify", "--suite", "higman", "--format", "text"], capsys)
     assert code == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modplab.fields import FiniteField, is_prime, smallest_irreducible
+from modplab.linalg import Matrix
 
 
 def test_is_prime_small():
@@ -28,6 +29,16 @@ def test_constructor_rejects_bad_parameters():
         FiniteField(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
     with pytest.raises(ValueError):
         FiniteField(2, 2, modulus=(1, 1))  # wrong degree
+
+
+def test_element_codes_fit_int16():
+    with pytest.raises(ValueError, match="too large"):
+        FiniteField(32771)  # the least prime above 2**15
+    with pytest.raises(ValueError, match="too large"):
+        FiniteField(2**61 - 1)  # rejected before any primality test
+    F = FiniteField(32749)  # the largest prime below 2**15
+    M = Matrix(F, [[32748, 2]])
+    assert (M @ M.transpose()).tolist() == [[5]]
 
 
 def test_prime_field_arithmetic():

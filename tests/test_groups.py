@@ -22,6 +22,15 @@ def test_table_validation():
     assert G.order == 2 and G.label(1) == "g"
 
 
+def test_equal_subgroups_of_equal_groups_hash_equal():
+    S3 = sym3()
+    twin = group_from_table(S3.table.tolist())
+    assert twin is not S3 and twin == S3
+    a, b = Subgroup(S3, [0, 1, 2]), Subgroup(twin, [0, 1, 2])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_cyclic_group_basics():
     C4 = cyclic_group(4)
     assert C4.order == 4

@@ -1,0 +1,245 @@
+"""Property tests of the exact kernels against oracles that share no code
+with them.
+
+Extension-field matrix products and row reduction are checked against
+schoolbook arithmetic built only from ``_poly_mul`` and ``_poly_rem``;
+reduction, rank, kernels and ``solve`` over GF(p) against sympy's
+``DomainMatrix``.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
+from modplab.fields import FiniteField, _poly_mul, _poly_rem
+from modplab.linalg import Matrix, _rref, row_reduce, solve
+
+# F4, F8, F9, F_{2^10}, F_{31^2}
+EXT = [(2, 2), (2, 3), (3, 2), (2, 10), (31, 2)]
+PRIMES = [2, 3, 5, 7, 31]
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@functools.cache
+def field(p: int, k: int = 1) -> FiniteField:
+    return FiniteField(p, k)
+
+
+# ---- schoolbook F_{p^k} arithmetic on base-p digit tuples ----
+
+
+def _digits(F, a):
+    return tuple((int(a) // F.p**i) % F.p for i in range(F.k))
+
+
+def _code(F, coeffs):
+    return sum(int(c) * F.p**i for i, c in enumerate(coeffs))
+
+
+def ref_mul(F, a, b):
+    return _code(F, _poly_rem(_poly_mul(_digits(F, a), _digits(F, b), F.p), F.modulus, F.p))
+
+
+def ref_add(F, a, b):
+    return _code(F, [(x + y) % F.p for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def ref_sub(F, a, b):
+    return _code(F, [(x - y) % F.p for x, y in zip(_digits(F, a), _digits(F, b))])
+
+
+def ref_inv(F, a):
+    return next(b for b in range(1, F.order) if ref_mul(F, a, b) == 1)
+
+
+def ref_matmul(F, A, B):
+    n, m = A.shape
+    r = B.shape[1]
+    out = np.zeros((n, r), dtype=np.int64)
+    for i in range(n):
+        for j in range(r):
+            acc = 0
+            for t in range(m):
+                acc = ref_add(F, acc, ref_mul(F, A[i, t], B[t, j]))
+            out[i, j] = acc
+    return out
+
+
+def ref_rref(F, A):
+    """Textbook Gauss-Jordan on Python lists, first nonzero pivot first."""
+    M = [[int(x) for x in row] for row in A]
+    pivots = []
+    r = 0
+    for c in range(A.shape[1]):
+        i = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        inv = ref_inv(F, M[r][c])
+        M[r] = [ref_mul(F, inv, x) for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [ref_sub(F, x, ref_mul(F, f, y)) for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return np.array(M, dtype=np.int64).reshape(A.shape), pivots
+
+
+# ---- sympy over GF(p) ----
+
+
+def _dm(p, A):
+    K = GF(p, symmetric=False)
+    return DomainMatrix([[K(int(x)) for x in row] for row in A], A.shape, K)
+
+
+def _ints(dm):
+    return np.array([[int(x) for x in row] for row in dm.to_list()], dtype=np.int64).reshape(
+        dm.shape
+    )
+
+
+def sympy_rref(p, A):
+    R, piv = _dm(p, A).rref()
+    return _ints(R), list(piv)
+
+
+# ---- strategies ----
+
+
+def _codes(F, shape):
+    return hnp.arrays(np.int16, shape, elements=st.integers(0, F.order - 1))
+
+
+@st.composite
+def ext_products(draw, pk):
+    F = field(*pk)
+    n, m, r = draw(st.tuples(st.integers(0, 4), st.integers(0, 12), st.integers(0, 4)))
+    return F, draw(_codes(F, (n, m))), draw(_codes(F, (m, r)))
+
+
+@st.composite
+def gfp_matrices(draw, max_rows=7, max_cols=8):
+    """Matrices over GF(p), half of them built with rank at most t."""
+    F = field(draw(st.sampled_from(PRIMES)))
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    if draw(st.booleans()):
+        return F, draw(_codes(F, (rows, cols)))
+    t = draw(st.integers(0, min(rows, cols)))
+    X = draw(_codes(F, (rows, t))).astype(np.int64)
+    Y = draw(_codes(F, (t, cols))).astype(np.int64)
+    return F, (X @ Y % F.p).astype(np.int16)
+
+
+# ---- extension-field ax_matmul ----
+
+
+@pytest.mark.parametrize("pk", EXT)
+@PROPERTY
+@given(data=st.data())
+def test_ax_matmul_matches_polynomial_reference(pk, data):
+    F, A, B = data.draw(ext_products(pk))
+    got = F.ax_matmul(A, B)
+    assert got.dtype == np.int16 and got.shape == (A.shape[0], B.shape[1])
+    assert np.array_equal(got, ref_matmul(F, A, B))
+
+
+@pytest.mark.parametrize("pk", EXT)
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (3, 1, 4), (6, 9, 1), (1, 9, 1)])
+def test_ax_matmul_edge_shapes(pk, shape):
+    F = field(*pk)
+    n, m, r = shape
+    rng = np.random.default_rng(sum(shape) + F.order)
+    A = rng.integers(0, F.order, (n, m)).astype(np.int16)
+    B = rng.integers(0, F.order, (m, r)).astype(np.int16)
+    assert np.array_equal(F.ax_matmul(A, B), ref_matmul(F, A, B))
+
+
+def test_float32_threshold_of_f961():
+    # float32 while k*k*m*(p-1)**3 < 2**24: m <= 155 for F_{31^2}
+    F = field(31, 2)
+    assert F.F32_INNER == 155
+    assert 4 * 155 * 30**3 < 2**24 <= 4 * 156 * 30**3
+
+
+@pytest.mark.parametrize("m", [155, 156, 701])
+def test_ax_matmul_across_float32_threshold(m):
+    F = field(31, 2)
+    rng = np.random.default_rng(m)
+    A = rng.integers(0, F.order, (3, m)).astype(np.int16)
+    B = rng.integers(0, F.order, (m, 2)).astype(np.int16)
+    # Digits (29, 29) make entry (0, 0) a sum of odd plane products 29*29
+    # that passes 2**24 for odd m > 643, where float32 would round it.
+    A[0] = F.from_coeffs((29, 29))
+    B[:, 0] = F.from_coeffs((29, 29))
+    assert np.array_equal(F.ax_matmul(A, B), ref_matmul(F, A, B))
+
+
+# ---- row reduction ----
+
+
+@pytest.mark.parametrize("pk", [(2, 2), (3, 2), (2, 3)])
+@PROPERTY
+@given(data=st.data())
+def test_rref_over_extension_fields_matches_reference(pk, data):
+    F = field(*pk)
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    A = data.draw(_codes(F, (rows, cols)))
+    R, piv = _rref(F, A)
+    R_ref, piv_ref = ref_rref(F, A)
+    assert piv == piv_ref
+    assert np.array_equal(R, R_ref)
+
+
+@PROPERTY
+@given(gfp_matrices())
+def test_rref_and_rank_match_sympy(case):
+    F, A = case
+    R, piv = _rref(F, A)
+    R_ref, piv_ref = sympy_rref(F.p, A)
+    assert piv == piv_ref
+    assert np.array_equal(R, R_ref)
+    assert Matrix(F, A).rank() == _dm(F.p, A).rank()
+
+
+@PROPERTY
+@given(gfp_matrices())
+def test_kernel_matches_sympy_nullspace(case):
+    F, A = case
+    kernel = row_reduce(Matrix(F, A)).kernel
+    null = _ints(_dm(F.p, A).nullspace())
+    if null.size == 0:
+        assert kernel.dim == 0
+        return
+    N, piv = sympy_rref(F.p, null)
+    assert np.array_equal(kernel.basis.a, N[: len(piv)])
+
+
+@PROPERTY
+@given(gfp_matrices(), st.integers(1, 3), st.booleans(), st.data())
+def test_solve_matches_sympy(case, width, in_image, data):
+    F, A = case
+    rows, cols = A.shape
+    if in_image:
+        Y = data.draw(_codes(F, (cols, width))).astype(np.int64)
+        B = (A.astype(np.int64) @ Y % F.p).astype(np.int16)
+    else:
+        B = data.draw(_codes(F, (rows, width)))
+    X = solve(Matrix(F, A), Matrix(F, B))
+    R, piv = sympy_rref(F.p, np.hstack([A, B]))
+    if any(c >= cols for c in piv):
+        assert X is None and not in_image
+        return
+    want = np.zeros((cols, width), dtype=np.int64)
+    for i, c in enumerate(piv):
+        want[c] = R[i, cols:]
+    assert X is not None and np.array_equal(X.a, want)
+    assert np.array_equal(A.astype(np.int64) @ X.a % F.p, B)
