@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 200_000
+# fairness_refinement accepts primes p < 2**64, where is_prime is exact
+P_LIMIT = 2**64
 
 
 class PrecisionError(ValueError):
@@ -275,6 +277,8 @@ def fairness_refinement(m: int, n: int, p: int | None = None) -> FairnessCertifi
     """Minimal refined depth n' whose overlap triple strictly dominates the
     original for every contraction exponent; the torus component is the
     designated a-independent strict one."""
+    if p is not None and p >= P_LIMIT:
+        raise ValueError(f"p must be below 2**64 (got {p})")
     if p is not None and not is_prime(p):
         raise ValueError("p must be prime")
     _check_depth_args(m, n, 0)

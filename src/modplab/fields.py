@@ -22,18 +22,35 @@ TABLE_LIMIT = 1024
 CODE_LIMIT = 2**15
 
 
+# Miller-Rabin with the first twelve prime bases is exact for every
+# n < 3.18 * 10**23 (Sorenson & Webster 2017), which covers all n < 2**64.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality for n < MR_LIMIT; larger n raise ValueError."""
+    if n >= MR_LIMIT:
+        raise ValueError(f"n = {n} is beyond the deterministic primality bound")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -177,21 +194,26 @@ class FiniteField:
             rest //= p
         pw = p ** np.arange(k)
 
-        self.ADD = ((digits[:, None, :] + digits[None, :, :]) % p @ pw).astype(np.int16)
-        self.NEG = (((-digits) % p) @ pw).astype(np.int16)
-        self.SUB = self.ADD[:, self.NEG]
-
         # reduction of x^t mod modulus for t < 2k-1
         red = np.zeros((2 * k - 1, k), dtype=np.int64)
         for t in range(2 * k - 1):
             r = _poly_rem((0,) * t + (1,), self.modulus, p)
             red[t, : len(r)] = r
-        conv = np.zeros((k, k, 2 * k - 1), dtype=np.int64)
-        for r in range(k):
-            for s in range(k):
-                conv[r, s, r + s] = 1
-        prod = np.einsum("ar,bs,rst->abt", digits, digits, conv) % p
-        self.MUL = ((prod @ red % p) @ pw).astype(np.int16)
+        # x^r * x^s reduces to red[r + s]; W[j, r, s] is its digit j
+        W = red[np.add.outer(np.arange(k), np.arange(k))].transpose(2, 0, 1)
+
+        # Build the tables one (q, q) digit plane at a time: digit j of
+        # a + b is (a_j + b_j) mod p, and digit j of a * b is
+        # sum_{r,s} a_r b_s W[j, r, s] mod p, a rank-k product.
+        add = np.zeros((q, q), dtype=np.int64)
+        mul = np.zeros((q, q), dtype=np.int64)
+        for j in range(k):
+            add += pw[j] * (np.add.outer(digits[:, j], digits[:, j]) % p)
+            mul += pw[j] * (digits @ (W[j] @ digits.T) % p)
+        self.ADD = add.astype(np.int16)
+        self.MUL = mul.astype(np.int16)
+        self.NEG = (((-digits) % p) @ pw).astype(np.int16)
+        self.SUB = self.ADD[:, self.NEG]
 
         # ax_matmul's digit planes: DIGITS[j, a] is digit j of a, and
         # CONV[j, r*k + s] is digit j of x^(r+s) mod f.
@@ -336,6 +358,8 @@ class FiniteField:
         return (self.p, self.k, self.modulus)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, FiniteField) and self.key() == other.key()
 
     def __hash__(self):

@@ -155,6 +155,8 @@ class FinGroup:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FinGroup)
             and self.order == other.order
@@ -205,7 +207,7 @@ def _closure(G: FinGroup, seed: Iterable[int]) -> frozenset[int]:
 class Subgroup:
     """A subgroup of a FinGroup, held as its sorted member index tuple."""
 
-    __slots__ = ("parent", "members", "_local", "_group", "_gens")
+    __slots__ = ("parent", "members", "_local", "_group", "_gens", "_cosets")
 
     def __init__(self, parent: FinGroup, members: Iterable[int], validate: bool = True):
         ms = tuple(sorted(set(int(m) for m in members)))
@@ -224,6 +226,7 @@ class Subgroup:
         self._local = None
         self._group = None
         self._gens = None
+        self._cosets = None
 
     @staticmethod
     def generate(parent: FinGroup, gens: Iterable[int]) -> "Subgroup":
@@ -353,13 +356,23 @@ def coset_reps(G: FinGroup, U: Subgroup, H: Subgroup | None = None) -> tuple[int
 
 
 def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Representatives of U\\G plus a map element -> its coset's position."""
+    """Representatives of U\\G plus a map element -> its coset's position.
+
+    When G is U's own parent the pair is computed once and kept on U, so
+    every call returns the same dict: callers only read ``pos``, and must
+    not modify it.
+    """
+    if G is U.parent and U._cosets is not None:
+        return U._cosets
     reps = coset_reps(G, U)
     pos: dict[int, int] = {}
     for i, r in enumerate(reps):
         for u in U.members:
             pos[G.mul(u, r)] = i
-    return reps, pos
+    out = (reps, pos)
+    if G is U.parent:
+        U._cosets = out
+    return out
 
 
 def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:

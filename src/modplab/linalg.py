@@ -1,14 +1,18 @@
 """Dense exact linear algebra over a FiniteField.
 
 Matrices are immutable, row major, with entries stored as element codes in
-a numpy int16 array.  Reduction is classical Gauss-Jordan with the first
+a numpy int16 array.  Data from outside (lists, JSON, catalogs, caller
+arrays) is range-checked by ``Matrix(...)``; results of the field kernels
+and rearrangements of existing matrices are wrapped by ``Matrix._of``
+without a rescan.  Reduction is classical Gauss-Jordan with the first
 nonzero pivot in column order, so echelon forms (and everything derived
 from them: ranks, kernels, solutions) are canonical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,15 +33,27 @@ class Matrix:
         self.field = field
         self.a = a
 
+    @classmethod
+    def _of(cls, field: FiniteField, a: np.ndarray) -> "Matrix":
+        """Wrap a fresh 2-d int16 array whose entries are already codes of
+        field: a FiniteField.ax_* result or a rearrangement of existing
+        matrices.  No copy and no range scan; the array becomes read-only,
+        so the caller must not keep writing to it."""
+        a.flags.writeable = False
+        M = cls.__new__(cls)
+        M.field = field
+        M.a = a
+        return M
+
     # ---- constructors ----
 
     @staticmethod
     def zeros(field: FiniteField, rows: int, cols: int) -> "Matrix":
-        return Matrix(field, np.zeros((rows, cols), dtype=np.int16), copy=False)
+        return Matrix._of(field, np.zeros((rows, cols), dtype=np.int16))
 
     @staticmethod
     def identity(field: FiniteField, n: int) -> "Matrix":
-        return Matrix(field, np.eye(n, dtype=np.int16), copy=False)
+        return Matrix._of(field, np.eye(n, dtype=np.int16))
 
     @staticmethod
     def from_rows(field: FiniteField, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Matrix":
@@ -62,35 +78,35 @@ class Matrix:
     # ---- arithmetic ----
 
     def _need_same(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._need_same(other)
-        return Matrix(self.field, self.field.ax_add(self.a, other.a), copy=False)
+        return Matrix._of(self.field, self.field.ax_add(self.a, other.a))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._need_same(other)
-        return Matrix(self.field, self.field.ax_sub(self.a, other.a), copy=False)
+        return Matrix._of(self.field, self.field.ax_sub(self.a, other.a))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.field.ax_neg(self.a), copy=False)
+        return Matrix._of(self.field, self.field.ax_neg(self.a))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._need_same(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
-        return Matrix(self.field, self.field.ax_matmul(self.a, other.a), copy=False)
+        return Matrix._of(self.field, self.field.ax_matmul(self.a, other.a))
 
     def scale(self, s: int) -> "Matrix":
-        return Matrix(self.field, self.field.ax_scale(self.a, s), copy=False)
+        return Matrix._of(self.field, self.field.ax_scale(self.a, s))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.a.T.copy(), copy=False)
+        return Matrix._of(self.field, self.a.T.copy())
 
     def kron(self, other: "Matrix") -> "Matrix":
         self._need_same(other)
-        return Matrix(self.field, self.field.ax_kron(self.a, other.a), copy=False)
+        return Matrix._of(self.field, self.field.ax_kron(self.a, other.a))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """The image of a coordinate vector, M @ v."""
@@ -192,19 +208,18 @@ class Subspace:
 
     @staticmethod
     def from_rows(field: FiniteField, ambient_dim: int, rows) -> "Subspace":
+        """The span of rows: a Matrix, or row sequences that are range-checked."""
         if isinstance(rows, Matrix):
             arr = rows.a
         else:
             rows = list(rows)
-            arr = (
-                np.array(rows, dtype=np.int16)
-                if rows
-                else np.zeros((0, ambient_dim), dtype=np.int16)
-            )
+            if not rows:
+                return Subspace.zero(field, ambient_dim)
+            arr = Matrix(field, rows).a
         if arr.shape[0] == 0:
-            return Subspace(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim))
+            return Subspace.zero(field, ambient_dim)
         R, piv = _rref(field, arr)
-        return Subspace(field, ambient_dim, Matrix(field, R[: len(piv)], copy=True))
+        return Subspace(field, ambient_dim, Matrix._of(field, R[: len(piv)]))
 
     @staticmethod
     def full(field: FiniteField, n: int) -> "Subspace":
@@ -271,11 +286,21 @@ class EchelonForm:
     pivots: tuple[int, ...]
     rank: int
     kernel: Subspace
-    image: Subspace
+    source: Matrix = dataclass_field(repr=False)
+
+    @cached_property
+    def image(self) -> Subspace:
+        """Column space of the source, reduced on first access only."""
+        M = self.source
+        return Subspace.from_rows(M.field, M.rows, M.transpose())
 
 
 def row_reduce(M: Matrix) -> EchelonForm:
-    """RREF plus rank, right kernel and column space of M."""
+    """RREF plus rank, right kernel and (lazily) column space of M.
+
+    The RREF and the kernel cost two reductions; reading ``image`` adds a
+    third, on the transpose.
+    """
     f = M.field
     R, piv = _rref(f, M.a)
     rank = len(piv)
@@ -286,9 +311,8 @@ def row_reduce(M: Matrix) -> EchelonForm:
         krows[t, c] = 1
         for r_i, pc in enumerate(piv):
             krows[t, pc] = f.neg(int(R[r_i, c]))
-    kernel = Subspace.from_rows(f, M.cols, Matrix(f, krows, copy=True))
-    image = Subspace.from_rows(f, M.rows, M.transpose())
-    return EchelonForm(Matrix(f, R, copy=True), tuple(piv), rank, kernel, image)
+    kernel = Subspace.from_rows(f, M.cols, Matrix._of(f, krows))
+    return EchelonForm(Matrix._of(f, R), tuple(piv), rank, kernel, M)
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix | None:
@@ -306,20 +330,28 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     X = np.zeros((A.cols, B.cols), dtype=np.int16)
     for r_i, c in enumerate(apiv):
         X[c] = R[r_i, A.cols:]
-    return Matrix(f, X, copy=True)
+    return Matrix._of(f, X)
+
+
+def _common_field(field: FiniteField, mats: Sequence[Matrix]) -> None:
+    if any(m.field is not field and m.field != field for m in mats):
+        raise ValueError("field mismatch")
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     f = mats[0].field
-    return Matrix(f, np.hstack([m.a for m in mats]), copy=True)
+    _common_field(f, mats)
+    return Matrix._of(f, np.hstack([m.a for m in mats]))
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     f = mats[0].field
-    return Matrix(f, np.vstack([m.a for m in mats]), copy=True)
+    _common_field(f, mats)
+    return Matrix._of(f, np.vstack([m.a for m in mats]))
 
 
 def block_diag(field: FiniteField, mats: Sequence[Matrix]) -> Matrix:
+    _common_field(field, mats)
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
     out = np.zeros((rows, cols), dtype=np.int16)
@@ -328,4 +360,4 @@ def block_diag(field: FiniteField, mats: Sequence[Matrix]) -> Matrix:
         out[r : r + m.rows, c : c + m.cols] = m.a
         r += m.rows
         c += m.cols
-    return Matrix(field, out, copy=False)
+    return Matrix._of(field, out)

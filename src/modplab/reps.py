@@ -82,6 +82,8 @@ class Rep:
         return self.matrices[g].apply(vec)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Rep)
             and self.group == other.group

@@ -222,3 +222,9 @@ def test_stable_reruns_byte_identical(capsys):
     _, first, _ = run(argv, capsys)
     _, second, _ = run(argv, capsys)
     assert first == second and first.endswith("\n")
+
+
+def test_fairness_sl2_rejects_p_beyond_64_bits(capsys):
+    argv = ["fairness", "--mode", "sl2", "--p", "18446744073709551629", "--m", "1", "--n", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and "2**64" in err

@@ -120,3 +120,29 @@ def test_descriptor_and_key():
     assert F4.descriptor() == {"p": 2, "k": 2, "modulus": [1, 1, 1]}
     assert FiniteField(2, 2).key() == F4.key()
     assert FiniteField(2).key() != F4.key()
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3825123056546413051 is a strong pseudoprime to every base up to 31
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+
+
+def test_is_prime_accepts_mersenne_61():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**64 - 59)
+
+
+def test_is_prime_refuses_beyond_deterministic_bound():
+    with pytest.raises(ValueError):
+        is_prime(10**24 + 7)

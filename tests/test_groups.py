@@ -157,3 +157,13 @@ def test_json_roundtrip_equality():
     assert FinGroup(S3.table) == S3  # labels do not affect equality
     data = S3.to_json()
     assert set(data) == {"order", "table", "labels"}
+
+
+def test_coset_lookup_is_memoised_per_subgroup():
+    A4 = alt4()
+    for U in all_subgroups(A4):
+        first = coset_lookup(A4, U)
+        assert coset_lookup(A4, U) is first
+        reps, pos = first
+        assert reps == coset_reps(A4, U)
+        assert pos == {A4.mul(u, r): i for i, r in enumerate(reps) for u in U.members}

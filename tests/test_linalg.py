@@ -145,3 +145,36 @@ def test_matrix_immutability_surface():
     assert A.flatten() == (1, 0, 0, 1)
     assert A == Matrix.identity(F2, 2)
     assert hash(A) == hash(Matrix.identity(F2, 2))
+
+
+def test_outside_data_is_range_checked():
+    for bad in ([[0, 3]], [[-1, 0]]):
+        with pytest.raises(ValueError):
+            Matrix(F3, bad)
+        with pytest.raises(ValueError):
+            Subspace.from_rows(F3, 2, bad)
+    with pytest.raises(ValueError):
+        hstack([Matrix.identity(F4, 2), Matrix.identity(F2, 2)])
+    with pytest.raises(ValueError):
+        vstack([Matrix.identity(F2, 2), Matrix.identity(F4, 2)])
+
+
+def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
+    import modplab.linalg as linalg
+
+    calls = []
+    real = linalg._rref
+
+    def counting(field, arr):
+        calls.append(arr.shape)
+        return real(field, arr)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    M = Matrix.from_rows(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
+    ech = row_reduce(M)
+    assert ech.kernel.dim == 2
+    assert len(calls) == 2
+    assert ech.image.basis.tolist() == [[1, 2, 0], [0, 0, 1]]
+    assert len(calls) == 3
+    assert ech.image.dim == ech.rank
+    assert len(calls) == 3

@@ -243,3 +243,112 @@ def test_solve_matches_sympy(case, width, in_image, data):
         want[c] = R[i, cols:]
     assert X is not None and np.array_equal(X.a, want)
     assert np.array_equal(A.astype(np.int64) @ X.a % F.p, B)
+
+
+# ---- operation tables ----
+
+
+@pytest.mark.parametrize("pk", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 10)])
+def test_tables_match_polynomial_arithmetic(pk):
+    """ADD, MUL, NEG, SUB and INV against _poly_mul/_poly_rem arithmetic:
+    every pair for F8, F9, F25, F27, a seeded sample for F_{2^10}."""
+    F = field(*pk)
+    q = F.order
+    if q <= 27:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+        units = range(1, q)
+    else:
+        rng = np.random.default_rng(2024)
+        pairs = [tuple(int(x) for x in ab) for ab in rng.integers(0, q, (3000, 2))]
+        units = sorted({int(a) for a in rng.integers(1, q, 200)})
+    for a, b in pairs:
+        assert F.ADD[a, b] == ref_add(F, a, b)
+        assert F.SUB[a, b] == ref_sub(F, a, b)
+        assert F.MUL[a, b] == ref_mul(F, a, b)
+    for a in range(q):
+        assert F.NEG[a] == ref_sub(F, 0, a)
+    for a in units:
+        assert ref_mul(F, a, int(F.INV[a])) == 1
+    for T in (F.ADD, F.MUL, F.SUB):
+        assert T.dtype == np.int16 and T.shape == (q, q)
+
+
+# ---- kernel outputs are fresh int16 codes (Matrix._of relies on it) ----
+
+
+@PROPERTY
+@given(pk=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), data=st.data())
+def test_kernels_return_fresh_int16_codes(pk, data):
+    F = field(*pk)
+    n, m, r = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4)))
+    A = data.draw(_codes(F, (n, m)))
+    B = data.draw(_codes(F, (n, m)))
+    C = data.draw(_codes(F, (m, r)))
+    s = data.draw(st.integers(0, F.order - 1))
+    outs = [
+        F.ax_add(A, B),
+        F.ax_sub(A, B),
+        F.ax_neg(A),
+        F.ax_mul(A, B),
+        F.ax_scale(A, s),
+        F.ax_matmul(A, C),
+        F.ax_kron(A, C),
+    ]
+    for out in outs:
+        assert out.dtype == np.int16
+        assert ((out >= 0) & (out < F.order)).all()
+        assert not np.shares_memory(out, A) and not np.shares_memory(out, B)
+
+
+# ---- hom_space against Frobenius reciprocity ----
+
+
+def _small_groups():
+    from modplab.catalog import catalog_groups
+
+    return sorted(name for name, G in catalog_groups().items() if G.order <= 12)
+
+
+def _equivariant(F, M, rho1, rho2):
+    """M rho1(g) == rho2(g) M, multiplied out with scalar field operations."""
+
+    def mul(X, Y):
+        return [
+            [
+                functools.reduce(F.add, (F.mul(X[i][t], Y[t][j]) for t in range(len(Y))), 0)
+                for j in range(len(Y[0]))
+            ]
+            for i in range(len(X))
+        ]
+
+    return mul(M, rho1) == mul(rho2, M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gname=st.sampled_from(_small_groups()),
+    fname=st.sampled_from(["F2", "F3", "F4"]),
+    data=st.data(),
+)
+def test_hom_space_satisfies_frobenius_reciprocity(gname, fname, data):
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.groups import all_subgroups
+    from modplab.reps import hom_space, induce, restrict
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    U = data.draw(st.sampled_from(all_subgroups(G)))
+    W_pool = catalog_reps(U.as_group(), F, 2)
+    V_pool = catalog_reps(G, F, 3)
+    W = W_pool[data.draw(st.sampled_from(sorted(W_pool)))]
+    V = V_pool[data.draw(st.sampled_from(sorted(V_pool)))]
+    IndW, ResV = induce(U, W), restrict(V, U)
+    pairs = [(IndW, V), (V, IndW), (W, ResV), (ResV, W)]
+    spaces = [hom_space(X, Y) for X, Y in pairs]
+    assert spaces[0].dim == spaces[2].dim  # Hom_G(Ind W, V) = Hom_U(W, Res V)
+    assert spaces[1].dim == spaces[3].dim  # Hom_G(V, Ind W) = Hom_U(Res V, W)
+    for (X, Y), space in zip(pairs, spaces):
+        for i in range(space.dim):
+            flat = space.basis.row(i)
+            M = [list(flat[r * X.dim : (r + 1) * X.dim]) for r in range(Y.dim)]
+            for g in range(X.group.order):
+                assert _equivariant(F, M, X.mat(g).tolist(), Y.mat(g).tolist())
