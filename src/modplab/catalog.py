@@ -219,6 +219,8 @@ def group_to_json(G: FinGroup) -> dict:
 
 
 def group_from_json(data: dict) -> FinGroup:
+    if not isinstance(data, dict):
+        raise ValueError("a group must be a JSON object with a table")
     return group_from_table(data["table"], data.get("labels"))
 
 

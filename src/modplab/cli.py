@@ -41,8 +41,11 @@ def _emit(text: str, out: str | None):
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _InputError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -71,8 +74,10 @@ def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup | None:
         try:
             with open(name_or_path, encoding="utf-8") as fh:
                 return group_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError):
+        except OSError:
             return None
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _InputError(f"malformed group file {name_or_path}: {exc}") from exc
     groups = catalog["groups"] if catalog else catalog_groups()
     return groups.get(name_or_path)
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .fields import FiniteField
 from .groups import SUBGROUP_ENUM_CAP, Subgroup, all_subgroups, coset_lookup
-from .linalg import Matrix, Subspace, block_diag, hstack, row_reduce, vstack
-from .reps import Character, Rep, RepMap, cyclic_span_dim, trivial_rep
+from .linalg import Matrix, Subspace, hstack, row_reduce
+from .reps import Character, Rep, RepMap, cyclic_span_dim, direct_sum, trivial_rep
 
 __all__ = [
     "CoverageError",
@@ -61,7 +61,11 @@ def induced_trivial(U: Subgroup, field: FiniteField) -> Rep:
 
 
 def _is_fixed(V: Rep, U: Subgroup, v: tuple) -> bool:
-    return all(V.act(u, v) == v for u in U.generators())
+    gens = list(U.generators())
+    if not gens:
+        return True
+    col = np.asarray(v, dtype=np.int16).reshape(-1, 1)
+    return bool((V.field.ax_matmul_batch(V.T[gens], col) == col).all())
 
 
 def cover_map(U: Subgroup, V: Rep, v, ind: Rep | None = None) -> RepMap:
@@ -79,10 +83,9 @@ def cover_map(U: Subgroup, V: Rep, v, ind: Rep | None = None) -> RepMap:
     if ind is None:
         ind = induced_trivial(U, V.field)
     reps, _ = coset_lookup(G, U)
-    cols = np.zeros((V.dim, len(reps)), dtype=np.int16)
-    for i, r in enumerate(reps):
-        cols[:, i] = V.act(G.inv(r), vec)
-    return RepMap(ind, V, Matrix(V.field, cols, copy=False), validate=True)
+    col = np.asarray(vec, dtype=np.int16).reshape(-1, 1)
+    cols = V.field.ax_matmul_batch(V.T[G.inverse[list(reps)]], col)[:, :, 0].T
+    return RepMap(ind, V, Matrix._of(V.field, cols), validate=True)
 
 
 def qualifying_subgroups(
@@ -142,13 +145,9 @@ def _default_vectors(V: Rep) -> list[tuple]:
             if any(x != 0 for x in vec)
         ]
     # orbit of the standard basis: spans, stays group-stable, and avoids
-    # enumerating all q^d vectors
-    seen = set()
-    basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    for e in basis:
-        for g in range(V.group.order):
-            seen.add(V.act(g, e))
-    return sorted(seen)
+    # enumerating all q^d vectors; g sends e_i to column i of its matrix
+    columns = V.T.transpose(0, 2, 1).reshape(-1, d)
+    return sorted(set(map(tuple, columns.tolist())))
 
 
 def assemble_cover(
@@ -172,7 +171,7 @@ def assemble_cover(
             if not V.mat(z).is_identity():
                 raise ValueError("central subgroup must act trivially on V")
     if V.dim == 0:
-        zero = Rep(G, field, [Matrix.zeros(field, 0, 0)] * G.order, validate=False)
+        zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16), validate=False)
         onto = RepMap(zero, V, Matrix.zeros(field, 0, 0), validate=False)
         return CoverAssembly(zero, onto, (), ())
     if vectors is None:
@@ -207,10 +206,7 @@ def assemble_cover(
             f"({len(dropped)} of {len(chosen)} candidate vectors dropped)",
             dropped,
         )
-    mats = [
-        block_diag(field, [B.mat(g) for B in block_reps]) for g in range(G.order)
-    ]
-    S = Rep(G, field, mats, validate=False)  # each block is a verified rep
+    S = direct_sum(block_reps)  # each block is a verified rep
     # equivariance holds blockwise: every cover_map above was validated
     onto = RepMap(S, V, hstack(block_cols), validate=False)
     if onto.rank() != V.dim:
@@ -258,30 +254,33 @@ def frobenius_transport(
     from .reps import induce
 
     if ind is None:
-        key = (U.members, W.field.key(), W.matrices)
+        key = (U.members, W)
         store = _IND_CACHE.setdefault(G, {})
         if key not in store:
             store[key] = induce(U, W)
         ind = store[key]
     reps, pos = coset_lookup(G, U)
-    dW = W.dim
+    field, dW, dV = V.field, W.dim, V.dim
     i0 = pos[G.identity]
     r0 = reps[i0]  # representative of the coset U itself, a member of U
     down = _restr(V, U)
     if flavor == "lower":
         if f.source == ind and f.target == V:
-            sub = Matrix(V.field, f.matrix.a[:, i0 * dW : (i0 + 1) * dW])
+            sub = Matrix._of(field, f.matrix.a[:, i0 * dW : (i0 + 1) * dW])
             return RepMap(W, down, sub @ W.mat(U.local(r0)), validate=True)
         if f.source == W and f.target == down:
-            mat = hstack([V.mat(G.inv(r)) @ f.matrix for r in reps])
-            return RepMap(ind, V, mat, validate=True)
+            # block column i is rho_V(r_i^-1) @ f
+            moved = field.ax_matmul_batch(V.T[G.inverse[list(reps)]], f.matrix.a)
+            mat = moved.transpose(1, 0, 2).reshape(dV, ind.dim)
+            return RepMap(ind, V, Matrix._of(field, mat), validate=True)
         raise ValueError("map matches neither side of the lower adjunction")
     if f.source == V and f.target == ind:
-        sub = Matrix(V.field, f.matrix.a[i0 * dW : (i0 + 1) * dW, :])
+        sub = Matrix._of(field, f.matrix.a[i0 * dW : (i0 + 1) * dW, :])
         return RepMap(down, W, W.mat(U.local(G.inv(r0))) @ sub, validate=True)
     if f.source == down and f.target == W:
-        mat = vstack([f.matrix @ V.mat(r) for r in reps])
-        return RepMap(V, ind, mat, validate=True)
+        # block row i is f @ rho_V(r_i)
+        moved = field.ax_matmul_batch(f.matrix.a, V.T[list(reps)])
+        return RepMap(V, ind, Matrix._of(field, moved.reshape(ind.dim, dV)), validate=True)
     raise ValueError("map matches neither side of the upper adjunction")
 
 
@@ -313,9 +312,10 @@ def character_eigenspace(
     if not gens or V.dim == 0:
         space = Subspace.full(field, V.dim)
     else:
-        I = Matrix.identity(field, V.dim)
-        stacked = vstack([V.mat(z) - I.scale(chi.value(z)) for z in gens])
-        space = row_reduce(stacked).kernel
+        # rho(z) - chi(z) I for each generator z
+        scalars = np.array([chi.value(z) for z in gens], dtype=np.int16)[:, None, None]
+        moved = field.ax_sub(V.T[list(gens)], scalars * np.eye(V.dim, dtype=np.int16))
+        space = row_reduce(Matrix._of(field, moved.reshape(-1, V.dim))).kernel
     prime_to_p = []
     p_part_trivial = True
     for z in C.members:

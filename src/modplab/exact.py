@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import Subgroup
-from .linalg import Matrix, Subspace, hstack, row_reduce, solve, vstack
-from .reps import Rep, RepMap, ShortExactSeq, hom_space, induce, restrict
+from .linalg import Matrix, Subspace, row_reduce, solve, vstack
+from .reps import Rep, RepMap, ShortExactSeq, equivariance_system, hom_space, induce, restrict
 
 __all__ = [
     "RELATIVE_TRACE_LIMIT",
@@ -98,26 +100,20 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
         )
         return SplitWitness(kind, X) if ok else None
     Is, It = Matrix.identity(field, ds), Matrix.identity(field, dt)
-    sys_rows = []
-    rhs_rows = []
-    for u in U.generators():
-        left = Is.kron(f.target.mat(u).transpose())  # X |-> X @ rho_t(u)
-        right = f.source.mat(u).kron(It)  # X |-> rho_s(u) @ X
-        sys_rows.append(left - right)
-        rhs_rows.append(Matrix.zeros(field, n, 1))
+    gens = list(U.generators())
+    # X @ rho_t(u) = rho_s(u) @ X for every generator u
+    equi = equivariance_system(field, f.target.T[gens], f.source.T[gens])
     F = f.matrix
     if kind == "section":
-        sys_rows.append(F.kron(It))  # F @ X, flattened
-        rhs_rows.append(Matrix.column(field, It.flatten()))
+        fixed, target = F.kron(It), It  # F @ X, flattened
     else:
-        sys_rows.append(Is.kron(F.transpose()))  # X @ F, flattened
-        rhs_rows.append(Matrix.column(field, Is.flatten()))
-    x = solve(vstack(sys_rows), vstack(rhs_rows))
+        fixed, target = Is.kron(F.transpose()), Is  # X @ F, flattened
+    rhs = np.zeros((equi.rows + fixed.rows, 1), dtype=np.int16)
+    rhs[equi.rows :, 0] = target.a.reshape(-1)
+    x = solve(vstack([equi, fixed]), Matrix._of(field, rhs))
     if x is None:
         return None
-    flat = x.col(0)
-    X = Matrix(field, [list(flat[i * dt : (i + 1) * dt]) for i in range(ds)])
-    return SplitWitness(kind, X)
+    return SplitWitness(kind, Matrix._of(field, x.a.reshape(ds, dt)))
 
 
 def splits_over(ses: ShortExactSeq, U: Subgroup) -> SplitWitness | None:
@@ -169,7 +165,7 @@ _IND_SELF_CACHE: dict = {}
 
 
 def _induced_from_restriction(U: Subgroup, X: Rep) -> Rep:
-    key = (U.members, X.field.key(), X.matrices)
+    key = (U.members, X)
     store = _IND_SELF_CACHE.setdefault(U.parent, {})
     if key not in store:
         store[key] = induce(U, restrict(X, U))
@@ -186,8 +182,8 @@ def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
         raise ValueError("X must be a representation of U's parent group")
     ind = _induced_from_restriction(U, X)
     reps, _ = coset_lookup(G, U)
-    mat = vstack([X.mat(r) for r in reps])
-    return RepMap(X, ind, mat, validate=True)
+    mat = X.T[list(reps)].reshape(len(reps) * X.dim, X.dim)
+    return RepMap(X, ind, Matrix._of(X.field, mat), validate=True)
 
 
 def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
@@ -219,8 +215,8 @@ def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
         raise ValueError("X must be a representation of U's parent group")
     ind = _induced_from_restriction(U, X)
     reps, _ = coset_lookup(G, U)
-    mat = hstack([X.mat(G.inv(r)) for r in reps])
-    return RepMap(ind, X, mat, validate=True)
+    mat = X.T[G.inverse[list(reps)]].transpose(1, 0, 2).reshape(X.dim, len(reps) * X.dim)
+    return RepMap(ind, X, Matrix._of(X.field, mat), validate=True)
 
 
 def counit_section(U: Subgroup, X: Rep) -> SplitWitness:
@@ -275,23 +271,21 @@ def _relative_trace_solve(P: Rep, U: Subgroup) -> Matrix | None:
     field = P.field
     d = P.dim
     n = d * d
-    I = Matrix.identity(field, d)
-    sys_rows = []
-    rhs_rows = []
-    for u in U.generators():
-        sys_rows.append(I.kron(P.mat(u).transpose()) - P.mat(u).kron(I))
-        rhs_rows.append(Matrix.zeros(field, n, 1))
+    gens = list(U.generators())
+    equi = equivariance_system(field, P.T[gens], P.T[gens])
     reps, _ = coset_lookup(G, U)
-    trace_block = Matrix.zeros(field, n, n)
-    for r in reps:
-        trace_block = trace_block + P.mat(G.inv(r)).kron(P.mat(r).transpose())
-    sys_rows.append(trace_block)
-    rhs_rows.append(Matrix.column(field, I.flatten()))
-    y = solve(vstack(sys_rows), vstack(rhs_rows))
+    # the sum over r of rho(r^-1) (x) rho(r)^T as one product: entry
+    # ((i, j), (k, l)) is sum_r rho(r^-1)[i, k] rho(r)[l, j]
+    R = list(reps)
+    left = P.T[G.inverse[R]].reshape(len(R), n)  # row r: (i, k)
+    right = P.T[R].transpose(0, 2, 1).reshape(len(R), n)  # row r: (j, l)
+    trace = field.ax_matmul(left.T, right).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    rhs = np.zeros((equi.rows + n, 1), dtype=np.int16)
+    rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
+    y = solve(vstack([equi, Matrix._of(field, trace.reshape(n, n))]), Matrix._of(field, rhs))
     if y is None:
         return None
-    flat = y.col(0)
-    return Matrix(field, [list(flat[i * d : (i + 1) * d]) for i in range(d)])
+    return Matrix._of(field, y.a.reshape(d, d))
 
 
 def relative_projectivity_test(
@@ -324,12 +318,13 @@ def relative_projectivity_test(
     if Y is None:
         return (False, None)
     if side == "projective":
-        X = vstack([Y @ P.mat(r) for r in reps])
+        X = Matrix._of(field, field.ax_matmul_batch(Y.a, P.T[list(reps)]).reshape(ind.dim, P.dim))
         if adjunction_counit(U, P).matrix @ X != Matrix.identity(field, P.dim):
             raise AssertionError("trace witness failed to section the counit")
         RepMap(P, ind, X, validate=True)
         return (True, SplitWitness("section", X))
-    R = hstack([P.mat(G.inv(r)) @ Y for r in reps])
+    moved = field.ax_matmul_batch(P.T[G.inverse[list(reps)]], Y.a)
+    R = Matrix._of(field, moved.transpose(1, 0, 2).reshape(P.dim, ind.dim))
     if R @ adjunction_unit(U, P).matrix != Matrix.identity(field, P.dim):
         raise AssertionError("trace witness failed to retract the unit")
     RepMap(ind, P, R, validate=True)
@@ -357,11 +352,8 @@ def subrep_on_subspace(big: Rep, space: Subspace) -> tuple[Rep, RepMap]:
     field = big.field
     pivots = _rref_pivots(space.basis)
     incl = space.basis.transpose()
-    mats = []
-    for g in range(big.group.order):
-        moved = big.mat(g) @ incl
-        mats.append(Matrix(field, moved.a[pivots, :]))
-    sub = Rep(big.group, field, mats, validate=True)
+    T = field.ax_matmul_batch(big.T[:, pivots, :], incl.a)
+    sub = Rep._of(big.group, field, T, validate=True)
     return sub, RepMap(sub, big, incl, validate=True)
 
 
@@ -383,12 +375,9 @@ def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
         for i, pcol in enumerate(pivots):
             proj[t, pcol] = field.neg(image.basis.entry(i, q))
     pmat = Matrix(field, proj, copy=False)
-    lift = Matrix.zeros(field, D, len(others)).a.copy()
-    for t, q in enumerate(others):
-        lift[q, t] = 1
-    lmat = Matrix(field, lift, copy=False)
-    mats = [pmat @ big.mat(g) @ lmat for g in range(big.group.order)]
-    quo = Rep(big.group, field, mats, validate=True)
+    # the lift onto the non-pivot coordinates just selects those columns
+    T = field.ax_matmul_batch(pmat.a, big.T[:, :, others])
+    quo = Rep._of(big.group, field, T, validate=True)
     return quo, RepMap(big, quo, pmat, validate=True)
 
 
@@ -419,28 +408,17 @@ def stable_hom(V1: Rep, V2: Rep, U: Subgroup, flavor: str) -> StableHomResult:
     field = V1.field
     total = hom_space(V1, V2)
     amb = V1.dim * V2.dim
-    rows = []
     if flavor == "injective":
         A = adjunction_unit(U, V1)
         through = hom_space(A.target, V2)
-        for i in range(through.dim):
-            flat = through.basis.row(i)
-            H = Matrix(
-                field,
-                [list(flat[r * A.target.dim : (r + 1) * A.target.dim]) for r in range(V2.dim)],
-            )
-            rows.append((H @ A.matrix).flatten())
+        H = through.basis.a.reshape(through.dim, V2.dim, A.target.dim)
+        moved = field.ax_matmul_batch(H, A.matrix.a)
     else:
         B = adjunction_counit(U, V2)
         through = hom_space(V1, B.source)
-        for i in range(through.dim):
-            flat = through.basis.row(i)
-            H = Matrix(
-                field,
-                [list(flat[r * V1.dim : (r + 1) * V1.dim]) for r in range(B.source.dim)],
-            )
-            rows.append((B.matrix @ H).flatten())
-    factoring = Subspace.from_rows(field, amb, rows)
+        H = through.basis.a.reshape(through.dim, B.source.dim, V1.dim)
+        moved = field.ax_matmul_batch(B.matrix.a, H)
+    factoring = Subspace.from_rows(field, amb, Matrix._of(field, moved.reshape(through.dim, amb)))
     if not total.contains_space(factoring):
         raise AssertionError("factoring maps left the hom space")
     reduced = []

@@ -4,10 +4,11 @@ A field element is a plain int in ``[0, p**k)``: the integer ``a`` encodes
 the residue polynomial ``sum(d_i * x**i)`` where ``d_0, d_1, ...`` are the
 base-p digits of ``a``.  Prime fields compute with modular arithmetic
 directly; extension fields go through small precomputed operation tables.
-All arithmetic is exact.  The one place floats appear is ``ax_matmul`` over
-an extension field, which multiplies integer-valued float32/float64 digit
-planes with BLAS; every sum it forms stays below 2**24 (float32) or 2**53
-(float64), where those types hold integers exactly.
+All arithmetic is exact.  The one place floats appear is
+``ax_matmul_batch`` over an extension field, which multiplies
+integer-valued float32/float64 digit planes with BLAS; every sum it forms
+stays below 2**24 (float32) or 2**53 (float64), where those types hold
+integers exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import numpy as np
 TABLE_LIMIT = 1024
 # matrices store element codes as int16
 CODE_LIMIT = 2**15
+# ax_matmul_batch slices a batch whose products would span more cells of
+# float digit-plane products (int64 products over a prime field) than this
+BATCH_CELLS = 2**16
 
 
 # Miller-Rabin with the first twelve prime bases is exact for every
@@ -215,15 +219,20 @@ class FiniteField:
         self.NEG = (((-digits) % p) @ pw).astype(np.int16)
         self.SUB = self.ADD[:, self.NEG]
 
-        # ax_matmul's digit planes: DIGITS[j, a] is digit j of a, and
-        # CONV[j, r*k + s] is digit j of x^(r+s) mod f.
-        self.DIGITS = np.ascontiguousarray(digits.T, dtype=np.float32)
-        self.CONV = red[np.add.outer(np.arange(k), np.arange(k)).reshape(-1)].T.astype(np.float32)
-        self.PW = pw.astype(np.float32)
-        # Largest inner dimension m whose sums k*k*m*(p-1)**3 stay exact.
+        # ax_matmul_batch's digit planes, one set per float type: DIGITS[j, a]
+        # is digit j of a, CONV[j, r*k + s] is digit j of x^(r+s) mod f, and
+        # PW[j] = p**j.  Largest inner dimension m whose sums k*k*m*(p-1)**3
+        # stay exact:
+        conv = red[np.add.outer(np.arange(k), np.arange(k)).reshape(-1)].T
         worst = k * k * (p - 1) ** 3
         self.F32_INNER = (2**24 - 1) // worst
         self.F64_INNER = (2**53 - 1) // worst
+        self._planes = {
+            dt: (digits.T.astype(dt), conv.astype(dt), it)
+            for dt, it in ((np.float32, np.int32), (np.float64, np.int64))
+        }
+        self._PW = pw
+        self._J = np.arange(k)[:, None]
 
         inv = np.zeros(q, dtype=np.int16)
         for a in range(1, q):
@@ -315,6 +324,9 @@ class FiniteField:
         return self.MUL[A, B]
 
     def ax_scale(self, A, s: int):
+        """Every entry times the field element with code s."""
+        if not 0 <= s < self.order:
+            raise ValueError(f"scalar {s} is not an element code of {self!r}")
         if s == 1:
             return A.copy()
         if self.k == 1:
@@ -322,26 +334,63 @@ class FiniteField:
         return self.MUL[A, s]
 
     def ax_matmul(self, A, B):
-        n, m = A.shape
-        m2, r = B.shape
-        assert m == m2
-        if m == 0 or n == 0 or r == 0:
-            return np.zeros((n, r), dtype=np.int16)
+        """Product of two 2-d code arrays; stacks go to ax_matmul_batch."""
+        if A.ndim != 2 or B.ndim != 2:
+            raise ValueError(f"ax_matmul takes 2-d operands, not {A.shape} @ {B.shape}")
+        return self.ax_matmul_batch(A, B)
+
+    def ax_matmul_batch(self, A, B):
+        """Products over the last two axes; leading axes broadcast like
+        numpy.matmul."""
+        if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
+            raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+        (n, m), r = A.shape[-2:], B.shape[-1]
+        if not (n and m and r):
+            lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+            return np.zeros(lead + (n, r), dtype=np.int16)
+        if (A.size // m) * (B.size // m) * self.k**2 > BATCH_CELLS and max(A.ndim, B.ndim) > 2:
+            return self._matmul_slices(A, B)
         if self.k == 1:
             return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
-        # One gemm multiplies every pair of digit planes (FFLAS, Dumas,
-        # Giorgi & Pernet 2008); CONV then folds plane pair (r, s) into the
-        # digits of x^(r+s) mod f.  Entries of P are at most m*(p-1)**2 and
-        # those of C at most k*k*m*(p-1)**3, so both are exact in dtype.
-        k, p = self.k, self.p
+        # One gemm per product multiplies every pair of digit planes (FFLAS,
+        # Dumas, Giorgi & Pernet 2008); CONV then folds plane pair (r, s)
+        # into the digits of x^(r+s) mod f.  Entries of P are at most
+        # m*(p-1)**2 and those of C at most k*k*m*(p-1)**3, so both are
+        # exact in the float type; the reduction mod p runs on integers.
+        k = self.k
         assert m <= self.F64_INNER
-        dtype = np.float32 if m <= self.F32_INNER else np.float64
-        L = self.DIGITS[:, A].reshape(k * n, m).astype(dtype, copy=False)
-        R = self.DIGITS[:, B].transpose(1, 0, 2).reshape(m, k * r).astype(dtype, copy=False)
-        P = (L @ R).reshape(k, n, k, r).transpose(0, 2, 1, 3).reshape(k * k, n * r)
-        C = self.CONV.astype(dtype, copy=False) @ P
-        C %= p
-        return (self.PW.astype(dtype, copy=False) @ C).reshape(n, r).astype(np.int16)
+        digits, conv, itype = self._planes[np.float32 if m <= self.F32_INNER else np.float64]
+        # rows (i, j) of L hold digit j of row i of A; columns (s, c) of R
+        # hold digit s of column c of B
+        L = digits[self._J, A[..., :, None, :]].reshape(A.shape[:-2] + (n * k, m))
+        R = digits[self._J, B[..., :, None, :]].reshape(B.shape[:-2] + (m, k * r))
+        P = L @ R
+        lead = P.shape[:-2]
+        P = P.reshape(-1, k * k, r).swapaxes(0, 1).reshape(k * k, -1)
+        C = (conv @ P).astype(itype)
+        C %= self.p
+        return (self._PW @ C).reshape(lead + (n, r)).astype(np.int16)
+
+    def _matmul_slices(self, A, B):
+        """ax_matmul_batch in slices along the first batch axis, so that a
+        large batch never holds more than about BATCH_CELLS product cells."""
+        nd = max(A.ndim, B.ndim)
+        A = A.reshape((1,) * (nd - A.ndim) + A.shape)
+        B = B.reshape((1,) * (nd - B.ndim) + B.shape)
+        s = max(A.shape[0], B.shape[0])
+        if s == 1:
+            return self.ax_matmul_batch(A[0], B[0])[None]
+        cells = (A.size // A.shape[-1]) * (B.size // B.shape[-2]) * self.k**2
+        step = max(1, s * BATCH_CELLS // cells)
+        out = None
+        for i in range(0, s, step):
+            part = self.ax_matmul_batch(
+                A[i : i + step] if A.shape[0] > 1 else A, B[i : i + step] if B.shape[0] > 1 else B
+            )
+            if out is None:
+                out = np.empty((s,) + part.shape[1:], dtype=np.int16)
+            out[i : i + step] = part
+        return out
 
     def ax_kron(self, A, B):
         r1, c1 = A.shape

@@ -32,9 +32,9 @@ class FinGroup:
 
     def __init__(self, table, labels: Sequence[str] | None = None, validate: bool = True):
         T = np.array(table, dtype=np.int16)
-        n = T.shape[0]
-        if T.shape != (n, n):
+        if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError("table must be square")
+        n = T.shape[0]
         if n == 0:
             raise ValueError("empty table")
         if T.size and (T.min() < 0 or T.max() >= n):

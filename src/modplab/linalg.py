@@ -35,10 +35,10 @@ class Matrix:
 
     @classmethod
     def _of(cls, field: FiniteField, a: np.ndarray) -> "Matrix":
-        """Wrap a fresh 2-d int16 array whose entries are already codes of
-        field: a FiniteField.ax_* result or a rearrangement of existing
-        matrices.  No copy and no range scan; the array becomes read-only,
-        so the caller must not keep writing to it."""
+        """Wrap a 2-d int16 array whose entries are already codes of field:
+        a FiniteField.ax_* result, a rearrangement of existing matrices, or
+        a view of a read-only array.  No copy and no range scan; the array
+        becomes read-only, so the caller must not keep writing to it."""
         a.flags.writeable = False
         M = cls.__new__(cls)
         M.field = field

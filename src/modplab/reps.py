@@ -4,11 +4,12 @@ is simultaneously the left and right adjoint of restriction), equivariant
 hom spaces, fixed points, and multiplicative characters of abelian
 subgroups.
 
-A Rep stores one invertible matrix per group element.  The homomorphism
-property is verified at construction: the identity must map to the
-identity matrix and action(g*h) = action(g) @ action(h) is checked for
-every generator g against every h, which by induction on word length
-forces the property for all pairs.
+A Rep stores its action as one read-only (|G|, d, d) int16 tensor ``T``,
+so that products over many group elements are single batched kernel
+calls.  The homomorphism property is verified at construction: the
+identity must map to the identity matrix and action(g*h) = action(g) @
+action(h) is checked for every generator g against every h, which by
+induction on word length forces the property for all pairs.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .fields import FiniteField
+import numpy as np
+
+from .fields import BATCH_CELLS, FiniteField
 from .groups import FinGroup, Subgroup, coset_lookup
-from .linalg import Matrix, Subspace, row_reduce, vstack
+from .linalg import Matrix, Subspace, row_reduce
 
 __all__ = [
     "Rep",
@@ -32,6 +35,7 @@ __all__ = [
     "direct_sum",
     "restrict",
     "induce",
+    "equivariance_system",
     "hom_space",
     "hom_basis_maps",
     "fixed_points",
@@ -43,7 +47,7 @@ __all__ = [
 
 
 class Rep:
-    __slots__ = ("group", "field", "dim", "matrices")
+    __slots__ = ("group", "field", "dim", "T", "_mats", "_hash")
 
     def __init__(
         self,
@@ -54,26 +58,54 @@ class Rep:
     ):
         if len(matrices) != group.order:
             raise ValueError("need one matrix per group element")
-        dim = matrices[0].rows if matrices else 0
+        dim = matrices[0].rows
         for M in matrices:
             if M.field != field or M.rows != dim or M.cols != dim:
                 raise ValueError("matrix shape or field mismatch")
-        self.group = group
-        self.field = field
-        self.dim = dim
-        self.matrices = tuple(matrices)
+        self._set(group, field, np.array([M.a for M in matrices], dtype=np.int16))
         if validate:
             self._validate()
 
+    @classmethod
+    def _of(cls, group: FinGroup, field: FiniteField, T: np.ndarray, validate: bool) -> "Rep":
+        """Wrap a fresh (|G|, d, d) int16 tensor of field codes, such as a
+        kernel result; it becomes read-only."""
+        V = cls.__new__(cls)
+        V._set(group, field, T)
+        if validate:
+            V._validate()
+        return V
+
+    def _set(self, group: FinGroup, field: FiniteField, T: np.ndarray):
+        T.flags.writeable = False
+        self.group = group
+        self.field = field
+        self.dim = T.shape[1]
+        self.T = T
+        self._mats = None
+        self._hash = None
+
     def _validate(self):
-        G = self.group
-        if not self.matrices[G.identity].is_identity():
+        G, T = self.group, self.T
+        if not np.array_equal(T[G.identity], np.eye(self.dim, dtype=np.int16)):
             raise ValueError("identity does not act as the identity matrix")
-        for g in G.generators():
-            Mg = self.matrices[g]
-            for h in range(G.order):
-                if Mg @ self.matrices[h] != self.matrices[G.mul(g, h)]:
-                    raise ValueError("action is not a homomorphism")
+        gens = list(G.generators())
+        if not gens:
+            return
+        # one batched product per slice of h; a small rep takes one slice,
+        # a large one keeps each slice's products within BATCH_CELLS codes
+        step = max(1, BATCH_CELLS // (len(gens) * self.dim * self.dim or 1))
+        for h in range(0, G.order, step):
+            products = self.field.ax_matmul_batch(T[gens][:, None], T[None, h : h + step])
+            if not np.array_equal(products, T[G.table[gens, h : h + step]]):
+                raise ValueError("action is not a homomorphism")
+
+    @property
+    def matrices(self) -> tuple[Matrix, ...]:
+        """One read-only Matrix view of T per group element."""
+        if self._mats is None:
+            self._mats = tuple(Matrix._of(self.field, M) for M in self.T)
+        return self._mats
 
     def mat(self, g: int) -> Matrix:
         return self.matrices[g]
@@ -88,11 +120,13 @@ class Rep:
             isinstance(other, Rep)
             and self.group == other.group
             and self.field == other.field
-            and self.matrices == other.matrices
+            and bool(np.array_equal(self.T, other.T))
         )
 
     def __hash__(self):
-        return hash((self.group, self.field.key(), self.matrices))
+        if self._hash is None:
+            self._hash = hash((self.group, self.field.key(), self.T.shape, self.T.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"Rep(dim={self.dim}, group_order={self.group.order}, field={self.field!r})"
@@ -112,9 +146,12 @@ class RepMap:
         self.target = target
         self.matrix = matrix
         if validate:
-            for g in source.group.generators():
-                if matrix @ source.mat(g) != target.mat(g) @ matrix:
-                    raise ValueError("map is not equivariant")
+            gens = list(source.group.generators())
+            f, A = source.field, matrix.a
+            if gens and not np.array_equal(
+                f.ax_matmul_batch(A, source.T[gens]), f.ax_matmul_batch(target.T[gens], A)
+            ):
+                raise ValueError("map is not equivariant")
 
     def __matmul__(self, other: "RepMap") -> "RepMap":
         if other.target != self.source:
@@ -183,21 +220,16 @@ class ShortExactSeq:
 
 
 def trivial_rep(G: FinGroup, field: FiniteField, dim: int = 1) -> Rep:
-    I = Matrix.identity(field, dim)
-    return Rep(G, field, [I] * G.order, validate=False)
+    T = np.repeat(np.eye(dim, dtype=np.int16)[None], G.order, axis=0)
+    return Rep._of(G, field, T, validate=False)
 
 
 def regular_rep(G: FinGroup, field: FiniteField) -> Rep:
     """Left translation on the group algebra: g sends basis vector h to gh."""
-    mats = []
-    for g in range(G.order):
-        M = Matrix.zeros(field, G.order, G.order)
-        a = M.a.copy()
-        a.flags.writeable = True
-        for h in range(G.order):
-            a[G.mul(g, h), h] = 1
-        mats.append(Matrix(field, a, copy=False))
-    return Rep(G, field, mats, validate=False)
+    n = G.order
+    T = np.zeros((n, n, n), dtype=np.int16)
+    T[np.arange(n)[:, None], G.table, np.arange(n)[None, :]] = 1
+    return Rep._of(G, field, T, validate=False)
 
 
 def character_rep(G: FinGroup, field: FiniteField, values: Sequence[int]) -> Rep:
@@ -238,11 +270,16 @@ def rep_from_generators(
 
 
 def direct_sum(reps: Sequence[Rep]) -> Rep:
-    from .linalg import block_diag
-
     G, field = reps[0].group, reps[0].field
-    mats = [block_diag(field, [V.mat(g) for V in reps]) for g in range(G.order)]
-    return Rep(G, field, mats, validate=False)
+    if any(V.group != G or V.field != field for V in reps):
+        raise ValueError("reps live over different groups or fields")
+    D = sum(V.dim for V in reps)
+    T = np.zeros((G.order, D, D), dtype=np.int16)
+    o = 0
+    for V in reps:
+        T[:, o : o + V.dim, o : o + V.dim] = V.T
+        o += V.dim
+    return Rep._of(G, field, T, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +290,7 @@ def restrict(V: Rep, U: Subgroup) -> Rep:
     """V as a representation of U.as_group()."""
     if U.parent != V.group:
         raise ValueError("subgroup of a different group")
-    return Rep(U.as_group(), V.field, [V.mat(m) for m in U.members], validate=False)
+    return Rep._of(U.as_group(), V.field, V.T[list(U.members)], validate=False)
 
 
 def induce(U: Subgroup, W: Rep) -> Rep:
@@ -267,21 +304,37 @@ def induce(U: Subgroup, W: Rep) -> Rep:
     G = U.parent
     if W.group != U.as_group():
         raise ValueError("W must be a representation of U.as_group()")
-    field = W.field
     reps, pos = coset_lookup(G, U)
-    dW = W.dim
-    dim = len(reps) * dW
-    mats = []
-    for g in range(G.order):
-        M = Matrix.zeros(field, dim, dim).a.copy()
-        M.flags.writeable = True
-        ginv = G.inv(g)
-        for i, r in enumerate(reps):
-            j = pos[G.mul(r, ginv)]
-            u = G.mul(G.mul(reps[j], g), G.inv(r))  # lies in U
-            M[j * dW : (j + 1) * dW, i * dW : (i + 1) * dW] = W.mat(U.local(u)).a
-        mats.append(Matrix(field, M, copy=False))
-    return Rep(G, field, mats, validate=True)
+    R = np.array(reps)
+    at = np.empty(G.order, dtype=np.intp)  # element -> position of its coset
+    at[list(pos)] = list(pos.values())
+    local = np.empty(G.order, dtype=np.intp)  # member of U -> its index in U
+    local[list(U.members)] = np.arange(U.order)
+    mul, inv = G.table, G.inverse
+    g = np.arange(G.order)[:, None]
+    # g sends block i to block j = pos(r_i g^-1), acting there by
+    # u = r_j g r_i^-1, which lies in U
+    j = at[mul[R[None, :], inv[g]]]
+    u = mul[mul[R[j], g], inv[R][None, :]]
+    n, dW = len(reps), W.dim
+    out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
+    out[g, j, :, np.arange(n)[None, :], :] = W.T[local[u]]
+    return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=True)
+
+
+def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Matrix:
+    """Stacked rows of X |-> X @ rho1(g) - rho2(g) @ X for each matrix pair
+    (rho1(g), rho2(g)) of the (s, d1, d1) and (s, d2, d2) stacks T1, T2, on
+    d2 x d1 matrices X flattened row major: the blocks
+    I (x) rho1(g)^T - rho2(g) (x) I, built without Kronecker products."""
+    s, d1, d2 = T1.shape[0], T1.shape[1], T2.shape[1]
+    out = np.zeros((s, d2, d1, d2, d1), dtype=np.int16)
+    a1, a2 = np.arange(d1), np.arange(d2)
+    # entry ((a, c), (a, b)) of I (x) rho1^T is rho1[b, c] ...
+    out[:, a2, :, a2, :] = T1.transpose(0, 2, 1)
+    # ... and rho2[a, e] is subtracted at ((a, c), (e, c))
+    out[:, :, a1, :, a1] = field.ax_sub(out[:, :, a1, :, a1], T2)
+    return Matrix._of(field, out.reshape(s * d2 * d1, d2 * d1))
 
 
 def hom_space(V1: Rep, V2: Rep) -> Subspace:
@@ -290,33 +343,21 @@ def hom_space(V1: Rep, V2: Rep) -> Subspace:
     if V1.group != V2.group or V1.field != V2.field:
         raise ValueError("reps live over different groups or fields")
     field = V1.field
-    d1, d2 = V1.dim, V2.dim
-    amb = d1 * d2
-    gens = V1.group.generators()
+    amb = V1.dim * V2.dim
+    gens = list(V1.group.generators())
     if amb == 0:
         return Subspace.zero(field, amb)
     if not gens:
         return Subspace.full(field, amb)
-    I1 = Matrix.identity(field, d1)
-    I2 = Matrix.identity(field, d2)
-    blocks = []
-    for g in gens:
-        left = I2.kron(V1.mat(g).transpose())  # M |-> M @ rho1(g)
-        right = V2.mat(g).kron(I1)  # M |-> rho2(g) @ M
-        blocks.append(left - right)
-    return row_reduce(vstack(blocks)).kernel
+    return row_reduce(equivariance_system(field, V1.T[gens], V2.T[gens])).kernel
 
 
 def hom_basis_maps(V1: Rep, V2: Rep) -> list[RepMap]:
     space = hom_space(V1, V2)
-    out = []
-    for i in range(space.dim):
-        flat = space.basis.row(i)
-        M = Matrix(
-            V1.field, [list(flat[r * V1.dim : (r + 1) * V1.dim]) for r in range(V2.dim)]
-        )
-        out.append(RepMap(V1, V2, M, validate=True))
-    return out
+    return [
+        RepMap(V1, V2, Matrix._of(V1.field, row.reshape(V2.dim, V1.dim)), validate=True)
+        for row in space.basis.a
+    ]
 
 
 def fixed_points(V: Rep, U: Subgroup | None = None) -> Subspace:
@@ -329,14 +370,14 @@ def fixed_points(V: Rep, U: Subgroup | None = None) -> Subspace:
     gens = U.generators()
     if not gens or V.dim == 0:
         return Subspace.full(V.field, V.dim)
-    I = Matrix.identity(V.field, V.dim)
-    stacked = vstack([V.mat(u) - I for u in gens])
-    return row_reduce(stacked).kernel
+    moved = V.field.ax_sub(V.T[list(gens)], np.eye(V.dim, dtype=np.int16))
+    return row_reduce(Matrix._of(V.field, moved.reshape(-1, V.dim))).kernel
 
 
 def cyclic_span(V: Rep, v: Sequence[int]) -> Subspace:
-    rows = [V.act(g, v) for g in range(V.group.order)]
-    return Subspace.from_rows(V.field, V.dim, rows)
+    col = np.asarray(v, dtype=np.int16).reshape(-1, 1)
+    rows = V.field.ax_matmul_batch(V.T, col)[:, :, 0]
+    return Subspace.from_rows(V.field, V.dim, Matrix._of(V.field, rows))
 
 
 def cyclic_span_dim(V: Rep, v: Sequence[int]) -> int:

@@ -228,3 +228,21 @@ def test_fairness_sl2_rejects_p_beyond_64_bits(capsys):
     argv = ["fairness", "--mode", "sl2", "--p", "18446744073709551629", "--m", "1", "--n", "1"]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and "2**64" in err
+
+
+def test_verify_out_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["verify", "--suite", "higman", "--out", str(target)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stable", "--field", "F2", "--group"], ["fairness", "--mode", "finite", "--group"]],
+)
+def test_group_file_holding_a_list_exits_2(tmp_path, capsys, argv):
+    gfile = tmp_path / "g.json"
+    gfile.write_text("[[0, 1], [1, 0]]")
+    code, out, err = run(argv + [str(gfile)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: malformed group file")

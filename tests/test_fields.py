@@ -146,3 +146,24 @@ def test_is_prime_accepts_mersenne_61():
 def test_is_prime_refuses_beyond_deterministic_bound():
     with pytest.raises(ValueError):
         is_prime(10**24 + 7)
+
+
+def test_scale_takes_element_codes():
+    F4 = FiniteField(2, 2)
+    M = Matrix(F4, [[1, 2]])
+    # code 3 is x + 1: x * (x + 1) = x^2 + x = 1
+    assert M.scale(3).tolist() == [[F4.mul(1, 3), F4.mul(2, 3)]] == [[3, 1]]
+    with pytest.raises(ValueError):
+        M.scale(-1)  # used to index MUL from the end: [[3, 1]]
+    with pytest.raises(ValueError):
+        M.scale(4)  # used to raise IndexError
+
+
+def test_scale_over_prime_field_rejects_non_codes():
+    F3 = FiniteField(3)
+    M = Matrix(F3, [[1, 2]])
+    assert M.scale(2).tolist() == [[2, 1]]
+    assert M.scale(0).tolist() == [[0, 0]]
+    for s in (-1, 3, 5):
+        with pytest.raises(ValueError):
+            M.scale(s)

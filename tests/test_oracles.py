@@ -352,3 +352,158 @@ def test_hom_space_satisfies_frobenius_reciprocity(gname, fname, data):
             M = [list(flat[r * X.dim : (r + 1) * X.dim]) for r in range(Y.dim)]
             for g in range(X.group.order):
                 assert _equivariant(F, M, X.mat(g).tolist(), Y.mat(g).tolist())
+
+
+# ---- batched ax_matmul_batch against a scalar add/mul triple loop ----
+
+BATCH_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (31, 2)]
+
+
+@st.composite
+def batched_products(draw, pk):
+    """Operands of ax_matmul_batch: stack x stack (with broadcasting),
+    2-d x stack or stack x 2-d; any axis may be empty."""
+    F = field(*pk)
+    n, m, r = draw(st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 3)))
+    mode = draw(st.sampled_from(["stack x stack", "2d x stack", "stack x 2d"]))
+    lead = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    if mode == "stack x stack":
+        # broadcast: B takes lead with some axes collapsed to 1
+        other = [draw(st.sampled_from([1, x])) for x in lead]
+        shapes = (tuple(lead) + (n, m), tuple(other) + (m, r))
+    elif mode == "2d x stack":
+        shapes = ((n, m), tuple(lead) + (m, r))
+    else:
+        shapes = (tuple(lead) + (n, m), (m, r))
+    return F, draw(_codes(F, shapes[0])), draw(_codes(F, shapes[1]))
+
+
+@pytest.mark.parametrize("pk", BATCH_FIELDS)
+@PROPERTY
+@given(data=st.data())
+def test_ax_matmul_batch_matches_scalar_loop(pk, data):
+    F, A, B = data.draw(batched_products(pk))
+    got = F.ax_matmul_batch(A, B)
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    assert got.dtype == np.int16 and got.shape == lead + (A.shape[-2], B.shape[-1])
+    A = np.broadcast_to(A, lead + A.shape[-2:])
+    B = np.broadcast_to(B, lead + B.shape[-2:])
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(got[idx], ref_matmul(F, A[idx], B[idx]))
+
+
+@pytest.mark.parametrize("m", [155, 156])
+def test_ax_matmul_batch_across_float32_threshold(m):
+    F = field(31, 2)
+    rng = np.random.default_rng(m)
+    A = rng.integers(0, F.order, (2, 2, m)).astype(np.int16)
+    B = rng.integers(0, F.order, (2, m, 2)).astype(np.int16)
+    A[:, 0] = F.from_coeffs((29, 29))
+    B[:, :, 0] = F.from_coeffs((29, 29))
+    got = F.ax_matmul_batch(A, B)
+    for i in range(2):
+        assert np.array_equal(got[i], ref_matmul(F, A[i], B[i]))
+
+
+def test_ax_matmul_batch_slices_large_batches():
+    # (3*12) * (40*12) * k*k product cells exceed BATCH_CELLS, so the batch
+    # is computed in slices; every slice must land in its place
+    from modplab.fields import BATCH_CELLS
+
+    F = field(2, 2)
+    rng = np.random.default_rng(7)
+    A = rng.integers(0, F.order, (3, 1, 12, 12)).astype(np.int16)
+    B = rng.integers(0, F.order, (40, 12, 12)).astype(np.int16)
+    assert (A.size // 12) * (B.size // 12) * F.k**2 > BATCH_CELLS
+    got = F.ax_matmul_batch(A, B)
+    assert got.shape == (3, 40, 12, 12)
+    for i in range(3):
+        for j in range(40):
+            assert np.array_equal(got[i, j], F.ax_matmul(A[i, 0], B[j]))
+    for i in (0, 39):
+        assert np.array_equal(got[2, i], ref_matmul(F, A[2, 0], B[i]))
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (2, 2)])
+def test_ax_matmul_rejects_stacks(pk):
+    F = field(*pk)
+    A = np.zeros((2, 3, 3), dtype=np.int16)
+    with pytest.raises(ValueError):
+        F.ax_matmul(A, A[0])
+    with pytest.raises(ValueError):
+        F.ax_matmul(A[0], A)
+    with pytest.raises(ValueError):
+        F.ax_matmul_batch(A, np.zeros((2, 4, 3), dtype=np.int16))  # inner dims differ
+
+
+# ---- induction and equivariance systems against the per-element constructions ----
+
+
+def ref_induce(U, W):
+    """Induction built one group element and one coset block at a time."""
+    from modplab.groups import coset_lookup
+    from modplab.reps import Rep
+
+    G = U.parent
+    field = W.field
+    reps, pos = coset_lookup(G, U)
+    dW = W.dim
+    dim = len(reps) * dW
+    mats = []
+    for g in range(G.order):
+        M = np.zeros((dim, dim), dtype=np.int16)
+        ginv = G.inv(g)
+        for i, r in enumerate(reps):
+            j = pos[G.mul(r, ginv)]
+            u = G.mul(G.mul(reps[j], g), G.inv(r))  # lies in U
+            M[j * dW : (j + 1) * dW, i * dW : (i + 1) * dW] = W.mat(U.local(u)).a
+        mats.append(Matrix(field, M))
+    return Rep(G, field, mats, validate=True)
+
+
+def ref_equivariance_system(V1, V2, elements):
+    """Rows of X @ rho1(g) - rho2(g) @ X built from Kronecker products."""
+    I1 = Matrix.identity(V1.field, V1.dim)
+    I2 = Matrix.identity(V1.field, V2.dim)
+    blocks = [I2.kron(V1.mat(g).transpose()) - V2.mat(g).kron(I1) for g in elements]
+    return np.vstack([b.a for b in blocks]) if blocks else np.zeros((0, V1.dim * V2.dim))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gname=st.sampled_from(_small_groups()),
+    fname=st.sampled_from(["F2", "F3", "F4"]),
+    data=st.data(),
+)
+def test_induce_matches_blockwise_construction(gname, fname, data):
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.groups import all_subgroups
+    from modplab.reps import induce
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    U = data.draw(st.sampled_from(all_subgroups(G)))
+    pool = catalog_reps(U.as_group(), F, 2)
+    W = pool[data.draw(st.sampled_from(sorted(pool)))]
+    got, want = induce(U, W), ref_induce(U, W)
+    assert got == want
+    assert got.matrices == want.matrices
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    gname=st.sampled_from(_small_groups()),
+    fname=st.sampled_from(["F2", "F3", "F4", "F9"]),
+    data=st.data(),
+)
+def test_equivariance_system_matches_kron_construction(gname, fname, data):
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.reps import equivariance_system
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    pool = catalog_reps(G, F, 3)
+    V1 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    V2 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    elements = data.draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    got = equivariance_system(F, V1.T[elements], V2.T[elements])
+    assert got.a.shape == (len(elements) * V1.dim * V2.dim, V1.dim * V2.dim)
+    assert np.array_equal(got.a, ref_equivariance_system(V1, V2, elements))

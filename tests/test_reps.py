@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from modplab.catalog import catalog_reps, cyclic_group, klein_group, sym3
@@ -184,3 +185,55 @@ def test_character_validation():
     with pytest.raises(ValueError):
         # order-3 element in characteristic 3 must map to 1
         Character(full, F3, (1, 2, 2))
+
+
+def test_rep_holds_one_read_only_action_tensor():
+    S3 = sym3()
+    reg = regular_rep(S3, F4)
+    assert reg.T.shape == (6, 6, 6) and reg.T.dtype == np.int16
+    with pytest.raises(ValueError):
+        reg.T[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        reg.mat(1).a[0, 0] = 1
+    again = Rep(S3, F4, [Matrix(F4, M.tolist()) for M in reg.matrices])
+    assert again == reg and hash(again) == hash(reg)
+    assert again != regular_rep(S3, F2)
+
+
+def test_validate_rejects_one_wrong_product():
+    # rho(k) = M^k on C_n: every check rho(1) rho(h) = rho(1 + h) holds except
+    # at h = n - 1, where M^n must equal rho(0) = I
+    for F, M, order in (
+        (F3, [[1, 1], [0, 1]], 3),
+        (F4, [[1, 2, 0], [0, 1, 3], [0, 0, 1]], 4),
+    ):
+        powers = [Matrix.identity(F, len(M))]
+        for _ in range(order):
+            powers.append(powers[-1] @ Matrix(F, M))
+        assert powers[order].is_identity() and not powers[order - 1].is_identity()
+        Rep(cyclic_group(order), F, powers[:order])
+        for n in (order - 1, order + 1):
+            with pytest.raises(ValueError, match="homomorphism"):
+                Rep(cyclic_group(n), F, powers[:n])
+
+
+def test_repmap_rejects_failure_at_last_generator_only():
+    V4 = klein_group()
+    first, last = V4.generators()
+    swap = Matrix(F2, [[0, 1], [1, 0]])
+    V = rep_from_generators(V4, F2, {first: Matrix.identity(F2, 2), last: swap})
+    A = Matrix(F2, [[1, 0], [0, 0]])
+    assert A @ V.mat(first) == V.mat(first) @ A
+    assert A @ V.mat(last) != V.mat(last) @ A
+    with pytest.raises(ValueError, match="equivariant"):
+        RepMap(V, V, A)
+    RepMap(V, V, swap)
+
+
+def test_restrict_to_the_whole_group_keeps_every_matrix():
+    S3 = sym3()
+    for F in (F2, F3, F4):
+        for name, V in catalog_reps(S3, F).items():
+            down = restrict(V, Subgroup.full(S3))
+            assert down.matrices == V.matrices, name
+            assert np.array_equal(down.T, V.T)
