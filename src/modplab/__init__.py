@@ -32,7 +32,6 @@ from .reps import (
     direct_sum,
     fixed_points,
     group_characters,
-    hom_basis_maps,
     hom_space,
     induce,
     regular_rep,
@@ -53,7 +52,6 @@ from .covers import (
     qualifying_subgroups,
 )
 from .exact import (
-    SplitClass,
     SplitWitness,
     StableHomResult,
     adjunction_counit,

@@ -228,6 +228,13 @@ def default_catalog() -> dict:
     return {"groups": dict(catalog_groups()), "fields": dict(catalog_fields())}
 
 
+def _name(value) -> str:
+    # suites sort the names, so a mix of types would fail there
+    if not isinstance(value, str):
+        raise ValueError(f"catalog names must be strings, not {value!r}")
+    return value
+
+
 def load_catalog(path: str) -> dict:
     """Catalog file: {"groups": [path | {"ref": name} | {"name":, "table":, "labels"?}],
     "fields": [{"name":, "p":, "k"?}]}; paths point at group JSON files and
@@ -245,7 +252,7 @@ def load_catalog(path: str) -> dict:
                 with open(gpath, encoding="utf-8") as gh:
                     gdata = json.load(gh)
                 name = gdata.get("name") or os.path.splitext(os.path.basename(gpath))[0]
-                groups[name] = group_from_json(gdata)
+                groups[_name(name)] = group_from_json(gdata)
             elif "ref" in entry:
                 name = entry["ref"]
                 builtin = catalog_groups().get(name)
@@ -253,11 +260,11 @@ def load_catalog(path: str) -> dict:
                     raise ValueError(f"unknown group reference {name!r}")
                 groups[name] = builtin
             else:
-                groups[entry["name"]] = group_from_json(entry)
+                groups[_name(entry["name"])] = group_from_json(entry)
         fields: dict[str, FiniteField] = {}
         for entry in data.get("fields", []):
             f = FiniteField(entry["p"], entry.get("k", 1))
-            fields[entry.get("name", f"F{f.order}")] = f
+            fields[_name(entry.get("name", f"F{f.order}"))] = f
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed catalog entry: {exc!r}") from exc
     if not groups or not fields:

@@ -19,9 +19,7 @@ from .linalg import Matrix, Subspace, row_reduce, solve, vstack
 from .reps import Rep, RepMap, ShortExactSeq, equivariance_system, hom_space, induce, restrict
 
 __all__ = [
-    "RELATIVE_TRACE_LIMIT",
     "SplitWitness",
-    "SplitClass",
     "StableHomResult",
     "u_split_search",
     "splits_over",
@@ -40,11 +38,6 @@ __all__ = [
     "stable_hom",
 ]
 
-# above this many unknowns the direct splitting system is replaced by the
-# relative-trace criterion (quadratically fewer unknowns)
-RELATIVE_TRACE_LIMIT = 256
-
-
 @dataclass(frozen=True)
 class SplitWitness:
     kind: str  # "section" or "retraction"
@@ -52,18 +45,7 @@ class SplitWitness:
 
 
 @dataclass(frozen=True)
-class SplitClass:
-    """The class of short exact sequences that split over a subgroup."""
-
-    subgroup: Subgroup
-
-    def contains(self, ses: ShortExactSeq) -> bool:
-        return splits_over(ses, self.subgroup) is not None
-
-
-@dataclass(frozen=True)
 class StableHomResult:
-    flavor: str  # "injective" or "projective"
     total_dim: int
     factoring_dim: int
     stable_dim: int
@@ -71,7 +53,6 @@ class StableHomResult:
 
     def to_json(self) -> dict:
         return {
-            "flavor": self.flavor,
             "total_dim": self.total_dim,
             "factoring_dim": self.factoring_dim,
             "stable_dim": self.stable_dim,
@@ -263,72 +244,60 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> SplitWitness:
 # relative projectivity / injectivity
 
 
-def _relative_trace_solve(P: Rep, U: Subgroup) -> Matrix | None:
-    """U-equivariant Y whose coset-averaged conjugate sum is the identity."""
+def _trace_operator(V1: Rep, V2: Rep, U: Subgroup) -> Matrix:
+    """Matrix of the relative trace X |-> sum over r in U\\G of
+    rho2(r^-1) X rho1(r), on d2 x d1 matrices X flattened row major."""
     from .groups import coset_lookup
 
-    G = P.group
+    G = U.parent
+    if V1.group != G or V2.group != G:
+        raise ValueError("V1 and V2 must be representations of U's parent group")
+    field = V1.field
+    d1, d2 = V1.dim, V2.dim
+    R = list(coset_lookup(G, U)[0])
+    # the sum over r of rho2(r^-1) (x) rho1(r)^T as one product: entry
+    # ((i, j), (k, l)) is sum_r rho2(r^-1)[i, k] rho1(r)[l, j]
+    left = V2.T[G.inverse[R]].reshape(len(R), d2 * d2)  # row r: (i, k)
+    right = V1.T[R].transpose(0, 2, 1).reshape(len(R), d1 * d1)  # row r: (j, l)
+    trace = field.ax_matmul(left.T, right).reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3)
+    return Matrix._of(field, trace.reshape(d2 * d1, d2 * d1))
+
+
+def _relative_trace_solve(P: Rep, U: Subgroup) -> Matrix | None:
+    """U-equivariant Y whose relative trace is the identity."""
     field = P.field
     d = P.dim
-    n = d * d
     gens = list(U.generators())
     equi = equivariance_system(field, P.T[gens], P.T[gens])
-    reps, _ = coset_lookup(G, U)
-    # the sum over r of rho(r^-1) (x) rho(r)^T as one product: entry
-    # ((i, j), (k, l)) is sum_r rho(r^-1)[i, k] rho(r)[l, j]
-    R = list(reps)
-    left = P.T[G.inverse[R]].reshape(len(R), n)  # row r: (i, k)
-    right = P.T[R].transpose(0, 2, 1).reshape(len(R), n)  # row r: (j, l)
-    trace = field.ax_matmul(left.T, right).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    rhs = np.zeros((equi.rows + n, 1), dtype=np.int16)
+    rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
     rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
-    y = solve(vstack([equi, Matrix._of(field, trace.reshape(n, n))]), Matrix._of(field, rhs))
+    y = solve(vstack([equi, _trace_operator(P, P, U)]), Matrix._of(field, rhs))
     if y is None:
         return None
     return Matrix._of(field, y.a.reshape(d, d))
 
 
-def relative_projectivity_test(
-    P: Rep, U: Subgroup, side: str
-) -> tuple[bool, SplitWitness | None]:
-    """Whether the counit onto P splits (projective side) or the unit out of
-    P retracts (injective side) over the whole group.
+def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness | None]:
+    """Whether P is relatively U-projective, which for group algebras is the
+    same as relatively U-injective, by Higman's criterion: the identity of P
+    is the relative trace of a U-endomorphism Y.
 
-    Small instances solve the splitting system directly; larger ones go
-    through the relative-trace criterion, whose witness is transported back
-    and reverified against the actual unit/counit.
+    The witness is the section x |-> (Y rho(r) x)_r of the counit onto P,
+    reverified against the actual counit.
     """
-    if side not in ("projective", "injective"):
-        raise ValueError("side must be 'projective' or 'injective'")
     from .groups import coset_lookup
 
-    G = P.group
     field = P.field
-    full = Subgroup.full(G)
-    ind = _induced_from_restriction(U, P)
-    unknowns = ind.dim * P.dim
-    reps, _ = coset_lookup(G, U)
-    if unknowns <= RELATIVE_TRACE_LIMIT:
-        if side == "projective":
-            w = u_split_search(adjunction_counit(U, P), full, "section")
-        else:
-            w = u_split_search(adjunction_unit(U, P), full, "retraction")
-        return (w is not None, w)
     Y = _relative_trace_solve(P, U)
     if Y is None:
         return (False, None)
-    if side == "projective":
-        X = Matrix._of(field, field.ax_matmul_batch(Y.a, P.T[list(reps)]).reshape(ind.dim, P.dim))
-        if adjunction_counit(U, P).matrix @ X != Matrix.identity(field, P.dim):
-            raise AssertionError("trace witness failed to section the counit")
-        RepMap(P, ind, X, validate=True)
-        return (True, SplitWitness("section", X))
-    moved = field.ax_matmul_batch(P.T[G.inverse[list(reps)]], Y.a)
-    R = Matrix._of(field, moved.transpose(1, 0, 2).reshape(P.dim, ind.dim))
-    if R @ adjunction_unit(U, P).matrix != Matrix.identity(field, P.dim):
-        raise AssertionError("trace witness failed to retract the unit")
-    RepMap(ind, P, R, validate=True)
-    return (True, SplitWitness("retraction", R))
+    ind = _induced_from_restriction(U, P)
+    reps, _ = coset_lookup(P.group, U)
+    X = Matrix._of(field, field.ax_matmul_batch(Y.a, P.T[list(reps)]).reshape(ind.dim, P.dim))
+    if adjunction_counit(U, P).matrix @ X != Matrix.identity(field, P.dim):
+        raise AssertionError("trace witness failed to section the counit")
+    RepMap(P, ind, X, validate=True)
+    return (True, SplitWitness("section", X))
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +368,16 @@ def loop_rep(X: Rep, U: Subgroup) -> tuple[Rep, ShortExactSeq]:
 # stable hom
 
 
-def stable_hom(V1: Rep, V2: Rep, U: Subgroup, flavor: str) -> StableHomResult:
-    """Hom modulo maps factoring through a relatively injective object
-    (flavor "injective": factor through the unit on V1) or a relatively
-    projective one (flavor "projective": factor through the counit on V2)."""
-    if flavor not in ("injective", "projective"):
-        raise ValueError("flavor must be 'injective' or 'projective'")
+def stable_hom(V1: Rep, V2: Rep, U: Subgroup) -> StableHomResult:
+    """Hom modulo the maps that factor through a relatively U-projective
+    (equivalently U-injective) object.  By Higman's criterion those are the
+    relative traces of the U-maps V1 -> V2."""
     field = V1.field
     total = hom_space(V1, V2)
     amb = V1.dim * V2.dim
-    if flavor == "injective":
-        A = adjunction_unit(U, V1)
-        through = hom_space(A.target, V2)
-        H = through.basis.a.reshape(through.dim, V2.dim, A.target.dim)
-        moved = field.ax_matmul_batch(H, A.matrix.a)
-    else:
-        B = adjunction_counit(U, V2)
-        through = hom_space(V1, B.source)
-        H = through.basis.a.reshape(through.dim, B.source.dim, V1.dim)
-        moved = field.ax_matmul_batch(B.matrix.a, H)
-    factoring = Subspace.from_rows(field, amb, Matrix._of(field, moved.reshape(through.dim, amb)))
+    local = hom_space(restrict(V1, U), restrict(V2, U))
+    moved = local.basis @ _trace_operator(V1, V2, U).transpose()
+    factoring = Subspace.from_rows(field, amb, moved)
     if not total.contains_space(factoring):
         raise AssertionError("factoring maps left the hom space")
     reduced = []
@@ -428,7 +387,6 @@ def stable_hom(V1: Rep, V2: Rep, U: Subgroup, flavor: str) -> StableHomResult:
             reduced.append(r)
     quotient = Subspace.from_rows(field, amb, reduced)
     return StableHomResult(
-        flavor=flavor,
         total_dim=total.dim,
         factoring_dim=factoring.dim,
         stable_dim=total.dim - factoring.dim,

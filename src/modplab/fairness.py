@@ -38,6 +38,9 @@ __all__ = [
 BRUTE_FORCE_CAP = 200_000
 # fairness_refinement accepts primes p < 2**64, where is_prime is exact
 P_LIMIT = 2**64
+# verify_certificate checks every exponent a up to the depths, so
+# fairness_refinement accepts depths m, n < DEPTH_LIMIT only
+DEPTH_LIMIT = 2**16
 
 
 class PrecisionError(ValueError):
@@ -232,9 +235,11 @@ def overlap_depths_bruteforce(
             "the depth-m test on the divided lower entry needs m + 2a <= N "
             f"(got m={m}, a={a}, N={N})"
         )
-    count = p ** (3 * (N - n))
-    if count > cap:
-        raise ValueError(f"enumeration of {count} elements exceeds the cap {cap}")
+    # p >= 2, so an exponent past cap's bit length exceeds it without
+    # forming the power (a huge N would make that power slow)
+    exponent = 3 * (N - n)
+    if exponent >= cap.bit_length() or p**exponent > cap:
+        raise ValueError(f"enumeration of {p}^{exponent} elements exceeds the cap {cap}")
     q = p**N
     step = p**n
     w = p ** (N - n)
@@ -282,6 +287,8 @@ def fairness_refinement(m: int, n: int, p: int | None = None) -> FairnessCertifi
     if p is not None and not is_prime(p):
         raise ValueError("p must be prime")
     _check_depth_args(m, n, 0)
+    if max(m, n) >= DEPTH_LIMIT:
+        raise ValueError(f"depths m and n must be below 2**16 (got m={m}, n={n})")
     n_prime = max(m, n) + 1
     upper_strict = n_prime > max(m, n)  # then n'+2a beats both m and n+2a
     torus_strict = max(m, n_prime) > max(m, n)

@@ -13,6 +13,7 @@ integers exactly.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -132,12 +133,17 @@ class FiniteField:
     """The field with p**k elements under a fixed monic irreducible modulus."""
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+        p, k = operator.index(p), operator.index(k)  # TypeError on floats
         if p >= CODE_LIMIT:
             raise ValueError(f"p = {p} is too large: element codes are int16, so p < {CODE_LIMIT}")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError("k must be >= 1")
+        # refuse before the modulus search, whose cost grows like p**k; a k
+        # at least TABLE_LIMIT's bit length is refused without forming p**k
+        if k > 1 and (k >= TABLE_LIMIT.bit_length() or p**k > TABLE_LIMIT):
+            raise ValueError(f"extension order {p}^{k} exceeds table limit {TABLE_LIMIT}")
         self.p = p
         self.k = k
         self.order = p**k
@@ -152,8 +158,6 @@ class FiniteField:
         self.zero = 0
         self.one = 1
         if k > 1:
-            if self.order > TABLE_LIMIT:
-                raise ValueError(f"extension order {self.order} exceeds table limit {TABLE_LIMIT}")
             self._build_tables()
 
     # ---- encoding -------------------------------------------------------

@@ -31,14 +31,19 @@ class FinGroup:
     )
 
     def __init__(self, table, labels: Sequence[str] | None = None, validate: bool = True):
-        T = np.array(table, dtype=np.int16)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raw = np.asarray(table)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError("table must be square")
-        n = T.shape[0]
+        n = raw.shape[0]
         if n == 0:
             raise ValueError("empty table")
-        if T.size and (T.min() < 0 or T.max() >= n):
+        # kind and range are checked before the int16 cast, which would
+        # truncate 1.5 to 1 and overflow on large entries
+        if raw.dtype.kind not in "iu":
+            raise ValueError("table entries must be integers")
+        if raw.min() < 0 or raw.max() >= n:
             raise ValueError("table entry out of range")
+        T = raw.astype(np.int16)
         ar = np.arange(n, dtype=np.int16)
         if not all(np.array_equal(np.sort(T[i]), ar) for i in range(n)):
             raise ValueError("table rows are not permutations")

@@ -37,7 +37,6 @@ __all__ = [
     "induce",
     "equivariance_system",
     "hom_space",
-    "hom_basis_maps",
     "fixed_points",
     "cyclic_span",
     "cyclic_span_dim",
@@ -350,14 +349,6 @@ def hom_space(V1: Rep, V2: Rep) -> Subspace:
     if not gens:
         return Subspace.full(field, amb)
     return row_reduce(equivariance_system(field, V1.T[gens], V2.T[gens])).kernel
-
-
-def hom_basis_maps(V1: Rep, V2: Rep) -> list[RepMap]:
-    space = hom_space(V1, V2)
-    return [
-        RepMap(V1, V2, Matrix._of(V1.field, row.reshape(V2.dim, V1.dim)), validate=True)
-        for row in space.basis.a
-    ]
 
 
 def fixed_points(V: Rep, U: Subgroup | None = None) -> Subspace:

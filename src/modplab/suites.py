@@ -131,10 +131,6 @@ def _grid(catalog, default_groups=FROBENIUS_GROUPS, default_fields=STANDARD_FIEL
     return groups, fields, sorted(groups), sorted(fields)
 
 
-def _unflatten(field: FiniteField, flat, rows: int, cols: int) -> Matrix:
-    return Matrix(field, [list(flat[i * cols : (i + 1) * cols]) for i in range(rows)])
-
-
 def _nonzero_vectors(field: FiniteField, dim: int) -> list[tuple]:
     return [
         v
@@ -186,7 +182,7 @@ def suite_frobenius(seed: int, catalog=None) -> list[Case]:
                                 t = RepMap(
                                     W,
                                     down,
-                                    _unflatten(F, lower_u.basis.row(i), down.dim, W.dim),
+                                    Matrix._of(F, lower_u.basis.a[i].reshape(down.dim, W.dim)),
                                 )
                                 T = frobenius_transport(U, W, V, "lower", t, ind)
                                 back = frobenius_transport(U, W, V, "lower", T, ind)
@@ -196,7 +192,7 @@ def suite_frobenius(seed: int, catalog=None) -> list[Case]:
                                 s = RepMap(
                                     down,
                                     W,
-                                    _unflatten(F, upper_u.basis.row(i), W.dim, down.dim),
+                                    Matrix._of(F, upper_u.basis.a[i].reshape(W.dim, down.dim)),
                                 )
                                 S = frobenius_transport(U, W, V, "upper", s, ind)
                                 back = frobenius_transport(U, W, V, "upper", S, ind)
@@ -343,15 +339,13 @@ def suite_higman(seed: int, catalog=None) -> list[Case]:
                     if U.order % F.p == 0:
                         continue
                     P = induced_trivial(U, F)
-                    flag, witness = relative_projectivity_test(P, triv_sub, "projective")
+                    flag, witness = relative_projectivity_test(P, triv_sub)
                     _ensure(
                         flag and witness is not None,
                         f"module induced from order-{U.order} subgroup not projective",
                     )
                     tested.append(U.order)
-                triv_flag, _ = relative_projectivity_test(
-                    trivial_rep(G, F, 1), triv_sub, "projective"
-                )
+                triv_flag, _ = relative_projectivity_test(trivial_rep(G, F, 1), triv_sub)
                 if G.order % F.p == 0:
                     _ensure(not triv_flag, "trivial module projective despite p | |G|")
                 else:
@@ -526,7 +520,7 @@ def suite_exact_axioms(seed: int, catalog=None) -> list[Case]:
                         hs = hom_space(X, W)
                         if hs.dim == 0:
                             continue
-                        h = RepMap(X, W, _unflatten(F, hs.basis.row(0), W.dim, X.dim))
+                        h = RepMap(X, W, Matrix._of(F, hs.basis.a[0].reshape(W.dim, X.dim)))
                         both = direct_sum([X, proj1.source])
                         corner = RepMap(
                             both,
@@ -628,9 +622,15 @@ def suite_stable_frobenius(seed: int, catalog=None) -> list[Case]:
 
                 def check(G=G, F=F, U=U, pool=pool):
                     agree = 0
+                    full = Subgroup.full(G)
                     for P in pool.values():
-                        fp, _ = relative_projectivity_test(P, U, "projective")
-                        fi, _ = relative_projectivity_test(P, U, "injective")
+                        # the trace criterion against an independent split
+                        # search on the unit
+                        fp, _ = relative_projectivity_test(P, U)
+                        fi = (
+                            u_split_search(adjunction_unit(U, P), full, "retraction")
+                            is not None
+                        )
                         _ensure(
                             fp == fi,
                             f"projective flag {fp} but injective flag {fi}",
@@ -677,16 +677,15 @@ def suite_stable_frobenius(seed: int, catalog=None) -> list[Case]:
                     "stable": list(stable_jordan_type(Om)),
                 }
             triv = trivial_rep(G, F, 1)
-            for flavor in ("injective", "projective"):
-                res = stable_hom(triv, triv, E, flavor)
-                _ensure(
-                    res.stable_dim == 1,
-                    f"stable hom of the trivial pair is {res.stable_dim}, not 1",
-                )
-                full = stable_hom(triv, triv, Subgroup.full(G), flavor)
-                _ensure(full.stable_dim == 0, "stable hom over the full group is nonzero")
+            res = stable_hom(triv, triv, E)
+            _ensure(
+                res.stable_dim == 1,
+                f"stable hom of the trivial pair is {res.stable_dim}, not 1",
+            )
+            full = stable_hom(triv, triv, Subgroup.full(G))
+            _ensure(full.stable_dim == 0, "stable hom over the full group is nonzero")
             reg = regular_rep(G, F)
-            res = stable_hom(triv, reg, E, "injective")
+            res = stable_hom(triv, reg, E)
             _ensure(
                 res.stable_dim == 0,
                 "maps into a relatively injective object did not all factor",
@@ -763,8 +762,8 @@ def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
                             acc = Matrix.zeros(F, V2.dim, V1.dim)
                             for cval, i in zip(coeffs, range(hs.dim)):
                                 if cval:
-                                    acc = acc + _unflatten(
-                                        F, hs.basis.row(i), V2.dim, V1.dim
+                                    acc = acc + Matrix._of(
+                                        F, hs.basis.a[i].reshape(V2.dim, V1.dim)
                                     ).scale(cval)
                             if acc.rank() == V2.dim:
                                 gamma = RepMap(V1, V2, acc)

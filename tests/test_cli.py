@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modplab.cli import main
 
@@ -246,3 +250,181 @@ def test_group_file_holding_a_list_exits_2(tmp_path, capsys, argv):
     gfile.write_text("[[0, 1], [1, 0]]")
     code, out, err = run(argv + [str(gfile)], capsys)
     assert code == 2 and out == "" and err.startswith("error: malformed group file")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stable", "--field", "F2", "--group"], ["fairness", "--mode", "finite", "--group"]],
+)
+@pytest.mark.parametrize(
+    "table", [[[0, 1.5], [1, 0]], [[0, 70000], [1, 0]], [[0, 10**30], [1, 0]]], ids=["float", "int16", "huge"]
+)
+def test_group_file_with_bad_entries_exits_2(tmp_path, capsys, argv, table):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({"table": table}))
+    code, out, err = run(argv + [str(gfile)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: malformed group file")
+
+
+def test_catalog_name_that_is_not_a_string_exits_2(tmp_path, capsys):
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"groups": [{"ref": "C2"}], "fields": [{"p": 2, "name": 5}, {"p": 3}]}))
+    code, out, err = run(["verify", "--suite", "chi-functor", "--catalog", str(cat)], capsys)
+    assert code == 2 and out == "" and "names must be strings" in err
+
+
+@pytest.mark.parametrize("depths", [["--m", "1", "--n", "65536"], ["--m", "10" * 10, "--n", "1"]])
+def test_fairness_sl2_rejects_depths_beyond_limit(capsys, depths):
+    code, out, err = run(["fairness", "--mode", "sl2", "--p", "2"] + depths, capsys)
+    assert code == 2 and out == "" and "2**16" in err
+
+
+def test_fairness_oracle_with_huge_precision_exits_2(capsys):
+    argv = ["fairness", "--mode", "sl2", "--p", "2", "--m", "1", "--n", "1", "--oracle-N", "100000000"]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and "exceeds the cap" in err
+
+
+# ---- the exit-code contract under random argument vectors ----
+
+FUZZ_FILES = {
+    "cat-c2.json": {"groups": [{"ref": "C2"}], "fields": [{"p": 2}]},
+    "cat-c3.json": {"groups": [{"ref": "C3"}], "fields": [{"p": 3}, {"p": 2, "k": 2}]},
+    "cat-v4.json": {"groups": [{"ref": "V4"}], "fields": [{"p": 3}]},
+    "cat-trivial.json": {"groups": [{"name": "E", "table": [[0]]}], "fields": [{"p": 5}]},
+    "cat-file.json": {"groups": ["g-c2.json"], "fields": [{"p": 3}]},
+    "cat-empty.json": {"groups": [], "fields": [{"p": 2}]},
+    "cat-composite.json": {"groups": [{"ref": "C2"}], "fields": [{"p": 4}]},
+    "cat-huge-k.json": {"groups": [{"ref": "C2"}], "fields": [{"p": 2, "k": 10**8}]},
+    "cat-float-k.json": {"groups": [{"ref": "C2"}], "fields": [{"p": 2, "k": 1.5}]},
+    "cat-names.json": {"groups": [{"ref": "C2"}], "fields": [{"p": 2, "name": 5}, {"p": 3}]},
+    "cat-ref.json": {"groups": [{"ref": "Z7"}], "fields": [{"p": 2}]},
+    "cat-dangling.json": {"groups": ["nowhere.json"], "fields": [{"p": 2}]},
+    "cat-list.json": [1, 2],
+    "g-c2.json": {"table": [[0, 1], [1, 0]], "labels": ["e", "g"]},
+    "g-latin.json": {"table": [[0, 1], [1, 1]]},
+    "g-nonassoc.json": {"table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
+    "g-float.json": {"table": [[0, 1.5], [1, 0]]},
+    "g-int16.json": {"table": [[0, 70000], [1, 0]]},
+    "g-huge.json": {"table": [[0, 10**30], [1, 0]]},
+    "g-text.json": {"table": [["a", 1], [1, 0]]},
+    "g-ragged.json": {"table": [[0, 1], [1]]},
+    "g-list.json": [[0, 1], [1, 0]],
+    "g-labels.json": {"table": [[0, 1], [1, 0]], "labels": ["e"]},
+}
+RAW_FILES = {"not-json.json": b"{not json", "binary.json": b"\xff\xfe\x00"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, body in FUZZ_FILES.items():
+        (root / name).write_text(json.dumps(body))
+    for name, raw in RAW_FILES.items():
+        (root / name).write_bytes(raw)
+    return root
+
+
+GARBAGE = ["", "x", "-1", "0", "1", "0,1", "0,,1", ",", "1.5", "a:b", "triv:nope", "9" * 20]
+CATALOGS = sorted(n for n in FUZZ_FILES if n.startswith("cat-")) + sorted(RAW_FILES) + ["missing.json"]
+GROUP_FILES = sorted(n for n in FUZZ_FILES if n.startswith("g-")) + sorted(RAW_FILES) + ["missing.json"]
+
+
+def _mostly(valid, bad=GARBAGE):
+    """Valid values three times as often as garbage."""
+    return st.sampled_from(list(valid) * 3 + list(bad))
+
+
+@st.composite
+def argv_strategy(draw, root):
+    """A random subcommand with a random subset of its flags.  verify always
+    reads a one-group catalog file, and numeric flags stay small, so no
+    example runs a built-in suite or a large enumeration."""
+    path = lambda name: str(root / name)  # noqa: E731
+    small = [str(i) for i in range(-2, 6)]
+    group = st.one_of(
+        _mostly(["C2", "C3", "S3", "V4", "C4"], ["nope", ""]),
+        st.sampled_from(GROUP_FILES).map(path),
+    )
+    members = st.one_of(
+        st.sampled_from(GARBAGE),
+        st.lists(st.integers(-1, 6), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    )
+    common = {
+        "--format": _mostly(["json", "text"], ["xml"]),
+        "--out": st.sampled_from(["out.txt", "missing/out.txt", "."]).map(path),
+        "--catalog": st.sampled_from(CATALOGS).map(path),
+    }
+    command = draw(_mostly(["verify", "fairness", "stable"], ["nope"]))
+    if command == "verify":
+        suites = ["frobenius", "phi-machinery", "higman", "exact-axioms", "stable-frobenius", "chi-functor"]
+        flags = {"--suite": _mostly(suites, ["nope"]), "--seed": _mostly(small), **common}
+        required = {"--suite"}
+    elif command == "fairness":
+        numbers = _mostly(small, GARBAGE + ["18446744073709551629"])
+        mode = draw(_mostly(["sl2", "finite"], ["nope"]))
+        flags = {
+            "--mode": st.just(mode),
+            "--p": _mostly(["2", "3", "5"], ["4", "1", "-3", "18446744073709551629", "x"]),
+            "--m": numbers,
+            "--n": numbers,
+            "--a": numbers,
+            "--oracle-N": _mostly(small, ["100000000", "x"]),
+            "--group": group,
+            "--K": members,
+            "--H": members,
+            "--Hprime": members,
+            **common,
+        }
+        required = {"--mode", "--p", "--m", "--n"} if mode == "sl2" else {"--mode", "--group"}
+    elif command == "stable":
+        flags = {
+            "--group": group,
+            "--field": _mostly(["F2", "F3", "F4", "F5"], ["nope", ""]),
+            "--U": members,
+            "--pairs": st.sampled_from(GARBAGE + ["triv:triv", "triv:triv,triv:char1"]),
+            **common,
+        }
+        required = {"--group", "--field"}
+    else:
+        return [command] + draw(st.lists(st.sampled_from(GARBAGE), max_size=3))
+    chosen = set(draw(st.lists(st.sampled_from(sorted(flags)), unique=True)))
+    # required flags are left out now and then, to reach argparse's errors
+    chosen |= required if draw(_mostly([True], [False])) else set()
+    if command == "verify":
+        chosen.add("--catalog")  # never a built-in suite
+    argv = [command]
+    for flag in sorted(chosen):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+def _has_failed_case(report: str) -> bool:
+    try:
+        body = json.loads(report)
+    except ValueError:  # text format
+        return any(ln.startswith("FAIL ") or "MISMATCH" in ln for ln in report.splitlines())
+    return (
+        any(c["outcome"] == "fail" for c in body.get("cases", []))
+        or body.get("oracle_agreement") == "fail"
+        or any(not c["agree"] for c in body.get("frobenius_crosscheck", []))
+    )
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exit_codes_hold_under_fuzzing(fuzz_dir, data):
+    argv = data.draw(argv_strategy(fuzz_dir))
+    out_file = fuzz_dir / "out.txt"
+    out_file.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument vector
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        report = out_file.read_text() if "--out" in argv and out_file.exists() else out.getvalue()
+        assert _has_failed_case(report), argv

@@ -41,6 +41,27 @@ def test_element_codes_fit_int16():
     assert (M @ M.transpose()).tolist() == [[5]]
 
 
+def test_oversized_extension_is_refused_before_the_modulus_search(monkeypatch):
+    import modplab.fields as fields
+
+    def searched(p, k):
+        raise AssertionError("searched for a modulus")
+
+    monkeypatch.setattr(fields, "smallest_irreducible", searched)
+    for k in (11, 10**8):  # 2**11 > TABLE_LIMIT; 2**(10**8) is never formed
+        with pytest.raises(ValueError, match="table limit"):
+            FiniteField(2, k)
+    with pytest.raises(ValueError, match="table limit"):
+        FiniteField(3, 7)
+
+
+def test_field_parameters_must_be_integers():
+    for p, k in ((2.0, 1), (2, 1.5), (2, 1e9)):
+        with pytest.raises(TypeError):
+            FiniteField(p, k)
+    assert FiniteField(np.int64(3), np.int64(2)).order == 9
+
+
 def test_prime_field_arithmetic():
     F3 = FiniteField(3)
     assert F3.add(2, 2) == 1

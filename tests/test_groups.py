@@ -22,6 +22,17 @@ def test_table_validation():
     assert G.order == 2 and G.label(1) == "g"
 
 
+@pytest.mark.parametrize(
+    "table",
+    [[[0, 1.5], [1, 0]], [[0, 70000], [1, 0]], [[0, 10**30], [1, 0]], [[True, False], [False, True]]],
+    ids=["float", "beyond-int16", "huge", "bool"],
+)
+def test_table_entries_must_be_integers_in_range(table):
+    # the int16 cast used to truncate 1.5 to 1 and overflow on large entries
+    with pytest.raises(ValueError):
+        group_from_table(table)
+
+
 def test_equal_subgroups_of_equal_groups_hash_equal():
     S3 = sym3()
     twin = group_from_table(S3.table.tolist())

@@ -507,3 +507,129 @@ def test_equivariance_system_matches_kron_construction(gname, fname, data):
     got = equivariance_system(F, V1.T[elements], V2.T[elements])
     assert got.a.shape == (len(elements) * V1.dim * V2.dim, V1.dim * V2.dim)
     assert np.array_equal(got.a, ref_equivariance_system(V1, V2, elements))
+
+
+# ---- stable homs through the relative trace against the induced-module construction ----
+
+TRACE_GROUPS = ["C4", "V4", "S3", "D4", "Q8", "A4", "C6", "C9"]
+
+
+def ref_stable_hom(V1, V2, U, flavor):
+    """The G-maps V1 -> V2 that factor through the adjunction unit on V1
+    (flavor "injective") or the counit onto V2 (flavor "projective"), from
+    every G-map out of or into the induced module Ind Res."""
+    from modplab.exact import adjunction_counit, adjunction_unit
+    from modplab.linalg import Subspace
+    from modplab.reps import hom_space
+
+    field = V1.field
+    amb = V1.dim * V2.dim
+    if flavor == "injective":
+        A = adjunction_unit(U, V1)
+        through = hom_space(A.target, V2)
+        H = through.basis.a.reshape(through.dim, V2.dim, A.target.dim)
+        moved = field.ax_matmul_batch(H, A.matrix.a)
+    else:
+        B = adjunction_counit(U, V2)
+        through = hom_space(V1, B.source)
+        H = through.basis.a.reshape(through.dim, B.source.dim, V1.dim)
+        moved = field.ax_matmul_batch(B.matrix.a, H)
+    return Subspace.from_rows(field, amb, Matrix._of(field, moved.reshape(through.dim, amb)))
+
+
+def _split_flags(P, U):
+    """Relative projectivity by the split search on the counit, and
+    relative injectivity by the split search on the unit."""
+    from modplab.exact import adjunction_counit, adjunction_unit, u_split_search
+    from modplab.groups import Subgroup
+
+    full = Subgroup.full(P.group)
+    section = u_split_search(adjunction_counit(U, P), full, "section")
+    retraction = u_split_search(adjunction_unit(U, P), full, "retraction")
+    return section is not None, retraction is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gname=st.sampled_from(TRACE_GROUPS),
+    fname=st.sampled_from(["F2", "F3", "F4"]),
+    data=st.data(),
+)
+def test_stable_hom_matches_induced_construction(gname, fname, data):
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.exact import _trace_operator, relative_projectivity_test, stable_hom
+    from modplab.groups import all_subgroups
+    from modplab.linalg import Subspace, vstack
+    from modplab.reps import hom_space, restrict
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    U = data.draw(st.sampled_from(all_subgroups(G)))
+    pool = catalog_reps(G, F, 3)
+    V1 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    V2 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    amb = V1.dim * V2.dim
+    local = hom_space(restrict(V1, U), restrict(V2, U))
+    image = Subspace.from_rows(F, amb, local.basis @ _trace_operator(V1, V2, U).transpose())
+    for flavor in ("injective", "projective"):
+        assert image == ref_stable_hom(V1, V2, U, flavor), flavor
+    got = stable_hom(V1, V2, U)
+    total = hom_space(V1, V2)
+    assert (got.total_dim, got.factoring_dim) == (total.dim, image.dim)
+    assert got.quotient_basis.dim == got.stable_dim == total.dim - image.dim
+    # the quotient basis completes the factoring maps to the whole hom space
+    assert Subspace.from_rows(F, amb, vstack([got.quotient_basis.basis, image.basis])) == total
+    flag, witness = relative_projectivity_test(V1, U)
+    assert (flag, flag) == _split_flags(V1, U)
+    assert (witness is not None) == flag
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gname=st.sampled_from(TRACE_GROUPS),
+    fname=st.sampled_from(["F2", "F3", "F4"]),
+    data=st.data(),
+)
+def test_higman_index_prime_to_p(gname, fname, data):
+    """Every module is relatively U-projective when [G:U] is prime to p,
+    so no G-map survives in the stable category."""
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.exact import relative_projectivity_test, stable_hom
+    from modplab.groups import all_subgroups
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    U = data.draw(st.sampled_from([U for U in all_subgroups(G) if U.index % F.p]))
+    pool = catalog_reps(G, F, 3)
+    V1 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    V2 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    assert stable_hom(V1, V2, U).stable_dim == 0
+    assert relative_projectivity_test(V1, U)[0]
+
+
+def _sym4():
+    from itertools import permutations
+
+    from modplab.catalog import _perm_group
+
+    perms = list(permutations(range(4)))
+    return _perm_group(perms, ["".join(map(str, p)) for p in perms])
+
+
+@pytest.mark.parametrize("order, p", [(8, 2), (12, 3)], ids=["sylow2-F2", "A4-F3"])
+def test_higman_on_regular_rep_of_s4(order, p):
+    from modplab.exact import relative_projectivity_test, stable_hom
+    from modplab.groups import all_subgroups
+    from modplab.reps import regular_rep, trivial_rep
+
+    G = _sym4()
+    F = field(p)
+    U = next(U for U in all_subgroups(G) if U.order == order)  # index 3 or 2, prime to p
+    reg, triv = regular_rep(G, F), trivial_rep(G, F)
+    flag, witness = relative_projectivity_test(reg, U)
+    assert flag and witness.map.rows == U.index * reg.dim
+    for V1, V2 in ((reg, reg), (triv, reg), (triv, triv)):
+        res = stable_hom(V1, V2, U)
+        assert res.total_dim > 0 and res.stable_dim == 0
+    assert relative_projectivity_test(triv, U)[0]
+    # over the trivial subgroup the trivial module is not projective (p | 24)
+    E = next(iter(all_subgroups(G)))
+    assert E.order == 1 and stable_hom(triv, triv, E).stable_dim == 1

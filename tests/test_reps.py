@@ -15,7 +15,6 @@ from modplab.reps import (
     cyclic_span_dim,
     direct_sum,
     fixed_points,
-    hom_basis_maps,
     hom_space,
     induce,
     regular_rep,
@@ -101,15 +100,6 @@ def test_hom_space_frozen():
     S3 = sym3()
     sign_in_char2 = character_rep(S3, F2, [1] * 6)
     assert hom_space(trivial_rep(S3, F2), sign_in_char2).dim == 1
-
-
-def test_hom_basis_maps_are_equivariant():
-    C3 = cyclic_group(3)
-    reg = regular_rep(C3, F3)
-    maps = hom_basis_maps(reg, reg)
-    assert len(maps) == hom_space(reg, reg).dim == 3
-    for f in maps:
-        assert isinstance(f, RepMap)  # RepMap construction re-validates
 
 
 def test_fixed_points_frozen():
