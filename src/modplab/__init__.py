@@ -8,7 +8,7 @@ certificates, all glued together by deterministic verification suites.
 """
 
 from .fields import FiniteField
-from .linalg import EchelonForm, Matrix, Subspace, block_diag, hstack, row_reduce, solve, vstack
+from .linalg import EchelonForm, Matrix, Subspace, hstack, row_reduce, solve, vstack
 from .groups import (
     FinGroup,
     Subgroup,
@@ -17,9 +17,7 @@ from .groups import (
     coset_lookup,
     coset_reps,
     group_from_table,
-    group_invariants,
 )
-from .sl2 import sl2_order, sl2_quotient_group
 from .reps import (
     Character,
     Rep,

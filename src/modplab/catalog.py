@@ -12,8 +12,10 @@ import itertools
 import json
 import os
 
-from .fields import FiniteField
+from .covers import induced_trivial
+from .fields import FiniteField, p_part
 from .groups import FinGroup, Subgroup, all_subgroups, group_from_table
+from .jordan import jordan_block_rep
 from .reps import Rep, character_rep, group_characters, regular_rep, trivial_rep
 
 __all__ = [
@@ -175,8 +177,6 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
     hit = _REP_CACHE.get(key)
     if hit is not None:
         return hit
-    from .covers import induced_trivial
-
     out: dict[str, Rep] = {"triv": trivial_rep(G, field, 1)}
     if max_dim >= 2:
         out["triv2"] = trivial_rep(G, field, 2)
@@ -196,14 +196,8 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
             out[f"perm{d}"] = induced_trivial(U, field)
     if G.order <= max_dim:
         out["reg"] = regular_rep(G, field)
-    p = field.p
     n = G.order
-    m = n
-    while m % p == 0:
-        m //= p
-    if m == 1 and n > 1 and any(G.element_order(g) == n for g in range(n)):
-        from .jordan import jordan_block_rep
-
+    if p_part(n, field.p)[1] == 1 and n > 1 and any(G.element_order(g) == n for g in range(n)):
         for size in range(2, min(n, max_dim) + 1):
             out[f"jordan{size}"] = jordan_block_rep(G, field, size)
     _REP_CACHE[key] = out

@@ -35,6 +35,7 @@ from .fairness import (
     verify_certificate,
     witness_search,
 )
+from .fields import p_part
 from .groups import FinGroup, Subgroup
 from .jordan import jordan_block_rep, stable_jordan_type
 from .reports import canonical_json, render_text
@@ -259,12 +260,6 @@ def cmd_fairness(args) -> int:
 # stable
 
 
-def _is_power_of(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def cmd_stable(args) -> int:
     catalog = _load_catalog(args.catalog)
     G = _resolve_group(args.group, catalog)
@@ -319,7 +314,7 @@ def cmd_stable(args) -> int:
             {"object": name, "projective": fp, "injective": fi, "agree": fp == fi}
         )
     jordan = []
-    if G.is_abelian() and _is_power_of(G.order, F.p) and G.order > 1:
+    if G.is_abelian() and p_part(G.order, F.p)[1] == 1 and G.order > 1:
         try:
             for i in range(1, min(G.order, 5)):
                 J = jordan_block_rep(G, F, i)

@@ -16,10 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FiniteField
+from .fields import FiniteField, p_part
 from .groups import SUBGROUP_ENUM_CAP, Subgroup, all_subgroups, coset_lookup
 from .linalg import Matrix, Subspace, hstack, row_reduce
-from .reps import Character, Rep, RepMap, cyclic_span_dim, direct_sum, trivial_rep
+from .reps import (
+    Character,
+    Rep,
+    RepMap,
+    cyclic_span_dim,
+    direct_sum,
+    induce,
+    restrict,
+    trivial_rep,
+)
 
 __all__ = [
     "CoverageError",
@@ -51,8 +60,6 @@ _IND_CACHE: dict = {}
 
 def induced_trivial(U: Subgroup, field: FiniteField) -> Rep:
     """ind of the one-dimensional trivial rep, cached per (subgroup, field)."""
-    from .reps import induce
-
     key = (U.members, field.key())
     store = _IND_CACHE.setdefault(U.parent, {})
     if key not in store:
@@ -251,8 +258,6 @@ def frobenius_transport(
         raise ValueError("W must be a rep of the subgroup, V of the parent group")
     if flavor not in ("lower", "upper"):
         raise ValueError("flavor must be 'lower' or 'upper'")
-    from .reps import induce
-
     if ind is None:
         key = (U.members, W)
         store = _IND_CACHE.setdefault(G, {})
@@ -263,7 +268,7 @@ def frobenius_transport(
     field, dW, dV = V.field, W.dim, V.dim
     i0 = pos[G.identity]
     r0 = reps[i0]  # representative of the coset U itself, a member of U
-    down = _restr(V, U)
+    down = restrict(V, U)
     if flavor == "lower":
         if f.source == ind and f.target == V:
             sub = Matrix._of(field, f.matrix.a[:, i0 * dW : (i0 + 1) * dW])
@@ -282,12 +287,6 @@ def frobenius_transport(
         moved = field.ax_matmul_batch(f.matrix.a, V.T[list(reps)])
         return RepMap(V, ind, Matrix._of(field, moved.reshape(ind.dim, dV)), validate=True)
     raise ValueError("map matches neither side of the upper adjunction")
-
-
-def _restr(V: Rep, U: Subgroup) -> Rep:
-    from .reps import restrict
-
-    return restrict(V, U)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +322,9 @@ def character_eigenspace(
         if o % field.p:
             prime_to_p.append(z)
             continue
-        reduced = o
-        while reduced % field.p == 0:
-            reduced //= field.p
         # only pure p-power-order elements decide availability; mixed orders
         # factor through them inside the abelian C
-        if reduced == 1 and not V.mat(z).is_identity():
+        if p_part(o, field.p)[1] == 1 and not V.mat(z).is_identity():
             p_part_trivial = False
     if not p_part_trivial:
         return space, None

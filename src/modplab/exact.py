@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Subgroup
+from .groups import Subgroup, coset_lookup
 from .linalg import Matrix, Subspace, row_reduce, solve, vstack
 from .reps import Rep, RepMap, ShortExactSeq, equivariance_system, hom_space, induce, restrict
 
@@ -156,8 +156,6 @@ def _induced_from_restriction(U: Subgroup, X: Rep) -> Rep:
 def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
     """X into the induction of its own restriction: x goes to g |-> gx,
     so block row i is the action of the i-th coset representative."""
-    from .groups import coset_lookup
-
     G = U.parent
     if X.group != G:
         raise ValueError("X must be a representation of U's parent group")
@@ -169,8 +167,6 @@ def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
 
 def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
     """Evaluation at the identity: a U-equivariant retraction of the unit."""
-    from .groups import coset_lookup
-
     G = U.parent
     ind = _induced_from_restriction(U, X)
     reps, pos = coset_lookup(G, U)
@@ -189,8 +185,6 @@ def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
     """Induction of the restriction onto X: f goes to the sum of r^{-1} f(r)
     over coset representatives r, so block column i is the action of the
     i-th representative's inverse."""
-    from .groups import coset_lookup
-
     G = U.parent
     if X.group != G:
         raise ValueError("X must be a representation of U's parent group")
@@ -203,8 +197,6 @@ def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
 def counit_section(U: Subgroup, X: Rep) -> SplitWitness:
     """x goes to the function supported on U with value x at the identity:
     a U-equivariant section of the counit."""
-    from .groups import coset_lookup
-
     G = U.parent
     ind = _induced_from_restriction(U, X)
     reps, pos = coset_lookup(G, U)
@@ -247,8 +239,6 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> SplitWitness:
 def _trace_operator(V1: Rep, V2: Rep, U: Subgroup) -> Matrix:
     """Matrix of the relative trace X |-> sum over r in U\\G of
     rho2(r^-1) X rho1(r), on d2 x d1 matrices X flattened row major."""
-    from .groups import coset_lookup
-
     G = U.parent
     if V1.group != G or V2.group != G:
         raise ValueError("V1 and V2 must be representations of U's parent group")
@@ -285,8 +275,6 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness 
     The witness is the section x |-> (Y rho(r) x)_r of the counit onto P,
     reverified against the actual counit.
     """
-    from .groups import coset_lookup
-
     field = P.field
     Y = _relative_trace_solve(P, U)
     if Y is None:
@@ -304,22 +292,11 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness 
 # sub/quotient representations on canonical coordinates
 
 
-def _rref_pivots(M: Matrix) -> list[int]:
-    pivots = []
-    for i in range(M.rows):
-        row = M.row(i)
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    return pivots
-
-
 def subrep_on_subspace(big: Rep, space: Subspace) -> tuple[Rep, RepMap]:
     """An invariant subspace as a representation, coordinates read off the
     pivot columns of its echelon basis, plus the inclusion."""
     field = big.field
-    pivots = _rref_pivots(space.basis)
+    pivots = space.pivots
     incl = space.basis.transpose()
     T = field.ax_matmul_batch(big.T[:, pivots, :], incl.a)
     sub = Rep._of(big.group, field, T, validate=True)
@@ -336,7 +313,7 @@ def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
     of its echelon basis, plus the projection."""
     field = big.field
     D = big.dim
-    pivots = _rref_pivots(image.basis)
+    pivots = image.pivots
     others = [j for j in range(D) if j not in set(pivots)]
     proj = Matrix.zeros(field, len(others), D).a.copy()
     for t, q in enumerate(others):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import is_prime
+from .fields import is_prime, p_part
 from .groups import FinGroup, Subgroup, all_subgroups, conjugate_intersect
 
 __all__ = [
@@ -196,13 +196,7 @@ def _min_valuation(values: np.ndarray, p: int, cap: int) -> int:
     best = cap
     for x in np.unique(values):
         x = int(x) % p**cap
-        if x == 0:
-            v = cap
-        else:
-            v = 0
-            while x % p == 0:
-                x //= p
-                v += 1
+        v = p_part(x, p)[0] if x else cap
         if v < best:
             best = v
             if best == 0:

@@ -33,6 +33,17 @@ MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_LIMIT = 318665857834031151167461
 
 
+def p_part(n: int, p: int) -> tuple[int, int]:
+    """(e, m) with n = p**e * m and p not dividing m, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise ValueError(f"p_part needs n >= 1 and p >= 2, got n = {n}, p = {p}")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality for n < MR_LIMIT; larger n raise ValueError."""
     if n >= MR_LIMIT:
@@ -42,10 +53,7 @@ def is_prime(n: int) -> bool:
     for b in MR_BASES:
         if n % b == 0:
             return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = p_part(n - 1, 2)
     for b in MR_BASES:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
@@ -179,10 +187,6 @@ class FiniteField:
                 raise ValueError(f"residue {c} out of range [0, {self.p})")
             a = a * self.p + c
         return a
-
-    def from_int(self, n: int) -> int:
-        """Image of the rational integer n under Z -> F."""
-        return n % self.p
 
     def elements(self) -> range:
         return range(self.order)

@@ -8,7 +8,6 @@ associative structure skip that O(n^3) pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -265,9 +264,15 @@ class Subgroup:
         return self._local[a]
 
     def as_group(self) -> FinGroup:
-        """The subgroup as a standalone FinGroup; element i is members[i]."""
+        """The subgroup as a standalone FinGroup; element i is members[i].
+
+        The full subgroup is its parent, so it shares the parent's caches.
+        """
         if self._group is None:
             G = self.parent
+            if self.order == G.order:
+                self._group = G
+                return G
             loc = {m: i for i, m in enumerate(self.members)}
             T = [[loc[G.mul(a, b)] for b in self.members] for a in self.members]
             labels = [G.label(m) for m in self.members] if G.labels else None
@@ -304,11 +309,6 @@ class Subgroup:
     def is_central(self) -> bool:
         zc = set(self.parent.center_members())
         return all(m in zc for m in self.members)
-
-    def is_normal(self) -> bool:
-        G = self.parent
-        mset = set(self.members)
-        return all(G.conj(m, g) in mset for m in self.members for g in range(G.order))
 
     def to_json(self) -> list[int]:
         return list(self.members)
@@ -387,34 +387,6 @@ def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:
     return G._subgroup(conj & set(K.members))
 
 
-@dataclass(frozen=True)
-class GroupInvariants:
-    center: Subgroup
-    sylow: Subgroup | None
-    is_p_group: bool | None
-    subgroups: tuple[Subgroup, ...] | None
-
-
-def _sylow(G: FinGroup, p: int) -> Subgroup:
-    """A maximal p-subgroup by greedy closure growth (maximal = Sylow)."""
-    current = frozenset({G.identity})
-    grown = True
-    while grown:
-        grown = False
-        for g in range(G.order):
-            if g in current:
-                continue
-            cl = _closure(G, current | {g})
-            n = len(cl)
-            while n % p == 0:
-                n //= p
-            if n == 1 and len(cl) > len(current):
-                current = cl
-                grown = True
-                break
-    return G._subgroup(current)
-
-
 def all_subgroups(G: FinGroup, cap: int = SUBGROUP_ENUM_CAP) -> tuple[Subgroup, ...]:
     """Every subgroup, by closing each known subgroup with one more element."""
     if G.order > cap:
@@ -437,21 +409,3 @@ def all_subgroups(G: FinGroup, cap: int = SUBGROUP_ENUM_CAP) -> tuple[Subgroup, 
         G._subgroups[cap] = tuple(G._subgroup(s) for s in subs)
     return G._subgroups[cap]
 
-
-def group_invariants(
-    G: FinGroup,
-    p: int | None = None,
-    include_subgroups: bool = True,
-    cap: int = SUBGROUP_ENUM_CAP,
-) -> GroupInvariants:
-    center = G._subgroup(G.center_members())
-    sylow = None
-    is_p = None
-    if p is not None:
-        sylow = _sylow(G, p)
-        n = G.order
-        while n % p == 0:
-            n //= p
-        is_p = n == 1
-    subs = all_subgroups(G, cap) if include_subgroups else None
-    return GroupInvariants(center, sylow, is_p, subs)

@@ -9,7 +9,7 @@ can serve as an independent cross-check on them.
 
 from __future__ import annotations
 
-from .fields import FiniteField
+from .fields import FiniteField, p_part
 from .groups import FinGroup
 from .linalg import Matrix
 from .reps import Rep, rep_from_generators
@@ -46,10 +46,7 @@ def jordan_block_rep(G: FinGroup, field: FiniteField, size: int) -> Rep:
 
 def _full_order_generator(G: FinGroup, p: int) -> int:
     n = G.order
-    m = n
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    if p_part(n, p)[1] != 1:
         raise ValueError("group order is not a power of the characteristic")
     for g in range(n):
         if G.element_order(g) == n:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -233,6 +233,13 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @property
+    def pivots(self) -> list[int]:
+        """The leading column of each basis row."""
+        if not self.dim:
+            return []
+        return (self.basis.a != 0).argmax(axis=1).tolist()
+
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
 
@@ -243,20 +250,13 @@ class Subspace:
         if v.shape != (self.ambient_dim,):
             raise ValueError("vector length mismatch")
         B = self.basis.a
-        for i in range(B.shape[0]):
-            c = int(np.nonzero(B[i])[0][0])
+        for i, c in enumerate(self.pivots):
             if v[c]:
                 v = f.ax_sub(v, f.ax_scale(B[i], int(v[c])))
         return tuple(int(x) for x in v)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient mismatch")
-        stacked = np.vstack([self.basis.a, other.basis.a])
-        return Subspace.from_rows(self.field, self.ambient_dim, Matrix(self.field, stacked, copy=True))
 
     def to_json(self) -> dict:
         return {
@@ -282,8 +282,6 @@ class Subspace:
 
 @dataclass(frozen=True)
 class EchelonForm:
-    rref: Matrix
-    pivots: tuple[int, ...]
     rank: int
     kernel: Subspace
     source: Matrix = dataclass_field(repr=False)
@@ -296,9 +294,9 @@ class EchelonForm:
 
 
 def row_reduce(M: Matrix) -> EchelonForm:
-    """RREF plus rank, right kernel and (lazily) column space of M.
+    """Rank, right kernel and (lazily) column space of M.
 
-    The RREF and the kernel cost two reductions; reading ``image`` adds a
+    The rank and the kernel cost two reductions; reading ``image`` adds a
     third, on the transpose.
     """
     f = M.field
@@ -312,7 +310,7 @@ def row_reduce(M: Matrix) -> EchelonForm:
         for r_i, pc in enumerate(piv):
             krows[t, pc] = f.neg(int(R[r_i, c]))
     kernel = Subspace.from_rows(f, M.cols, Matrix._of(f, krows))
-    return EchelonForm(Matrix._of(f, R), tuple(piv), rank, kernel, M)
+    return EchelonForm(rank, kernel, M)
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix | None:
@@ -349,15 +347,3 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     _common_field(f, mats)
     return Matrix._of(f, np.vstack([m.a for m in mats]))
 
-
-def block_diag(field: FiniteField, mats: Sequence[Matrix]) -> Matrix:
-    _common_field(field, mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.int16)
-    r = c = 0
-    for m in mats:
-        out[r : r + m.rows, c : c + m.cols] = m.a
-        r += m.rows
-        c += m.cols
-    return Matrix._of(field, out)

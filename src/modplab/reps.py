@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fields import BATCH_CELLS, FiniteField
+from .fields import BATCH_CELLS, FiniteField, p_part
 from .groups import FinGroup, Subgroup, coset_lookup
 from .linalg import Matrix, Subspace, row_reduce
 
@@ -402,10 +402,7 @@ class Character:
                 if field.mul(vals[i], vals[j]) != vals[C.mul(i, j)]:
                     raise ValueError("values are not multiplicative")
         for i in range(domain.order):
-            o = C.element_order(i)
-            while o % field.p == 0:
-                o //= field.p
-            if o == 1 and vals[i] != 1:
+            if p_part(C.element_order(i), field.p)[1] == 1 and vals[i] != 1:
                 raise ValueError("nontrivial value on a p-power-order element")
         self.domain = domain
         self.field = field

@@ -52,7 +52,7 @@ from .exact import (
     u_split_search,
     unit_retraction,
 )
-from .fields import FiniteField
+from .fields import FiniteField, p_part
 from .groups import FinGroup, Subgroup, all_subgroups, coset_lookup
 from .jordan import jordan_block_rep, jordan_type, stable_jordan_type
 from .linalg import Matrix, Subspace, hstack, row_reduce
@@ -137,10 +137,6 @@ def _nonzero_vectors(field: FiniteField, dim: int) -> list[tuple]:
         for v in itertools.product(range(field.order), repeat=dim)
         if any(x != 0 for x in v)
     ]
-
-
-def _pick(named: dict, keep) -> dict:
-    return {k: v for k, v in named.items() if keep(v)}
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +230,7 @@ def suite_phi_machinery(seed: int, catalog=None) -> list[Case]:
             (g, f)
             for g in gnames
             for f in fnames
-            if groups[g].order > 1 and _is_p_power(groups[g].order, fields[f].p)
+            if groups[g].order > 1 and p_part(groups[g].order, fields[f].p)[1] == 1
         ]
     cases: list[Case] = []
     for gname, fname in pairs:
@@ -470,6 +466,12 @@ def suite_exact_axioms(seed: int, catalog=None) -> list[Case]:
                             if Om.dim == 0 or len(built) >= 50:
                                 continue
                             add_adjoint_seses(Om, U)
+                if len(built) < 50:
+                    # a small pool (the trivial group's) needs repeated summands
+                    for combo in itertools.combinations_with_replacement(pool, 3):
+                        add_span_seses(direct_sum(list(combo)), 4)
+                        if len(built) >= 50:
+                            break
                 _ensure(len(built) >= 50, f"only constructed {len(built)} sequences")
                 splits_checked = 0
                 for ses, certify in built:
@@ -705,9 +707,12 @@ def suite_stable_frobenius(seed: int, catalog=None) -> list[Case]:
 # suite 6: central characters
 
 
-def _prime_to_p_part(G: FinGroup, p: int) -> Subgroup:
-    members = [x for x in G.elements() if G.element_order(x) % p]
-    return Subgroup(G, members)
+def _primary_parts(G: FinGroup, p: int) -> tuple[Subgroup, Subgroup]:
+    """The p-elements K and the p'-elements C of an abelian group."""
+    parts = [p_part(G.element_order(x), p) for x in G.elements()]
+    K = Subgroup(G, [x for x, (_, m) in enumerate(parts) if m == 1])
+    C = Subgroup(G, [x for x, (e, _) in enumerate(parts) if e == 0])
+    return K, C
 
 
 def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
@@ -722,12 +727,12 @@ def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
             continue
         for fname in fnames:
             F = fields[fname]
-            C = _prime_to_p_part(G, F.p)
+            K, C = _primary_parts(G, F.p)
             if C.order == 1:
                 continue
             rng = random.Random(f"{seed}:chi:{gname}:{fname}")
 
-            def check(G=G, F=F, C=C, rng=rng, gname=gname):
+            def check(G=G, F=F, K=K, C=C, rng=rng, gname=gname):
                 nonlocal surjection_total
                 chars = characters_of(C, F)
                 pool = catalog_reps(G, F, 3)
@@ -788,7 +793,6 @@ def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
                         break
                 surjection_total += surj
                 # extension by a central character, then restriction back
-                K = _p_part(G, F.p)
                 ext_checked = 0
                 if C.order * K.order == G.order:
                     KC = K.join(C)
@@ -874,17 +878,6 @@ def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
 
         _run_case(cases, "chi/zz-surjection-total", {}, check_surj_total)
     return cases
-
-
-def _p_part(G: FinGroup, p: int) -> Subgroup:
-    members = [x for x in G.elements() if _is_p_power(G.element_order(x), p)]
-    return Subgroup(G, members)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from hypothesis.extra import numpy as hnp
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from modplab.fields import FiniteField, _poly_mul, _poly_rem
-from modplab.linalg import Matrix, _rref, row_reduce, solve
+from modplab.fields import FiniteField, _poly_mul, _poly_rem, p_part
+from modplab.linalg import Matrix, Subspace, _rref, row_reduce, solve
 
 # F4, F8, F9, F_{2^10}, F_{31^2}
 EXT = [(2, 2), (2, 3), (3, 2), (2, 10), (31, 2)]
@@ -633,3 +633,33 @@ def test_higman_on_regular_rep_of_s4(order, p):
     # over the trivial subgroup the trivial module is not projective (p | 24)
     E = next(iter(all_subgroups(G)))
     assert E.order == 1 and stable_hom(triv, triv, E).stable_dim == 1
+
+
+# ---- p-parts and echelon pivots ----
+
+PRIMES_TO_97 = [q for q in range(2, 98) if all(q % d for d in range(2, q))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6), st.sampled_from(PRIMES_TO_97))
+def test_p_part_splits_off_the_full_p_power(n, p):
+    e, m = p_part(n, p)
+    assert e >= 0 and p**e * m == n and m % p != 0
+
+
+def test_p_part_rejects_nonpositive_n_and_p_below_two():
+    for n, p in ((0, 2), (-4, 2), (8, 1), (8, 0)):
+        with pytest.raises(ValueError):
+            p_part(n, p)
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (3, 1), (2, 2), (3, 2)], ids=["F2", "F3", "F4", "F9"])
+@PROPERTY
+@given(data=st.data())
+def test_subspace_pivots_match_rref_and_first_nonzero_scan(pk, data):
+    F = field(*pk)
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
+    S = Subspace.from_rows(F, cols, Matrix(F, data.draw(_codes(F, (rows, cols)))))
+    scan = [next(j for j, x in enumerate(row) if x) for row in S.basis.tolist()]
+    assert S.pivots == _rref(F, S.basis.a)[1] == scan
+    assert Subspace.zero(F, cols).pivots == []

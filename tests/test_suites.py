@@ -71,3 +71,13 @@ def test_custom_catalog_pgroup_filter(tmp_path):
     assert rep["summary"]["fail"] == 0 and rep["summary"]["error"] == 0
     gnames = {c["id"].split("/")[1] for c in rep["cases"]}
     assert gnames == {"C3"}  # S3 is not a 3-group, so it is filtered out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exact_axioms_passes_on_the_trivial_group(tmp_path, p):
+    cat = {"groups": [{"name": "E", "table": [[0]]}], "fields": [{"p": p}]}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(cat))
+    rep = run_suite("exact-axioms", seed=0, catalog=str(path))
+    assert rep["summary"]["fail"] == 0 and rep["summary"]["error"] == 0
+    assert rep["summary"]["pass"] == rep["summary"]["total"] > 0
