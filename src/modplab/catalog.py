@@ -176,6 +176,10 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
     key = (G, field.key(), max_dim)
     hit = _REP_CACHE.get(key)
     if hit is not None:
+        if hit["triv"].group is not G:
+            # an equal table on another group object: hand back reps on the
+            # caller's G, so later group checks compare by identity
+            return {name: Rep._of(G, field, V.T, validate=False) for name, V in hit.items()}
         return hit
     out: dict[str, Rep] = {"triv": trivial_rep(G, field, 1)}
     if max_dim >= 2:

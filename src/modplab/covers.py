@@ -23,9 +23,9 @@ from .reps import (
     Character,
     Rep,
     RepMap,
-    cyclic_span_dim,
     direct_sum,
     induce,
+    intertwines,
     restrict,
     trivial_rep,
 )
@@ -40,6 +40,7 @@ __all__ = [
     "assemble_cover",
     "fixed_cover_subspace",
     "frobenius_transport",
+    "transport_stack",
     "character_eigenspace",
     "extend_by_central_character",
 ]
@@ -67,14 +68,6 @@ def induced_trivial(U: Subgroup, field: FiniteField) -> Rep:
     return store[key]
 
 
-def _is_fixed(V: Rep, U: Subgroup, v: tuple) -> bool:
-    gens = list(U.generators())
-    if not gens:
-        return True
-    col = np.asarray(v, dtype=np.int16).reshape(-1, 1)
-    return bool((V.field.ax_matmul_batch(V.T[gens], col) == col).all())
-
-
 def cover_map(U: Subgroup, V: Rep, v, ind: Rep | None = None) -> RepMap:
     """The equivariant map from induced_trivial(U) sending the indicator of
     the trivial coset to v; column i is the action of the i-th coset
@@ -85,13 +78,13 @@ def cover_map(U: Subgroup, V: Rep, v, ind: Rep | None = None) -> RepMap:
     vec = tuple(int(x) for x in v)
     if len(vec) != V.dim:
         raise ValueError("vector length differs from the representation dimension")
-    if not _is_fixed(V, U, vec):
+    orbit = V.orbit(vec)
+    if not (orbit[list(U.generators())] == vec).all():
         raise ValueError("vector is not fixed by the subgroup")
     if ind is None:
         ind = induced_trivial(U, V.field)
     reps, _ = coset_lookup(G, U)
-    col = np.asarray(vec, dtype=np.int16).reshape(-1, 1)
-    cols = V.field.ax_matmul_batch(V.T[G.inverse[list(reps)]], col)[:, :, 0].T
+    cols = orbit[G.inverse[list(reps)]].T
     return RepMap(ind, V, Matrix._of(V.field, cols), validate=True)
 
 
@@ -110,15 +103,17 @@ def qualifying_subgroups(
     vec = tuple(int(x) for x in v)
     if all(x == 0 for x in vec):
         raise ValueError("zero vector is excluded")
+    orbit = V.orbit(vec)
+    fixed = (orbit == vec).all(axis=1)  # fixed[g]: g sends v to itself
     if C is not None:
         if C.parent != G or not C.is_central():
             raise ValueError("C must be a central subgroup of the acting group")
-        if not _is_fixed(V, C, vec):
+        if not fixed[list(C.generators())].all():
             raise ValueError("central subgroup must act trivially on the vector")
-    d = cyclic_span_dim(V, vec)
+    d = Matrix._of(V.field, orbit).rank()  # the cyclic span's dimension
     out = []
     for U in all_subgroups(G, cap):
-        if not _is_fixed(V, U, vec):
+        if not fixed[list(U.generators())].all():
             continue
         J = U.join(C) if C is not None else U
         if G.order // J.order > d:
@@ -253,6 +248,24 @@ def frobenius_transport(
     The direction is read off from which side f lives on; transporting
     twice returns the original map.
     """
+    X, source, target = transport_stack(U, W, V, flavor, f.matrix.a[None], f.source, f.target, ind)
+    return RepMap(source, target, Matrix._of(V.field, X[0]), validate=False)
+
+
+def transport_stack(
+    U: Subgroup,
+    W: Rep,
+    V: Rep,
+    flavor: str,
+    X: np.ndarray,
+    source: Rep,
+    target: Rep,
+    ind: Rep | None = None,
+) -> tuple[np.ndarray, Rep, Rep]:
+    """frobenius_transport of every map in the (k, target.dim, source.dim)
+    stack X at once; returns the moved stack with its new source and
+    target.  The moved maps are checked to be equivariant, so a stack
+    that is not equivariant raises ValueError."""
     G = U.parent
     if V.group != G or W.group != U.as_group():
         raise ValueError("W must be a rep of the subgroup, V of the parent group")
@@ -265,28 +278,34 @@ def frobenius_transport(
             store[key] = induce(U, W)
         ind = store[key]
     reps, pos = coset_lookup(G, U)
-    field, dW, dV = V.field, W.dim, V.dim
+    field, dW, dV, k = V.field, W.dim, V.dim, X.shape[0]
     i0 = pos[G.identity]
     r0 = reps[i0]  # representative of the coset U itself, a member of U
+    block = slice(i0 * dW, (i0 + 1) * dW)
     down = restrict(V, U)
     if flavor == "lower":
-        if f.source == ind and f.target == V:
-            sub = Matrix._of(field, f.matrix.a[:, i0 * dW : (i0 + 1) * dW])
-            return RepMap(W, down, sub @ W.mat(U.local(r0)), validate=True)
-        if f.source == W and f.target == down:
+        if source == ind and target == V:
+            moved = field.ax_matmul_batch(X[:, :, block], W.T[U.local(r0)])
+            source, target = W, down
+        elif source == W and target == down:
             # block column i is rho_V(r_i^-1) @ f
-            moved = field.ax_matmul_batch(V.T[G.inverse[list(reps)]], f.matrix.a)
-            mat = moved.transpose(1, 0, 2).reshape(dV, ind.dim)
-            return RepMap(ind, V, Matrix._of(field, mat), validate=True)
-        raise ValueError("map matches neither side of the lower adjunction")
-    if f.source == V and f.target == ind:
-        sub = Matrix._of(field, f.matrix.a[i0 * dW : (i0 + 1) * dW, :])
-        return RepMap(down, W, W.mat(U.local(G.inv(r0))) @ sub, validate=True)
-    if f.source == down and f.target == W:
+            moved = field.ax_matmul_batch(V.T[G.inverse[list(reps)]], X[:, None])
+            moved = moved.transpose(0, 2, 1, 3).reshape(k, dV, ind.dim)
+            source, target = ind, V
+        else:
+            raise ValueError("map matches neither side of the lower adjunction")
+    elif source == V and target == ind:
+        moved = field.ax_matmul_batch(W.T[U.local(G.inv(r0))], X[:, block])
+        source, target = down, W
+    elif source == down and target == W:
         # block row i is f @ rho_V(r_i)
-        moved = field.ax_matmul_batch(f.matrix.a, V.T[list(reps)])
-        return RepMap(V, ind, Matrix._of(field, moved.reshape(ind.dim, dV)), validate=True)
-    raise ValueError("map matches neither side of the upper adjunction")
+        moved = field.ax_matmul_batch(X[:, None], V.T[list(reps)]).reshape(k, ind.dim, dV)
+        source, target = V, ind
+    else:
+        raise ValueError("map matches neither side of the upper adjunction")
+    if not intertwines(source, target, moved):
+        raise ValueError("map is not equivariant")
+    return moved, source, target
 
 
 # ---------------------------------------------------------------------------

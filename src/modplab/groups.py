@@ -25,6 +25,7 @@ class FinGroup:
         "_gens",
         "_subgroups",
         "_subgroup_cache",
+        "_join_cache",
         "_center",
         "_hash",
     )
@@ -74,6 +75,7 @@ class FinGroup:
         self._gens = None
         self._subgroups = {}
         self._subgroup_cache = {}
+        self._join_cache = {}
         self._center = None
         self._hash = None
 
@@ -303,8 +305,14 @@ class Subgroup:
         return self.parent._subgroup(set(self.members) & set(other.members))
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        """Smallest subgroup containing both (the product set when one is central)."""
-        return Subgroup.generate(self.parent, set(self.members) | set(other.members))
+        """Smallest subgroup containing both (the product set when one is
+        central), memoised on the parent."""
+        key = (self.members, other.members)
+        hit = self.parent._join_cache.get(key)
+        if hit is None:
+            hit = Subgroup.generate(self.parent, set(self.members) | set(other.members))
+            self.parent._join_cache[key] = hit
+        return hit
 
     def is_central(self) -> bool:
         zc = set(self.parent.center_members())

@@ -36,6 +36,7 @@ __all__ = [
     "restrict",
     "induce",
     "equivariance_system",
+    "intertwines",
     "hom_space",
     "fixed_points",
     "cyclic_span",
@@ -112,6 +113,12 @@ class Rep:
     def act(self, g: int, vec: Sequence[int]) -> tuple[int, ...]:
         return self.matrices[g].apply(vec)
 
+    def orbit(self, vec: Sequence[int]) -> np.ndarray:
+        """The (|G|, d) array whose row g is the image of vec under g, in
+        one batched product."""
+        col = np.asarray(vec, dtype=np.int16).reshape(-1, 1)
+        return self.field.ax_matmul_batch(self.T, col)[:, :, 0]
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -144,13 +151,8 @@ class RepMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate:
-            gens = list(source.group.generators())
-            f, A = source.field, matrix.a
-            if gens and not np.array_equal(
-                f.ax_matmul_batch(A, source.T[gens]), f.ax_matmul_batch(target.T[gens], A)
-            ):
-                raise ValueError("map is not equivariant")
+        if validate and not intertwines(source, target, matrix.a):
+            raise ValueError("map is not equivariant")
 
     def __matmul__(self, other: "RepMap") -> "RepMap":
         if other.target != self.source:
@@ -192,13 +194,16 @@ class ShortExactSeq:
     def __init__(self, left: RepMap, right: RepMap):
         if left.target != right.source:
             raise ValueError("middle objects differ")
-        if not left.is_injective():
+        # one reduction of each map serves both of its checks
+        L = row_reduce(left.matrix)
+        if L.rank != left.source.dim:
             raise ValueError("left map is not injective")
-        if not right.is_surjective():
+        R = row_reduce(right.matrix)
+        if R.rank != right.target.dim:
             raise ValueError("right map is not surjective")
         if left.source.dim + right.target.dim != left.target.dim:
             raise ValueError("dimension count fails")
-        if left.image() != right.kernel():
+        if L.image != R.kernel:
             raise ValueError("image of left map differs from kernel of right map")
         self.left = left
         self.right = right
@@ -336,6 +341,17 @@ def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> M
     return Matrix._of(field, out.reshape(s * d2 * d1, d2 * d1))
 
 
+def intertwines(S: Rep, T: Rep, X: np.ndarray) -> bool:
+    """Whether every map in the (..., dT, dS) stack X is equivariant from S
+    to T: X @ rho_S(g) == rho_T(g) @ X for each generator g, checked with
+    two batched products for the whole stack."""
+    gens = list(S.group.generators())
+    if not gens:
+        return True
+    f, X = S.field, X[..., None, :, :]
+    return bool(np.array_equal(f.ax_matmul_batch(X, S.T[gens]), f.ax_matmul_batch(T.T[gens], X)))
+
+
 def hom_space(V1: Rep, V2: Rep) -> Subspace:
     """Equivariant maps V1 -> V2 as row-major flattened d2 x d1 matrices,
     canonicalized by reduced echelon form."""
@@ -366,9 +382,7 @@ def fixed_points(V: Rep, U: Subgroup | None = None) -> Subspace:
 
 
 def cyclic_span(V: Rep, v: Sequence[int]) -> Subspace:
-    col = np.asarray(v, dtype=np.int16).reshape(-1, 1)
-    rows = V.field.ax_matmul_batch(V.T, col)[:, :, 0]
-    return Subspace.from_rows(V.field, V.dim, Matrix._of(V.field, rows))
+    return Subspace.from_rows(V.field, V.dim, Matrix._of(V.field, V.orbit(v)))
 
 
 def cyclic_span_dim(V: Rep, v: Sequence[int]) -> int:

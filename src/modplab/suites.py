@@ -24,6 +24,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .catalog import catalog_fields, catalog_groups, catalog_reps, load_catalog, subgroup_id
 from .covers import (
     CoverageError,
@@ -32,9 +34,9 @@ from .covers import (
     cover_map,
     extend_by_central_character,
     fixed_cover_subspace,
-    frobenius_transport,
     induced_trivial,
     qualifying_subgroups,
+    transport_stack,
 )
 from .exact import (
     adjunction_counit,
@@ -67,6 +69,7 @@ from .reps import (
     fixed_points,
     hom_space,
     induce,
+    intertwines,
     regular_rep,
     restrict,
     trivial_rep,
@@ -174,26 +177,23 @@ def suite_frobenius(seed: int, catalog=None) -> list[Case]:
                                 upper_g.dim == upper_u.dim,
                                 f"upper adjunction dims {upper_g.dim} != {upper_u.dim}",
                             )
-                            for i in range(lower_u.dim):
-                                t = RepMap(
-                                    W,
-                                    down,
-                                    Matrix._of(F, lower_u.basis.a[i].reshape(down.dim, W.dim)),
+                            # each basis moves across as one stack and back
+                            for flavor, space, src, dst in (
+                                ("lower", lower_u, W, down),
+                                ("upper", upper_u, down, W),
+                            ):
+                                k = space.dim
+                                if not k:
+                                    continue
+                                X = space.basis.a.reshape(k, dst.dim, src.dim)
+                                _ensure(
+                                    intertwines(src, dst, X),
+                                    f"{flavor} hom basis is not equivariant",
                                 )
-                                T = frobenius_transport(U, W, V, "lower", t, ind)
-                                back = frobenius_transport(U, W, V, "lower", T, ind)
-                                _ensure(back.matrix == t.matrix, "lower round trip broke")
-                                trips += 1
-                            for i in range(upper_u.dim):
-                                s = RepMap(
-                                    down,
-                                    W,
-                                    Matrix._of(F, upper_u.basis.a[i].reshape(W.dim, down.dim)),
-                                )
-                                S = frobenius_transport(U, W, V, "upper", s, ind)
-                                back = frobenius_transport(U, W, V, "upper", S, ind)
-                                _ensure(back.matrix == s.matrix, "upper round trip broke")
-                                trips += 1
+                                moved, s2, t2 = transport_stack(U, W, V, flavor, X, src, dst, ind)
+                                back, _, _ = transport_stack(U, W, V, flavor, moved, s2, t2, ind)
+                                _ensure(np.array_equal(back, X), f"{flavor} round trip broke")
+                                trips += k
                             pairs += 1
                     return {"pairs": pairs, "round_trips": trips}
 

@@ -11,6 +11,7 @@ from modplab.catalog import (
     default_catalog,
     group_from_json,
     group_to_json,
+    klein_group,
     load_catalog,
     sym3,
 )
@@ -64,6 +65,18 @@ def test_catalog_reps_dim_cap():
     F = catalog_fields()["F3"]
     small = catalog_reps(G, F, max_dim=1)
     assert small and all(V.dim <= 1 for V in small.values())
+
+
+def test_catalog_reps_come_back_on_the_callers_group():
+    F = catalog_fields()["F2"]
+    U1, U2 = [U for U in all_subgroups(klein_group()) if U.order == 2][:2]
+    G1, G2 = U1.as_group(), U2.as_group()
+    assert G1 == G2 and G1 is not G2  # equal tables, so one memo entry
+    first, second = catalog_reps(G1, F), catalog_reps(G2, F)
+    assert all(V.group is G1 for V in first.values())
+    assert all(V.group is G2 for V in second.values())
+    assert first.keys() == second.keys()
+    assert all(first[n].matrices == second[n].matrices for n in first)
 
 
 def test_group_json_roundtrip():

@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from sympy import GF
@@ -663,3 +663,97 @@ def test_subspace_pivots_match_rref_and_first_nonzero_scan(pk, data):
     scan = [next(j for j, x in enumerate(row) if x) for row in S.basis.tolist()]
     assert S.pivots == _rref(F, S.basis.a)[1] == scan
     assert Subspace.zero(F, cols).pivots == []
+
+
+# ---- stacked adjunction transports and qualifying subgroups ----
+
+
+def ref_right_coset_reps(G, U):
+    """The least element of each right coset Ug, in increasing order."""
+    return sorted({min(G.mul(u, g) for u in U.members) for g in range(G.order)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gname=st.sampled_from(_small_groups()),
+    fname=st.sampled_from(["F2", "F3", "F4"]),
+    flavor=st.sampled_from(["lower", "upper"]),
+    data=st.data(),
+)
+def test_transport_stack_matches_per_coset_products(gname, fname, flavor, data):
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.covers import transport_stack
+    from modplab.groups import all_subgroups
+    from modplab.linalg import hstack, vstack
+    from modplab.reps import hom_space, induce, restrict
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    U = data.draw(st.sampled_from(all_subgroups(G)))
+    W_pool, V_pool = catalog_reps(U.as_group(), F, 2), catalog_reps(G, F, 3)
+    W = W_pool[data.draw(st.sampled_from(sorted(W_pool)))]
+    V = V_pool[data.draw(st.sampled_from(sorted(V_pool)))]
+    down, ind = restrict(V, U), induce(U, W)
+    src, dst = (W, down) if flavor == "lower" else (down, W)
+    space = hom_space(src, dst)
+    X = space.basis.a.reshape(space.dim, dst.dim, src.dim)
+    moved, s2, t2 = transport_stack(U, W, V, flavor, X, src, dst, ind)
+    assert (s2, t2) == ((ind, V) if flavor == "lower" else (V, ind))
+    reps = ref_right_coset_reps(G, U)
+    for f, got in zip(X, moved):
+        t = Matrix(F, f)
+        if flavor == "lower":  # block column i is rho_V(r_i^-1) t
+            want = hstack([V.mat(G.inv(r)) @ t for r in reps])
+        else:  # block row i is t rho_V(r_i)
+            want = vstack([t @ V.mat(r) for r in reps])
+        assert np.array_equal(got, want.a)
+    back, s3, t3 = transport_stack(U, W, V, flavor, moved, s2, t2, ind)
+    assert (s3, t3) == (src, dst)
+    assert np.array_equal(back, X)
+
+
+def ref_join(G, A, B):
+    got = {G.identity} | set(A) | set(B)
+    while True:
+        more = {G.mul(a, b) for a in got for b in got} - got
+        if not more:
+            return got
+        got |= more
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gname=st.sampled_from(_small_groups()),
+    fname=st.sampled_from(["F2", "F3", "F4"]),
+    central=st.booleans(),
+    data=st.data(),
+)
+def test_qualifying_subgroups_match_brute_force(gname, fname, central, data):
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.covers import qualifying_subgroups
+    from modplab.groups import all_subgroups
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    pool = catalog_reps(G, F, 3)
+    V = pool[data.draw(st.sampled_from(sorted(pool)))]
+    v = tuple(data.draw(st.lists(st.integers(0, F.order - 1), min_size=V.dim, max_size=V.dim)))
+    assume(any(v))
+
+    def fixes(members):
+        return all(V.act(g, v) == v for g in members)
+
+    C = None
+    if central:
+        C = data.draw(st.sampled_from([S for S in all_subgroups(G) if S.is_central()]))
+        if not fixes(C.members):
+            with pytest.raises(ValueError):
+                qualifying_subgroups(V, v, C)
+            return
+    orbit = np.array([V.act(g, v) for g in range(G.order)])
+    rank = len(ref_rref(F, orbit)[1])
+    want = [
+        U.members
+        for U in all_subgroups(G)
+        if fixes(U.members)
+        and G.order // len(ref_join(G, U.members, C.members if C else ())) > rank
+    ]
+    assert [U.members for U in qualifying_subgroups(V, v, C)] == want

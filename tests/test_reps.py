@@ -17,6 +17,7 @@ from modplab.reps import (
     fixed_points,
     hom_space,
     induce,
+    intertwines,
     regular_rep,
     rep_from_generators,
     restrict,
@@ -146,9 +147,51 @@ def test_short_exact_seq_validation():
     right = RepMap(reg, triv, Matrix.from_rows(F2, [[1, 1]]))
     ses = ShortExactSeq(left, right)
     assert ses.left is left and ses.right is right
-    bad_right = RepMap(reg, reg, Matrix.zeros(F2, 2, 2))
-    with pytest.raises(ValueError):
-        ShortExactSeq(left, bad_right)  # not surjective
+
+
+def _ses_case(name):
+    C2 = cyclic_group(2)
+    triv, triv2, reg = trivial_rep(C2, F2), trivial_rep(C2, F2, 2), regular_rep(C2, F2)
+    diag = RepMap(triv, reg, Matrix.from_rows(F2, [[1], [1]]))
+    augment = RepMap(reg, triv, Matrix.from_rows(F2, [[1, 1]]))
+    first = RepMap(triv, triv2, Matrix.from_rows(F2, [[1], [0]]))
+    return {
+        "middle": (diag, RepMap(triv2, triv, Matrix.from_rows(F2, [[1, 0]]))),
+        "injective": (RepMap(triv, reg, Matrix.zeros(F2, 2, 1)), augment),
+        "surjective": (diag, RepMap(reg, reg, Matrix.zeros(F2, 2, 2))),
+        "dimension": (diag, RepMap(reg, reg, Matrix.identity(F2, 2))),
+        "kernel": (first, RepMap(triv2, triv, Matrix.from_rows(F2, [[1, 0]]))),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("middle", "middle objects differ"),
+        ("injective", "left map is not injective"),
+        ("surjective", "right map is not surjective"),
+        ("dimension", "dimension count fails"),
+        ("kernel", "image of left map differs from kernel of right map"),
+    ],
+)
+def test_short_exact_seq_rejects_each_failed_check(name, message):
+    with pytest.raises(ValueError, match=message):
+        ShortExactSeq(*_ses_case(name))
+
+
+def test_intertwines_rejects_one_changed_entry_of_the_last_map():
+    S3 = sym3()
+    reg = regular_rep(S3, F3)
+    space = hom_space(reg, reg)
+    X = space.basis.a.reshape(space.dim, reg.dim, reg.dim)
+    assert space.dim >= 2 and intertwines(reg, reg, X)
+    for i in range(reg.dim):
+        for j in range(reg.dim):
+            bad = X.copy()
+            bad[-1, i, j] = (bad[-1, i, j] + 1) % 3
+            assert not intertwines(reg, reg, bad)
+            with pytest.raises(ValueError, match="map is not equivariant"):
+                RepMap(reg, reg, Matrix(F3, bad[-1]))
 
 
 def test_characters_of_counts():
