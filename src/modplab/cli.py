@@ -307,8 +307,12 @@ def cmd_stable(args) -> int:
     full = Subgroup.full(G)
     for name, P in pool.items():
         # the trace criterion against an independent split search on the unit
-        fp, _ = relative_projectivity_test(P, U)
-        fi = u_split_search(adjunction_unit(U, P), full, "retraction") is not None
+        try:
+            fp, _ = relative_projectivity_test(P, U)
+            unit = adjunction_unit(U, P)
+        except ValueError as exc:  # Ind Res P is over induce's size budget
+            return _fail(str(exc), 2)
+        fi = u_split_search(unit, full, "retraction") is not None
         all_agree = all_agree and fp == fi
         crosscheck.append(
             {"object": name, "projective": fp, "injective": fi, "agree": fp == fi}

@@ -74,17 +74,6 @@ def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
     return c[:i]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
 def _poly_rem(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Remainder of a mod b with b monic."""
     a = list(a)
@@ -278,9 +267,6 @@ class FiniteField:
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         return int(self.INV[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:

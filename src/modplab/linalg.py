@@ -6,7 +6,9 @@ arrays) is range-checked by ``Matrix(...)``; results of the field kernels
 and rearrangements of existing matrices are wrapped by ``Matrix._of``
 without a rescan.  Reduction is classical Gauss-Jordan with the first
 nonzero pivot in column order, so echelon forms (and everything derived
-from them: ranks, kernels, solutions) are canonical.
+from them: ranks, kernels, solutions) are canonical.  A reduction depends
+only on the field and the input codes, so ``_rref`` memoises each one it
+computes for the rest of the process.
 """
 
 from __future__ import annotations
@@ -129,14 +131,7 @@ class Matrix:
     def tolist(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.a]
 
-    def flatten(self) -> tuple[int, ...]:
-        """Row-major flattening."""
-        return tuple(int(x) for x in self.a.reshape(-1))
-
     # ---- predicates ----
-
-    def is_zero(self) -> bool:
-        return not self.a.any()
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and bool(np.array_equal(self.a, np.eye(self.rows, dtype=np.int16)))
@@ -162,9 +157,29 @@ class Matrix:
         return len(piv)
 
 
+# _rref's memo: (field key, shape, int16 bytes) -> (pivot rows, pivot
+# columns), oldest first.  Entries count their key cells plus their value
+# cells; past RREF_MEMO_CELLS the oldest go first, and an input that alone
+# exceeds it is reduced but not stored.
+RREF_MEMO_CELLS = 1 << 22
+_RREF_MEMO: dict = {}
+_rref_memo_cells = 0
+
+
 def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a copy of arr, plus pivot columns."""
+    """Reduced row echelon form of a copy of arr, plus pivot columns.
+
+    Both are fresh objects the caller may write to, whether the reduction
+    is computed or read from the memo."""
+    global _rref_memo_cells
     M = arr.astype(np.int16, copy=True)
+    key = (field.key(), M.shape, M.tobytes())
+    known = _RREF_MEMO.get(key)
+    if known is not None:
+        P, piv = known
+        M[: len(piv)] = P
+        M[len(piv) :] = 0
+        return M, list(piv)
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
@@ -191,6 +206,14 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
             )
         pivots.append(c)
         r += 1
+    cells = M.size + r * cols
+    if cells <= RREF_MEMO_CELLS:
+        _RREF_MEMO[key] = (M[:r].copy(), tuple(pivots))
+        _rref_memo_cells += cells
+        while _rref_memo_cells > RREF_MEMO_CELLS:
+            oldest = next(iter(_RREF_MEMO))
+            P, _ = _RREF_MEMO.pop(oldest)
+            _rref_memo_cells -= oldest[1][0] * oldest[1][1] + P.size
     return M, pivots
 
 

@@ -45,6 +45,11 @@ __all__ = [
     "characters_of",
 ]
 
+# induce refuses to allocate an action tensor of more int16 cells than this
+# (256 MiB); the regular rep of a group of order 64, induced back up from
+# the trivial subgroup, would need 2**30
+INDUCE_CELLS = 1 << 27
+
 
 class Rep:
     __slots__ = ("group", "field", "dim", "T", "_mats", "_hash")
@@ -308,6 +313,12 @@ def induce(U: Subgroup, W: Rep) -> Rep:
     G = U.parent
     if W.group != U.as_group():
         raise ValueError("W must be a representation of U.as_group()")
+    d = G.order // U.order * W.dim
+    if G.order * d * d > INDUCE_CELLS:
+        raise ValueError(
+            f"induce needs a {G.order} x {d} x {d} action tensor, {G.order * d * d} cells,"
+            f" over the budget of {INDUCE_CELLS}"
+        )
     reps, pos = coset_lookup(G, U)
     R = np.array(reps)
     at = np.empty(G.order, dtype=np.intp)  # element -> position of its coset

@@ -221,6 +221,17 @@ def test_stable_bad_inputs(capsys):
     assert code3 == 2
 
 
+def test_stable_exits_2_when_induce_is_over_its_budget(capsys, monkeypatch):
+    from modplab import exact, reps
+
+    # the pool's perm3 (3 x 3 x 3 cells) fits; Ind Res of triv2 (3 x 6 x 6) does not
+    monkeypatch.setattr(reps, "INDUCE_CELLS", 107)
+    monkeypatch.setattr(exact, "_IND_SELF_CACHE", {})
+    code, out, err = run(["stable", "--group", "C3", "--field", "F3"], capsys)
+    assert code == 2 and out == ""
+    assert "108 cells, over the budget of 107" in err
+
+
 def test_stable_reruns_byte_identical(capsys):
     argv = ["stable", "--group", "C2", "--field", "F2", "--U", "0"]
     _, first, _ = run(argv, capsys)

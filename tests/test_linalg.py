@@ -1,13 +1,17 @@
 import random
 
+import numpy as np
 import pytest
+from test_oracles import ref_rref
 
+from modplab import linalg
 from modplab.fields import FiniteField
-from modplab.linalg import Matrix, Subspace, hstack, row_reduce, solve, vstack
+from modplab.linalg import Matrix, Subspace, _rref, hstack, row_reduce, solve, vstack
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
+F5 = FiniteField(5)
 
 
 def _random_matrix(F, rows, cols, rng):
@@ -19,7 +23,7 @@ def test_constructors_and_shape():
     assert I.rows == I.cols == 3
     assert I.is_identity()
     Z = Matrix.zeros(F3, 2, 4)
-    assert Z.is_zero()
+    assert not Z.a.any()
     col = Matrix.column(F3, (1, 2))
     assert col.rows == 2 and col.cols == 1
     with pytest.raises(ValueError):
@@ -82,7 +86,7 @@ def test_solve_frozen_examples():
     B = Matrix.from_rows(F2, [[1], [0]])
     assert solve(Matrix.identity(F2, 2), B) == B
     assert solve(Matrix.zeros(F2, 2, 2), B) is None
-    assert solve(Matrix.zeros(F2, 2, 2), Matrix.zeros(F2, 2, 1)).is_zero()
+    assert not solve(Matrix.zeros(F2, 2, 2), Matrix.zeros(F2, 2, 1)).a.any()
     A = Matrix.from_rows(F2, [[1, 1], [0, 0]])
     X = solve(A, B)
     assert X.tolist() == [[1], [0]]  # free variables pinned to zero
@@ -138,7 +142,7 @@ def test_matrix_immutability_surface():
     assert A.entry(0, 0) == 1
     assert A.row(0) == (1, 0)
     assert A.col(1) == (0, 1)
-    assert A.flatten() == (1, 0, 0, 1)
+    assert A.a.reshape(-1).tolist() == [1, 0, 0, 1]
     assert A == Matrix.identity(F2, 2)
     assert hash(A) == hash(Matrix.identity(F2, 2))
 
@@ -174,3 +178,75 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
     assert len(calls) == 3
     assert ech.image.dim == ech.rank
     assert len(calls) == 3
+
+
+# ---- the _rref memo ----
+
+
+def _empty_memo(monkeypatch, budget=None):
+    monkeypatch.setattr(linalg, "_RREF_MEMO", {})
+    monkeypatch.setattr(linalg, "_rref_memo_cells", 0)
+    if budget is not None:
+        monkeypatch.setattr(linalg, "RREF_MEMO_CELLS", budget)
+
+
+def _memo_cells():
+    return sum(r * c + P.size for (_, (r, c), _), (P, _) in linalg._RREF_MEMO.items())
+
+
+def test_rref_memo_hit_is_fresh_and_writable(monkeypatch):
+    _empty_memo(monkeypatch)
+    A = np.array([[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1], [1, 2, 1, 2]], dtype=np.int16)
+    R0, p0 = _rref(F3, A)
+    want, wpiv = R0.copy(), list(p0)
+    assert len(linalg._RREF_MEMO) == 1
+    R0[:] = 2  # writing into a cold result does not reach the memo
+    p0.append(9)
+    for _ in range(2):
+        R, piv = _rref(F3, A)
+        assert np.array_equal(R, want) and piv == wpiv == [0, 2]
+        assert R.shape == A.shape and not R[2:].any()  # zero rows included
+        assert R.flags.writeable and isinstance(piv, list)
+        R[:] = 1  # nor does writing into a hit change the next one
+        piv.clear()
+    assert len(linalg._RREF_MEMO) == 1 and linalg._rref_memo_cells == _memo_cells()
+
+
+def test_rref_memo_keys_on_field_and_shape(monkeypatch):
+    _empty_memo(monkeypatch)
+    codes = np.array([1, 2, 3, 3, 1, 2], dtype=np.int16)  # codes of both F4 and F5
+    for F in (F4, F5):
+        for shape in ((2, 3), (3, 2)):
+            A = codes.reshape(shape)
+            R, piv = _rref(F, A)
+            R_ref, piv_ref = ref_rref(F, A)
+            assert np.array_equal(R, R_ref) and piv == piv_ref
+    assert len(linalg._RREF_MEMO) == 4
+    # the fields disagree on these bytes: over F4 the second row is w^2 times
+    # the first, over F5 the rows are independent
+    assert _rref(F4, codes.reshape(2, 3))[1] == [0]
+    assert _rref(F5, codes.reshape(2, 3))[1] == [0, 2]
+
+
+def test_rref_memo_stays_within_its_budget(monkeypatch):
+    _empty_memo(monkeypatch, budget=60)
+    rng = np.random.default_rng(5)
+    order = []
+    for _ in range(40):
+        A = rng.integers(0, 3, tuple(rng.integers(1, 5, 2))).astype(np.int16)
+        R, piv = _rref(F3, A)
+        R_ref, piv_ref = ref_rref(F3, A)
+        assert np.array_equal(R, R_ref) and piv == piv_ref
+        key = (F3.key(), A.shape, A.tobytes())
+        if key in order:
+            order.remove(key)
+        order.append(key)
+        assert linalg._rref_memo_cells == _memo_cells() <= 60
+        # the oldest entries go first: what is left is the newest suffix
+        assert list(linalg._RREF_MEMO) == order[len(order) - len(linalg._RREF_MEMO) :]
+    big = rng.integers(0, 3, (8, 8)).astype(np.int16)  # 64 key cells alone
+    before = dict(linalg._RREF_MEMO)
+    R, piv = _rref(F3, big)
+    R_ref, piv_ref = ref_rref(F3, big)
+    assert np.array_equal(R, R_ref) and piv == piv_ref
+    assert linalg._RREF_MEMO == before

@@ -4,10 +4,14 @@ with them.
 Extension-field matrix products and row reduction are checked against
 schoolbook arithmetic built only from ``_poly_mul`` and ``_poly_rem``;
 reduction, rank, kernels and ``solve`` over GF(p) against sympy's
-``DomainMatrix``.
+``DomainMatrix``.  The last section runs the benchmark's frozen commands
+with every array kernel swapped for schoolbook code.
 """
 
 import functools
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,8 @@ from hypothesis.extra import numpy as hnp
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from modplab.fields import FiniteField, _poly_mul, _poly_rem, p_part
+from modplab import catalog, cli, covers, exact, linalg
+from modplab.fields import FiniteField, _poly_rem, p_part
 from modplab.linalg import Matrix, Subspace, _rref, row_reduce, solve
 
 # F4, F8, F9, F_{2^10}, F_{31^2}
@@ -33,6 +38,17 @@ def field(p: int, k: int = 1) -> FiniteField:
 
 
 # ---- schoolbook F_{p^k} arithmetic on base-p digit tuples ----
+
+
+def _poly_mul(a, b, p):
+    """Product of two coefficient tuples over Z/p, trailing zeros trimmed."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def _digits(F, a):
@@ -757,3 +773,101 @@ def test_qualifying_subgroups_match_brute_force(gname, fname, central, data):
         and G.order // len(ref_join(G, U.members, C.members if C else ())) > rank
     ]
     assert [U.members for U in qualifying_subgroups(V, v, C)] == want
+
+
+# ---- the frozen commands on reference kernels ----
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+
+
+def _use_reference_kernels(monkeypatch, add=ref_add):
+    """Swap FiniteField's array kernels and linalg._rref (and with it the
+    reduction memo) for schoolbook code over q x q tables built from
+    polynomial arithmetic, and empty the module memos so that every
+    representation is rebuilt on these kernels."""
+    tables = {}
+
+    def tabled(F):
+        if F.key() not in tables:
+            q = range(F.order)
+            T = {
+                name: np.array([[op(F, a, b) for b in q] for a in q], dtype=np.int16)
+                for name, op in (("add", add), ("sub", ref_sub), ("mul", ref_mul))
+            }
+            T["inv"] = np.array([0] + [ref_inv(F, a) for a in q[1:]], dtype=np.int16)
+            tables[F.key()] = T
+        return tables[F.key()]
+
+    def matmul_batch(F, A, B):
+        if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
+            raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+        ADD, MUL = tabled(F)["add"], tabled(F)["mul"]
+        P = MUL[A[..., :, :, None], B[..., None, :, :]]  # P[..., i, t, j] = a_it b_tj
+        if P.shape[-2] == 0:
+            return np.zeros(P.shape[:-2] + P.shape[-1:], dtype=np.int16)
+        while P.shape[-2] > 1:  # add the products up in pairs along t
+            h = P.shape[-2] // 2
+            P = np.concatenate([ADD[P[..., :h, :], P[..., h : 2 * h, :]], P[..., 2 * h :, :]], axis=-2)
+        return P[..., 0, :]
+
+    def scale(F, A, s):
+        if not 0 <= s < F.order:
+            raise ValueError(f"scalar {s} is not an element code of {F!r}")
+        return tabled(F)["mul"][A, s]
+
+    def rref(F, arr):
+        SUB, MUL, INV = (tabled(F)[name] for name in ("sub", "mul", "inv"))
+        M = np.array(arr, dtype=np.int16)
+        pivots = []
+        for c in range(M.shape[1]):
+            r = len(pivots)
+            below = np.flatnonzero(M[r:, c])
+            if not len(below):
+                continue
+            M[[r, r + below[0]]] = M[[r + below[0], r]]
+            M[r] = MUL[INV[M[r, c]], M[r]]
+            others = np.flatnonzero(M[:, c])
+            others = others[others != r]
+            M[others] = SUB[M[others], MUL[M[others, c, None], M[r]]]  # clear column c
+            pivots.append(c)
+        return M, pivots
+
+    for name, kernel in (
+        ("ax_matmul_batch", matmul_batch),
+        ("ax_add", lambda F, A, B: tabled(F)["add"][A, B]),
+        ("ax_sub", lambda F, A, B: tabled(F)["sub"][A, B]),
+        ("ax_mul", lambda F, A, B: tabled(F)["mul"][A, B]),
+        ("ax_neg", lambda F, A: tabled(F)["sub"][0, A]),
+        ("ax_scale", scale),
+    ):
+        monkeypatch.setattr(FiniteField, name, kernel)
+    monkeypatch.setattr(linalg, "_rref", rref)
+    for module, memo in ((catalog, "_REP_CACHE"), (covers, "_IND_CACHE"), (exact, "_IND_SELF_CACHE")):
+        monkeypatch.setattr(module, memo, {})
+
+
+def _prints_frozen_bytes(command, capsys):
+    try:
+        code = cli.main(command.split())
+    except Exception:  # a broken kernel may crash the command outright
+        code = None
+    out = capsys.readouterr().out.encode("utf-8")
+    return code == 0 and hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
+def test_frozen_commands_on_reference_kernels(capsys, monkeypatch):
+    """Every frozen command prints its frozen bytes when all array
+    arithmetic and every reduction run on the schoolbook kernels above."""
+    monkeypatch.chdir(ROOT)  # the commands name catalogs relative to the root
+    _use_reference_kernels(monkeypatch)
+    assert [c for c in sorted(DIGESTS) if not _prints_frozen_bytes(c, capsys)] == []
+
+
+def test_reference_gate_catches_a_dropped_mod_p(capsys, monkeypatch):
+    def unreduced_add(F, a, b):  # ref_add without its % p
+        return _code(F, [x + y for x, y in zip(_digits(F, a), _digits(F, b))])
+
+    monkeypatch.chdir(ROOT)
+    _use_reference_kernels(monkeypatch, add=unreduced_add)
+    assert not _prints_frozen_bytes("stable --group C3 --field F3", capsys)

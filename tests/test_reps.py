@@ -93,6 +93,18 @@ def test_induce_dimension_formula():
         assert induce(U, W).dim == U.index * W.dim
 
 
+def test_induce_refuses_a_tensor_over_its_budget(monkeypatch):
+    from modplab import reps
+
+    U = Subgroup(sym3(), [0, 3])
+    W = regular_rep(U.as_group(), F2)  # induced up: six 6 x 6 matrices
+    monkeypatch.setattr(reps, "INDUCE_CELLS", 215)
+    with pytest.raises(ValueError, match=r"6 x 6 x 6 action tensor, 216 cells"):
+        induce(U, W)
+    monkeypatch.setattr(reps, "INDUCE_CELLS", 216)
+    assert induce(U, W).dim == 6
+
+
 def test_hom_space_frozen():
     C2 = cyclic_group(2)
     triv = trivial_rep(C2, F2)

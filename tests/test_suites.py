@@ -81,3 +81,17 @@ def test_exact_axioms_passes_on_the_trivial_group(tmp_path, p):
     rep = run_suite("exact-axioms", seed=0, catalog=str(path))
     assert rep["summary"]["fail"] == 0 and rep["summary"]["error"] == 0
     assert rep["summary"]["pass"] == rep["summary"]["total"] > 0
+
+
+def test_induce_over_its_budget_is_an_error_case(monkeypatch):
+    from modplab import reps
+    from modplab.catalog import cyclic_group
+    from modplab.fields import FiniteField
+
+    # C2's perm2 (2 x 2 x 2 cells) fits; triv2 induced from 1 (2 x 4 x 4) does not
+    monkeypatch.setattr(reps, "INDUCE_CELLS", 31)
+    catalog = {"groups": {"C2": cyclic_group(2)}, "fields": {"F2": FiniteField(2)}}
+    rep = run_suite("frobenius", catalog=catalog)
+    errors = [c for c in rep["cases"] if c["outcome"] == "error"]
+    assert errors and rep["summary"]["pass"] == len(rep["cases"]) - len(errors)
+    assert all("32 cells, over the budget of 31" in c["details"]["exception"] for c in errors)
