@@ -59,7 +59,6 @@ from .exact import (
     loop_rep,
     quotient_rep,
     relative_projectivity_test,
-    splits_over,
     stable_hom,
     subrep_on_kernel,
     subrep_on_subspace,
@@ -84,7 +83,6 @@ from .catalog import (
     catalog_fields,
     catalog_groups,
     catalog_reps,
-    default_catalog,
     load_catalog,
     subgroup_id,
 )

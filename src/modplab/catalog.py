@@ -28,10 +28,8 @@ __all__ = [
     "catalog_groups",
     "catalog_fields",
     "catalog_reps",
-    "group_to_json",
     "group_from_json",
     "load_catalog",
-    "default_catalog",
 ]
 
 
@@ -212,18 +210,10 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
 # JSON round trips
 
 
-def group_to_json(G: FinGroup) -> dict:
-    return G.to_json()
-
-
 def group_from_json(data: dict) -> FinGroup:
     if not isinstance(data, dict):
         raise ValueError("a group must be a JSON object with a table")
     return group_from_table(data["table"], data.get("labels"))
-
-
-def default_catalog() -> dict:
-    return {"groups": dict(catalog_groups()), "fields": dict(catalog_fields())}
 
 
 def _name(value) -> str:

@@ -275,7 +275,10 @@ def cmd_stable(args) -> int:
         U = _parse_members(G, args.U) if args.U else Subgroup.trivial(G)
     except ValueError as exc:
         return _fail(str(exc), 2)
-    pool = catalog_reps(G, F, 4)
+    try:
+        pool = catalog_reps(G, F, 4)
+    except ValueError as exc:  # a permutation module over induce's size budget
+        return _fail(str(exc), 2)
     if args.pairs:
         try:
             pairs = []

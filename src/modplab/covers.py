@@ -220,13 +220,11 @@ def fixed_cover_subspace(asm: CoverAssembly) -> Subspace:
     """The full-group fixed points of the assembled source, one constant
     function per block."""
     S = asm.source
-    rows = []
-    for blk in asm.blocks:
-        row = [0] * S.dim
-        for i in range(blk.offset, blk.offset + blk.size):
-            row[i] = 1
-        rows.append(row)
-    return Subspace.from_rows(S.field, S.dim, rows)
+    # the blocks tile the source in order, so column i lies in block[i]
+    block = np.repeat(np.arange(len(asm.blocks)), [blk.size for blk in asm.blocks])
+    rows = np.zeros((len(asm.blocks), S.dim), dtype=np.int16)
+    rows[block, np.arange(S.dim)] = 1
+    return Subspace.from_rows(S.field, S.dim, Matrix._of(S.field, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +332,19 @@ def character_eigenspace(
         scalars = np.array([chi.value(z) for z in gens], dtype=np.int16)[:, None, None]
         moved = field.ax_sub(V.T[list(gens)], scalars * np.eye(V.dim, dtype=np.int16))
         space = row_reduce(Matrix._of(field, moved.reshape(-1, V.dim))).kernel
-    prime_to_p = []
-    p_part_trivial = True
-    for z in C.members:
-        o = G.element_order(z)
-        if o % field.p:
-            prime_to_p.append(z)
-            continue
-        # only pure p-power-order elements decide availability; mixed orders
-        # factor through them inside the abelian C
-        if p_part(o, field.p)[1] == 1 and not V.mat(z).is_identity():
-            p_part_trivial = False
-    if not p_part_trivial:
+    parts = [p_part(G.element_order(z), field.p) for z in C.members]
+    # only pure p-power-order elements decide availability; mixed orders
+    # factor through them inside the abelian C
+    pure = [z for z, (_, m) in zip(C.members, parts) if m == 1]
+    if not (V.T[pure] == np.eye(V.dim, dtype=np.int16)).all():
         return space, None
-    coeff = field.inv(len(prime_to_p) % field.p)
-    acc = Matrix.zeros(field, V.dim, V.dim)
-    for z in prime_to_p:
-        acc = acc + V.mat(z).scale(chi.value(G.inv(z)))
-    P = acc.scale(coeff)
+    prime_to_p = [z for z, (e, _) in zip(C.members, parts) if e == 0]
+    # the average of chi(z^-1) rho(z) as a (1 x n) coefficient row times
+    # the n flattened matrices
+    coeffs = np.array([[chi.value(G.inv(z)) for z in prime_to_p]], dtype=np.int16)
+    coeffs = field.ax_scale(coeffs, field.inv(len(prime_to_p) % field.p))
+    avg = field.ax_matmul(coeffs, V.T[prime_to_p].reshape(len(prime_to_p), V.dim * V.dim))
+    P = Matrix._of(field, avg.reshape(V.dim, V.dim))
     if P @ P != P:
         raise AssertionError("averaging operator failed to be idempotent")
     return space, P
@@ -375,24 +368,25 @@ def extend_by_central_character(
         raise ValueError("character must live on C over the same field")
     if V.group != K.as_group():
         raise ValueError("V must be a representation of K")
-    overlap = C.intersect(K)
-    I = Matrix.identity(V.field, V.dim)
-    for z in overlap.members:
-        if V.mat(K.local(z)) != I.scale(chi.value(z)):
-            raise ValueError("character disagrees with the action on the overlap")
+    field = V.field
+    local = np.zeros(G.order, dtype=np.intp)  # member of K -> its index in K
+    local[list(K.members)] = np.arange(K.order)
+    overlap = list(C.intersect(K).members)
+    scalars = np.array([chi.value(z) for z in overlap], dtype=np.int16)[:, None, None]
+    if not np.array_equal(V.T[local[overlap]], scalars * np.eye(V.dim, dtype=np.int16)):
+        raise ValueError("character disagrees with the action on the overlap")
     join = K.join(C)
     if KC is None:
         KC = join
     elif KC != join:
         raise ValueError("KC must be the join of K and C")
-    mats: list[Matrix | None] = [None] * KC.order
-    cm = set(C.members)
-    for x in KC.members:
-        for c in C.members:
-            k = G.mul(x, G.inv(c))
-            if K.contains(k):
-                mats[KC.local(x)] = V.mat(K.local(k)).scale(chi.value(c))
-                break
-        else:
-            raise ValueError("element of the join has no K*C factorization")
-    return Rep(KC.as_group(), V.field, mats, validate=True)  # type: ignore[arg-type]
+    # x = k c with c the first member of C for which k = x c^-1 lies in K
+    cands = G.table[np.array(KC.members)[:, None], G.inverse[list(C.members)][None, :]]
+    in_K = np.isin(cands, K.members)
+    if not in_K.any(axis=1).all():
+        raise ValueError("element of the join has no K*C factorization")
+    first = in_K.argmax(axis=1)
+    k = local[cands[np.arange(KC.order), first]]
+    values = np.array(chi.values, dtype=np.int16)[first]
+    T = field.ax_mul(V.T[k], values[:, None, None])
+    return Rep._of(KC.as_group(), field, T, validate=True)

@@ -16,13 +16,12 @@ import numpy as np
 
 from .groups import Subgroup, coset_lookup
 from .linalg import Matrix, Subspace, row_reduce, solve, vstack
-from .reps import Rep, RepMap, ShortExactSeq, equivariance_system, hom_space, induce, restrict
+from .reps import Rep, RepMap, ShortExactSeq, equivariance_system, hom_space, induce, intertwines, restrict
 
 __all__ = [
     "SplitWitness",
     "StableHomResult",
     "u_split_search",
-    "splits_over",
     "averaging_section",
     "adjunction_unit",
     "unit_retraction",
@@ -71,35 +70,27 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
         raise ValueError("kind must be 'section' or 'retraction'")
     field = f.source.field
     ds, dt = f.source.dim, f.target.dim
-    n = ds * dt
-    if n == 0:
-        X = Matrix.zeros(field, ds, dt)
-        ok = (
-            f.matrix @ X == Matrix.identity(field, dt)
-            if kind == "section"
-            else X @ f.matrix == Matrix.identity(field, ds)
-        )
-        return SplitWitness(kind, X) if ok else None
-    Is, It = Matrix.identity(field, ds), Matrix.identity(field, dt)
     gens = list(U.generators())
     # X @ rho_t(u) = rho_s(u) @ X for every generator u
     equi = equivariance_system(field, f.target.T[gens], f.source.T[gens])
-    F = f.matrix
+    # F @ X = I or X @ F = I on X flattened row major, built by index like
+    # equivariance_system; at ds * dt == 0 it is solvable exactly when the
+    # identity it asks for is empty
+    F = f.matrix.a
+    d = dt if kind == "section" else ds
+    fixed = np.zeros((d, d, ds, dt), dtype=np.int16)
+    a = np.arange(d)
     if kind == "section":
-        fixed, target = F.kron(It), It  # F @ X, flattened
+        fixed[:, a, :, a] = F  # row (i, j), column (k, j) holds F[i, k]
     else:
-        fixed, target = Is.kron(F.transpose()), Is  # X @ F, flattened
-    rhs = np.zeros((equi.rows + fixed.rows, 1), dtype=np.int16)
-    rhs[equi.rows :, 0] = target.a.reshape(-1)
-    x = solve(vstack([equi, fixed]), Matrix._of(field, rhs))
+        fixed[a, :, a, :] = F.T  # row (i, j), column (i, l) holds F[l, j]
+    rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
+    rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
+    system = vstack([equi, Matrix._of(field, fixed.reshape(d * d, ds * dt))])
+    x = solve(system, Matrix._of(field, rhs))
     if x is None:
         return None
     return SplitWitness(kind, Matrix._of(field, x.a.reshape(ds, dt)))
-
-
-def splits_over(ses: ShortExactSeq, U: Subgroup) -> SplitWitness | None:
-    """A section of the right-hand epic; its existence splits the sequence."""
-    return u_split_search(ses.right, U, "section")
 
 
 def averaging_section(
@@ -114,28 +105,23 @@ def averaging_section(
         raise ValueError("U' must be a subgroup of U")
     if f.matrix @ sigma != Matrix.identity(field, W.dim):
         raise ValueError("sigma is not a section of f")
-    for u in Uprime.generators():
-        if sigma @ W.mat(u) != V.mat(u) @ sigma:
-            raise ValueError("sigma is not U'-equivariant")
+    if not intertwines(restrict(W, Uprime), restrict(V, Uprime), sigma.a):
+        raise ValueError("sigma is not U'-equivariant")
     index = U.order // Uprime.order
     if index % field.p == 0:
         raise ValueError("index is divisible by the field characteristic")
-    reps = []
-    seen: set[int] = set()
-    for m in U.members:
-        if m in seen:
-            continue
-        reps.append(m)
-        seen.update(G.mul(u, m) for u in Uprime.members)
-    acc = Matrix.zeros(field, V.dim, W.dim)
-    for u in reps:
-        acc = acc + V.mat(G.inv(u)) @ sigma @ W.mat(u)
-    out = acc.scale(field.inv(index % field.p))
+    # the cosets U'r inside U, each by its least element
+    R = [r for r in coset_lookup(G, Uprime)[0] if U.contains(r)]
+    # sum over r of rho_V(r^-1) sigma rho_W(r) as one product of the row of
+    # blocks rho_V(r^-1) sigma by the column of blocks rho_W(r)
+    n, dV, dW = len(R), V.dim, W.dim
+    left = field.ax_matmul_batch(V.T[G.inverse[R]], sigma.a).transpose(1, 0, 2)
+    acc = field.ax_matmul(left.reshape(dV, n * dW), W.T[R].reshape(n * dW, dW))
+    out = Matrix._of(field, field.ax_scale(acc, field.inv(index % field.p)))
     if f.matrix @ out != Matrix.identity(field, W.dim):
         raise AssertionError("averaged map stopped being a section")
-    for u in U.generators():
-        if out @ W.mat(u) != V.mat(u) @ out:
-            raise AssertionError("averaged section is not U-equivariant")
+    if not intertwines(restrict(W, U), restrict(V, U), out.a):
+        raise AssertionError("averaged section is not U-equivariant")
     return SplitWitness("section", out)
 
 
@@ -315,12 +301,12 @@ def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
     D = big.dim
     pivots = image.pivots
     others = [j for j in range(D) if j not in set(pivots)]
-    proj = Matrix.zeros(field, len(others), D).a.copy()
-    for t, q in enumerate(others):
-        proj[t, q] = 1
-        for i, pcol in enumerate(pivots):
-            proj[t, pcol] = field.neg(image.basis.entry(i, q))
-    pmat = Matrix(field, proj, copy=False)
+    # row t keeps coordinate others[t] and moves basis row i's entry there
+    # onto pivot column pivots[i], negated
+    proj = np.zeros((len(others), D), dtype=np.int16)
+    proj[np.arange(len(others)), others] = 1
+    proj[:, pivots] = field.ax_neg(image.basis.a[:, others].T)
+    pmat = Matrix._of(field, proj)
     # the lift onto the non-pivot coordinates just selects those columns
     T = field.ax_matmul_batch(pmat.a, big.T[:, :, others])
     quo = Rep._of(big.group, field, T, validate=True)

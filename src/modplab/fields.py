@@ -167,16 +167,6 @@ class FiniteField:
             a //= self.p
         return tuple(out)
 
-    def from_coeffs(self, cs: Sequence[int]) -> int:
-        if len(cs) != self.k:
-            raise ValueError(f"expected {self.k} residues")
-        a = 0
-        for c in reversed(cs):
-            if not 0 <= c < self.p:
-                raise ValueError(f"residue {c} out of range [0, {self.p})")
-            a = a * self.p + c
-        return a
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -385,15 +375,6 @@ class FiniteField:
                 out = np.empty((s,) + part.shape[1:], dtype=np.int16)
             out[i : i + step] = part
         return out
-
-    def ax_kron(self, A, B):
-        r1, c1 = A.shape
-        r2, c2 = B.shape
-        if self.k == 1:
-            T = (A.astype(np.int64)[:, :, None, None] * B[None, None, :, :]) % self.p
-        else:
-            T = self.MUL[A[:, :, None, None], B[None, None, :, :]]
-        return T.transpose(0, 2, 1, 3).reshape(r1 * r2, c1 * c2).astype(np.int16)
 
     # ---- misc -------------------------------------------------------------
 

@@ -106,10 +106,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, self.a.T.copy())
 
-    def kron(self, other: "Matrix") -> "Matrix":
-        self._need_same(other)
-        return Matrix._of(self.field, self.field.ax_kron(self.a, other.a))
-
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """The image of a coordinate vector, M @ v."""
         v = np.asarray(vec, dtype=np.int16).reshape(-1, 1)

@@ -107,6 +107,10 @@ def _ensure(cond: bool, msg: str):
         raise _CheckFail(msg)
 
 
+def _error_case(cid: str, inputs: dict, exc: Exception) -> Case:
+    return Case(cid, inputs, "error", {"exception": f"{type(exc).__name__}: {exc}"})
+
+
 def _run_case(cases: list[Case], cid: str, inputs: dict, fn):
     try:
         details = fn() or {}
@@ -114,7 +118,7 @@ def _run_case(cases: list[Case], cid: str, inputs: dict, fn):
     except _CheckFail as exc:
         cases.append(Case(cid, inputs, "fail", {"reason": str(exc)}))
     except Exception as exc:  # pragma: no cover - defensive
-        cases.append(Case(cid, inputs, "error", {"exception": f"{type(exc).__name__}: {exc}"}))
+        cases.append(_error_case(cid, inputs, exc))
 
 
 def _resolve_catalog(catalog):
@@ -153,12 +157,11 @@ def suite_frobenius(seed: int, catalog=None) -> list[Case]:
         G = groups[gname]
         for fname in fnames:
             F = fields[fname]
-            Vreps = catalog_reps(G, F, 4)
             for U in all_subgroups(G):
                 uid = subgroup_id(G, U)
-                Wreps = catalog_reps(U.as_group(), F, 4)
 
-                def check(U=U, Wreps=Wreps, Vreps=Vreps, G=G, F=F):
+                def check(U=U, G=G, F=F):
+                    Vreps, Wreps = catalog_reps(G, F, 4), catalog_reps(U.as_group(), F, 4)
                     pairs = 0
                     trips = 0
                     for W in Wreps.values():
@@ -248,13 +251,14 @@ def suite_phi_machinery(seed: int, catalog=None) -> list[Case]:
                 count += 1
             return {"subgroups": count}
 
-        _run_case(
-            cases,
-            f"phi/{gname}/{fname}/constants",
-            {"group": gname, "field": fname},
-            check_constants,
-        )
-        for vname, V in catalog_reps(K, F, 3).items():
+        inputs = {"group": gname, "field": fname}
+        _run_case(cases, f"phi/{gname}/{fname}/constants", inputs, check_constants)
+        try:
+            pool = catalog_reps(K, F, 3)
+        except Exception as exc:
+            cases.append(_error_case(f"phi/{gname}/{fname}/reps", inputs, exc))
+            continue
+        for vname, V in pool.items():
 
             def check_rep(K=K, F=F, V=V):
                 _ensure(fixed_points(V).dim >= 1, "nonzero rep with zero fixed space")
@@ -387,14 +391,14 @@ def suite_exact_axioms(seed: int, catalog=None) -> list[Case]:
         for fname in fnames:
             F = fields[fname]
             rng = random.Random(f"{seed}:exact:{gname}:{fname}")
-            pool = list(catalog_reps(G, F, 4).values())
             seen_subs = {}
             for S in list(subs[: min(3, len(subs))]) + [Subgroup.full(G)]:
                 seen_subs.setdefault(S.members, S)
             sample_subs = list(seen_subs.values())
 
-            def check(G=G, F=F, rng=rng, pool=pool, sample_subs=sample_subs, subs=subs):
+            def check(G=G, F=F, rng=rng, sample_subs=sample_subs, subs=subs):
                 nonlocal rem61_total
+                pool = list(catalog_reps(G, F, 4).values())
                 built = []  # (ses, callable producing a split witness, or None)
                 quotient_epics = []
 
@@ -418,28 +422,9 @@ def suite_exact_axioms(seed: int, catalog=None) -> list[Case]:
                         add_adjoint_seses(X, U)
                 for V1, V2 in itertools.combinations(pool[:5], 2):
                     both = direct_sum([V1, V2])
-                    incl = RepMap(
-                        V1,
-                        both,
-                        Matrix(
-                            F,
-                            [
-                                [1 if (i == j and i < V1.dim) else 0 for j in range(V1.dim)]
-                                for i in range(both.dim)
-                            ],
-                        ),
-                    )
-                    proj = RepMap(
-                        both,
-                        V2,
-                        Matrix(
-                            F,
-                            [
-                                [1 if j == V1.dim + i else 0 for j in range(both.dim)]
-                                for i in range(V2.dim)
-                            ],
-                        ),
-                    )
+                    E = np.eye(both.dim, dtype=np.int16)
+                    incl = RepMap(V1, both, Matrix._of(F, E[:, : V1.dim]))
+                    proj = RepMap(both, V2, Matrix._of(F, E[V1.dim :]))
                     full = Subgroup.full(G)
                     built.append(
                         (
@@ -454,24 +439,26 @@ def suite_exact_axioms(seed: int, catalog=None) -> list[Case]:
                 for V in pool[:4]:
                     add_span_seses(direct_sum([V, V]), 2)
                     add_span_seses(V, 3)
-                if len(built) < 50:
-                    for combo in itertools.combinations(pool, 3):
-                        add_span_seses(direct_sum(list(combo)), 4)
-                        if len(built) >= 50:
-                            break
-                if len(built) < 50:
-                    for X in pool[:3]:
-                        for U in sample_subs[:3]:
-                            Om, _ = loop_rep(X, U)
-                            if Om.dim == 0 or len(built) >= 50:
-                                continue
-                            add_adjoint_seses(Om, U)
-                if len(built) < 50:
-                    # a small pool (the trivial group's) needs repeated summands
-                    for combo in itertools.combinations_with_replacement(pool, 3):
-                        add_span_seses(direct_sum(list(combo)), 4)
-                        if len(built) >= 50:
-                            break
+
+                def add_sum_seses(combo):
+                    add_span_seses(direct_sum(list(combo)), 4)
+
+                def add_loop_seses(X, U):
+                    Om, _ = loop_rep(X, U)
+                    if Om.dim:
+                        add_adjoint_seses(Om, U)
+
+                # further candidates in a fixed order until 50 are built; a
+                # small pool (the trivial group's) needs repeated summands
+                steps = itertools.chain(
+                    ((add_sum_seses, c) for c in itertools.combinations(pool, 3)),
+                    ((add_loop_seses, X, U) for X in pool[:3] for U in sample_subs[:3]),
+                    ((add_sum_seses, c) for c in itertools.combinations_with_replacement(pool, 3)),
+                )
+                for step, *args in steps:
+                    if len(built) >= 50:
+                        break
+                    step(*args)
                 _ensure(len(built) >= 50, f"only constructed {len(built)} sequences")
                 splits_checked = 0
                 for ses, certify in built:
@@ -618,11 +605,11 @@ def suite_stable_frobenius(seed: int, catalog=None) -> list[Case]:
         G = groups[gname]
         for fname in fnames:
             F = fields[fname]
-            pool = catalog_reps(G, F, 4)
             for U in all_subgroups(G):
                 uid = subgroup_id(G, U)
 
-                def check(G=G, F=F, U=U, pool=pool):
+                def check(G=G, F=F, U=U):
+                    pool = catalog_reps(G, F, 4)
                     agree = 0
                     full = Subgroup.full(G)
                     for P in pool.values():
@@ -764,12 +751,8 @@ def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
                         gamma = None
                         for _ in range(20):
                             coeffs = [rng.randrange(F.order) for _ in range(hs.dim)]
-                            acc = Matrix.zeros(F, V2.dim, V1.dim)
-                            for cval, i in zip(coeffs, range(hs.dim)):
-                                if cval:
-                                    acc = acc + Matrix._of(
-                                        F, hs.basis.a[i].reshape(V2.dim, V1.dim)
-                                    ).scale(cval)
+                            acc = F.ax_matmul(np.array([coeffs], dtype=np.int16), hs.basis.a)
+                            acc = Matrix._of(F, acc.reshape(V2.dim, V1.dim))
                             if acc.rank() == V2.dim:
                                 gamma = RepMap(V1, V2, acc)
                                 break
@@ -796,25 +779,23 @@ def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
                 ext_checked = 0
                 if C.order * K.order == G.order:
                     KC = K.join(C)
+                    on_K = [KC.local(k) for k in K.members]
+                    on_C = [KC.local(c) for c in C.members]
+                    overlap = [K.local(z) for z in C.intersect(K).members]
                     for V in list(catalog_reps(K.as_group(), F, 2).values())[:3]:
-                        if any(
-                            not V.mat(K.local(z)).is_identity()
-                            for z in C.intersect(K).members
-                        ):
+                        I = np.eye(V.dim, dtype=np.int16)
+                        if not (V.T[overlap] == I).all():
                             continue
                         for chi in chars:
                             W = extend_by_central_character(V, K, C, chi, KC)
-                            for k in K.members:
-                                _ensure(
-                                    W.mat(KC.local(k)) == V.mat(K.local(k)),
-                                    "restriction back to K changed the action",
-                                )
-                            I = Matrix.identity(F, V.dim)
-                            for c in C.members:
-                                _ensure(
-                                    W.mat(KC.local(c)) == I.scale(chi.value(c)),
-                                    "central part does not act by the character",
-                                )
+                            _ensure(
+                                np.array_equal(W.T[on_K], V.T),
+                                "restriction back to K changed the action",
+                            )
+                            _ensure(
+                                np.array_equal(W.T[on_C], np.array(chi.values)[:, None, None] * I),
+                                "central part does not act by the character",
+                            )
                             ext_checked += 1
                 # qualifying sets with a central subgroup obey the index bound
                 omega_checked = 0

@@ -8,9 +8,7 @@ from modplab.catalog import (
     catalog_groups,
     catalog_reps,
     cyclic_group,
-    default_catalog,
     group_from_json,
-    group_to_json,
     klein_group,
     load_catalog,
     sym3,
@@ -81,7 +79,7 @@ def test_catalog_reps_come_back_on_the_callers_group():
 
 def test_group_json_roundtrip():
     for G in (sym3(), alt4(), cyclic_group(9)):
-        data = json.loads(json.dumps(group_to_json(G)))
+        data = json.loads(json.dumps(G.to_json()))
         back = group_from_json(data)
         assert back == G
         assert [back.label(i) for i in range(back.order)] == [
@@ -89,15 +87,9 @@ def test_group_json_roundtrip():
         ]
 
 
-def test_default_catalog_shape():
-    cat = default_catalog()
-    assert set(cat) == {"groups", "fields"}
-    assert set(cat["groups"]) == set(catalog_groups())
-
-
 def test_load_catalog_all_entry_forms(tmp_path):
     gfile = tmp_path / "c2.json"
-    gfile.write_text(json.dumps(group_to_json(cyclic_group(2))))
+    gfile.write_text(json.dumps(cyclic_group(2).to_json()))
     cat = {
         "groups": [
             {"ref": "S3"},

@@ -169,10 +169,10 @@ def test_fairness_finite_bad_subgroup(capsys):
 
 
 def test_fairness_finite_group_file(tmp_path, capsys):
-    from modplab.catalog import cyclic_group, group_to_json
+    from modplab.catalog import cyclic_group
 
     gfile = tmp_path / "c4.json"
-    gfile.write_text(json.dumps(group_to_json(cyclic_group(4))))
+    gfile.write_text(json.dumps(cyclic_group(4).to_json()))
     code, out, _ = run(
         ["fairness", "--mode", "finite", "--group", str(gfile), "--H", "0,2"], capsys
     )
@@ -230,6 +230,38 @@ def test_stable_exits_2_when_induce_is_over_its_budget(capsys, monkeypatch):
     code, out, err = run(["stable", "--group", "C3", "--field", "F3"], capsys)
     assert code == 2 and out == ""
     assert "108 cells, over the budget of 107" in err
+
+
+def _refuse_every_induce(monkeypatch):
+    """A zero induce budget, with the memos of induced modules emptied so
+    that every rep pool is built again; nothing large is allocated."""
+    from modplab import catalog, covers, exact, reps
+
+    monkeypatch.setattr(reps, "INDUCE_CELLS", 0)
+    for module, memo in ((catalog, "_REP_CACHE"), (covers, "_IND_CACHE"), (exact, "_IND_SELF_CACHE")):
+        monkeypatch.setattr(module, memo, {})
+
+
+@pytest.mark.parametrize("suite", ["frobenius", "phi-machinery", "exact-axioms", "stable-frobenius"])
+def test_verify_reports_a_rep_pool_over_the_induce_budget(suite, tmp_path, capsys, monkeypatch):
+    # C2's rep pool holds perm2, induced from the trivial subgroup
+    cat = tmp_path / "c2.json"
+    cat.write_text(json.dumps({"groups": [{"ref": "C2"}], "fields": [{"name": "F2", "p": 2}]}))
+    _refuse_every_induce(monkeypatch)
+    code, out, err = run(["verify", "--suite", suite, "--catalog", str(cat)], capsys)
+    assert code == 1 and err == ""
+    cases = json.loads(out)["cases"]
+    errors = [c for c in cases if c["outcome"] == "error"]
+    assert errors and all("over the budget of 0" in c["details"]["exception"] for c in errors)
+    if suite == "phi-machinery":  # its cases are per rep, so the pool's failure is one case
+        assert [c["id"] for c in cases if c["id"].endswith("/reps")] == ["phi/C2/F2/reps"]
+
+
+def test_stable_exits_2_when_the_rep_pool_is_over_the_induce_budget(capsys, monkeypatch):
+    _refuse_every_induce(monkeypatch)
+    code, out, err = run(["stable", "--group", "C2", "--field", "F2"], capsys)
+    assert code == 2 and out == ""
+    assert "over the budget of 0" in err
 
 
 def test_stable_reruns_byte_identical(capsys):

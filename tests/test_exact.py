@@ -11,7 +11,6 @@ from modplab.exact import (
     loop_rep,
     quotient_rep,
     relative_projectivity_test,
-    splits_over,
     stable_hom,
     subrep_on_kernel,
     subrep_on_subspace,
@@ -69,8 +68,9 @@ def test_u_split_search_retraction():
 def test_splits_over():
     C2 = cyclic_group(2)
     _, ses = loop_rep(trivial_rep(C2, F2), Subgroup.trivial(C2))
-    assert splits_over(ses, Subgroup.trivial(C2)) is not None
-    assert splits_over(ses, Subgroup.full(C2)) is None
+    # a section of the right-hand epic splits the sequence
+    assert u_split_search(ses.right, Subgroup.trivial(C2), "section") is not None
+    assert u_split_search(ses.right, Subgroup.full(C2), "section") is None
 
 
 def test_averaging_section_frozen():

@@ -85,7 +85,6 @@ def test_f4_table_arithmetic():
     assert F4.inv(2) == 3
     assert [F4.element_order(a) for a in (1, 2, 3)] == [1, 3, 3]
     assert F4.coeffs(3) == (1, 1)
-    assert F4.from_coeffs((1, 1)) == 3
 
 
 def test_f9_arithmetic():

@@ -49,14 +49,6 @@ def test_matmul_f4():
     assert (A @ A).tolist() == [[3, 0], [0, 3]]
 
 
-def test_kron_shape_and_values():
-    A = Matrix.from_rows(F2, [[1, 1]])
-    B = Matrix.identity(F2, 2)
-    K = A.kron(B)
-    assert (K.rows, K.cols) == (2, 4)
-    assert K.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
-
-
 def test_row_reduce_frozen_examples():
     assert Matrix.identity(F2, 3).rank() == 3
     ech = row_reduce(Matrix.zeros(F3, 2, 2))

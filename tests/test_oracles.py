@@ -194,8 +194,8 @@ def test_ax_matmul_across_float32_threshold(m):
     B = rng.integers(0, F.order, (m, 2)).astype(np.int16)
     # Digits (29, 29) make entry (0, 0) a sum of odd plane products 29*29
     # that passes 2**24 for odd m > 643, where float32 would round it.
-    A[0] = F.from_coeffs((29, 29))
-    B[:, 0] = F.from_coeffs((29, 29))
+    A[0] = 29 + 29 * 31
+    B[:, 0] = 29 + 29 * 31
     assert np.array_equal(F.ax_matmul(A, B), ref_matmul(F, A, B))
 
 
@@ -308,7 +308,6 @@ def test_kernels_return_fresh_int16_codes(pk, data):
         F.ax_mul(A, B),
         F.ax_scale(A, s),
         F.ax_matmul(A, C),
-        F.ax_kron(A, C),
     ]
     for out in outs:
         assert out.dtype == np.int16
@@ -414,8 +413,8 @@ def test_ax_matmul_batch_across_float32_threshold(m):
     rng = np.random.default_rng(m)
     A = rng.integers(0, F.order, (2, 2, m)).astype(np.int16)
     B = rng.integers(0, F.order, (2, m, 2)).astype(np.int16)
-    A[:, 0] = F.from_coeffs((29, 29))
-    B[:, :, 0] = F.from_coeffs((29, 29))
+    A[:, 0] = 29 + 29 * 31
+    B[:, :, 0] = 29 + 29 * 31
     got = F.ax_matmul_batch(A, B)
     for i in range(2):
         assert np.array_equal(got[i], ref_matmul(F, A[i], B[i]))
@@ -477,12 +476,19 @@ def ref_induce(U, W):
     return Rep(G, field, mats, validate=True)
 
 
+def ref_sub_arrays(F, A, B):
+    """Entrywise A - B by schoolbook arithmetic."""
+    return np.vectorize(lambda a, b: ref_sub(F, a, b), otypes=[np.int64])(A, B)
+
+
 def ref_equivariance_system(V1, V2, elements):
-    """Rows of X @ rho1(g) - rho2(g) @ X built from Kronecker products."""
-    I1 = Matrix.identity(V1.field, V1.dim)
-    I2 = Matrix.identity(V1.field, V2.dim)
-    blocks = [I2.kron(V1.mat(g).transpose()) - V2.mat(g).kron(I1) for g in elements]
-    return np.vstack([b.a for b in blocks]) if blocks else np.zeros((0, V1.dim * V2.dim))
+    """Rows of X @ rho1(g) - rho2(g) @ X, on d2 x d1 matrices X flattened
+    row major, from numpy Kronecker products of codes: one factor of each
+    is an identity, so every entry is a code times 0 or 1."""
+    F, d1, d2 = V1.field, V1.dim, V2.dim
+    I1, I2 = np.eye(d1, dtype=np.int64), np.eye(d2, dtype=np.int64)
+    blocks = [ref_sub_arrays(F, np.kron(I2, V1.T[g].T), np.kron(V2.T[g], I1)) for g in elements]
+    return np.vstack(blocks) if blocks else np.zeros((0, d1 * d2), dtype=np.int64)
 
 
 @settings(max_examples=30, deadline=None)
@@ -523,6 +529,89 @@ def test_equivariance_system_matches_kron_construction(gname, fname, data):
     got = equivariance_system(F, V1.T[elements], V2.T[elements])
     assert got.a.shape == (len(elements) * V1.dim * V2.dim, V1.dim * V2.dim)
     assert np.array_equal(got.a, ref_equivariance_system(V1, V2, elements))
+
+
+def ref_u_split(f, U, kind):
+    """The canonical U-equivariant one-sided inverse X of f (a ds x dt
+    matrix), or None: equivariance under every member of U stacked on
+    F @ X = I or X @ F = I, both from numpy Kronecker products of codes,
+    solved by ref_rref with the free variables zero."""
+    S, T, M = f.source, f.target, f.matrix.a.astype(np.int64)
+    F, ds, dt = S.field, S.dim, T.dim
+    equi = ref_equivariance_system(T, S, U.members)  # X @ rho_T(u) - rho_S(u) @ X
+    if kind == "section":
+        d, fixed = dt, np.kron(M, np.eye(dt, dtype=np.int64))
+    else:
+        d, fixed = ds, np.kron(np.eye(ds, dtype=np.int64), M.T)
+    rhs = np.concatenate([np.zeros(len(equi), dtype=np.int64), np.eye(d, dtype=np.int64).reshape(-1)])
+    R, piv = ref_rref(F, np.hstack([np.vstack([equi, fixed]), rhs[:, None]]))
+    if ds * dt in piv:
+        return None
+    x = np.zeros(ds * dt, dtype=np.int64)
+    for r, c in enumerate(piv):
+        x[c] = R[r, -1]
+    return x.reshape(ds, dt)
+
+
+def _assert_split_matches_reference(f, U, kind):
+    from modplab.exact import u_split_search
+
+    got, want = u_split_search(f, U, kind), ref_u_split(f, U, kind)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.kind == kind and np.array_equal(got.map.a, want)
+    return got
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    gname=st.sampled_from(["C2", "C3", "C4", "V4", "S3"]),
+    fname=st.sampled_from(["F2", "F3", "F4", "F9"]),
+    kind=st.sampled_from(["section", "retraction"]),
+    data=st.data(),
+)
+def test_u_split_search_matches_kron_system(gname, fname, kind, data):
+    """G-maps out of and into direct sums split; a hom basis element may
+    or may not; the zero representation gives 0-dimensional ends."""
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.groups import all_subgroups
+    from modplab.reps import RepMap, direct_sum, hom_space, trivial_rep
+
+    G, F = catalog_groups()[gname], catalog_fields()[fname]
+    pool = {**catalog_reps(G, F, 3), "zero": trivial_rep(G, F, 0)}
+    V1 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    V2 = pool[data.draw(st.sampled_from(sorted(pool)))]
+    shape = data.draw(st.sampled_from(["hom", "projection", "inclusion"]))
+    if shape == "hom":
+        S, T = V1, V2
+        hs = hom_space(S, T)
+        M = np.zeros((T.dim, S.dim), dtype=np.int16)
+        if hs.dim:
+            M = hs.basis.a[data.draw(st.integers(0, hs.dim - 1))].reshape(T.dim, S.dim)
+    else:
+        both = direct_sum([V1, V2])
+        E = np.eye(both.dim, dtype=np.int16)
+        S, T, M = (both, V2, E[V1.dim :]) if shape == "projection" else (V1, both, E[:, : V1.dim])
+    U = data.draw(st.sampled_from(all_subgroups(G)))
+    _assert_split_matches_reference(RepMap(S, T, Matrix(F, M)), U, kind)
+
+
+@pytest.mark.parametrize("fname", ["F2", "F3", "F4", "F9"])
+def test_u_split_search_at_zero_dimension(fname):
+    """With no unknowns a section exists iff the target is 0 and a
+    retraction iff the source is."""
+    from modplab.catalog import catalog_fields, catalog_groups
+    from modplab.groups import all_subgroups
+    from modplab.reps import RepMap, trivial_rep
+
+    G, F = catalog_groups()["S3"], catalog_fields()[fname]
+    zero, triv2 = trivial_rep(G, F, 0), trivial_rep(G, F, 2)
+    for S, T in ((zero, triv2), (triv2, zero), (zero, zero)):
+        f = RepMap(S, T, Matrix.zeros(F, T.dim, S.dim))
+        for U in all_subgroups(G):
+            for kind, end in (("section", T), ("retraction", S)):
+                got = _assert_split_matches_reference(f, U, kind)
+                assert (got is not None) == (end.dim == 0)
 
 
 # ---- stable homs through the relative trace against the induced-module construction ----
