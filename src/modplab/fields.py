@@ -5,10 +5,11 @@ the residue polynomial ``sum(d_i * x**i)`` where ``d_0, d_1, ...`` are the
 base-p digits of ``a``.  Prime fields compute with modular arithmetic
 directly; extension fields go through small precomputed operation tables.
 All arithmetic is exact.  The one place floats appear is
-``ax_matmul_batch`` over an extension field, which multiplies
-integer-valued float32/float64 digit planes with BLAS; every sum it forms
-stays below 2**24 (float32) or 2**53 (float64), where those types hold
-integers exactly.
+``ax_matmul_batch``, which multiplies integer-valued float32/float64
+matrices with BLAS (the codes themselves over a prime field, their digit
+planes over an extension field); every sum it forms stays below 2**24
+(float32) or 2**53 (float64), where those types hold integers exactly.
+It memoises small products in a bounded memo.
 """
 
 from __future__ import annotations
@@ -18,13 +19,24 @@ from typing import Sequence
 
 import numpy as np
 
+from .memo import Memo
+
 # largest extension-field order we materialize q x q tables for
 TABLE_LIMIT = 1024
 # matrices store element codes as int16
 CODE_LIMIT = 2**15
 # ax_matmul_batch slices a batch whose products would span more cells of
-# float digit-plane products (int64 products over a prime field) than this
+# float products (digit-plane products over an extension field) than this
 BATCH_CELLS = 2**16
+
+# ax_matmul_batch's memo: (field key, dtypes, shapes, bytes of both
+# operands) -> a read-only product.  Only products whose operands total at
+# most MATMUL_MEMO_ENTRY_CELLS are stored: those are bound by call overhead,
+# and large ones rarely repeat.  An entry counts its operand cells plus its
+# product cells.
+MATMUL_MEMO_ENTRY_CELLS = 2**12
+MATMUL_MEMO_CELLS = 2**20
+_MATMUL_MEMO = Memo(MATMUL_MEMO_CELLS)
 
 
 # Miller-Rabin with the first twelve prime bases is exact for every
@@ -152,8 +164,16 @@ class FiniteField:
         if k > 1 and not _is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
+        self._key = (p, k, modulus)
         self.zero = 0
         self.one = 1
+        # ax_matmul_batch's largest inner dimension m whose sums stay exact
+        # in float32 and in float64: entries of a product of codes are at
+        # most m*(p-1)**2; over an extension field the folded digit sums
+        # reach k*k*m*(p-1)**3
+        worst = (p - 1) ** 2 if k == 1 else k * k * (p - 1) ** 3
+        self.F32_INNER = (2**24 - 1) // worst
+        self.F64_INNER = (2**53 - 1) // worst
         if k > 1:
             self._build_tables()
 
@@ -208,16 +228,9 @@ class FiniteField:
 
         # ax_matmul_batch's digit planes, one set per float type: DIGITS[j, a]
         # is digit j of a, CONV[j, r*k + s] is digit j of x^(r+s) mod f, and
-        # PW[j] = p**j.  Largest inner dimension m whose sums k*k*m*(p-1)**3
-        # stay exact:
+        # PW[j] = p**j.
         conv = red[np.add.outer(np.arange(k), np.arange(k)).reshape(-1)].T
-        worst = k * k * (p - 1) ** 3
-        self.F32_INNER = (2**24 - 1) // worst
-        self.F64_INNER = (2**53 - 1) // worst
-        self._planes = {
-            dt: (digits.T.astype(dt), conv.astype(dt), it)
-            for dt, it in ((np.float32, np.int32), (np.float64, np.int64))
-        }
+        self._planes = {dt: (digits.T.astype(dt), conv.astype(dt)) for dt in (np.float32, np.float64)}
         self._PW = pw
         self._J = np.arange(k)[:, None]
 
@@ -325,25 +338,46 @@ class FiniteField:
 
     def ax_matmul_batch(self, A, B):
         """Products over the last two axes; leading axes broadcast like
-        numpy.matmul."""
+        numpy.matmul.  The result is a fresh array, computed or read from
+        the memo."""
         if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
             raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+        cells = A.size + B.size
+        if cells > MATMUL_MEMO_ENTRY_CELLS:
+            return self._matmul(A, B)
+        key = (self._key, A.dtype, B.dtype, A.shape, B.shape, A.tobytes(), B.tobytes())
+        known = _MATMUL_MEMO.get(key)
+        if known is not None:
+            return known.copy()
+        C = self._matmul(A, B)
+        stored = C.copy()
+        stored.flags.writeable = False
+        _MATMUL_MEMO.put(key, stored, cells + C.size)
+        return C
+
+    def _matmul(self, A, B):
+        """ax_matmul_batch past its shape check and its memo."""
         (n, m), r = A.shape[-2:], B.shape[-1]
         if not (n and m and r):
             lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
             return np.zeros(lead + (n, r), dtype=np.int16)
         if (A.size // m) * (B.size // m) * self.k**2 > BATCH_CELLS and max(A.ndim, B.ndim) > 2:
             return self._matmul_slices(A, B)
-        if self.k == 1:
-            return ((A.astype(np.int64) @ B.astype(np.int64)) % self.p).astype(np.int16)
-        # One gemm per product multiplies every pair of digit planes (FFLAS,
-        # Dumas, Giorgi & Pernet 2008); CONV then folds plane pair (r, s)
-        # into the digits of x^(r+s) mod f.  Entries of P are at most
-        # m*(p-1)**2 and those of C at most k*k*m*(p-1)**3, so both are
-        # exact in the float type; the reduction mod p runs on integers.
-        k = self.k
+        # One gemm per product, in a float type that holds every sum exactly
+        # (FFLAS, Dumas, Giorgi & Pernet 2008); the reduction mod p runs on
+        # integers.
         assert m <= self.F64_INNER
-        digits, conv, itype = self._planes[np.float32 if m <= self.F32_INNER else np.float64]
+        ftype, itype = (np.float32, np.int32) if m <= self.F32_INNER else (np.float64, np.int64)
+        if self.k == 1:
+            C = (A.astype(ftype) @ B.astype(ftype)).astype(itype)
+            C %= self.p
+            return C.astype(np.int16)
+        # Over an extension field the gemm multiplies every pair of digit
+        # planes; CONV then folds plane pair (r, s) into the digits of
+        # x^(r+s) mod f.  Entries of P are at most m*(p-1)**2 and those of C
+        # at most k*k*m*(p-1)**3.
+        k = self.k
+        digits, conv = self._planes[ftype]
         # rows (i, j) of L hold digit j of row i of A; columns (s, c) of R
         # hold digit s of column c of B
         L = digits[self._J, A[..., :, None, :]].reshape(A.shape[:-2] + (n * k, m))
@@ -356,19 +390,19 @@ class FiniteField:
         return (self._PW @ C).reshape(lead + (n, r)).astype(np.int16)
 
     def _matmul_slices(self, A, B):
-        """ax_matmul_batch in slices along the first batch axis, so that a
-        large batch never holds more than about BATCH_CELLS product cells."""
+        """_matmul in slices along the first batch axis, so that a large
+        batch never holds more than about BATCH_CELLS product cells."""
         nd = max(A.ndim, B.ndim)
         A = A.reshape((1,) * (nd - A.ndim) + A.shape)
         B = B.reshape((1,) * (nd - B.ndim) + B.shape)
         s = max(A.shape[0], B.shape[0])
         if s == 1:
-            return self.ax_matmul_batch(A[0], B[0])[None]
+            return self._matmul(A[0], B[0])[None]
         cells = (A.size // A.shape[-1]) * (B.size // B.shape[-2]) * self.k**2
         step = max(1, s * BATCH_CELLS // cells)
         out = None
         for i in range(0, s, step):
-            part = self.ax_matmul_batch(
+            part = self._matmul(
                 A[i : i + step] if A.shape[0] > 1 else A, B[i : i + step] if B.shape[0] > 1 else B
             )
             if out is None:
@@ -379,7 +413,7 @@ class FiniteField:
     # ---- misc -------------------------------------------------------------
 
     def key(self):
-        return (self.p, self.k, self.modulus)
+        return self._key
 
     def __eq__(self, other):
         if self is other:

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import FiniteField
+from .memo import Memo
 
 
 class Matrix:
@@ -154,12 +155,9 @@ class Matrix:
 
 
 # _rref's memo: (field key, shape, int16 bytes) -> (pivot rows, pivot
-# columns), oldest first.  Entries count their key cells plus their value
-# cells; past RREF_MEMO_CELLS the oldest go first, and an input that alone
-# exceeds it is reduced but not stored.
+# columns).  An entry counts its key cells plus its value cells.
 RREF_MEMO_CELLS = 1 << 22
-_RREF_MEMO: dict = {}
-_rref_memo_cells = 0
+_RREF_MEMO = Memo(RREF_MEMO_CELLS)
 
 
 def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -167,7 +165,6 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
     Both are fresh objects the caller may write to, whether the reduction
     is computed or read from the memo."""
-    global _rref_memo_cells
     M = arr.astype(np.int16, copy=True)
     key = (field.key(), M.shape, M.tobytes())
     known = _RREF_MEMO.get(key)
@@ -202,14 +199,7 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
             )
         pivots.append(c)
         r += 1
-    cells = M.size + r * cols
-    if cells <= RREF_MEMO_CELLS:
-        _RREF_MEMO[key] = (M[:r].copy(), tuple(pivots))
-        _rref_memo_cells += cells
-        while _rref_memo_cells > RREF_MEMO_CELLS:
-            oldest = next(iter(_RREF_MEMO))
-            P, _ = _RREF_MEMO.pop(oldest)
-            _rref_memo_cells -= oldest[1][0] * oldest[1][1] + P.size
+    _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols)
     return M, pivots
 
 
@@ -338,15 +328,12 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
         raise ValueError("field mismatch")
     if A.rows != B.rows:
         raise ValueError("row count mismatch")
-    f = A.field
-    aug = np.hstack([A.a, B.a])
-    R, piv = _rref(f, aug)
-    apiv = [c for c in piv if c < A.cols]
-    if len(apiv) != len(piv):
+    f, n = A.field, A.cols
+    R, piv = _rref(f, np.concatenate([A.a, B.a], axis=1))
+    if piv and piv[-1] >= n:
         return None  # a pivot landed in the augmented block: inconsistent
-    X = np.zeros((A.cols, B.cols), dtype=np.int16)
-    for r_i, c in enumerate(apiv):
-        X[c] = R[r_i, A.cols:]
+    X = np.zeros((n, B.cols), dtype=np.int16)
+    X[piv] = R[: len(piv), n:]
     return Matrix._of(f, X)
 
 
@@ -358,11 +345,11 @@ def _common_field(field: FiniteField, mats: Sequence[Matrix]) -> None:
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     f = mats[0].field
     _common_field(f, mats)
-    return Matrix._of(f, np.hstack([m.a for m in mats]))
+    return Matrix._of(f, np.concatenate([m.a for m in mats], axis=1))
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     f = mats[0].field
     _common_field(f, mats)
-    return Matrix._of(f, np.vstack([m.a for m in mats]))
+    return Matrix._of(f, np.concatenate([m.a for m in mats]))
 

@@ -1,0 +1,12 @@
+import pytest
+
+from modplab import fields, linalg
+from modplab.memo import Memo
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Swap the product and reduction memos for empty ones with the same
+    budgets, so that entries from earlier tests neither hit nor evict."""
+    monkeypatch.setattr(fields, "_MATMUL_MEMO", Memo(fields.MATMUL_MEMO_CELLS))
+    monkeypatch.setattr(linalg, "_RREF_MEMO", Memo(linalg.RREF_MEMO_CELLS))

@@ -175,19 +175,12 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
 # ---- the _rref memo ----
 
 
-def _empty_memo(monkeypatch, budget=None):
-    monkeypatch.setattr(linalg, "_RREF_MEMO", {})
-    monkeypatch.setattr(linalg, "_rref_memo_cells", 0)
-    if budget is not None:
-        monkeypatch.setattr(linalg, "RREF_MEMO_CELLS", budget)
-
-
 def _memo_cells():
-    return sum(r * c + P.size for (_, (r, c), _), (P, _) in linalg._RREF_MEMO.items())
+    memo = linalg._RREF_MEMO
+    return sum(k[1][0] * k[1][1] + memo.get(k)[0].size for k in memo.keys())
 
 
-def test_rref_memo_hit_is_fresh_and_writable(monkeypatch):
-    _empty_memo(monkeypatch)
+def test_rref_memo_hit_is_fresh_and_writable(fresh_memos):
     A = np.array([[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1], [1, 2, 1, 2]], dtype=np.int16)
     R0, p0 = _rref(F3, A)
     want, wpiv = R0.copy(), list(p0)
@@ -201,11 +194,10 @@ def test_rref_memo_hit_is_fresh_and_writable(monkeypatch):
         assert R.flags.writeable and isinstance(piv, list)
         R[:] = 1  # nor does writing into a hit change the next one
         piv.clear()
-    assert len(linalg._RREF_MEMO) == 1 and linalg._rref_memo_cells == _memo_cells()
+    assert len(linalg._RREF_MEMO) == 1 and linalg._RREF_MEMO.cells == _memo_cells()
 
 
-def test_rref_memo_keys_on_field_and_shape(monkeypatch):
-    _empty_memo(monkeypatch)
+def test_rref_memo_keys_on_field_and_shape(fresh_memos):
     codes = np.array([1, 2, 3, 3, 1, 2], dtype=np.int16)  # codes of both F4 and F5
     for F in (F4, F5):
         for shape in ((2, 3), (3, 2)):
@@ -220,8 +212,8 @@ def test_rref_memo_keys_on_field_and_shape(monkeypatch):
     assert _rref(F5, codes.reshape(2, 3))[1] == [0, 2]
 
 
-def test_rref_memo_stays_within_its_budget(monkeypatch):
-    _empty_memo(monkeypatch, budget=60)
+def test_rref_memo_stays_within_its_budget(fresh_memos):
+    linalg._RREF_MEMO.budget = 60
     rng = np.random.default_rng(5)
     order = []
     for _ in range(40):
@@ -233,12 +225,13 @@ def test_rref_memo_stays_within_its_budget(monkeypatch):
         if key in order:
             order.remove(key)
         order.append(key)
-        assert linalg._rref_memo_cells == _memo_cells() <= 60
+        assert linalg._RREF_MEMO.cells == _memo_cells() <= 60
         # the oldest entries go first: what is left is the newest suffix
-        assert list(linalg._RREF_MEMO) == order[len(order) - len(linalg._RREF_MEMO) :]
+        keys = linalg._RREF_MEMO.keys()
+        assert keys == order[len(order) - len(keys) :]
     big = rng.integers(0, 3, (8, 8)).astype(np.int16)  # 64 key cells alone
-    before = dict(linalg._RREF_MEMO)
+    before = {k: linalg._RREF_MEMO.get(k) for k in linalg._RREF_MEMO.keys()}
     R, piv = _rref(F3, big)
     R_ref, piv_ref = ref_rref(F3, big)
     assert np.array_equal(R, R_ref) and piv == piv_ref
-    assert linalg._RREF_MEMO == before
+    assert {k: linalg._RREF_MEMO.get(k) for k in linalg._RREF_MEMO.keys()} == before

@@ -199,6 +199,27 @@ def test_ax_matmul_across_float32_threshold(m):
     assert np.array_equal(F.ax_matmul(A, B), ref_matmul(F, A, B))
 
 
+# ---- prime-field ax_matmul ----
+
+
+def test_float32_threshold_of_f31():
+    # float32 while m*(p-1)**2 < 2**24: m <= 18641 for F_31
+    assert field(31).F32_INNER == 18641
+    assert 18641 * 30**2 < 2**24 <= 18642 * 30**2
+
+
+@pytest.mark.parametrize("m", [18641, 18642])
+def test_prime_ax_matmul_across_float32_threshold(m):
+    F = field(31)
+    A = np.full((1, m), 30, dtype=np.int16)
+    B = np.full((m, 1), 30, dtype=np.int16)
+    # One odd term 29*29 makes the sum odd; at m = 18642 it passes 2**24,
+    # where float32 would round it.
+    A[0, 0] = B[0, 0] = 29
+    want = sum(int(a) * int(b) for a, b in zip(A[0], B[:, 0])) % 31
+    assert F.ax_matmul(A, B).tolist() == [[want]]
+
+
 # ---- row reduction ----
 
 
@@ -719,7 +740,9 @@ def _sym4():
     return _perm_group(perms, ["".join(map(str, p)) for p in perms])
 
 
-@pytest.mark.parametrize("order, p", [(8, 2), (12, 3)], ids=["sylow2-F2", "A4-F3"])
+@pytest.mark.parametrize(
+    "order, p", [(8, 2), (12, 3), (1, 2), (1, 3)], ids=["sylow2-F2", "A4-F3", "trivial-F2", "trivial-F3"]
+)
 def test_higman_on_regular_rep_of_s4(order, p):
     from modplab.exact import relative_projectivity_test, stable_hom
     from modplab.groups import all_subgroups
@@ -727,17 +750,18 @@ def test_higman_on_regular_rep_of_s4(order, p):
 
     G = _sym4()
     F = field(p)
-    U = next(U for U in all_subgroups(G) if U.order == order)  # index 3 or 2, prime to p
+    U = next(U for U in all_subgroups(G) if U.order == order)
     reg, triv = regular_rep(G, F), trivial_rep(G, F)
     flag, witness = relative_projectivity_test(reg, U)
     assert flag and witness.map.rows == U.index * reg.dim
-    for V1, V2 in ((reg, reg), (triv, reg), (triv, triv)):
+    for V1, V2 in ((reg, reg), (triv, reg)):
         res = stable_hom(V1, V2, U)
         assert res.total_dim > 0 and res.stable_dim == 0
-    assert relative_projectivity_test(triv, U)[0]
-    # over the trivial subgroup the trivial module is not projective (p | 24)
-    E = next(iter(all_subgroups(G)))
-    assert E.order == 1 and stable_hom(triv, triv, E).stable_dim == 1
+    # the trivial module is U-projective exactly when p does not divide the
+    # index (index 3 or 2 above; 24 for the trivial subgroup, where p | 24)
+    prime_to_p = U.index % p != 0
+    assert relative_projectivity_test(triv, U)[0] == prime_to_p
+    assert stable_hom(triv, triv, U).stable_dim == (0 if prime_to_p else 1)
 
 
 # ---- p-parts and echelon pivots ----
@@ -871,10 +895,10 @@ DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="u
 
 
 def _use_reference_kernels(monkeypatch, add=ref_add):
-    """Swap FiniteField's array kernels and linalg._rref (and with it the
-    reduction memo) for schoolbook code over q x q tables built from
-    polynomial arithmetic, and empty the module memos so that every
-    representation is rebuilt on these kernels."""
+    """Swap FiniteField's array kernels (ax_matmul_batch with its product
+    memo) and linalg._rref (with its reduction memo) for schoolbook code
+    over q x q tables built from polynomial arithmetic, and empty the module
+    memos so that every representation is rebuilt on these kernels."""
     tables = {}
 
     def tabled(F):
