@@ -32,9 +32,13 @@ BATCH_CELLS = 2**16
 # ax_matmul_batch's memo: (field key, dtypes, shapes, bytes of both
 # operands) -> a read-only product.  Only products whose operands total at
 # most MATMUL_MEMO_ENTRY_CELLS are stored: those are bound by call overhead,
-# and large ones rarely repeat.  An entry counts its operand cells plus its
-# product cells.
+# and large ones rarely repeat.  An entry counts its operand cells, its
+# product cells and MATMUL_MEMO_ENTRY_OVERHEAD cells for its key tuple, bytes
+# objects and array header (about 500 bytes, the size of 250 int16 cells), so
+# the budget bounds the memo at about 2 bytes a cell: 2 MB, and fewer than
+# 4,096 entries.
 MATMUL_MEMO_ENTRY_CELLS = 2**12
+MATMUL_MEMO_ENTRY_OVERHEAD = 256
 MATMUL_MEMO_CELLS = 2**20
 _MATMUL_MEMO = Memo(MATMUL_MEMO_CELLS)
 
@@ -352,7 +356,7 @@ class FiniteField:
         C = self._matmul(A, B)
         stored = C.copy()
         stored.flags.writeable = False
-        _MATMUL_MEMO.put(key, stored, cells + C.size)
+        _MATMUL_MEMO.put(key, stored, cells + C.size + MATMUL_MEMO_ENTRY_OVERHEAD)
         return C
 
     def _matmul(self, A, B):

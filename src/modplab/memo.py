@@ -24,8 +24,12 @@ class Memo:
         return None if hit is None else hit[0]
 
     def put(self, key, value, cells: int) -> None:
-        """Store value under a key that is not stored yet, counting cells
-        against the budget, and evict the oldest entries past it."""
+        """Store value under key as the newest entry, counting cells against
+        the budget, and evict the oldest entries past it.  An entry already
+        under key is dropped first."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.cells -= old[1]
         if cells > self.budget:
             return
         self._entries[key] = (value, cells)

@@ -1,5 +1,7 @@
 """The bounded memo type and the product table ax_matmul_batch keeps in it."""
 
+import tracemalloc
+
 import numpy as np
 from test_oracles import field, ref_matmul
 
@@ -23,6 +25,16 @@ def test_memo_evicts_oldest_first_within_its_budget():
     assert len(memo) == 0 and memo.cells == 0 and memo.get("e") is None
 
 
+def test_memo_put_under_a_stored_key_replaces_its_entry():
+    memo = Memo(10)
+    memo.put("a", "A", 4)
+    memo.put("b", "B", 4)
+    memo.put("a", "A2", 5)  # the old entry's cells are released, not counted twice
+    assert memo.keys() == ["b", "a"] and memo.cells == 9 and memo.get("a") == "A2"
+    memo.put("b", "B2", 11)  # over the budget: the old entry goes, nothing is stored
+    assert memo.keys() == ["a"] and memo.cells == 5
+
+
 # ---- the product table ----
 
 
@@ -38,7 +50,10 @@ def _ref_batch(F, A, B):
 
 def _memo_cells():
     memo = fields._MATMUL_MEMO
-    return sum(np.prod(k[3]) + np.prod(k[4]) + memo.get(k).size for k in memo.keys())
+    return sum(
+        np.prod(k[3]) + np.prod(k[4]) + memo.get(k).size + fields.MATMUL_MEMO_ENTRY_OVERHEAD
+        for k in memo.keys()
+    )
 
 
 def _entries():
@@ -83,24 +98,26 @@ def test_product_memo_results_are_fresh_and_writable(fresh_memos):
 
 
 def test_product_memo_stays_within_its_budget(fresh_memos):
-    fields._MATMUL_MEMO.budget = 60
+    budget = 3 * fields.MATMUL_MEMO_ENTRY_OVERHEAD + 60  # room for at most three entries
+    fields._MATMUL_MEMO.budget = budget
     rng = np.random.default_rng(5)
     order = []
     for _ in range(40):
         n, m, r = rng.integers(1, 4, 3)
         A = rng.integers(0, 5, (n, m)).astype(np.int16)
         B = rng.integers(0, 5, (m, r)).astype(np.int16)
-        assert np.array_equal(F5.ax_matmul(A, B), ref_matmul(F5, A, B))
         key = (F5.key(), A.dtype, B.dtype, A.shape, B.shape, A.tobytes(), B.tobytes())
-        if key in order:
-            order.remove(key)
-        order.append(key)
-        assert fields._MATMUL_MEMO.cells == _memo_cells() <= 60
+        if key not in fields._MATMUL_MEMO.keys():  # a miss stores it as the newest
+            if key in order:
+                order.remove(key)
+            order.append(key)
+        assert np.array_equal(F5.ax_matmul(A, B), ref_matmul(F5, A, B))
+        assert fields._MATMUL_MEMO.cells == _memo_cells() <= budget
         # the oldest entries go first: what is left is the newest suffix
         keys = fields._MATMUL_MEMO.keys()
         assert keys == order[len(order) - len(keys) :]
     before = _entries()
-    big = rng.integers(0, 5, (6, 6)).astype(np.int16)  # 108 cells with its square
+    big = rng.integers(0, 5, (14, 14)).astype(np.int16)  # 588 cells with its square
     assert np.array_equal(F5.ax_matmul(big, big), ref_matmul(F5, big, big))
     assert _entries() == before
     fields._MATMUL_MEMO.budget = fields.MATMUL_MEMO_CELLS
@@ -109,3 +126,24 @@ def test_product_memo_stays_within_its_budget(fresh_memos):
     B = rng.integers(0, 5, (m, 1)).astype(np.int16)
     assert np.array_equal(F5.ax_matmul(A, B), ref_matmul(F5, A, B))
     assert _entries() == before
+
+
+def test_product_memo_bounds_its_memory_on_tiny_products(fresh_memos):
+    # distinct 1 x 1 products are the cheapest entries in cells and the
+    # dearest per cell in Python objects; the per-entry charge bounds both
+    F = field(127)
+    cap = fields.MATMUL_MEMO_CELLS // (3 + fields.MATMUL_MEMO_ENTRY_OVERHEAD)
+    operands = [np.array([[a]], dtype=np.int16) for a in range(127)]
+    tracemalloc.start()
+    try:
+        for b in operands[:40]:  # 5,080 distinct products, more than cap
+            for a in operands:
+                assert F.ax_matmul(a, b)[0, 0] == a[0, 0] * b[0, 0] % 127
+        held = tracemalloc.get_traced_memory()[0]
+        assert len(fields._MATMUL_MEMO) == cap  # full, and evicting
+        fields._MATMUL_MEMO.clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fields._MATMUL_MEMO.cells == 0
+    assert held < 3 * fields.MATMUL_MEMO_CELLS  # bytes: about 2 a cell
