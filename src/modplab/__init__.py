@@ -45,7 +45,6 @@ from .covers import (
     cover_map,
     extend_by_central_character,
     fixed_cover_subspace,
-    frobenius_transport,
     induced_trivial,
     qualifying_subgroups,
 )

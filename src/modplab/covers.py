@@ -39,7 +39,6 @@ __all__ = [
     "qualifying_subgroups",
     "assemble_cover",
     "fixed_cover_subspace",
-    "frobenius_transport",
     "transport_stack",
     "character_eigenspace",
     "extend_by_central_character",
@@ -231,25 +230,6 @@ def fixed_cover_subspace(asm: CoverAssembly) -> Subspace:
 # adjunction transports
 
 
-def frobenius_transport(
-    U: Subgroup,
-    W: Rep,
-    V: Rep,
-    flavor: str,
-    f: RepMap,
-    ind: Rep | None = None,
-) -> RepMap:
-    """Move a morphism across the induction/restriction adjunction.
-
-    flavor "lower": between maps W -> V|_U and induced(W) -> V.
-    flavor "upper": between maps V|_U -> W and V -> induced(W).
-    The direction is read off from which side f lives on; transporting
-    twice returns the original map.
-    """
-    X, source, target = transport_stack(U, W, V, flavor, f.matrix.a[None], f.source, f.target, ind)
-    return RepMap(source, target, Matrix._of(V.field, X[0]), validate=False)
-
-
 def transport_stack(
     U: Subgroup,
     W: Rep,
@@ -260,10 +240,16 @@ def transport_stack(
     target: Rep,
     ind: Rep | None = None,
 ) -> tuple[np.ndarray, Rep, Rep]:
-    """frobenius_transport of every map in the (k, target.dim, source.dim)
-    stack X at once; returns the moved stack with its new source and
-    target.  The moved maps are checked to be equivariant, so a stack
-    that is not equivariant raises ValueError."""
+    """Move every map in the (k, target.dim, source.dim) stack X across the
+    induction/restriction adjunction at once; returns the moved stack with
+    its new source and target.
+
+    flavor "lower": between maps W -> V|_U and induced(W) -> V.
+    flavor "upper": between maps V|_U -> W and V -> induced(W).
+    The direction is read off from which side the stack lives on;
+    transporting twice returns the original stack.  The moved maps are
+    checked to be equivariant, so a stack that is not equivariant raises
+    ValueError."""
     G = U.parent
     if V.group != G or W.group != U.as_group():
         raise ValueError("W must be a rep of the subgroup, V of the parent group")
@@ -369,8 +355,7 @@ def extend_by_central_character(
     if V.group != K.as_group():
         raise ValueError("V must be a representation of K")
     field = V.field
-    local = np.zeros(G.order, dtype=np.intp)  # member of K -> its index in K
-    local[list(K.members)] = np.arange(K.order)
+    local = K.local_index
     overlap = list(C.intersect(K).members)
     scalars = np.array([chi.value(z) for z in overlap], dtype=np.int16)[:, None, None]
     if not np.array_equal(V.T[local[overlap]], scalars * np.eye(V.dim, dtype=np.int16)):
@@ -382,7 +367,7 @@ def extend_by_central_character(
         raise ValueError("KC must be the join of K and C")
     # x = k c with c the first member of C for which k = x c^-1 lies in K
     cands = G.table[np.array(KC.members)[:, None], G.inverse[list(C.members)][None, :]]
-    in_K = np.isin(cands, K.members)
+    in_K = local[cands] >= 0
     if not in_K.any(axis=1).all():
         raise ValueError("element of the join has no K*C factorization")
     first = in_K.argmax(axis=1)

@@ -45,22 +45,19 @@ class FinGroup:
             raise ValueError("table entry out of range")
         T = raw.astype(np.int16)
         ar = np.arange(n, dtype=np.int16)
-        if not all(np.array_equal(np.sort(T[i]), ar) for i in range(n)):
+        if not (np.sort(T, axis=1) == ar).all():
             raise ValueError("table rows are not permutations")
-        if not all(np.array_equal(np.sort(T[:, j]), ar) for j in range(n)):
+        if not (np.sort(T, axis=0) == ar[:, None]).all():
             raise ValueError("table columns are not permutations")
-        ids = [i for i in range(n) if np.array_equal(T[i], ar) and np.array_equal(T[:, i], ar)]
+        # e is a two-sided identity when row e and column e are both ar
+        ids = np.flatnonzero((T == ar).all(axis=1) & (T == ar[:, None]).all(axis=0))
         if len(ids) != 1:
             raise ValueError("no two-sided identity")
         e = ids[0]
         if validate:
             _check_associative(T)
-        inv = np.empty(n, dtype=np.int16)
-        for a in range(n):
-            hits = np.nonzero(T[a] == e)[0]
-            if len(hits) != 1:
-                raise ValueError("missing inverse")  # cannot happen in a latin square
-            inv[a] = hits[0]
+        # each row of a latin square holds e exactly once, in row order
+        inv = np.nonzero(T == e)[1].astype(np.int16)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -110,23 +107,13 @@ class FinGroup:
     def generators(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily in index order."""
         if self._gens is None:
-            gens: list[int] = []
-            reach = {self.identity}
-            for g in range(self.order):
-                if g not in reach:
-                    gens.append(g)
-                    reach = _closure(self, reach | {g})
-                    if len(reach) == self.order:
-                        break
-            self._gens = tuple(gens)
+            self._gens = _greedy_generators(self, range(self.order))
         return self._gens
 
     def center_members(self) -> tuple[int, ...]:
         if self._center is None:
-            T = self.table
-            self._center = tuple(
-                int(a) for a in range(self.order) if np.array_equal(T[a], T[:, a])
-            )
+            # a is central when row a of the table equals column a
+            self._center = tuple(np.flatnonzero((self.table == self.table.T).all(axis=1)).tolist())
         return self._center
 
     # ---- builders ----
@@ -193,21 +180,35 @@ def group_from_table(table, labels: Sequence[str] | None = None) -> FinGroup:
     return FinGroup(table, labels=labels, validate=True)
 
 
-def _closure(G: FinGroup, seed: Iterable[int]) -> frozenset[int]:
-    got = set(seed) | {G.identity}
-    frontier = list(got)
-    T = G.table
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(got):
-                for c in (int(T[a, b]), int(T[b, a])):
-                    if c not in got:
-                        got.add(c)
-                        new.append(c)
-        frontier = new
-    # closure under products of a finite group subset contains inverses
-    return frozenset(got)
+def _closure(G: FinGroup, seed) -> np.ndarray:
+    """Membership mask of the subgroup generated by seed (a list or array of
+    element indices, or a mask): all products of the set with itself are
+    added until nothing new appears.  A product-closed subset of a finite
+    group holds inverses."""
+    got = np.zeros(G.order, dtype=bool)
+    got[G.identity] = True
+    got[seed] = True
+    size = 0
+    while (grown := np.count_nonzero(got)) > size:
+        size = grown
+        ms = np.flatnonzero(got)
+        got[G.table[ms[:, None], ms]] = True
+    return got
+
+
+def _greedy_generators(G: FinGroup, members: Sequence[int]) -> tuple[int, ...]:
+    """Generators of the subgroup on members: each member, in the given
+    order, that the earlier ones do not reach."""
+    gens: list[int] = []
+    reach = _closure(G, [])
+    for g in members:
+        if not reach[g]:
+            gens.append(int(g))
+            reach[g] = True
+            reach = _closure(G, reach)
+            if np.count_nonzero(reach) == len(members):
+                break
+    return tuple(gens)
 
 
 class Subgroup:
@@ -216,27 +217,28 @@ class Subgroup:
     __slots__ = ("parent", "members", "_local", "_group", "_gens", "_cosets")
 
     def __init__(self, parent: FinGroup, members: Iterable[int], validate: bool = True):
-        ms = tuple(sorted(set(int(m) for m in members)))
-        if validate:
-            mset = set(ms)
-            if parent.identity not in mset:
-                raise ValueError("identity missing")
-            for a in ms:
-                if parent.inv(a) not in mset:
-                    raise ValueError("not closed under inverse")
-                for b in ms:
-                    if parent.mul(a, b) not in mset:
-                        raise ValueError("not closed under product")
         self.parent = parent
-        self.members = ms
+        self.members = tuple(sorted(set(int(m) for m in members)))
         self._local = None
         self._group = None
         self._gens = None
         self._cosets = None
+        if validate:
+            inside = self.local_index >= 0
+            if not inside[parent.identity]:
+                raise ValueError("identity missing")
+            # the first member to fail decides the error, inverse before product
+            ms = list(self.members)
+            no_inv = ~inside[parent.inverse[ms]]
+            no_prod = ~inside[parent.table[np.ix_(ms, ms)]].all(axis=1)
+            bad = np.flatnonzero(no_inv | no_prod)
+            if len(bad):
+                what = "inverse" if no_inv[bad[0]] else "product"
+                raise ValueError(f"not closed under {what}")
 
     @staticmethod
     def generate(parent: FinGroup, gens: Iterable[int]) -> "Subgroup":
-        return parent._subgroup(_closure(parent, gens))
+        return parent._subgroup(np.flatnonzero(_closure(parent, list(gens))))
 
     @staticmethod
     def trivial(parent: FinGroup) -> "Subgroup":
@@ -254,16 +256,26 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def contains(self, a: int) -> bool:
+    @property
+    def local_index(self) -> np.ndarray:
+        """Read-only parent-sized array: a member's index in the subgroup
+        (its element in as_group()), -1 for elements outside it."""
         if self._local is None:
-            self._local = {m: i for i, m in enumerate(self.members)}
-        return a in self._local
+            at = np.full(self.parent.order, -1, dtype=np.intp)
+            at[list(self.members)] = np.arange(self.order)
+            at.flags.writeable = False
+            self._local = at
+        return self._local
+
+    def contains(self, a: int) -> bool:
+        return bool(self.local_index[a] >= 0)
 
     def local(self, a: int) -> int:
         """Index of a parent element inside as_group()."""
-        if self._local is None:
-            self._local = {m: i for i, m in enumerate(self.members)}
-        return self._local[a]
+        i = int(self.local_index[a])
+        if i < 0:
+            raise KeyError(a)
+        return i
 
     def as_group(self) -> FinGroup:
         """The subgroup as a standalone FinGroup; element i is members[i].
@@ -275,29 +287,17 @@ class Subgroup:
             if self.order == G.order:
                 self._group = G
                 return G
-            loc = {m: i for i, m in enumerate(self.members)}
-            T = [[loc[G.mul(a, b)] for b in self.members] for a in self.members]
-            labels = [G.label(m) for m in self.members] if G.labels else None
+            ms = list(self.members)
+            labels = [G.label(m) for m in ms] if G.labels else None
+            T = self.local_index[G.table[np.ix_(ms, ms)]]
             self._group = FinGroup(T, labels=labels, validate=False)
         return self._group
 
     def generators(self) -> tuple[int, ...]:
         """Parent indices generating the subgroup, greedy in index order."""
         if self._gens is None:
-            gens: list[int] = []
-            reach = {self.parent.identity}
-            for g in self.members:
-                if g not in reach:
-                    gens.append(g)
-                    reach = _closure(self.parent, reach | {g})
-                    if len(reach) == self.order:
-                        break
-            self._gens = tuple(gens)
+            self._gens = _greedy_generators(self.parent, self.members)
         return self._gens
-
-    def conjugate(self, g: int) -> "Subgroup":
-        G = self.parent
-        return G._subgroup((G.conj(m, g) for m in self.members))
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         if self.parent is not other.parent and self.parent != other.parent:
@@ -347,41 +347,32 @@ def _subgroup(self: FinGroup, members) -> Subgroup:
 FinGroup._subgroup = _subgroup
 
 
-def coset_reps(G: FinGroup, U: Subgroup, H: Subgroup | None = None) -> tuple[int, ...]:
-    """Minimal-index representatives for U\\G (or U\\G/H), in increasing order.
-
-    Scanning elements in index order makes each first-unseen element the
-    minimal member of its coset.
-    """
-    T = G.table
-    seen = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        reps.append(g)
-        ug = T[list(U.members), g]
-        if H is None:
-            seen[ug] = True
-        else:
-            seen[T[np.asarray(ug)[:, None], np.array(list(H.members))[None, :]].reshape(-1)] = True
-    return tuple(reps)
+def _right_cosets(G: FinGroup, U: Subgroup) -> tuple[tuple[int, ...], np.ndarray]:
+    """Least members of the right cosets Ug in increasing order, and the
+    position of each element's coset among them.  Column g of the table
+    rows of U is the coset Ug, so its minimum is that coset's least member."""
+    least = G.table[list(U.members)].min(axis=0)
+    is_rep = np.zeros(G.order, dtype=bool)
+    is_rep[least] = True
+    return tuple(np.flatnonzero(is_rep).tolist()), (np.cumsum(is_rep) - 1)[least]
 
 
-def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Representatives of U\\G plus a map element -> its coset's position.
+def coset_reps(G: FinGroup, U: Subgroup) -> tuple[int, ...]:
+    """Minimal-index representatives for U\\G, in increasing order."""
+    return _right_cosets(G, U)[0]
+
+
+def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[tuple[int, ...], np.ndarray]:
+    """Representatives of U\\G plus a read-only array element -> its coset's
+    position among them.
 
     When G is U's own parent the pair is computed once and kept on U, so
-    every call returns the same dict: callers only read ``pos``, and must
-    not modify it.
+    every call returns the same array.
     """
     if G is U.parent and U._cosets is not None:
         return U._cosets
-    reps = coset_reps(G, U)
-    pos: dict[int, int] = {}
-    for i, r in enumerate(reps):
-        for u in U.members:
-            pos[G.mul(u, r)] = i
+    reps, pos = _right_cosets(G, U)
+    pos.flags.writeable = False
     out = (reps, pos)
     if G is U.parent:
         U._cosets = out
@@ -391,29 +382,30 @@ def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[tuple[int, ...], dict[int, i
 def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:
     """K meet gHg^-1 inside the common parent."""
     G = K.parent
-    conj = {G.conj(h, g) for h in H.members}
-    return G._subgroup(conj & set(K.members))
+    conj = G.table[G.table[g, list(H.members)], G.inverse[g]]
+    return G._subgroup(conj[K.local_index[conj] >= 0])
 
 
 def all_subgroups(G: FinGroup, cap: int = SUBGROUP_ENUM_CAP) -> tuple[Subgroup, ...]:
-    """Every subgroup, by closing each known subgroup with one more element."""
+    """Every subgroup, by closing each known subgroup S with one more element
+    g (Neubueser's cyclic extension).  <S, g> = <S, sg>, so one g per right
+    coset Sg is enough."""
     if G.order > cap:
         raise ValueError(f"group order {G.order} exceeds enumeration cap {cap}")
     if cap not in G._subgroups:
-        found = {frozenset({G.identity})}
-        frontier = [frozenset({G.identity})]
+        found = {(G.identity,)}
+        frontier = [(G.identity,)]
         while frontier:
             new = []
             for S in frontier:
-                for g in range(G.order):
-                    if g in S:
-                        continue
-                    T = _closure(G, S | {g})
+                for g in coset_reps(G, G._subgroup(S)):
+                    if g == S[0]:
+                        continue  # the least member of S is S's own coset
+                    T = tuple(np.flatnonzero(_closure(G, [*S, g])).tolist())
                     if T not in found:
                         found.add(T)
                         new.append(T)
             frontier = new
-        subs = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+        subs = sorted(found, key=lambda s: (len(s), s))
         G._subgroups[cap] = tuple(G._subgroup(s) for s in subs)
     return G._subgroups[cap]
-

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import FiniteField
-from .memo import Memo
+from .memo import ENTRY_OVERHEAD, Memo
 
 
 class Matrix:
@@ -63,10 +63,6 @@ class Matrix:
         if len(rows) == 0:
             return Matrix.zeros(field, 0, 0 if cols is None else cols)
         return Matrix(field, [list(r) for r in rows])
-
-    @staticmethod
-    def column(field: FiniteField, vec: Sequence[int]) -> "Matrix":
-        return Matrix(field, [[v] for v in vec])
 
     # ---- shape ----
 
@@ -155,7 +151,8 @@ class Matrix:
 
 
 # _rref's memo: (field key, shape, int16 bytes) -> (pivot rows, pivot
-# columns).  An entry counts its key cells plus its value cells.
+# columns).  An entry counts its key cells, its value cells and
+# memo.ENTRY_OVERHEAD.
 RREF_MEMO_CELLS = 1 << 22
 _RREF_MEMO = Memo(RREF_MEMO_CELLS)
 
@@ -199,7 +196,7 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
             )
         pivots.append(c)
         r += 1
-    _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols)
+    _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols + ENTRY_OVERHEAD)
     return M, pivots
 
 
@@ -312,12 +309,13 @@ def row_reduce(M: Matrix) -> EchelonForm:
     R, piv = _rref(f, M.a)
     rank = len(piv)
     # kernel: one vector per free column, then re-echelon for canonical form
-    free = [c for c in range(M.cols) if c not in piv]
+    is_piv = np.zeros(M.cols, dtype=bool)
+    is_piv[piv] = True
+    free = (~is_piv).nonzero()[0]
     krows = np.zeros((len(free), M.cols), dtype=np.int16)
-    for t, c in enumerate(free):
-        krows[t, c] = 1
-        for r_i, pc in enumerate(piv):
-            krows[t, pc] = f.neg(int(R[r_i, c]))
+    if len(free):
+        krows[np.arange(len(free)), free] = 1
+        krows[:, is_piv] = f.ax_neg(R[:rank, free].T)
     kernel = Subspace.from_rows(f, M.cols, Matrix._of(f, krows))
     return EchelonForm(rank, kernel, M)
 

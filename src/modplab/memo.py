@@ -9,6 +9,12 @@ and hand out fresh ones.
 
 from __future__ import annotations
 
+# Cells every caller adds to an entry's own cells for its key tuple, bytes
+# objects and array headers: about 500 bytes, the size of 250 int16 cells.
+# It bounds the entry count of a memo of tiny entries, and with it the memo's
+# memory, at about 2 bytes a budget cell.
+ENTRY_OVERHEAD = 256
+
 
 class Memo:
     __slots__ = ("budget", "cells", "_entries")

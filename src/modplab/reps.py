@@ -321,19 +321,15 @@ def induce(U: Subgroup, W: Rep) -> Rep:
         )
     reps, pos = coset_lookup(G, U)
     R = np.array(reps)
-    at = np.empty(G.order, dtype=np.intp)  # element -> position of its coset
-    at[list(pos)] = list(pos.values())
-    local = np.empty(G.order, dtype=np.intp)  # member of U -> its index in U
-    local[list(U.members)] = np.arange(U.order)
     mul, inv = G.table, G.inverse
     g = np.arange(G.order)[:, None]
     # g sends block i to block j = pos(r_i g^-1), acting there by
     # u = r_j g r_i^-1, which lies in U
-    j = at[mul[R[None, :], inv[g]]]
+    j = pos[mul[R[None, :], inv[g]]]
     u = mul[mul[R[j], g], inv[R][None, :]]
     n, dW = len(reps), W.dim
     out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
-    out[g, j, :, np.arange(n)[None, :], :] = W.T[local[u]]
+    out[g, j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
     return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=True)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from modplab.catalog import cyclic_group, sym3
@@ -8,9 +9,9 @@ from modplab.covers import (
     cover_map,
     extend_by_central_character,
     fixed_cover_subspace,
-    frobenius_transport,
     induced_trivial,
     qualifying_subgroups,
+    transport_stack,
 )
 from modplab.fields import FiniteField
 from modplab.linalg import Matrix, Subspace, row_reduce
@@ -135,14 +136,14 @@ def test_frobenius_transport_round_trip():
     ind = induced_trivial(U, F3)
     assert hom_space(ind, V).dim == hom_space(W, restrict(V, U)).dim == 1
     t = RepMap(W, restrict(V, U), Matrix.identity(F3, 1))
-    big = frobenius_transport(U, W, V, "lower", t)
-    assert big.source.dim == 3 and big.target is V
-    back = frobenius_transport(U, W, V, "lower", big)
-    assert back.matrix == t.matrix
+    big, source, target = transport_stack(U, W, V, "lower", t.matrix.a[None], t.source, t.target)
+    assert source.dim == 3 and target is V
+    back, *_ = transport_stack(U, W, V, "lower", big, source, target)
+    assert np.array_equal(back[0], t.matrix.a)
     up = RepMap(restrict(V, U), W, Matrix.identity(F3, 1))
-    lifted = frobenius_transport(U, W, V, "upper", up)
-    assert lifted.source is V and lifted.target.dim == 3
-    assert frobenius_transport(U, W, V, "upper", lifted).matrix == up.matrix
+    lifted, source, target = transport_stack(U, W, V, "upper", up.matrix.a[None], up.source, up.target)
+    assert source is V and target.dim == 3
+    assert np.array_equal(transport_stack(U, W, V, "upper", lifted, source, target)[0][0], up.matrix.a)
 
 
 def test_frobenius_transport_rejects_mismatch():
@@ -151,10 +152,11 @@ def test_frobenius_transport_rejects_mismatch():
     W = trivial_rep(U.as_group(), F3)
     V = trivial_rep(S3, F3)
     t = RepMap(W, restrict(V, U), Matrix.identity(F3, 1))
+    X = t.matrix.a[None]
     with pytest.raises(ValueError):
-        frobenius_transport(U, W, V, "sideways", t)
+        transport_stack(U, W, V, "sideways", X, t.source, t.target)
     with pytest.raises(ValueError):
-        frobenius_transport(U, W, trivial_rep(S3, F2), "lower", t)
+        transport_stack(U, W, trivial_rep(S3, F2), "lower", X, t.source, t.target)
 
 
 def test_character_eigenspace_frozen():

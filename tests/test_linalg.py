@@ -7,6 +7,7 @@ from test_oracles import ref_rref
 from modplab import linalg
 from modplab.fields import FiniteField
 from modplab.linalg import Matrix, Subspace, _rref, hstack, row_reduce, solve, vstack
+from modplab.memo import ENTRY_OVERHEAD
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -24,7 +25,7 @@ def test_constructors_and_shape():
     assert I.is_identity()
     Z = Matrix.zeros(F3, 2, 4)
     assert not Z.a.any()
-    col = Matrix.column(F3, (1, 2))
+    col = Matrix(F3, [[1], [2]])
     assert col.rows == 2 and col.cols == 1
     with pytest.raises(ValueError):
         Matrix.from_rows(F2, [[1, 0], [1]])
@@ -177,7 +178,7 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
 
 def _memo_cells():
     memo = linalg._RREF_MEMO
-    return sum(k[1][0] * k[1][1] + memo.get(k)[0].size for k in memo.keys())
+    return sum(k[1][0] * k[1][1] + memo.get(k)[0].size + ENTRY_OVERHEAD for k in memo.keys())
 
 
 def test_rref_memo_hit_is_fresh_and_writable(fresh_memos):
@@ -213,7 +214,8 @@ def test_rref_memo_keys_on_field_and_shape(fresh_memos):
 
 
 def test_rref_memo_stays_within_its_budget(fresh_memos):
-    linalg._RREF_MEMO.budget = 60
+    budget = 3 * ENTRY_OVERHEAD + 60  # room for at most three entries
+    linalg._RREF_MEMO.budget = budget
     rng = np.random.default_rng(5)
     order = []
     for _ in range(40):
@@ -225,13 +227,27 @@ def test_rref_memo_stays_within_its_budget(fresh_memos):
         if key in order:
             order.remove(key)
         order.append(key)
-        assert linalg._RREF_MEMO.cells == _memo_cells() <= 60
+        assert linalg._RREF_MEMO.cells == _memo_cells() <= budget
         # the oldest entries go first: what is left is the newest suffix
         keys = linalg._RREF_MEMO.keys()
         assert keys == order[len(order) - len(keys) :]
-    big = rng.integers(0, 3, (8, 8)).astype(np.int16)  # 64 key cells alone
+    big = rng.integers(0, 3, (24, 24)).astype(np.int16)  # over the budget on its key cells alone
     before = {k: linalg._RREF_MEMO.get(k) for k in linalg._RREF_MEMO.keys()}
     R, piv = _rref(F3, big)
     R_ref, piv_ref = ref_rref(F3, big)
     assert np.array_equal(R, R_ref) and piv == piv_ref
     assert {k: linalg._RREF_MEMO.get(k) for k in linalg._RREF_MEMO.keys()} == before
+
+
+def test_rref_memo_bounds_its_entry_count_on_tiny_reductions(fresh_memos):
+    # a nonzero 1 x 2 row stores 2 key and 2 pivot-row cells; the per-entry
+    # charge, not those 4 cells, bounds how many such entries fit
+    F31 = FiniteField(31)
+    cells = 2 + 2 + ENTRY_OVERHEAD
+    linalg._RREF_MEMO.budget = budget = 40 * cells + cells // 2
+    cap = budget // cells
+    for a in range(1, 31):
+        for b in range(10):  # 300 distinct reductions
+            assert _rref(F31, np.array([[a, b]], dtype=np.int16))[1] == [0]
+            assert len(linalg._RREF_MEMO) <= cap
+    assert len(linalg._RREF_MEMO) == cap and linalg._RREF_MEMO.cells == cap * cells

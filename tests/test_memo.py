@@ -6,7 +6,7 @@ import numpy as np
 from test_oracles import field, ref_matmul
 
 from modplab import fields
-from modplab.memo import Memo
+from modplab.memo import ENTRY_OVERHEAD, Memo
 
 F4, F5 = field(2, 2), field(5)
 
@@ -51,7 +51,7 @@ def _ref_batch(F, A, B):
 def _memo_cells():
     memo = fields._MATMUL_MEMO
     return sum(
-        np.prod(k[3]) + np.prod(k[4]) + memo.get(k).size + fields.MATMUL_MEMO_ENTRY_OVERHEAD
+        np.prod(k[3]) + np.prod(k[4]) + memo.get(k).size + ENTRY_OVERHEAD
         for k in memo.keys()
     )
 
@@ -98,7 +98,7 @@ def test_product_memo_results_are_fresh_and_writable(fresh_memos):
 
 
 def test_product_memo_stays_within_its_budget(fresh_memos):
-    budget = 3 * fields.MATMUL_MEMO_ENTRY_OVERHEAD + 60  # room for at most three entries
+    budget = 3 * ENTRY_OVERHEAD + 60  # room for at most three entries
     fields._MATMUL_MEMO.budget = budget
     rng = np.random.default_rng(5)
     order = []
@@ -132,7 +132,7 @@ def test_product_memo_bounds_its_memory_on_tiny_products(fresh_memos):
     # distinct 1 x 1 products are the cheapest entries in cells and the
     # dearest per cell in Python objects; the per-entry charge bounds both
     F = field(127)
-    cap = fields.MATMUL_MEMO_CELLS // (3 + fields.MATMUL_MEMO_ENTRY_OVERHEAD)
+    cap = fields.MATMUL_MEMO_CELLS // (3 + ENTRY_OVERHEAD)
     operands = [np.array([[a]], dtype=np.int16) for a in range(127)]
     tracemalloc.start()
     try:

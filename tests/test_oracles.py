@@ -11,6 +11,7 @@ with every array kernel swapped for schoolbook code.
 import functools
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -731,12 +732,12 @@ def test_higman_index_prime_to_p(gname, fname, data):
     assert relative_projectivity_test(V1, U)[0]
 
 
-def _sym4():
+def _symmetric(n):
     from itertools import permutations
 
     from modplab.catalog import _perm_group
 
-    perms = list(permutations(range(4)))
+    perms = list(permutations(range(n)))
     return _perm_group(perms, ["".join(map(str, p)) for p in perms])
 
 
@@ -748,7 +749,7 @@ def test_higman_on_regular_rep_of_s4(order, p):
     from modplab.groups import all_subgroups
     from modplab.reps import regular_rep, trivial_rep
 
-    G = _sym4()
+    G = _symmetric(4)
     F = field(p)
     U = next(U for U in all_subgroups(G) if U.order == order)
     reg, triv = regular_rep(G, F), trivial_rep(G, F)
@@ -763,6 +764,82 @@ def test_higman_on_regular_rep_of_s4(order, p):
     assert relative_projectivity_test(triv, U)[0] == prime_to_p
     res = stable_hom(triv, triv, U)
     assert res.total_dim > 0 and res.stable_dim == (0 if prime_to_p else 1)
+
+
+# ---- subgroup enumeration against set-based closure ----
+
+
+def ref_closure(G, seed):
+    """The subgroup generated by seed, grown one product at a time in sets."""
+    got = set(seed) | {G.identity}
+    frontier = list(got)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(got):
+                for c in (G.mul(a, b), G.mul(b, a)):
+                    if c not in got:
+                        got.add(c)
+                        new.append(c)
+        frontier = new
+    return frozenset(got)
+
+
+def ref_generators(G, members):
+    """Each member, in the given order, that the earlier ones do not reach."""
+    gens, reach = [], {G.identity}
+    for g in members:
+        if g not in reach:
+            gens.append(g)
+            reach = ref_closure(G, reach | {g})
+            if len(reach) == len(members):
+                break
+    return tuple(gens)
+
+
+def ref_all_subgroups(G):
+    """Member tuples of every subgroup, closing each known one with every
+    element, sorted by order and then members."""
+    found = {frozenset({G.identity})}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for S in frontier:
+            for g in range(G.order):
+                T = ref_closure(G, S | {g})
+                if T not in found:
+                    found.add(T)
+                    new.append(T)
+        frontier = new
+    return sorted((tuple(sorted(S)) for S in found), key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize("gname", sorted(catalog.catalog_groups()) + ["S4"])
+def test_subgroups_and_generators_match_set_closure(gname):
+    from modplab.groups import Subgroup, all_subgroups
+
+    G = _symmetric(4) if gname == "S4" else catalog.catalog_groups()[gname]
+    subs = all_subgroups(G)
+    assert [U.members for U in subs] == ref_all_subgroups(G)
+    assert G.generators() == ref_generators(G, range(G.order))
+    for U in subs:
+        assert U.generators() == ref_generators(G, U.members)
+        assert Subgroup.generate(G, U.generators()) is U
+
+
+def test_all_subgroups_of_s5():
+    from collections import Counter
+
+    from modplab.groups import all_subgroups
+
+    G = _symmetric(5)
+    start = time.perf_counter()
+    subs = all_subgroups(G)
+    assert time.perf_counter() - start < 30  # set-based closure took over a minute
+    # conjugacy classes of S5's subgroups, by order (156 in all)
+    counts = {1: 1, 2: 25, 3: 10, 4: 35, 5: 6, 6: 30, 8: 15, 10: 6, 12: 15, 20: 6, 24: 5, 60: 1, 120: 1}
+    assert Counter(U.order for U in subs) == counts
+    assert G.generators() == ref_generators(G, range(G.order))
 
 
 # ---- p-parts and echelon pivots ----
