@@ -71,8 +71,6 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
     field = f.source.field
     ds, dt = f.source.dim, f.target.dim
     gens = list(U.generators())
-    # X @ rho_t(u) = rho_s(u) @ X for every generator u
-    equi = equivariance_system(field, f.target.T[gens], f.source.T[gens])
     # F @ X = I or X @ F = I on X flattened row major, built by index like
     # equivariance_system; at ds * dt == 0 it is solvable exactly when the
     # identity it asks for is empty
@@ -84,13 +82,23 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
         fixed[:, a, :, a] = F  # row (i, j), column (k, j) holds F[i, k]
     else:
         fixed[a, :, a, :] = F.T  # row (i, j), column (i, l) holds F[l, j]
+    C = Matrix._of(field, fixed.reshape(d * d, ds * dt))
+    X = _equivariant_solve(f.target.T[gens], f.source.T[gens], C, d)
+    return None if X is None else SplitWitness(kind, X)
+
+
+def _equivariant_solve(T_in: np.ndarray, T_out: np.ndarray, C: Matrix, d: int) -> Matrix | None:
+    """The canonical X with X rho_in(u) = rho_out(u) X for every pair of
+    the (s, d_in, d_in) and (s, d_out, d_out) stacks T_in, T_out and
+    C vec(X) = vec(I_d), X flattened row major; None if there is none."""
+    field = C.field
+    equi = equivariance_system(field, T_in, T_out)
     rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
     rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
-    system = vstack([equi, Matrix._of(field, fixed.reshape(d * d, ds * dt))])
-    x = solve(system, Matrix._of(field, rhs))
+    x = solve(vstack([equi, C]), Matrix._of(field, rhs))
     if x is None:
         return None
-    return SplitWitness(kind, Matrix._of(field, x.a.reshape(ds, dt)))
+    return Matrix._of(field, x.a.reshape(T_out.shape[1], T_in.shape[1]))
 
 
 def averaging_section(
@@ -167,17 +175,21 @@ def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
     return SplitWitness("retraction", R)
 
 
-def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
-    """Induction of the restriction onto X: f goes to the sum of r^{-1} f(r)
-    over coset representatives r, so block column i is the action of the
-    i-th representative's inverse."""
+def _counit_matrix(U: Subgroup, X: Rep) -> Matrix:
+    """The counit's matrix: block column i is the action of the inverse of
+    the i-th coset representative."""
     G = U.parent
-    if X.group != G:
-        raise ValueError("X must be a representation of U's parent group")
-    ind = _induced_from_restriction(U, X)
     reps, _ = coset_lookup(G, U)
     mat = X.T[G.inverse[list(reps)]].transpose(1, 0, 2).reshape(X.dim, len(reps) * X.dim)
-    return RepMap(ind, X, Matrix._of(X.field, mat), validate=True)
+    return Matrix._of(X.field, mat)
+
+
+def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
+    """Induction of the restriction onto X: f goes to the sum of r^{-1} f(r)
+    over coset representatives r."""
+    if X.group != U.parent:
+        raise ValueError("X must be a representation of U's parent group")
+    return RepMap(_induced_from_restriction(U, X), X, _counit_matrix(U, X), validate=True)
 
 
 def counit_section(U: Subgroup, X: Rep) -> SplitWitness:
@@ -239,38 +251,28 @@ def _trace_operator(V1: Rep, V2: Rep, U: Subgroup) -> Matrix:
     return Matrix._of(field, trace.reshape(d2 * d1, d2 * d1))
 
 
-def _relative_trace_solve(P: Rep, U: Subgroup) -> Matrix | None:
-    """U-equivariant Y whose relative trace is the identity."""
-    field = P.field
-    d = P.dim
-    gens = list(U.generators())
-    equi = equivariance_system(field, P.T[gens], P.T[gens])
-    rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
-    rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
-    y = solve(vstack([equi, _trace_operator(P, P, U)]), Matrix._of(field, rhs))
-    if y is None:
-        return None
-    return Matrix._of(field, y.a.reshape(d, d))
-
-
 def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness | None]:
     """Whether P is relatively U-projective, which for group algebras is the
     same as relatively U-injective, by Higman's criterion: the identity of P
     is the relative trace of a U-endomorphism Y.
 
-    The witness is the section x |-> (Y rho(r) x)_r of the counit onto P,
-    reverified against the actual counit.
+    The witness is the section X: x |-> (Y rho(r) x)_r of the counit onto
+    P, checked without building the induced module: the counit matrix
+    applied to X, which is the relative trace of Y, must be the identity,
+    and Y must be U-equivariant, which is exactly when X is G-equivariant.
     """
     field = P.field
-    Y = _relative_trace_solve(P, U)
+    gens = list(U.generators())
+    Y = _equivariant_solve(P.T[gens], P.T[gens], _trace_operator(P, P, U), P.dim)
     if Y is None:
         return (False, None)
-    ind = _induced_from_restriction(U, P)
-    reps, _ = coset_lookup(P.group, U)
-    X = Matrix._of(field, field.ax_matmul_batch(Y.a, P.T[list(reps)]).reshape(ind.dim, P.dim))
-    if adjunction_counit(U, P).matrix @ X != Matrix.identity(field, P.dim):
+    R = list(coset_lookup(P.group, U)[0])
+    X = Matrix._of(field, field.ax_matmul_batch(Y.a, P.T[R]).reshape(len(R) * P.dim, P.dim))
+    if _counit_matrix(U, P) @ X != Matrix.identity(field, P.dim):
         raise AssertionError("trace witness failed to section the counit")
-    RepMap(P, ind, X, validate=True)
+    local = restrict(P, U)
+    if not intertwines(local, local, Y.a):
+        raise AssertionError("trace witness is not U-equivariant")
     return (True, SplitWitness("section", X))
 
 

@@ -194,8 +194,9 @@ def overlap_depths(m: int, n: int, a: int) -> DepthTriple:
 
 def _min_valuation(values: np.ndarray, p: int, cap: int) -> int:
     best = cap
-    for x in np.unique(values):
-        x = int(x) % p**cap
+    # a set, not np.unique: the first np.unique of a process imports numpy.ma
+    for x in set(values.tolist()):
+        x = x % p**cap
         v = p_part(x, p)[0] if x else cap
         if v < best:
             best = v

@@ -84,10 +84,6 @@ class FinGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def conj(self, a: int, g: int) -> int:
-        """g a g^-1."""
-        return int(self.table[self.table[g, a], self.inverse[g]])
-
     def element_order(self, a: int) -> int:
         n, x = 1, a
         while x != self.identity:

@@ -58,12 +58,6 @@ class Matrix:
     def identity(field: FiniteField, n: int) -> "Matrix":
         return Matrix._of(field, np.eye(n, dtype=np.int16))
 
-    @staticmethod
-    def from_rows(field: FiniteField, rows: Sequence[Sequence[int]], cols: int | None = None) -> "Matrix":
-        if len(rows) == 0:
-            return Matrix.zeros(field, 0, 0 if cols is None else cols)
-        return Matrix(field, [list(r) for r in rows])
-
     # ---- shape ----
 
     @property
@@ -111,9 +105,6 @@ class Matrix:
         return tuple(int(x) for x in self.field.ax_matmul(self.a, v)[:, 0])
 
     # ---- access ----
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self.a[i, j])
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.a[i])

@@ -407,7 +407,7 @@ class Character:
     p-power-order element is forced to 1; that is revalidated here.
     """
 
-    __slots__ = ("domain", "field", "values", "_by_member")
+    __slots__ = ("domain", "field", "values")
 
     def __init__(self, domain: Subgroup, field: FiniteField, values: Sequence[int]):
         C = domain.as_group()
@@ -418,21 +418,19 @@ class Character:
             raise ValueError("need one value per member")
         if any(v == 0 for v in vals):
             raise ValueError("character values must be nonzero")
-        for i in range(domain.order):
-            for j in range(domain.order):
-                if field.mul(vals[i], vals[j]) != vals[C.mul(i, j)]:
-                    raise ValueError("values are not multiplicative")
+        a = np.array(vals, dtype=np.int64)
+        if not np.array_equal(field.ax_mul(a[:, None], a[None, :]), a[C.table]):
+            raise ValueError("values are not multiplicative")
         for i in range(domain.order):
             if p_part(C.element_order(i), field.p)[1] == 1 and vals[i] != 1:
                 raise ValueError("nontrivial value on a p-power-order element")
         self.domain = domain
         self.field = field
         self.values = vals
-        self._by_member = {m: vals[i] for i, m in enumerate(domain.members)}
 
     def value(self, member: int) -> int:
-        """Value on a parent-group element index."""
-        return self._by_member[member]
+        """Value on a parent-group element index; KeyError outside the domain."""
+        return self.values[self.domain.local(member)]
 
     def is_trivial(self) -> bool:
         return all(v == 1 for v in self.values)

@@ -449,11 +449,13 @@ def suite_exact_axioms(seed: int, catalog=None) -> list[Case]:
                         add_adjoint_seses(Om, U)
 
                 # further candidates in a fixed order until 50 are built; a
-                # small pool (the trivial group's) needs repeated summands
+                # small pool (the trivial group's, or {triv, triv2} of a
+                # cyclic group of prime order) needs repeated summands
                 steps = itertools.chain(
                     ((add_sum_seses, c) for c in itertools.combinations(pool, 3)),
                     ((add_loop_seses, X, U) for X in pool[:3] for U in sample_subs[:3]),
                     ((add_sum_seses, c) for c in itertools.combinations_with_replacement(pool, 3)),
+                    ((add_sum_seses, c) for c in itertools.combinations_with_replacement(pool, 4)),
                 )
                 for step, *args in steps:
                     if len(built) >= 50:

@@ -189,7 +189,7 @@ def test_eigenspace_surjection_compatibility():
     C3 = cyclic_group(3)
     reg = regular_rep(C3, F4)
     triv = trivial_rep(C3, F4)
-    gamma = RepMap(reg, triv, Matrix.from_rows(F4, [[1, 1, 1]]))
+    gamma = RepMap(reg, triv, Matrix(F4, [[1, 1, 1]]))
     full = Subgroup.full(C3)
     for chi in characters_of(full, F4):
         s1, _ = character_eigenspace(reg, full, chi)

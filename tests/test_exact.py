@@ -39,7 +39,7 @@ F5 = FiniteField(5)
 def _augmentation(G, field):
     reg = regular_rep(G, field)
     triv = trivial_rep(G, field)
-    return RepMap(reg, triv, Matrix.from_rows(field, [[1] * G.order]))
+    return RepMap(reg, triv, Matrix(field, [[1] * G.order]))
 
 
 def test_u_split_search_frozen():
@@ -57,7 +57,7 @@ def test_u_split_search_frozen():
 def test_u_split_search_retraction():
     C2 = cyclic_group(2)
     triv, reg = trivial_rep(C2, F2), regular_rep(C2, F2)
-    inc = RepMap(triv, reg, Matrix.from_rows(F2, [[1], [1]]))
+    inc = RepMap(triv, reg, Matrix(F2, [[1], [1]]))
     assert u_split_search(inc, Subgroup.full(C2), "retraction") is None
     r = u_split_search(inc, Subgroup.trivial(C2), "retraction")
     assert r is not None and (r.map @ inc.matrix).is_identity()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from modplab.catalog import cyclic_group, klein_group, sym3
@@ -181,3 +186,20 @@ def test_certificate_json_schema():
 
 def test_depth_triple_json():
     assert overlap_depths(1, 2, 1).to_json() == {"upper": 4, "torus": 2, "lower": 1}
+
+
+def test_sl2_oracle_command_does_not_import_numpy_ma():
+    """numpy.ma costs 10-15 ms to import, and the first np.unique of a
+    process imports it; a fresh fairness process must not pay for it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    script = (
+        "import sys\n"
+        "from modplab import cli\n"
+        "code = cli.main('fairness --mode sl2 --p 3 --m 1 --n 1 --oracle-N 4'.split())\n"
+        "assert code == 0\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "False"

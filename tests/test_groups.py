@@ -56,7 +56,7 @@ def test_sym3_structure():
     assert not S3.is_abelian()
     assert [S3.label(i) for i in range(6)] == ["e", "(012)", "(021)", "(01)", "(02)", "(12)"]
     assert S3.center_members() == (0,)
-    assert S3.conj(3, 1) != 3  # transpositions are not central
+    assert S3.table[S3.table[1, 3], S3.inverse[1]] != 3  # transpositions are not central
     assert S3.mul(1, 1) == 2 and S3.mul(1, 2) == 0
 
 

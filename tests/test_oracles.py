@@ -766,6 +766,161 @@ def test_higman_on_regular_rep_of_s4(order, p):
     assert res.total_dim > 0 and res.stable_dim == (0 if prime_to_p else 1)
 
 
+# ---- Higman's criterion without the induced module, against the Ind round trip ----
+
+
+def ref_relative_projectivity(P, U):
+    """The trace test as it was before it stopped building Ind Res P: solve
+    Tr_U^G(Y) = 1 for a U-endomorphism Y, then check X = (Y rho(r))_r
+    against the counit of the materialised induced module and validate it
+    as a dense G-map into that module."""
+    from modplab.exact import _trace_operator, adjunction_counit
+    from modplab.groups import coset_lookup
+    from modplab.linalg import vstack
+    from modplab.reps import RepMap, equivariance_system, induce, restrict
+
+    F, d = P.field, P.dim
+    gens = list(U.generators())
+    equi = equivariance_system(F, P.T[gens], P.T[gens])
+    rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
+    rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
+    y = solve(vstack([equi, _trace_operator(P, P, U)]), Matrix._of(F, rhs))
+    if y is None:
+        return False, None
+    ind = induce(U, restrict(P, U))
+    reps, _ = coset_lookup(P.group, U)
+    X = Matrix._of(F, F.ax_matmul_batch(y.a.reshape(d, d), P.T[list(reps)]).reshape(ind.dim, d))
+    assert adjunction_counit(U, P).matrix @ X == Matrix.identity(F, d)
+    RepMap(P, ind, X, validate=True)
+    return True, X
+
+
+def _fits_induce(P, U):
+    from modplab.reps import INDUCE_CELLS
+
+    G = U.parent
+    D = U.index * P.dim
+    return G.order * D * D <= INDUCE_CELLS
+
+
+@pytest.mark.parametrize("gname", sorted(catalog.catalog_groups()))
+def test_relative_projectivity_matches_induced_round_trip(gname):
+    """Every subgroup and pool rep over the standard fields: the flag and
+    the witness equal the Ind round trip's, and the witness sections the
+    counit and is a G-map into Ind Res P."""
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.exact import _induced_from_restriction, adjunction_counit, relative_projectivity_test
+    from modplab.groups import all_subgroups
+    from modplab.reps import RepMap
+    from modplab.suites import STANDARD_FIELDS
+
+    G = catalog_groups()[gname]
+    checked = 0
+    for fname in STANDARD_FIELDS:
+        F = catalog_fields()[fname]
+        for U in all_subgroups(G):
+            for name, P in catalog_reps(G, F, 4).items():
+                if not _fits_induce(P, U):
+                    continue
+                flag, witness = relative_projectivity_test(P, U)
+                want_flag, want_X = ref_relative_projectivity(P, U)
+                assert flag == want_flag, (fname, U, name)
+                if not flag:
+                    assert witness is None
+                    continue
+                assert witness.kind == "section" and witness.map == want_X
+                counit = adjunction_counit(U, P)
+                assert (counit.matrix @ witness.map).is_identity()
+                RepMap(P, _induced_from_restriction(U, P), witness.map, validate=True)
+                checked += 1
+    assert checked > 0
+
+
+def _projective_case():
+    """S3 over F2 with U = C3 (index 2, prime to 2): the regular rep is
+    U-projective, with a trace solution Y."""
+    from modplab.catalog import sym3
+    from modplab.exact import relative_projectivity_test
+    from modplab.groups import Subgroup
+    from modplab.reps import regular_rep
+
+    G = sym3()
+    U, P = Subgroup(G, [0, 1, 2]), regular_rep(G, field(2))
+    flag, witness = relative_projectivity_test(P, U)
+    assert flag
+    Y = witness.map.a[: P.dim]  # block of the identity coset: Y rho(e) = Y
+    return P, U, Y
+
+
+def test_trace_witness_check_rejects_a_non_equivariant_y(monkeypatch):
+    """Y plus a kernel element of the trace keeps Tr(Y) = 1 but breaks
+    U-equivariance; only the equivariance check can catch it."""
+    from modplab.exact import _trace_operator, relative_projectivity_test
+    from modplab.reps import intertwines, restrict
+
+    P, U, Y = _projective_case()
+    F, local = P.field, restrict(P, U)
+    kernel = row_reduce(_trace_operator(P, P, U)).kernel.basis.a
+    bad = next(
+        Yb
+        for z in kernel
+        if not intertwines(local, local, Yb := F.ax_add(Y, z.reshape(P.dim, P.dim)))
+    )
+    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args: Matrix(F, bad))
+    with pytest.raises(AssertionError, match="not U-equivariant"):
+        relative_projectivity_test(P, U)
+
+
+def test_trace_witness_check_rejects_a_y_of_wrong_trace(monkeypatch):
+    """The zero map is U-equivariant, but its relative trace is 0, not 1."""
+    from modplab.exact import relative_projectivity_test
+
+    P, U, _ = _projective_case()
+    zero = Matrix.zeros(P.field, P.dim, P.dim)
+    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args: zero)
+    with pytest.raises(AssertionError, match="section the counit"):
+        relative_projectivity_test(P, U)
+
+
+def test_trace_test_never_builds_the_induced_module(monkeypatch):
+    """relative_projectivity_test reaches neither induce nor the memo of
+    Ind Res P, and the higman suite never calls the latter."""
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.groups import all_subgroups
+    from modplab.suites import run_suite
+
+    calls = []
+    real = exact._induced_from_restriction
+    monkeypatch.setattr(exact, "_IND_SELF_CACHE", {})
+    monkeypatch.setattr(exact, "_induced_from_restriction", lambda *a: calls.append(a) or real(*a))
+    rep = run_suite("higman")
+    assert rep["summary"]["pass"] == rep["summary"]["total"] and calls == []
+    G, F = catalog_groups()["A4"], catalog_fields()["F4"]
+    pool = catalog_reps(G, F, 4)
+
+    def refuse(*args):
+        raise AssertionError("the trace test built an induced module")
+
+    monkeypatch.setattr(exact, "induce", refuse)
+    monkeypatch.setattr(exact, "_induced_from_restriction", refuse)
+    for U in all_subgroups(G):
+        for P in pool.values():
+            exact.relative_projectivity_test(P, U)
+
+
+@pytest.mark.parametrize("gname, primes", [("C48", [3]), ("S4", [2, 3])], ids=["C48-F3", "S4-F2-F3"])
+def test_higman_passes_where_the_induced_module_was_over_budget(gname, primes):
+    """C48 over F3 ended in an error while the trace test built Ind Res P:
+    48 x 2304^2 cells, over INDUCE_CELLS."""
+    from modplab.catalog import cyclic_group
+    from modplab.suites import run_suite
+
+    G = cyclic_group(48) if gname == "C48" else _symmetric(4)
+    fields = {f"F{p}": field(p) for p in primes}
+    rep = run_suite("higman", catalog={"groups": {gname: G}, "fields": fields})
+    assert [c["outcome"] for c in rep["cases"]] == ["pass"] * len(primes)
+
+
 # ---- subgroup enumeration against set-based closure ----
 
 

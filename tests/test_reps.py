@@ -56,7 +56,7 @@ def test_rep_from_generators():
     images = {g: Matrix.identity(F2, 1) for g in S3.generators()}
     triv = rep_from_generators(S3, F2, images)
     assert triv == trivial_rep(S3, F2)
-    bad = {g: Matrix.from_rows(F3, [[2]]) for g in sym3().generators()}
+    bad = {g: Matrix(F3, [[2]]) for g in sym3().generators()}
     with pytest.raises(ValueError):
         rep_from_generators(sym3(), F3, bad)  # (012) would need order dividing 2
 
@@ -145,9 +145,9 @@ def test_direct_sum():
 def test_repmap_validation():
     C2 = cyclic_group(2)
     triv, reg = trivial_rep(C2, F2), regular_rep(C2, F2)
-    RepMap(triv, reg, Matrix.from_rows(F2, [[1], [1]]))  # the diagonal is fixed
+    RepMap(triv, reg, Matrix(F2, [[1], [1]]))  # the diagonal is fixed
     with pytest.raises(ValueError):
-        RepMap(triv, reg, Matrix.from_rows(F2, [[1], [0]]))  # not equivariant
+        RepMap(triv, reg, Matrix(F2, [[1], [0]]))  # not equivariant
     with pytest.raises(ValueError):
         RepMap(triv, reg, Matrix.identity(F2, 2))  # shape mismatch
 
@@ -155,8 +155,8 @@ def test_repmap_validation():
 def test_short_exact_seq_validation():
     C2 = cyclic_group(2)
     triv, reg = trivial_rep(C2, F2), regular_rep(C2, F2)
-    left = RepMap(triv, reg, Matrix.from_rows(F2, [[1], [1]]))
-    right = RepMap(reg, triv, Matrix.from_rows(F2, [[1, 1]]))
+    left = RepMap(triv, reg, Matrix(F2, [[1], [1]]))
+    right = RepMap(reg, triv, Matrix(F2, [[1, 1]]))
     ses = ShortExactSeq(left, right)
     assert ses.left is left and ses.right is right
 
@@ -164,15 +164,15 @@ def test_short_exact_seq_validation():
 def _ses_case(name):
     C2 = cyclic_group(2)
     triv, triv2, reg = trivial_rep(C2, F2), trivial_rep(C2, F2, 2), regular_rep(C2, F2)
-    diag = RepMap(triv, reg, Matrix.from_rows(F2, [[1], [1]]))
-    augment = RepMap(reg, triv, Matrix.from_rows(F2, [[1, 1]]))
-    first = RepMap(triv, triv2, Matrix.from_rows(F2, [[1], [0]]))
+    diag = RepMap(triv, reg, Matrix(F2, [[1], [1]]))
+    augment = RepMap(reg, triv, Matrix(F2, [[1, 1]]))
+    first = RepMap(triv, triv2, Matrix(F2, [[1], [0]]))
     return {
-        "middle": (diag, RepMap(triv2, triv, Matrix.from_rows(F2, [[1, 0]]))),
+        "middle": (diag, RepMap(triv2, triv, Matrix(F2, [[1, 0]]))),
         "injective": (RepMap(triv, reg, Matrix.zeros(F2, 2, 1)), augment),
         "surjective": (diag, RepMap(reg, reg, Matrix.zeros(F2, 2, 2))),
         "dimension": (diag, RepMap(reg, reg, Matrix.identity(F2, 2))),
-        "kernel": (first, RepMap(triv2, triv, Matrix.from_rows(F2, [[1, 0]]))),
+        "kernel": (first, RepMap(triv2, triv, Matrix(F2, [[1, 0]]))),
     }[name]
 
 
@@ -230,6 +230,19 @@ def test_character_validation():
     with pytest.raises(ValueError):
         # order-3 element in characteristic 3 must map to 1
         Character(full, F3, (1, 2, 2))
+
+
+def test_character_on_a_proper_subgroup():
+    """Values follow the subgroup's own member order; a non-member has no
+    value, and multiplicativity is checked in the subgroup's table."""
+    S3 = sym3()
+    C3 = Subgroup(S3, [0, 1, 2])
+    chi = Character(C3, F4, (1, 2, 3))
+    assert [chi.value(m) for m in C3.members] == [1, 2, 3]
+    with pytest.raises(KeyError):
+        chi.value(3)  # a transposition lies outside C3
+    with pytest.raises(ValueError, match="not multiplicative"):
+        Character(C3, F4, (1, 2, 1))
 
 
 def test_rep_holds_one_read_only_action_tensor():
