@@ -168,9 +168,8 @@ def assemble_cover(
     if C is not None:
         if C.parent != G or not C.is_central():
             raise ValueError("C must be a central subgroup of the acting group")
-        for z in C.generators():
-            if not V.mat(z).is_identity():
-                raise ValueError("central subgroup must act trivially on V")
+        if not (V.T[list(C.generators())] == np.eye(V.dim, dtype=np.int16)).all():
+            raise ValueError("central subgroup must act trivially on V")
     if V.dim == 0:
         zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16), validate=False)
         onto = RepMap(zero, V, Matrix.zeros(field, 0, 0), validate=False)

@@ -167,7 +167,7 @@ def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
     i0 = pos[G.identity]
     r0 = reps[i0]
     mat = Matrix.zeros(field := X.field, X.dim, ind.dim).a.copy()
-    mat[:, i0 * X.dim : (i0 + 1) * X.dim] = X.mat(G.inv(r0)).a
+    mat[:, i0 * X.dim : (i0 + 1) * X.dim] = X.T[G.inv(r0)]
     R = Matrix(field, mat, copy=False)
     if R @ adjunction_unit(U, X).matrix != Matrix.identity(field, X.dim):
         raise AssertionError("evaluation at the identity failed to retract")
@@ -201,7 +201,7 @@ def counit_section(U: Subgroup, X: Rep) -> SplitWitness:
     i0 = pos[G.identity]
     r0 = reps[i0]
     mat = Matrix.zeros(field := X.field, ind.dim, X.dim).a.copy()
-    mat[i0 * X.dim : (i0 + 1) * X.dim, :] = X.mat(r0).a
+    mat[i0 * X.dim : (i0 + 1) * X.dim, :] = X.T[r0]
     S = Matrix(field, mat, copy=False)
     if adjunction_counit(U, X).matrix @ S != Matrix.identity(field, X.dim):
         raise AssertionError("canonical section failed against the counit")

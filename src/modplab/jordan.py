@@ -60,7 +60,7 @@ def jordan_type(V: Rep) -> tuple[int, ...]:
     p = V.field.p
     gen = _full_order_generator(G, p)
     I = Matrix.identity(V.field, V.dim)
-    N = V.mat(gen) - I
+    N = Matrix._of(V.field, V.T[gen]) - I
     ranks = [V.dim]
     power = I
     while ranks[-1] > 0:

@@ -52,22 +52,18 @@ INDUCE_CELLS = 1 << 27
 
 
 class Rep:
-    __slots__ = ("group", "field", "dim", "T", "_mats", "_hash")
+    __slots__ = ("group", "field", "dim", "T", "_hash")
 
-    def __init__(
-        self,
-        group: FinGroup,
-        field: FiniteField,
-        matrices: Sequence[Matrix],
-        validate: bool = True,
-    ):
-        if len(matrices) != group.order:
-            raise ValueError("need one matrix per group element")
-        dim = matrices[0].rows
-        for M in matrices:
-            if M.field != field or M.rows != dim or M.cols != dim:
-                raise ValueError("matrix shape or field mismatch")
-        self._set(group, field, np.array([M.a for M in matrices], dtype=np.int16))
+    def __init__(self, group: FinGroup, field: FiniteField, T, validate: bool = True):
+        """Wrap outside data: a (|G|, d, d) array of field codes whose slice
+        T[g] is the matrix of element g.  It is copied, range-checked and
+        made read-only."""
+        a = np.asarray(T)
+        if a.ndim != 3 or a.shape[0] != group.order or a.shape[1] != a.shape[2]:
+            raise ValueError("need one square matrix per group element")
+        if a.size and (a.min() < 0 or a.max() >= field.order):
+            raise ValueError("entry out of field range")
+        self._set(group, field, np.array(a, dtype=np.int16))
         if validate:
             self._validate()
 
@@ -87,7 +83,6 @@ class Rep:
         self.field = field
         self.dim = T.shape[1]
         self.T = T
-        self._mats = None
         self._hash = None
 
     def _validate(self):
@@ -104,19 +99,6 @@ class Rep:
             products = self.field.ax_matmul_batch(T[gens][:, None], T[None, h : h + step])
             if not np.array_equal(products, T[G.table[gens, h : h + step]]):
                 raise ValueError("action is not a homomorphism")
-
-    @property
-    def matrices(self) -> tuple[Matrix, ...]:
-        """One read-only Matrix view of T per group element."""
-        if self._mats is None:
-            self._mats = tuple(Matrix._of(self.field, M) for M in self.T)
-        return self._mats
-
-    def mat(self, g: int) -> Matrix:
-        return self.matrices[g]
-
-    def act(self, g: int, vec: Sequence[int]) -> tuple[int, ...]:
-        return self.matrices[g].apply(vec)
 
     def orbit(self, vec: Sequence[int]) -> np.ndarray:
         """The (|G|, d) array whose row g is the image of vec under g, in
@@ -242,40 +224,51 @@ def regular_rep(G: FinGroup, field: FiniteField) -> Rep:
 
 
 def character_rep(G: FinGroup, field: FiniteField, values: Sequence[int]) -> Rep:
-    mats = [Matrix(field, [[v]]) for v in values]
-    return Rep(G, field, mats, validate=True)
+    return Rep(G, field, np.array(values).reshape(-1, 1, 1), validate=True)
 
 
 def rep_from_generators(
     G: FinGroup, field: FiniteField, images: Mapping[int, Matrix]
 ) -> Rep:
-    """Extend generator images along the group, failing on inconsistency."""
-    dim = None
-    for M in images.values():
-        if dim is None:
-            dim = M.rows
-        if M.rows != dim or M.cols != dim:
-            raise ValueError("generator images must share one square shape")
-    if dim is None:
+    """Extend generator images along the group, failing on inconsistency.
+
+    The action is filled along one breadth-first spanning tree from the
+    identity; it then has to agree with every given image and pass the
+    homomorphism check of ``Rep``, which together hold exactly when the
+    images extend to a representation.
+    """
+    keys = list(images)
+    if not keys:
         raise ValueError("no generator images given")
-    mats: list[Matrix | None] = [None] * G.order
-    mats[G.identity] = Matrix.identity(field, dim)
+    dim = images[keys[0]].rows
+    for M in images.values():
+        if M.field != field or M.rows != dim or M.cols != dim:
+            raise ValueError("generator images must share one square shape and field")
+    A = np.array([images[g].a for g in keys], dtype=np.int16)
+    T = np.zeros((G.order, dim, dim), dtype=np.int16)
+    T[G.identity] = np.eye(dim, dtype=np.int16)
+    reached = np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
     frontier = [G.identity]
     while frontier:
-        new = []
+        # one level of the tree, in one batched product: T[y] = A[k] T[x]
+        # for the first pair (x, key k) whose product g_k x reaches y
+        ys, ks, xs = [], [], []
         for x in frontier:
-            for g, Mg in images.items():
+            for k, g in enumerate(keys):
                 y = G.mul(g, x)
-                cand = Mg @ mats[x]
-                if mats[y] is None:
-                    mats[y] = cand
-                    new.append(y)
-                elif mats[y] != cand:
-                    raise ValueError("generator images are inconsistent")
-        frontier = new
-    if any(m is None for m in mats):
+                if not reached[y]:
+                    reached[y] = True
+                    ys.append(y)
+                    ks.append(k)
+                    xs.append(x)
+        T[ys] = field.ax_matmul_batch(A[ks], T[xs])
+        frontier = ys
+    if not reached.all():
         raise ValueError("images do not generate the group")
-    return Rep(G, field, mats, validate=True)  # type: ignore[arg-type]
+    if not np.array_equal(T[keys], A):
+        raise ValueError("generator images are inconsistent")
+    return Rep._of(G, field, T, validate=True)
 
 
 def direct_sum(reps: Sequence[Rep]) -> Rep:
@@ -416,8 +409,8 @@ class Character:
         vals = tuple(int(v) for v in values)
         if len(vals) != domain.order:
             raise ValueError("need one value per member")
-        if any(v == 0 for v in vals):
-            raise ValueError("character values must be nonzero")
+        if any(not 0 < v < field.order for v in vals):
+            raise ValueError("character values must be codes of nonzero field elements")
         a = np.array(vals, dtype=np.int64)
         if not np.array_equal(field.ax_mul(a[:, None], a[None, :]), a[C.table]):
             raise ValueError("values are not multiplicative")
@@ -448,7 +441,9 @@ class Character:
 
 
 def group_characters(G: FinGroup, field: FiniteField) -> list[tuple[int, ...]]:
-    """All multiplicative maps G -> field units, as value tuples."""
+    """All multiplicative maps G -> field units, as value tuples: each
+    choice of units of fitting order on the generators that extends to a
+    one-dimensional representation."""
     gens = G.generators()
     if not gens:
         return [(1,) * G.order]
@@ -457,30 +452,13 @@ def group_characters(G: FinGroup, field: FiniteField) -> list[tuple[int, ...]]:
         n = G.element_order(g)
         unit_choices.append([u for u in range(1, field.order) if field.pow(u, n) == 1])
     found: list[tuple[int, ...]] = []
-    seen = set()
     for combo in itertools.product(*unit_choices):
-        vals: list[int | None] = [None] * G.order
-        vals[G.identity] = 1
-        frontier = [G.identity]
-        ok = True
-        while frontier and ok:
-            new = []
-            for x in frontier:
-                for g, vg in zip(gens, combo):
-                    y = G.mul(g, x)
-                    cand = field.mul(vg, vals[x])  # type: ignore[arg-type]
-                    if vals[y] is None:
-                        vals[y] = cand
-                        new.append(y)
-                    elif vals[y] != cand:
-                        ok = False
-            frontier = new
-        if not ok or any(v is None for v in vals):
+        images = {g: Matrix(field, [[u]]) for g, u in zip(gens, combo)}
+        try:
+            V = rep_from_generators(G, field, images)
+        except ValueError:
             continue
-        tup = tuple(vals)  # type: ignore[arg-type]
-        if tup not in seen:
-            seen.add(tup)
-            found.append(tup)
+        found.append(tuple(V.T[:, 0, 0].tolist()))
     return found
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from modplab.catalog import (
@@ -55,7 +56,7 @@ def test_catalog_reps_validity():
             assert "triv" in reps
             for name, V in reps.items():
                 assert isinstance(V, Rep) and V.dim <= 4, (gname, fname, name)
-                Rep(V.group, V.field, V.matrices)  # revalidate the action
+                Rep(V.group, V.field, V.T)  # revalidate the action
 
 
 def test_catalog_reps_dim_cap():
@@ -74,7 +75,7 @@ def test_catalog_reps_come_back_on_the_callers_group():
     assert all(V.group is G1 for V in first.values())
     assert all(V.group is G2 for V in second.values())
     assert first.keys() == second.keys()
-    assert all(first[n].matrices == second[n].matrices for n in first)
+    assert all(np.array_equal(first[n].T, second[n].T) for n in first)
 
 
 def test_group_json_roundtrip():

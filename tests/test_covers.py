@@ -209,9 +209,9 @@ def test_extend_by_central_character_frozen():
     assert W.group.order == 6 and W.dim == 1
     KC = K.join(C)
     for z in C.members:
-        assert W.mat(KC.local(z)).tolist() == [[chi.value(z)]]
+        assert W.T[KC.local(z)].tolist() == [[chi.value(z)]]
     for k in K.members:
-        assert W.mat(KC.local(k)) == V.mat(K.local(k))
+        assert np.array_equal(W.T[KC.local(k)], V.T[K.local(k)])
 
 
 def test_extend_identity_when_central_trivial():
@@ -221,7 +221,7 @@ def test_extend_identity_when_central_trivial():
     chi = characters_of(E, F4)[0]
     V = trivial_rep(C3, F4, 2)
     W = extend_by_central_character(V, full, E, chi)
-    assert W.matrices == V.matrices
+    assert np.array_equal(W.T, V.T)
 
 
 def test_extend_rejects_incompatible_overlap():

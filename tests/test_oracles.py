@@ -10,6 +10,7 @@ with every array kernel swapped for schoolbook code.
 
 import functools
 import hashlib
+import itertools
 import json
 import time
 from pathlib import Path
@@ -388,7 +389,7 @@ def test_hom_space_satisfies_frobenius_reciprocity(gname, fname, data):
             flat = space.basis.row(i)
             M = [list(flat[r * X.dim : (r + 1) * X.dim]) for r in range(Y.dim)]
             for g in range(X.group.order):
-                assert _equivariant(F, M, X.mat(g).tolist(), Y.mat(g).tolist())
+                assert _equivariant(F, M, X.T[g].tolist(), Y.T[g].tolist())
 
 
 # ---- batched ax_matmul_batch against a scalar add/mul triple loop ----
@@ -493,8 +494,8 @@ def ref_induce(U, W):
         for i, r in enumerate(reps):
             j = pos[G.mul(r, ginv)]
             u = G.mul(G.mul(reps[j], g), G.inv(r))  # lies in U
-            M[j * dW : (j + 1) * dW, i * dW : (i + 1) * dW] = W.mat(U.local(u)).a
-        mats.append(Matrix(field, M))
+            M[j * dW : (j + 1) * dW, i * dW : (i + 1) * dW] = W.T[U.local(u)]
+        mats.append(M)
     return Rep(G, field, mats, validate=True)
 
 
@@ -530,7 +531,7 @@ def test_induce_matches_blockwise_construction(gname, fname, data):
     W = pool[data.draw(st.sampled_from(sorted(pool)))]
     got, want = induce(U, W), ref_induce(U, W)
     assert got == want
-    assert got.matrices == want.matrices
+    assert np.array_equal(got.T, want.T)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1064,9 +1065,9 @@ def test_transport_stack_matches_per_coset_products(gname, fname, flavor, data):
     for f, got in zip(X, moved):
         t = Matrix(F, f)
         if flavor == "lower":  # block column i is rho_V(r_i^-1) t
-            want = hstack([V.mat(G.inv(r)) @ t for r in reps])
+            want = hstack([Matrix(F, V.T[G.inv(r)]) @ t for r in reps])
         else:  # block row i is t rho_V(r_i)
-            want = vstack([t @ V.mat(r) for r in reps])
+            want = vstack([t @ Matrix(F, V.T[r]) for r in reps])
         assert np.array_equal(got, want.a)
     back, s3, t3 = transport_stack(U, W, V, flavor, moved, s2, t2, ind)
     assert (s3, t3) == (src, dst)
@@ -1100,8 +1101,10 @@ def test_qualifying_subgroups_match_brute_force(gname, fname, central, data):
     v = tuple(data.draw(st.lists(st.integers(0, F.order - 1), min_size=V.dim, max_size=V.dim)))
     assume(any(v))
 
+    orbit = V.orbit(v)
+
     def fixes(members):
-        return all(V.act(g, v) == v for g in members)
+        return bool((orbit[list(members)] == v).all())
 
     C = None
     if central:
@@ -1110,7 +1113,6 @@ def test_qualifying_subgroups_match_brute_force(gname, fname, central, data):
             with pytest.raises(ValueError):
                 qualifying_subgroups(V, v, C)
             return
-    orbit = np.array([V.act(g, v) for g in range(G.order)])
     rank = len(ref_rref(F, orbit)[1])
     want = [
         U.members
@@ -1121,9 +1123,128 @@ def test_qualifying_subgroups_match_brute_force(gname, fname, central, data):
     assert [U.members for U in qualifying_subgroups(V, v, C)] == want
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# ---- generator extension against the breadth-first search it replaced ----
+
+
+def ref_rep_from_generators(G, F, images):
+    """The action on every element from generator images, by a
+    breadth-first search that checks every product it meets against the
+    value already found: T[g x] = images[g] T[x] for every key g and every
+    element x, which with T[1] = I makes T a homomorphism."""
+    dim = len(next(iter(images.values())))
+    mats = [None] * G.order
+    mats[G.identity] = np.eye(dim, dtype=np.int64)
+    frontier = [G.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, Mg in images.items():
+                y = int(G.table[g, x])
+                cand = ref_matmul(F, np.asarray(Mg), mats[x])
+                if mats[y] is None:
+                    mats[y] = cand
+                    new.append(y)
+                elif not np.array_equal(mats[y], cand):
+                    raise ValueError("generator images are inconsistent")
+        frontier = new
+    if any(M is None for M in mats):
+        raise ValueError("images do not generate the group")
+    return np.array(mats)
+
+
+def ref_element_order(G, g):
+    n, x = 1, g
+    while x != G.identity:
+        x, n = int(G.table[g, x]), n + 1
+    return n
+
+
+def ref_group_characters(G, F):
+    """Value tuples of every multiplicative map G -> F*, one per extending
+    choice of units on the generators, in the order of those choices."""
+    gens = ref_generators(G, range(G.order))
+    if not gens:
+        return [(1,) * G.order]
+    choices = []
+    for g in gens:
+        n = ref_element_order(G, g)
+        units = []
+        for u in range(1, F.order):
+            power = 1
+            for _ in range(n):
+                power = ref_mul(F, power, u)
+            if power == 1:
+                units.append(u)
+        choices.append(units)
+    found = []
+    for combo in itertools.product(*choices):
+        try:
+            T = ref_rep_from_generators(G, F, {g: [[u]] for g, u in zip(gens, combo)})
+        except ValueError:
+            continue
+        vals = tuple(int(v) for v in T[:, 0, 0])
+        if vals not in found:
+            found.append(vals)
+    return found
+
+
+@pytest.mark.parametrize("name", ["builtin", "small", "large"])
+def test_generator_extension_matches_breadth_first_search(name):
+    from modplab.jordan import jordan_block_rep
+    from modplab.reps import group_characters, rep_from_generators
+
+    if name == "builtin":
+        groups, fields = catalog.catalog_groups(), catalog.catalog_fields()
+    else:
+        cat = catalog.load_catalog(str(ROOT / "perfbench" / "catalogs" / f"{name}.json"))
+        groups, fields = cat["groups"], cat["fields"]
+    for gname, G in sorted(groups.items()):
+        for fname, F in sorted(fields.items()):
+            assert group_characters(G, F) == ref_group_characters(G, F), (gname, fname)
+            # every catalog rep is the extension of its own generator images
+            for vname, V in sorted(catalog.catalog_reps(G, F, 2).items()):
+                images = {g: V.T[g] for g in ref_generators(G, range(G.order))}
+                if not images:
+                    continue
+                want = ref_rep_from_generators(G, F, images)
+                got = rep_from_generators(G, F, {g: Matrix(F, M) for g, M in images.items()})
+                assert np.array_equal(got.T, want) and np.array_equal(want, V.T), vname
+            order, p_power = G.order, p_part(G.order, F.p)[1] == 1
+            gen = next((g for g in range(order) if ref_element_order(G, g) == order), None)
+            if gen is None or not p_power:
+                continue
+            for size in range(1, order + 1):
+                block = np.eye(size, dtype=np.int64) + np.eye(size, k=1, dtype=np.int64)
+                want = ref_rep_from_generators(G, F, {gen: block})
+                assert np.array_equal(jordan_block_rep(G, F, size).T, want), (gname, fname, size)
+
+
+@pytest.mark.parametrize(
+    "gname, fname, images",
+    [
+        ("S3", "F3", {1: [[2]], 3: [[2]]}),  # (012) would need order dividing 2
+        ("C4", "F5", {1: [[2]], 2: [[2]]}),  # the square of 2 is 4, not 2
+        ("V4", "F2", {1: [[1, 1], [0, 1]]}),  # reaches only half of V4
+        ("C3", "F4", {0: [[2]], 1: [[2]]}),  # the identity must act as 1
+        ("C2", "F3", {0: [[2]], 1: [[1]]}),  # ... beside a consistent generator
+    ],
+    ids=["inconsistent", "wrong-square", "not-generating", "identity-key", "identity-beside-gen"],
+)
+def test_generator_extension_rejects_bad_images(gname, fname, images):
+    from modplab.reps import rep_from_generators
+
+    G, F = catalog.catalog_groups()[gname], catalog.catalog_fields()[fname]
+    with pytest.raises(ValueError):
+        ref_rep_from_generators(G, F, images)
+    with pytest.raises(ValueError):
+        rep_from_generators(G, F, {g: Matrix(F, M) for g, M in images.items()})
+
+
 # ---- the frozen commands on reference kernels ----
 
-ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
 
 

@@ -31,11 +31,35 @@ F4 = FiniteField(2, 2)
 
 def test_rep_validation():
     C2 = cyclic_group(2)
-    I = Matrix.identity(F2, 1)
     with pytest.raises(ValueError):
-        Rep(C2, F2, [I])  # one matrix per element required
+        Rep(C2, F2, [[[1]]])  # one matrix per element required
     with pytest.raises(ValueError):
-        Rep(C2, F2, [Matrix.zeros(F2, 1, 1), I])  # identity must act as identity
+        Rep(C2, F2, [[[0]], [[1]]])  # identity must act as identity
+
+
+@pytest.mark.parametrize(
+    "group, field, T, validate",
+    [
+        (cyclic_group(2), F2, np.ones((3, 1, 1)), False),  # wrong number of slices
+        (cyclic_group(2), F2, np.ones((2, 1, 2)), False),  # non-square slices
+        (cyclic_group(2), F2, np.ones((2,)), False),  # not a stack of matrices
+        (cyclic_group(2), F3, [[[1]], [[3]]], False),  # code q
+        (cyclic_group(2), F4, [[[1]], [[-1]]], False),  # negative code
+        (cyclic_group(2), F4, [[[1]], [[1 << 16]]], False),  # would wrap in int16
+        (cyclic_group(3), F3, [[[1]], [[2]], [[2]]], True),  # 2 * 2 != 2
+    ],
+    ids=["slices", "non-square", "not-a-stack", "code-q", "negative", "wide", "not-a-hom"],
+)
+def test_rep_rejects_bad_action_tensors(group, field, T, validate):
+    with pytest.raises(ValueError):
+        Rep(group, field, T, validate=validate)
+
+
+def test_rep_copies_outside_data_and_skips_validation_only_on_request():
+    T = np.array([[[1]], [[2]], [[2]]])
+    V = Rep(cyclic_group(3), F3, T, validate=False)  # not a homomorphism
+    T[1, 0, 0] = 0
+    assert V.T[:, 0, 0].tolist() == [1, 2, 2] and V.T.dtype == np.int16
 
 
 def test_builders_frozen():
@@ -43,10 +67,10 @@ def test_builders_frozen():
     assert trivial_rep(C2, F2).dim == 1
     reg = regular_rep(C2, F2)
     assert reg.dim == 2
-    assert reg.mat(1).tolist() == [[0, 1], [1, 0]]
+    assert reg.T[1].tolist() == [[0, 1], [1, 0]]
     # order-2 scalar 2 over F_3: 2^2 = 1
     tw = character_rep(C2, F3, [1, 2])
-    assert tw.mat(1).tolist() == [[2]]
+    assert tw.T[1].tolist() == [[2]]
     with pytest.raises(ValueError):
         character_rep(C2, F3, [1, 0])
 
@@ -64,25 +88,25 @@ def test_rep_from_generators():
 def test_restrict():
     S3 = sym3()
     reg = regular_rep(S3, F3)
-    assert restrict(reg, Subgroup.full(S3)).matrices == reg.matrices
+    assert np.array_equal(restrict(reg, Subgroup.full(S3)).T, reg.T)
     C3 = Subgroup(S3, [0, 1, 2])
     down = restrict(reg, C3)
     assert down.dim == 6 and down.group.order == 3
     triv_part = restrict(reg, Subgroup.trivial(S3))
-    assert all(M.is_identity() for M in triv_part.matrices)
+    assert (triv_part.T == np.eye(6)).all()
 
 
 def test_induce_frozen():
     C2 = cyclic_group(2)
     E = Subgroup.trivial(C2)
     ind = induce(E, trivial_rep(E.as_group(), F2))
-    assert ind.matrices == regular_rep(C2, F2).matrices
+    assert np.array_equal(ind.T, regular_rep(C2, F2).T)
     S3 = sym3()
     U = Subgroup(S3, [0, 3])
     ind3 = induce(U, trivial_rep(U.as_group(), F3))
     assert ind3.dim == 3  # index of U
     full = induce(Subgroup.full(S3), trivial_rep(S3, F3))
-    assert full.matrices == trivial_rep(S3, F3).matrices
+    assert np.array_equal(full.T, trivial_rep(S3, F3).T)
 
 
 def test_induce_dimension_formula():
@@ -139,7 +163,7 @@ def test_direct_sum():
     C2 = cyclic_group(2)
     s = direct_sum([trivial_rep(C2, F2), regular_rep(C2, F2)])
     assert s.dim == 3
-    assert s.mat(1).tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert s.T[1].tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
 
 def test_repmap_validation():
@@ -232,6 +256,18 @@ def test_character_validation():
         Character(full, F3, (1, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "order, field, values",
+    [(3, F4, [1, 5, 7]), (2, F3, [1, 4]), (2, F3, [1, -1])],
+    ids=["F4-large", "F3-large", "F3-negative"],
+)
+def test_character_rejects_codes_outside_the_field(order, field, values):
+    # before the range check, the first raised IndexError from the product
+    # table and the second was called "not multiplicative"
+    with pytest.raises(ValueError, match="codes of nonzero field elements"):
+        Character(Subgroup.full(cyclic_group(order)), field, values)
+
+
 def test_character_on_a_proper_subgroup():
     """Values follow the subgroup's own member order; a non-member has no
     value, and multiplicativity is checked in the subgroup's table."""
@@ -251,9 +287,7 @@ def test_rep_holds_one_read_only_action_tensor():
     assert reg.T.shape == (6, 6, 6) and reg.T.dtype == np.int16
     with pytest.raises(ValueError):
         reg.T[0, 0, 0] = 1
-    with pytest.raises(ValueError):
-        reg.mat(1).a[0, 0] = 1
-    again = Rep(S3, F4, [Matrix(F4, M.tolist()) for M in reg.matrices])
+    again = Rep(S3, F4, reg.T.tolist())
     assert again == reg and hash(again) == hash(reg)
     assert again != regular_rep(S3, F2)
 
@@ -269,10 +303,10 @@ def test_validate_rejects_one_wrong_product():
         for _ in range(order):
             powers.append(powers[-1] @ Matrix(F, M))
         assert powers[order].is_identity() and not powers[order - 1].is_identity()
-        Rep(cyclic_group(order), F, powers[:order])
+        Rep(cyclic_group(order), F, [M.a for M in powers[:order]])
         for n in (order - 1, order + 1):
             with pytest.raises(ValueError, match="homomorphism"):
-                Rep(cyclic_group(n), F, powers[:n])
+                Rep(cyclic_group(n), F, [M.a for M in powers[:n]])
 
 
 def test_repmap_rejects_failure_at_last_generator_only():
@@ -281,8 +315,9 @@ def test_repmap_rejects_failure_at_last_generator_only():
     swap = Matrix(F2, [[0, 1], [1, 0]])
     V = rep_from_generators(V4, F2, {first: Matrix.identity(F2, 2), last: swap})
     A = Matrix(F2, [[1, 0], [0, 0]])
-    assert A @ V.mat(first) == V.mat(first) @ A
-    assert A @ V.mat(last) != V.mat(last) @ A
+    rho_first, rho_last = Matrix(F2, V.T[first]), Matrix(F2, V.T[last])
+    assert A @ rho_first == rho_first @ A
+    assert A @ rho_last != rho_last @ A
     with pytest.raises(ValueError, match="equivariant"):
         RepMap(V, V, A)
     RepMap(V, V, swap)
@@ -293,5 +328,4 @@ def test_restrict_to_the_whole_group_keeps_every_matrix():
     for F in (F2, F3, F4):
         for name, V in catalog_reps(S3, F).items():
             down = restrict(V, Subgroup.full(S3))
-            assert down.matrices == V.matrices, name
-            assert np.array_equal(down.T, V.T)
+            assert np.array_equal(down.T, V.T), name
