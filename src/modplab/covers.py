@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FiniteField, p_part
-from .groups import SUBGROUP_ENUM_CAP, Subgroup, all_subgroups, coset_lookup
+from .groups import Subgroup, all_subgroups, coset_lookup
 from .linalg import Matrix, Subspace, hstack, row_reduce
 from .reps import (
     Character,
@@ -36,6 +36,7 @@ __all__ = [
     "CoverAssembly",
     "induced_trivial",
     "cover_map",
+    "nonzero_vectors",
     "qualifying_subgroups",
     "assemble_cover",
     "fixed_cover_subspace",
@@ -67,7 +68,7 @@ def induced_trivial(U: Subgroup, field: FiniteField) -> Rep:
     return store[key]
 
 
-def cover_map(U: Subgroup, V: Rep, v, ind: Rep | None = None) -> RepMap:
+def cover_map(U: Subgroup, V: Rep, v) -> RepMap:
     """The equivariant map from induced_trivial(U) sending the indicator of
     the trivial coset to v; column i is the action of the i-th coset
     representative's inverse on v."""
@@ -80,19 +81,12 @@ def cover_map(U: Subgroup, V: Rep, v, ind: Rep | None = None) -> RepMap:
     orbit = V.orbit(vec)
     if not (orbit[list(U.generators())] == vec).all():
         raise ValueError("vector is not fixed by the subgroup")
-    if ind is None:
-        ind = induced_trivial(U, V.field)
     reps, _ = coset_lookup(G, U)
     cols = orbit[G.inverse[list(reps)]].T
-    return RepMap(ind, V, Matrix._of(V.field, cols), validate=True)
+    return RepMap(induced_trivial(U, V.field), V, Matrix._of(V.field, cols), validate=True)
 
 
-def qualifying_subgroups(
-    V: Rep,
-    v,
-    C: Subgroup | None = None,
-    cap: int = SUBGROUP_ENUM_CAP,
-) -> list[Subgroup]:
+def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]:
     """Subgroups U fixing v whose coset space is strictly larger than the
     orbit span of v; with a central C, the coset space of U joined with C.
 
@@ -111,7 +105,7 @@ def qualifying_subgroups(
             raise ValueError("central subgroup must act trivially on the vector")
     d = Matrix._of(V.field, orbit).rank()  # the cyclic span's dimension
     out = []
-    for U in all_subgroups(G, cap):
+    for U in all_subgroups(G):
         if not fixed[list(U.generators())].all():
             continue
         J = U.join(C) if C is not None else U
@@ -124,7 +118,6 @@ def qualifying_subgroups(
 class CoverBlock:
     vector: tuple
     subgroup: Subgroup  # the qualifying U
-    induced_from: Subgroup  # U, or U joined with the central subgroup
     offset: int
     size: int
 
@@ -137,26 +130,22 @@ class CoverAssembly:
     dropped: tuple[tuple, ...]  # vectors with no qualifying subgroup
 
 
+def nonzero_vectors(field: FiniteField, dim: int) -> list[tuple]:
+    """Every nonzero vector of field^dim, in lexicographic order."""
+    return [vec for vec in itertools.product(range(field.order), repeat=dim) if any(vec)]
+
+
 def _default_vectors(V: Rep) -> list[tuple]:
     q, d = V.field.order, V.dim
     if q**d <= ENUM_VECTOR_LIMIT:
-        return [
-            vec
-            for vec in itertools.product(range(q), repeat=d)
-            if any(x != 0 for x in vec)
-        ]
+        return nonzero_vectors(V.field, d)
     # orbit of the standard basis: spans, stays group-stable, and avoids
     # enumerating all q^d vectors; g sends e_i to column i of its matrix
     columns = V.T.transpose(0, 2, 1).reshape(-1, d)
     return sorted(set(map(tuple, columns.tolist())))
 
 
-def assemble_cover(
-    V: Rep,
-    C: Subgroup | None = None,
-    vectors=None,
-    cap: int = SUBGROUP_ENUM_CAP,
-) -> CoverAssembly:
+def assemble_cover(V: Rep) -> CoverAssembly:
     """Build the direct sum of induced trivial blocks over qualifying
     (vector, subgroup) pairs together with the combined map onto V.
 
@@ -165,21 +154,11 @@ def assemble_cover(
     recorded as dropped, never silently ignored.
     """
     G, field = V.group, V.field
-    if C is not None:
-        if C.parent != G or not C.is_central():
-            raise ValueError("C must be a central subgroup of the acting group")
-        if not (V.T[list(C.generators())] == np.eye(V.dim, dtype=np.int16)).all():
-            raise ValueError("central subgroup must act trivially on V")
     if V.dim == 0:
         zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16), validate=False)
         onto = RepMap(zero, V, Matrix.zeros(field, 0, 0), validate=False)
         return CoverAssembly(zero, onto, (), ())
-    if vectors is None:
-        chosen = _default_vectors(V)
-    else:
-        chosen = [tuple(int(x) for x in v) for v in vectors]
-        if Subspace.from_rows(field, V.dim, chosen).dim != V.dim:
-            raise ValueError("chosen vectors must span the representation")
+    chosen = _default_vectors(V)
     blocks: list[CoverBlock] = []
     block_reps: list[Rep] = []
     block_cols: list[Matrix] = []
@@ -187,19 +166,17 @@ def assemble_cover(
     covered: list[tuple] = []
     offset = 0
     for vec in chosen:
-        omega = qualifying_subgroups(V, vec, C, cap)
+        omega = qualifying_subgroups(V, vec)
         if not omega:
             dropped.append(vec)
             continue
         covered.append(vec)
         for U in omega:
-            J = U.join(C) if C is not None else U
-            ind = induced_trivial(J, field)
-            phi = cover_map(J, V, vec, ind)
-            blocks.append(CoverBlock(vec, U, J, offset, ind.dim))
-            block_reps.append(ind)
+            phi = cover_map(U, V, vec)
+            blocks.append(CoverBlock(vec, U, offset, phi.source.dim))
+            block_reps.append(phi.source)
             block_cols.append(phi.matrix)
-            offset += ind.dim
+            offset += phi.source.dim
     if Subspace.from_rows(field, V.dim, covered).dim != V.dim:
         raise CoverageError(
             "vectors with a qualifying subgroup do not span the target "
@@ -237,11 +214,11 @@ def transport_stack(
     X: np.ndarray,
     source: Rep,
     target: Rep,
-    ind: Rep | None = None,
+    ind: Rep,
 ) -> tuple[np.ndarray, Rep, Rep]:
     """Move every map in the (k, target.dim, source.dim) stack X across the
     induction/restriction adjunction at once; returns the moved stack with
-    its new source and target.
+    its new source and target; ind is induce(U, W).
 
     flavor "lower": between maps W -> V|_U and induced(W) -> V.
     flavor "upper": between maps V|_U -> W and V -> induced(W).
@@ -254,12 +231,6 @@ def transport_stack(
         raise ValueError("W must be a rep of the subgroup, V of the parent group")
     if flavor not in ("lower", "upper"):
         raise ValueError("flavor must be 'lower' or 'upper'")
-    if ind is None:
-        key = (U.members, W)
-        store = _IND_CACHE.setdefault(G, {})
-        if key not in store:
-            store[key] = induce(U, W)
-        ind = store[key]
     reps, pos = coset_lookup(G, U)
     field, dW, dV, k = V.field, W.dim, V.dim, X.shape[0]
     i0 = pos[G.identity]
@@ -340,7 +311,6 @@ def extend_by_central_character(
     K: Subgroup,
     C: Subgroup,
     chi: Character,
-    KC: Subgroup | None = None,
 ) -> Rep:
     """Extend a representation of K to K joined with a central C, letting C
     act through chi.  Requires chi to agree with the existing action on the
@@ -359,11 +329,7 @@ def extend_by_central_character(
     scalars = np.array([chi.value(z) for z in overlap], dtype=np.int16)[:, None, None]
     if not np.array_equal(V.T[local[overlap]], scalars * np.eye(V.dim, dtype=np.int16)):
         raise ValueError("character disagrees with the action on the overlap")
-    join = K.join(C)
-    if KC is None:
-        KC = join
-    elif KC != join:
-        raise ValueError("KC must be the join of K and C")
+    KC = K.join(C)
     # x = k c with c the first member of C for which k = x c^-1 lies in K
     cands = G.table[np.array(KC.members)[:, None], G.inverse[list(C.members)][None, :]]
     in_K = local[cands] >= 0

@@ -48,7 +48,6 @@ class StableHomResult:
     total_dim: int
     factoring_dim: int
     stable_dim: int
-    quotient_basis: Subspace
 
     def to_json(self) -> dict:
         return {
@@ -337,23 +336,14 @@ def stable_hom(V1: Rep, V2: Rep, U: Subgroup) -> StableHomResult:
     """Hom modulo the maps that factor through a relatively U-projective
     (equivalently U-injective) object.  By Higman's criterion those are the
     relative traces of the U-maps V1 -> V2."""
-    field = V1.field
     total = hom_space(V1, V2)
-    amb = V1.dim * V2.dim
     local = hom_space(restrict(V1, U), restrict(V2, U))
     moved = local.basis @ _trace_operator(V1, V2, U).transpose()
-    factoring = Subspace.from_rows(field, amb, moved)
+    factoring = Subspace.from_rows(V1.field, V1.dim * V2.dim, moved)
     if not total.contains_space(factoring):
         raise AssertionError("factoring maps left the hom space")
-    reduced = []
-    for i in range(total.dim):
-        r = factoring.reduce(total.basis.row(i))
-        if any(r):
-            reduced.append(r)
-    quotient = Subspace.from_rows(field, amb, reduced)
     return StableHomResult(
         total_dim=total.dim,
         factoring_dim=factoring.dim,
         stable_dim=total.dim - factoring.dim,
-        quotient_basis=quotient,
     )

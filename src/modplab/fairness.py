@@ -205,9 +205,7 @@ def _min_valuation(values: np.ndarray, p: int, cap: int) -> int:
     return best
 
 
-def overlap_depths_bruteforce(
-    p: int, N: int, m: int, n: int, a: int, cap: int = BRUTE_FORCE_CAP
-) -> DepthTriple:
+def overlap_depths_bruteforce(p: int, N: int, m: int, n: int, a: int) -> DepthTriple:
     """Exhaustive oracle for overlap_depths at working precision p^N.
 
     Enumerates the depth-n congruence subgroup of SL2 over Z/p^N directly
@@ -230,11 +228,11 @@ def overlap_depths_bruteforce(
             "the depth-m test on the divided lower entry needs m + 2a <= N "
             f"(got m={m}, a={a}, N={N})"
         )
-    # p >= 2, so an exponent past cap's bit length exceeds it without
+    # p >= 2, so an exponent past the cap's bit length exceeds it without
     # forming the power (a huge N would make that power slow)
     exponent = 3 * (N - n)
-    if exponent >= cap.bit_length() or p**exponent > cap:
-        raise ValueError(f"enumeration of {p}^{exponent} elements exceeds the cap {cap}")
+    if exponent >= BRUTE_FORCE_CAP.bit_length() or p**exponent > BRUTE_FORCE_CAP:
+        raise ValueError(f"enumeration of {p}^{exponent} elements exceeds the cap {BRUTE_FORCE_CAP}")
     q = p**N
     step = p**n
     w = p ** (N - n)
@@ -320,17 +318,15 @@ def fairness_refinement(m: int, n: int, p: int | None = None) -> FairnessCertifi
     return cert
 
 
-def verify_certificate(cert: FairnessCertificate, a_values=None) -> bool:
+def verify_certificate(cert: FairnessCertificate) -> bool:
     """Recheck a certificate numerically on sampled exponents and on the
     linear tail; the samples always include every breakpoint of the
     piecewise-linear depth expressions, so they cover all a >= 0."""
     m, n, n2 = cert.m, cert.n, cert.n_prime
     if n2 <= n:
         return False
-    if a_values is None:
-        a_values = range(0, max(m, n, n2, 10) + 2)
     strict_seen = {name: True for name in ("upper", "torus", "lower")}
-    for a in a_values:
+    for a in range(0, max(m, n, n2, 10) + 2):
         lhs = overlap_depths(m, n2, a)
         rhs = overlap_depths(m, n, a)
         if not lhs.dominates(rhs):

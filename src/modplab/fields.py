@@ -15,7 +15,6 @@ It memoises small products in a bounded memo.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
 
 import numpy as np
 
@@ -140,9 +139,9 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """The field with p**k elements under a fixed monic irreducible modulus."""
+    """The field with p**k elements modulo smallest_irreducible(p, k)."""
 
-    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, k: int = 1):
         p, k = operator.index(p), operator.index(k)  # TypeError on floats
         if p >= CODE_LIMIT:
             raise ValueError(f"p = {p} is too large: element codes are int16, so p < {CODE_LIMIT}")
@@ -157,15 +156,8 @@ class FiniteField:
         self.p = p
         self.k = k
         self.order = p**k
-        if modulus is None:
-            modulus = smallest_irreducible(p, k)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if k > 1 and not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = modulus
-        self._key = (p, k, modulus)
+        self.modulus = smallest_irreducible(p, k)
+        self._key = (p, k, self.modulus)
         self.zero = 0
         self.one = 1
         # ax_matmul_batch's largest inner dimension m whose sums stay exact
@@ -180,19 +172,8 @@ class FiniteField:
 
     # ---- encoding -------------------------------------------------------
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Residue list (c_0, ..., c_{k-1}) of the element a."""
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
     def elements(self) -> range:
         return range(self.order)
-
-    def descriptor(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
     # ---- tables ---------------------------------------------------------
 

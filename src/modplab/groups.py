@@ -70,7 +70,7 @@ class FinGroup:
         self.inverse = inv
         self.labels = labels
         self._gens = None
-        self._subgroups = {}
+        self._subgroups = None
         self._subgroup_cache = {}
         self._join_cache = {}
         self._center = None
@@ -161,8 +161,8 @@ class FinGroup:
         return f"FinGroup(order={self.order})"
 
 
-def _check_associative(T: np.ndarray, chunk: int = 32):
-    n = T.shape[0]
+def _check_associative(T: np.ndarray):
+    n, chunk = T.shape[0], 32  # rows per (chunk, n, n) comparison
     for start in range(0, n, chunk):
         block = T[start : start + chunk]  # (c, n)
         left = T[block, :]  # (c, n, n): (i j) k
@@ -382,13 +382,13 @@ def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:
     return G._subgroup(conj[K.local_index[conj] >= 0])
 
 
-def all_subgroups(G: FinGroup, cap: int = SUBGROUP_ENUM_CAP) -> tuple[Subgroup, ...]:
+def all_subgroups(G: FinGroup) -> tuple[Subgroup, ...]:
     """Every subgroup, by closing each known subgroup S with one more element
     g (Neubueser's cyclic extension).  <S, g> = <S, sg>, so one g per right
     coset Sg is enough."""
-    if G.order > cap:
-        raise ValueError(f"group order {G.order} exceeds enumeration cap {cap}")
-    if cap not in G._subgroups:
+    if G.order > SUBGROUP_ENUM_CAP:
+        raise ValueError(f"group order {G.order} exceeds enumeration cap {SUBGROUP_ENUM_CAP}")
+    if G._subgroups is None:
         found = {(G.identity,)}
         frontier = [(G.identity,)]
         while frontier:
@@ -403,5 +403,5 @@ def all_subgroups(G: FinGroup, cap: int = SUBGROUP_ENUM_CAP) -> tuple[Subgroup, 
                         new.append(T)
             frontier = new
         subs = sorted(found, key=lambda s: (len(s), s))
-        G._subgroups[cap] = tuple(G._subgroup(s) for s in subs)
-    return G._subgroups[cap]
+        G._subgroups = tuple(G._subgroup(s) for s in subs)
+    return G._subgroups

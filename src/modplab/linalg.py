@@ -27,11 +27,16 @@ class Matrix:
     __slots__ = ("field", "a")
 
     def __init__(self, field: FiniteField, data, copy: bool = True):
-        a = np.array(data, dtype=np.int16, copy=copy)
-        if a.ndim != 2:
+        raw = np.asarray(data)
+        if raw.ndim != 2:
             raise ValueError("matrix data must be two dimensional")
-        if a.size and (a.min() < 0 or a.max() >= field.order):
+        # kind and range are checked before the int16 cast, which would
+        # truncate 1.5 to 1 and wrap large entries
+        if raw.size and raw.dtype.kind not in "biu":
+            raise ValueError("entries must be integer field codes")
+        if raw.size and (raw.min() < 0 or raw.max() >= field.order):
             raise ValueError("entry out of field range")
+        a = np.array(raw, dtype=np.int16, copy=copy)
         a.flags.writeable = False
         self.field = field
         self.a = a
@@ -91,9 +96,6 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.a.shape} @ {other.a.shape}")
         return Matrix._of(self.field, self.field.ax_matmul(self.a, other.a))
 
-    def scale(self, s: int) -> "Matrix":
-        return Matrix._of(self.field, self.field.ax_scale(self.a, s))
-
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, self.a.T.copy())
 
@@ -114,11 +116,6 @@ class Matrix:
 
     def tolist(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.a]
-
-    # ---- predicates ----
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and bool(np.array_equal(self.a, np.eye(self.rows, dtype=np.int16)))
 
     def __eq__(self, other):
         return (
@@ -254,13 +251,6 @@ class Subspace:
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
-
-    def to_json(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "basis": self.basis.tolist(),
-            "field": self.field.descriptor(),
-        }
 
     def __eq__(self, other):
         return (

@@ -54,18 +54,21 @@ INDUCE_CELLS = 1 << 27
 class Rep:
     __slots__ = ("group", "field", "dim", "T", "_hash")
 
-    def __init__(self, group: FinGroup, field: FiniteField, T, validate: bool = True):
+    def __init__(self, group: FinGroup, field: FiniteField, T):
         """Wrap outside data: a (|G|, d, d) array of field codes whose slice
-        T[g] is the matrix of element g.  It is copied, range-checked and
-        made read-only."""
+        T[g] is the matrix of element g.  It is copied, checked to be an
+        action of the group, and made read-only."""
         a = np.asarray(T)
         if a.ndim != 3 or a.shape[0] != group.order or a.shape[1] != a.shape[2]:
             raise ValueError("need one square matrix per group element")
+        # kind and range are checked before the int16 cast, which would
+        # truncate 1.9 to 1 and wrap large entries
+        if a.size and a.dtype.kind not in "biu":
+            raise ValueError("entries must be integer field codes")
         if a.size and (a.min() < 0 or a.max() >= field.order):
             raise ValueError("entry out of field range")
         self._set(group, field, np.array(a, dtype=np.int16))
-        if validate:
-            self._validate()
+        self._validate()
 
     @classmethod
     def _of(cls, group: FinGroup, field: FiniteField, T: np.ndarray, validate: bool) -> "Rep":
@@ -224,7 +227,7 @@ def regular_rep(G: FinGroup, field: FiniteField) -> Rep:
 
 
 def character_rep(G: FinGroup, field: FiniteField, values: Sequence[int]) -> Rep:
-    return Rep(G, field, np.array(values).reshape(-1, 1, 1), validate=True)
+    return Rep(G, field, np.array(values).reshape(-1, 1, 1))
 
 
 def rep_from_generators(
@@ -367,14 +370,9 @@ def hom_space(V1: Rep, V2: Rep) -> Subspace:
     return row_reduce(equivariance_system(field, V1.T[gens], V2.T[gens])).kernel
 
 
-def fixed_points(V: Rep, U: Subgroup | None = None) -> Subspace:
-    """The subspace of vectors fixed by every element of U (default: all of G)."""
-    G = V.group
-    if U is None:
-        U = Subgroup.full(G)
-    if U.parent != G:
-        raise ValueError("subgroup of a different group")
-    gens = U.generators()
+def fixed_points(V: Rep) -> Subspace:
+    """The subspace of vectors fixed by every element of the group."""
+    gens = V.group.generators()
     if not gens or V.dim == 0:
         return Subspace.full(V.field, V.dim)
     moved = V.field.ax_sub(V.T[list(gens)], np.eye(V.dim, dtype=np.int16))

@@ -38,6 +38,7 @@ from .covers import (
     extend_by_central_character,
     fixed_cover_subspace,
     induced_trivial,
+    nonzero_vectors,
     qualifying_subgroups,
     transport_stack,
 )
@@ -132,21 +133,13 @@ def _resolve_catalog(catalog):
     return dict(catalog["groups"]), dict(catalog["fields"])
 
 
-def _grid(catalog, default_groups=FROBENIUS_GROUPS, default_fields=STANDARD_FIELDS):
+def _grid(catalog, default_groups=FROBENIUS_GROUPS):
     """Group/field name lists a suite iterates over: the defaults for the
     built-in catalog, everything (sorted) for a user-supplied one."""
     groups, fields = _resolve_catalog(catalog)
     if catalog is None:
-        return groups, fields, list(default_groups), list(default_fields)
+        return groups, fields, list(default_groups), list(STANDARD_FIELDS)
     return groups, fields, sorted(groups), sorted(fields)
-
-
-def _nonzero_vectors(field: FiniteField, dim: int) -> list[tuple]:
-    return [
-        v
-        for v in itertools.product(range(field.order), repeat=dim)
-        if any(x != 0 for x in v)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +186,7 @@ def _frobenius_case(G: FinGroup, F: FiniteField, U: Subgroup) -> dict:
     return {"pairs": pairs, "round_trips": trips}
 
 
-def suite_frobenius(seed: int, catalog=None) -> list[Case]:
+def suite_frobenius(seed: int, catalog) -> list[Case]:
     groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
     for gname in gnames:
@@ -239,10 +232,9 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
     the assembled cover succeeds exactly when V has no free summand."""
     _ensure(fixed_points(V).dim >= 1, "nonzero rep with zero fixed space")
     anchored = 0
-    for v in _nonzero_vectors(F, V.dim):
+    for v in nonzero_vectors(F, V.dim):
         for U in qualifying_subgroups(V, v):
-            ind = induced_trivial(U, F)
-            phi = cover_map(U, V, v, ind)
+            phi = cover_map(U, V, v)
             _ensure(phi.kernel().dim > 0, "qualifying subgroup produced an injective cover map")
             _, pos = coset_lookup(K, U)
             i0 = pos[K.identity]
@@ -275,7 +267,7 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
     }
 
 
-def suite_phi_machinery(seed: int, catalog=None) -> list[Case]:
+def suite_phi_machinery(seed: int, catalog) -> list[Case]:
     groups, fields, gnames, fnames = _grid(catalog)
     if catalog is None:
         pairs = list(P_GROUP_PAIRS)
@@ -330,7 +322,7 @@ def _higman_case(G: FinGroup, F: FiniteField) -> dict:
     return {"induced_from_orders": tested, "trivial_projective": triv_flag}
 
 
-def suite_higman(seed: int, catalog=None) -> list[Case]:
+def suite_higman(seed: int, catalog) -> list[Case]:
     groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
     for gname in gnames:
@@ -584,7 +576,7 @@ def _check_total(total: int, floor: int, key: str, shortfall: str) -> dict:
     return {key: total}
 
 
-def suite_exact_axioms(seed: int, catalog=None) -> list[Case]:
+def suite_exact_axioms(seed: int, catalog) -> list[Case]:
     groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
     prime_index_counts: list[int] = []
@@ -663,7 +655,7 @@ def _stable_jordan(G: FinGroup, F: FiniteField, p: int) -> dict:
     return {"blocks": table}
 
 
-def suite_stable_frobenius(seed: int, catalog=None) -> list[Case]:
+def suite_stable_frobenius(seed: int, catalog) -> list[Case]:
     groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
     for gname in gnames:
@@ -773,7 +765,7 @@ def _check_central_extensions(
         if not (V.T[overlap] == I).all():
             continue
         for chi in chars:
-            W = extend_by_central_character(V, K, C, chi, KC)
+            W = extend_by_central_character(V, K, C, chi)
             _ensure(
                 np.array_equal(W.T[on_K], V.T),
                 "restriction back to K changed the action",
@@ -792,7 +784,7 @@ def _check_qualifying_sets(G: FinGroup, F: FiniteField, C: Subgroup, pool: dict[
     count = 0
     for vname in ("triv", "triv2"):
         V = pool[vname]
-        for v in _nonzero_vectors(F, V.dim)[:8]:
+        for v in nonzero_vectors(F, V.dim)[:8]:
             got = qualifying_subgroups(V, v, C)
             plain = qualifying_subgroups(V, v)
             _ensure(
@@ -854,7 +846,7 @@ def _check_regular_eigenspaces(G: FinGroup, F: FiniteField) -> dict:
     return {"eigenspaces": [1, 1, 1]}
 
 
-def suite_chi_functor(seed: int, catalog=None) -> list[Case]:
+def suite_chi_functor(seed: int, catalog) -> list[Case]:
     groups, fields, gnames, fnames = _grid(
         catalog, default_groups=("C2", "C3", "C4", "C5", "C6", "C9", "V4")
     )

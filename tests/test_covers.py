@@ -21,6 +21,7 @@ from modplab.reps import (
     characters_of,
     fixed_points,
     hom_space,
+    induce,
     regular_rep,
     restrict,
     trivial_rep,
@@ -107,15 +108,6 @@ def test_assemble_cover_zero_rep():
     assert asm.source.dim == 0 and asm.blocks == ()
 
 
-def test_assemble_cover_spanning_subset():
-    C4 = cyclic_group(4)
-    V = trivial_rep(C4, F2)
-    asm = assemble_cover(V, vectors=[(1,)])
-    assert asm.onto.rank() == 1
-    with pytest.raises(ValueError):
-        assemble_cover(V, vectors=[(0,)])  # does not span
-
-
 def test_fixed_cover_subspace_dies_under_phi():
     # p-group: the assembled map vanishes on full-group fixed points of S
     C4 = cyclic_group(4)
@@ -135,15 +127,16 @@ def test_frobenius_transport_round_trip():
     V = trivial_rep(S3, F3)
     ind = induced_trivial(U, F3)
     assert hom_space(ind, V).dim == hom_space(W, restrict(V, U)).dim == 1
+    ind = induce(U, W)
     t = RepMap(W, restrict(V, U), Matrix.identity(F3, 1))
-    big, source, target = transport_stack(U, W, V, "lower", t.matrix.a[None], t.source, t.target)
+    big, source, target = transport_stack(U, W, V, "lower", t.matrix.a[None], t.source, t.target, ind)
     assert source.dim == 3 and target is V
-    back, *_ = transport_stack(U, W, V, "lower", big, source, target)
+    back, *_ = transport_stack(U, W, V, "lower", big, source, target, ind)
     assert np.array_equal(back[0], t.matrix.a)
     up = RepMap(restrict(V, U), W, Matrix.identity(F3, 1))
-    lifted, source, target = transport_stack(U, W, V, "upper", up.matrix.a[None], up.source, up.target)
+    lifted, source, target = transport_stack(U, W, V, "upper", up.matrix.a[None], up.source, up.target, ind)
     assert source is V and target.dim == 3
-    assert np.array_equal(transport_stack(U, W, V, "upper", lifted, source, target)[0][0], up.matrix.a)
+    assert np.array_equal(transport_stack(U, W, V, "upper", lifted, source, target, ind)[0][0], up.matrix.a)
 
 
 def test_frobenius_transport_rejects_mismatch():
@@ -153,10 +146,11 @@ def test_frobenius_transport_rejects_mismatch():
     V = trivial_rep(S3, F3)
     t = RepMap(W, restrict(V, U), Matrix.identity(F3, 1))
     X = t.matrix.a[None]
+    ind = induce(U, W)
     with pytest.raises(ValueError):
-        transport_stack(U, W, V, "sideways", X, t.source, t.target)
+        transport_stack(U, W, V, "sideways", X, t.source, t.target, ind)
     with pytest.raises(ValueError):
-        transport_stack(U, W, trivial_rep(S3, F2), "lower", X, t.source, t.target)
+        transport_stack(U, W, trivial_rep(S3, F2), "lower", X, t.source, t.target, ind)
 
 
 def test_character_eigenspace_frozen():
@@ -172,7 +166,7 @@ def test_character_eigenspace_frozen():
         assert P.apply(space.basis.row(0)) == space.basis.row(0)
     triv = trivial_rep(C3, F4)
     space, P = character_eigenspace(triv, Subgroup.trivial(C3), characters_of(Subgroup.trivial(C3), F4)[0])
-    assert space == Subspace.full(F4, 1) and P.is_identity()
+    assert space == Subspace.full(F4, 1) and P == Matrix.identity(F4, 1)
 
 
 def test_character_eigenspace_projector_gate():

@@ -51,7 +51,7 @@ def test_u_split_search_frozen():
     assert w.map.tolist() == [[1], [0]]  # canonical: free variables zero
     ident = RepMap(trivial_rep(C2, F2), trivial_rep(C2, F2), Matrix.identity(F2, 1))
     wi = u_split_search(ident, Subgroup.full(C2), "section")
-    assert wi.map.is_identity()
+    assert wi.map == Matrix.identity(F2, 1)
 
 
 def test_u_split_search_retraction():
@@ -60,7 +60,7 @@ def test_u_split_search_retraction():
     inc = RepMap(triv, reg, Matrix(F2, [[1], [1]]))
     assert u_split_search(inc, Subgroup.full(C2), "retraction") is None
     r = u_split_search(inc, Subgroup.trivial(C2), "retraction")
-    assert r is not None and (r.map @ inc.matrix).is_identity()
+    assert r is not None and r.map @ inc.matrix == Matrix.identity(F2, 1)
     with pytest.raises(ValueError):
         u_split_search(inc, Subgroup.full(C2), "both")
 
@@ -81,7 +81,7 @@ def test_averaging_section_frozen():
     assert sigma.tolist() == [[1], [0]]
     tilde = averaging_section(sigma, aug3, E, full)
     assert tilde.map.tolist() == [[2], [2]]  # (1/2)(e + g)·sigma, and 1/2 = 2
-    assert (aug3.matrix @ tilde.map).is_identity()
+    assert aug3.matrix @ tilde.map == Matrix.identity(F3, 1)
     same = averaging_section(sigma, aug3, E, E)
     assert same.map == sigma
     with pytest.raises(ValueError):
@@ -95,9 +95,9 @@ def test_adjunction_unit_frozen():
     triv = trivial_rep(C2, F2)
     A = adjunction_unit(Subgroup.trivial(C2), triv)
     assert A.matrix.tolist() == [[1], [1]]  # image = constants
-    assert adjunction_unit(Subgroup.full(C2), triv).matrix.is_identity()
+    assert adjunction_unit(Subgroup.full(C2), triv).matrix == Matrix.identity(F2, 1)
     r = unit_retraction(Subgroup.trivial(C2), triv)
-    assert r.kind == "retraction" and (r.map @ A.matrix).is_identity()
+    assert r.kind == "retraction" and r.map @ A.matrix == Matrix.identity(F2, 1)
 
 
 def test_adjunction_counit_frozen():
@@ -105,9 +105,9 @@ def test_adjunction_counit_frozen():
     triv = trivial_rep(C2, F2)
     B = adjunction_counit(Subgroup.trivial(C2), triv)
     assert B.matrix.tolist() == [[1, 1]]  # the augmentation
-    assert adjunction_counit(Subgroup.full(C2), triv).matrix.is_identity()
+    assert adjunction_counit(Subgroup.full(C2), triv).matrix == Matrix.identity(F2, 1)
     s = counit_section(Subgroup.trivial(C2), triv)
-    assert s.kind == "section" and (B.matrix @ s.map).is_identity()
+    assert s.kind == "section" and B.matrix @ s.map == Matrix.identity(F2, 1)
 
 
 def test_unit_counit_identities_across_sample():
@@ -118,8 +118,9 @@ def test_unit_counit_identities_across_sample():
         for V in pool.values():
             A = adjunction_unit(U, V)
             B = adjunction_counit(U, V)
-            assert (unit_retraction(U, V).map @ A.matrix).is_identity()
-            assert (B.matrix @ counit_section(U, V).map).is_identity()
+            I = Matrix.identity(F3, V.dim)
+            assert unit_retraction(U, V).map @ A.matrix == I
+            assert B.matrix @ counit_section(U, V).map == I
 
 
 def test_suspension_section_is_equivariant_section():
@@ -128,7 +129,7 @@ def test_suspension_section_is_equivariant_section():
     X = catalog_reps(S3, F3)["perm3"]
     T, ses = suspension(X, U)
     w = suspension_section(U, X, ses)
-    assert (ses.right.matrix @ w.map).is_identity()
+    assert ses.right.matrix @ w.map == Matrix.identity(F3, T.dim)
     mid, down = restrict(ses.right.source, U), restrict(T, U)
     RepMap(down, mid, w.map, validate=True)  # raises if not U-equivariant
 

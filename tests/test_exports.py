@@ -60,3 +60,42 @@ def test_every_private_function_is_referenced():
         and node.name not in used
     )
     assert not unused, f"private functions nothing in src/ references: {unused}"
+
+
+# parameters whose default is the only value real callers want
+DEFAULTS_ALLOWED = {"cli.main:argv"}
+
+
+def test_every_default_is_set_by_a_caller():
+    """Each defaulted parameter of a module-level function is passed, by
+    position or by keyword, by some call in src/; an option no caller sets
+    is a code path only tests take.  Calls match on the bare or attribute
+    name of the function."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for mod, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            defaulted = [
+                (i, arg.arg) for i, arg in enumerate(positional) if i >= len(positional) - len(a.defaults)
+            ]
+            defaulted += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for i, param in defaulted:
+                passed = any(
+                    (i is not None and len(c.args) > i)
+                    or any(k.arg == param for k in c.keywords)
+                    for c in calls.get(fn.name, ())
+                )
+                if not passed and f"{mod}.{fn.name}:{param}" not in DEFAULTS_ALLOWED:
+                    unset.append(f"{mod}.{fn.name}:{param}")
+    assert not unset, f"defaulted parameters no call in src/ sets: {sorted(unset)}"

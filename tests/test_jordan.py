@@ -2,6 +2,7 @@ import pytest
 
 from modplab.catalog import cyclic_group, klein_group
 from modplab.fields import FiniteField
+from modplab.linalg import Matrix
 from modplab.jordan import jordan_block_rep, jordan_type, stable_jordan_type, unipotent_block
 from modplab.reps import direct_sum, regular_rep, trivial_rep
 
@@ -12,7 +13,7 @@ F9 = FiniteField(3, 2)
 
 def test_unipotent_block_shape():
     assert unipotent_block(F3, 3).tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
-    assert unipotent_block(F2, 1).is_identity()
+    assert unipotent_block(F2, 1) == Matrix.identity(F2, 1)
 
 
 def test_jordan_block_rep_valid():

@@ -22,7 +22,7 @@ def _random_matrix(F, rows, cols, rng):
 def test_constructors_and_shape():
     I = Matrix.identity(F2, 3)
     assert I.rows == I.cols == 3
-    assert I.is_identity()
+    assert I == Matrix(F2, np.eye(3, dtype=int))
     Z = Matrix.zeros(F3, 2, 4)
     assert not Z.a.any()
     col = Matrix(F3, [[1], [2]])
@@ -38,7 +38,6 @@ def test_arithmetic_small():
     assert (A - B).tolist() == [[2, 2], [2, 0]]
     assert (-A).tolist() == [[2, 1], [0, 2]]
     assert (A @ B).tolist() == [[1, 2], [1, 1]]
-    assert A.scale(2).tolist() == [[2, 4 % 3], [0, 2]]
     assert A.transpose().tolist() == [[1, 0], [2, 1]]
     assert A.apply((1, 1)) == (0, 1)
 
@@ -123,11 +122,7 @@ def test_subspace_sum_and_extremes():
     S = Subspace.from_rows(F2, 2, [[1, 0]])
     assert Subspace.zero(F2, 2).dim == 0
     assert Subspace.full(F2, 2).contains((1, 1))
-    assert S.to_json() == {
-        "ambient_dim": 2,
-        "basis": [[1, 0]],
-        "field": {"p": 2, "k": 1, "modulus": [0, 1]},
-    }
+    assert S.ambient_dim == 2 and S.basis.tolist() == [[1, 0]] and S.field.modulus == (0, 1)
 
 
 def test_matrix_immutability_surface():
@@ -141,11 +136,13 @@ def test_matrix_immutability_surface():
 
 
 def test_outside_data_is_range_checked():
-    for bad in ([[0, 3]], [[-1, 0]]):
+    # an int16 cast would truncate 1.5 to 1 and wrap 2**16 to 0
+    for bad in ([[0, 3]], [[-1, 0]], [[1.5, 0]], [[1 << 16, 0]]):
         with pytest.raises(ValueError):
             Matrix(F3, bad)
         with pytest.raises(ValueError):
             Subspace.from_rows(F3, 2, bad)
+    assert Matrix(F3, np.zeros((0, 2))).a.shape == (0, 2)  # empty input of any dtype
     with pytest.raises(ValueError):
         hstack([Matrix.identity(F4, 2), Matrix.identity(F2, 2)])
     with pytest.raises(ValueError):

@@ -38,28 +38,33 @@ def test_rep_validation():
 
 
 @pytest.mark.parametrize(
-    "group, field, T, validate",
+    "group, field, T",
     [
-        (cyclic_group(2), F2, np.ones((3, 1, 1)), False),  # wrong number of slices
-        (cyclic_group(2), F2, np.ones((2, 1, 2)), False),  # non-square slices
-        (cyclic_group(2), F2, np.ones((2,)), False),  # not a stack of matrices
-        (cyclic_group(2), F3, [[[1]], [[3]]], False),  # code q
-        (cyclic_group(2), F4, [[[1]], [[-1]]], False),  # negative code
-        (cyclic_group(2), F4, [[[1]], [[1 << 16]]], False),  # would wrap in int16
-        (cyclic_group(3), F3, [[[1]], [[2]], [[2]]], True),  # 2 * 2 != 2
+        (cyclic_group(2), F2, np.ones((3, 1, 1), dtype=int)),  # wrong number of slices
+        (cyclic_group(2), F2, np.ones((2, 1, 2), dtype=int)),  # non-square slices
+        (cyclic_group(2), F2, np.ones((2,), dtype=int)),  # not a stack of matrices
+        (cyclic_group(2), F3, [[[1]], [[3]]]),  # code q
+        (cyclic_group(2), F4, [[[1]], [[-1]]]),  # negative code
+        (cyclic_group(2), F4, [[[1]], [[1 << 16]]]),  # would wrap in int16
+        (cyclic_group(2), F3, [[[1]], [[1.9]]]),  # would truncate to the trivial rep
+        (cyclic_group(3), F3, [[[1]], [[2]], [[2]]]),  # 2 * 2 != 2
     ],
-    ids=["slices", "non-square", "not-a-stack", "code-q", "negative", "wide", "not-a-hom"],
+    ids=["slices", "non-square", "not-a-stack", "code-q", "negative", "wide", "float", "not-a-hom"],
 )
-def test_rep_rejects_bad_action_tensors(group, field, T, validate):
+def test_rep_rejects_bad_action_tensors(group, field, T):
     with pytest.raises(ValueError):
-        Rep(group, field, T, validate=validate)
+        Rep(group, field, T)
 
 
 def test_rep_copies_outside_data_and_skips_validation_only_on_request():
-    T = np.array([[[1]], [[2]], [[2]]])
-    V = Rep(cyclic_group(3), F3, T, validate=False)  # not a homomorphism
+    T = np.ones((3, 1, 1), dtype=int)
+    V = Rep(cyclic_group(3), F3, T)
     T[1, 0, 0] = 0
-    assert V.T[:, 0, 0].tolist() == [1, 2, 2] and V.T.dtype == np.int16
+    assert V.T[:, 0, 0].tolist() == [1, 1, 1] and V.T.dtype == np.int16
+    bad = np.array([[[1]], [[2]], [[2]]], dtype=np.int16)  # not a homomorphism
+    with pytest.raises(ValueError, match="homomorphism"):
+        Rep(cyclic_group(3), F3, bad)
+    assert Rep._of(cyclic_group(3), F3, bad, validate=False).T is bad
 
 
 def test_builders_frozen():
@@ -142,7 +147,7 @@ def test_hom_space_frozen():
 def test_fixed_points_frozen():
     C2 = cyclic_group(2)
     reg = regular_rep(C2, F2)
-    assert fixed_points(reg, Subgroup.trivial(C2)).dim == 2
+    assert fixed_points(restrict(reg, Subgroup.trivial(C2))).dim == 2
     fp = fixed_points(reg)
     assert fp.dim == 1 and fp.basis.tolist() == [[1, 1]]
     # char-p fixed points of a p-group are never zero on nonzero reps
@@ -302,7 +307,8 @@ def test_validate_rejects_one_wrong_product():
         powers = [Matrix.identity(F, len(M))]
         for _ in range(order):
             powers.append(powers[-1] @ Matrix(F, M))
-        assert powers[order].is_identity() and not powers[order - 1].is_identity()
+        I = Matrix.identity(F, len(M))
+        assert powers[order] == I and powers[order - 1] != I
         Rep(cyclic_group(order), F, [M.a for M in powers[:order]])
         for n in (order - 1, order + 1):
             with pytest.raises(ValueError, match="homomorphism"):
