@@ -1,6 +1,6 @@
 """Covering maps onto a representation from sums of induced trivial
-representations, plus the adjunction transports and central-character
-functors that move morphisms between levels.
+representations, plus the central-character functors that move
+morphisms between levels.
 
 For a subgroup U fixing a vector v, the map sending a function f on the
 coset space to sum_{cosets} f(r) r^{-1} v is equivariant and hits v at the
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FiniteField, p_part
-from .groups import Subgroup, all_subgroups, coset_lookup
+from .groups import Subgroup, all_subgroups
 from .linalg import Matrix, Subspace, hstack, row_reduce
 from .reps import (
     Character,
@@ -25,8 +25,7 @@ from .reps import (
     RepMap,
     direct_sum,
     induce,
-    intertwines,
-    restrict,
+    lower_lift,
     trivial_rep,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "qualifying_subgroups",
     "assemble_cover",
     "fixed_cover_subspace",
-    "transport_stack",
     "character_eigenspace",
     "extend_by_central_character",
 ]
@@ -68,22 +66,22 @@ def induced_trivial(U: Subgroup, field: FiniteField) -> Rep:
     return store[key]
 
 
-def cover_map(U: Subgroup, V: Rep, v) -> RepMap:
-    """The equivariant map from induced_trivial(U) sending the indicator of
-    the trivial coset to v; column i is the action of the i-th coset
-    representative's inverse on v."""
-    G = U.parent
-    if V.group != G:
-        raise ValueError("subgroup and representation have different groups")
-    vec = tuple(int(x) for x in v)
+def _vector(V: Rep, v) -> np.ndarray:
+    """v as a vector of V, its entries range-checked field codes."""
+    vec = Matrix(V.field, np.reshape(v, (1, -1))).a[0]
     if len(vec) != V.dim:
         raise ValueError("vector length differs from the representation dimension")
-    orbit = V.orbit(vec)
-    if not (orbit[list(U.generators())] == vec).all():
-        raise ValueError("vector is not fixed by the subgroup")
-    reps, _ = coset_lookup(G, U)
-    cols = orbit[G.inverse[list(reps)]].T
-    return RepMap(induced_trivial(U, V.field), V, Matrix._of(V.field, cols), validate=True)
+    return vec
+
+
+def cover_map(U: Subgroup, V: Rep, v) -> RepMap:
+    """The equivariant map from induced_trivial(U) sending the indicator of
+    the trivial coset to v: the lower lift of the U-map 1 |-> v.  That map
+    is equivariant exactly when U fixes v, so a vector U moves raises
+    ValueError("map is not equivariant")."""
+    col = _vector(V, v).reshape(1, -1, 1)
+    mat = Matrix._of(V.field, lower_lift(U, V, col)[0])
+    return RepMap(induced_trivial(U, V.field), V, mat)
 
 
 def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]:
@@ -93,8 +91,8 @@ def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]
     The zero vector is rejected: every subgroup would qualify vacuously.
     """
     G = V.group
-    vec = tuple(int(x) for x in v)
-    if all(x == 0 for x in vec):
+    vec = _vector(V, v)
+    if not vec.any():
         raise ValueError("zero vector is excluded")
     orbit = V.orbit(vec)
     fixed = (orbit == vec).all(axis=1)  # fixed[g]: g sends v to itself
@@ -200,66 +198,6 @@ def fixed_cover_subspace(asm: CoverAssembly) -> Subspace:
     rows = np.zeros((len(asm.blocks), S.dim), dtype=np.int16)
     rows[block, np.arange(S.dim)] = 1
     return Subspace.from_rows(S.field, S.dim, Matrix._of(S.field, rows))
-
-
-# ---------------------------------------------------------------------------
-# adjunction transports
-
-
-def transport_stack(
-    U: Subgroup,
-    W: Rep,
-    V: Rep,
-    flavor: str,
-    X: np.ndarray,
-    source: Rep,
-    target: Rep,
-    ind: Rep,
-) -> tuple[np.ndarray, Rep, Rep]:
-    """Move every map in the (k, target.dim, source.dim) stack X across the
-    induction/restriction adjunction at once; returns the moved stack with
-    its new source and target; ind is induce(U, W).
-
-    flavor "lower": between maps W -> V|_U and induced(W) -> V.
-    flavor "upper": between maps V|_U -> W and V -> induced(W).
-    The direction is read off from which side the stack lives on;
-    transporting twice returns the original stack.  The moved maps are
-    checked to be equivariant, so a stack that is not equivariant raises
-    ValueError."""
-    G = U.parent
-    if V.group != G or W.group != U.as_group():
-        raise ValueError("W must be a rep of the subgroup, V of the parent group")
-    if flavor not in ("lower", "upper"):
-        raise ValueError("flavor must be 'lower' or 'upper'")
-    reps, pos = coset_lookup(G, U)
-    field, dW, dV, k = V.field, W.dim, V.dim, X.shape[0]
-    i0 = pos[G.identity]
-    r0 = reps[i0]  # representative of the coset U itself, a member of U
-    block = slice(i0 * dW, (i0 + 1) * dW)
-    down = restrict(V, U)
-    if flavor == "lower":
-        if source == ind and target == V:
-            moved = field.ax_matmul_batch(X[:, :, block], W.T[U.local(r0)])
-            source, target = W, down
-        elif source == W and target == down:
-            # block column i is rho_V(r_i^-1) @ f
-            moved = field.ax_matmul_batch(V.T[G.inverse[list(reps)]], X[:, None])
-            moved = moved.transpose(0, 2, 1, 3).reshape(k, dV, ind.dim)
-            source, target = ind, V
-        else:
-            raise ValueError("map matches neither side of the lower adjunction")
-    elif source == V and target == ind:
-        moved = field.ax_matmul_batch(W.T[U.local(G.inv(r0))], X[:, block])
-        source, target = down, W
-    elif source == down and target == W:
-        # block row i is f @ rho_V(r_i)
-        moved = field.ax_matmul_batch(X[:, None], V.T[list(reps)]).reshape(k, ind.dim, dV)
-        source, target = V, ind
-    else:
-        raise ValueError("map matches neither side of the upper adjunction")
-    if not intertwines(source, target, moved):
-        raise ValueError("map is not equivariant")
-    return moved, source, target
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,20 @@ import numpy as np
 
 from .groups import Subgroup, coset_lookup
 from .linalg import Matrix, Subspace, row_reduce, solve, vstack
-from .reps import Rep, RepMap, ShortExactSeq, equivariance_system, hom_space, induce, intertwines, restrict
+from .reps import (
+    Rep,
+    RepMap,
+    ShortExactSeq,
+    equivariance_system,
+    hom_space,
+    induce,
+    intertwines,
+    lower_drop,
+    lower_lift,
+    restrict,
+    upper_drop,
+    upper_lift,
+)
 
 __all__ = [
     "SplitWitness",
@@ -67,6 +80,8 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
     """
     if kind not in ("section", "retraction"):
         raise ValueError("kind must be 'section' or 'retraction'")
+    if f.source.group != U.parent:
+        raise ValueError("f must be a map of representations of U's parent group")
     field = f.source.field
     ds, dt = f.source.dim, f.target.dim
     gens = list(U.generators())
@@ -146,65 +161,57 @@ def _induced_from_restriction(U: Subgroup, X: Rep) -> Rep:
     return store[key]
 
 
-def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
-    """X into the induction of its own restriction: x goes to g |-> gx,
-    so block row i is the action of the i-th coset representative."""
-    G = U.parent
-    if X.group != G:
-        raise ValueError("X must be a representation of U's parent group")
-    ind = _induced_from_restriction(U, X)
-    reps, _ = coset_lookup(G, U)
-    mat = X.T[list(reps)].reshape(len(reps) * X.dim, X.dim)
-    return RepMap(X, ind, Matrix._of(X.field, mat), validate=True)
+def _identity(d: int) -> np.ndarray:
+    return np.eye(d, dtype=np.int16)[None]
 
 
-def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
-    """Evaluation at the identity: a U-equivariant retraction of the unit."""
-    G = U.parent
-    ind = _induced_from_restriction(U, X)
-    reps, pos = coset_lookup(G, U)
-    i0 = pos[G.identity]
-    r0 = reps[i0]
-    mat = Matrix.zeros(field := X.field, X.dim, ind.dim).a.copy()
-    mat[:, i0 * X.dim : (i0 + 1) * X.dim] = X.T[G.inv(r0)]
-    R = Matrix(field, mat, copy=False)
-    if R @ adjunction_unit(U, X).matrix != Matrix.identity(field, X.dim):
-        raise AssertionError("evaluation at the identity failed to retract")
-    RepMap(restrict(ind, U), restrict(X, U), R, validate=True)
-    return SplitWitness("retraction", R)
+def _unit_matrix(U: Subgroup, X: Rep) -> Matrix:
+    """x goes to g |-> gx: the upper lift of the identity of Res X."""
+    return Matrix._of(X.field, upper_lift(U, X, _identity(X.dim))[0])
 
 
 def _counit_matrix(U: Subgroup, X: Rep) -> Matrix:
-    """The counit's matrix: block column i is the action of the inverse of
-    the i-th coset representative."""
-    G = U.parent
-    reps, _ = coset_lookup(G, U)
-    mat = X.T[G.inverse[list(reps)]].transpose(1, 0, 2).reshape(X.dim, len(reps) * X.dim)
-    return Matrix._of(X.field, mat)
+    """f goes to the sum of r^{-1} f(r) over coset representatives r: the
+    lower lift of the identity of Res X."""
+    return Matrix._of(X.field, lower_lift(U, X, _identity(X.dim))[0])
+
+
+def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
+    """X into the induction of its own restriction."""
+    if X.group != U.parent:
+        raise ValueError("X must be a representation of U's parent group")
+    return RepMap(X, _induced_from_restriction(U, X), _unit_matrix(U, X))
+
+
+def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
+    """Evaluation at the identity, the upper drop of the identity of the
+    induced module: a U-equivariant retraction of the unit."""
+    ind = _induced_from_restriction(U, X)
+    field, down = X.field, restrict(X, U)
+    R = Matrix._of(field, upper_drop(U, down, _identity(ind.dim))[0])
+    if R @ _unit_matrix(U, X) != Matrix.identity(field, X.dim):
+        raise AssertionError("evaluation at the identity failed to retract")
+    RepMap(restrict(ind, U), down, R)
+    return SplitWitness("retraction", R)
 
 
 def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
-    """Induction of the restriction onto X: f goes to the sum of r^{-1} f(r)
-    over coset representatives r."""
+    """Induction of the restriction onto X."""
     if X.group != U.parent:
         raise ValueError("X must be a representation of U's parent group")
-    return RepMap(_induced_from_restriction(U, X), X, _counit_matrix(U, X), validate=True)
+    return RepMap(_induced_from_restriction(U, X), X, _counit_matrix(U, X))
 
 
 def counit_section(U: Subgroup, X: Rep) -> SplitWitness:
-    """x goes to the function supported on U with value x at the identity:
-    a U-equivariant section of the counit."""
-    G = U.parent
+    """x goes to the function supported on U with value x at the identity,
+    the lower drop of the identity of the induced module: a U-equivariant
+    section of the counit."""
     ind = _induced_from_restriction(U, X)
-    reps, pos = coset_lookup(G, U)
-    i0 = pos[G.identity]
-    r0 = reps[i0]
-    mat = Matrix.zeros(field := X.field, ind.dim, X.dim).a.copy()
-    mat[i0 * X.dim : (i0 + 1) * X.dim, :] = X.T[r0]
-    S = Matrix(field, mat, copy=False)
-    if adjunction_counit(U, X).matrix @ S != Matrix.identity(field, X.dim):
+    field, down = X.field, restrict(X, U)
+    S = Matrix._of(field, lower_drop(U, down, _identity(ind.dim))[0])
+    if _counit_matrix(U, X) @ S != Matrix.identity(field, X.dim):
         raise AssertionError("canonical section failed against the counit")
-    RepMap(restrict(X, U), restrict(ind, U), S, validate=True)
+    RepMap(down, restrict(ind, U), S)
     return SplitWitness("section", S)
 
 
@@ -225,7 +232,7 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> SplitWitness:
     sigma = (ident - A.matrix @ rho) @ lift
     if proj.matrix @ sigma != Matrix.identity(field, proj.target.dim):
         raise AssertionError("canonical section failed against the projection")
-    RepMap(restrict(proj.target, U), restrict(proj.source, U), sigma, validate=True)
+    RepMap(restrict(proj.target, U), restrict(proj.source, U), sigma)
     return SplitWitness("section", sigma)
 
 
@@ -260,13 +267,14 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness 
     applied to X, which is the relative trace of Y, must be the identity,
     and Y must be U-equivariant, which is exactly when X is G-equivariant.
     """
+    if P.group != U.parent:
+        raise ValueError("P must be a representation of U's parent group")
     field = P.field
     gens = list(U.generators())
     Y = _equivariant_solve(P.T[gens], P.T[gens], _trace_operator(P, P, U), P.dim)
     if Y is None:
         return (False, None)
-    R = list(coset_lookup(P.group, U)[0])
-    X = Matrix._of(field, field.ax_matmul_batch(Y.a, P.T[R]).reshape(len(R) * P.dim, P.dim))
+    X = Matrix._of(field, upper_lift(U, P, Y.a[None])[0])
     if _counit_matrix(U, P) @ X != Matrix.identity(field, P.dim):
         raise AssertionError("trace witness failed to section the counit")
     local = restrict(P, U)
@@ -287,7 +295,7 @@ def subrep_on_subspace(big: Rep, space: Subspace) -> tuple[Rep, RepMap]:
     incl = space.basis.transpose()
     T = field.ax_matmul_batch(big.T[:, pivots, :], incl.a)
     sub = Rep._of(big.group, field, T, validate=True)
-    return sub, RepMap(sub, big, incl, validate=True)
+    return sub, RepMap(sub, big, incl)
 
 
 def subrep_on_kernel(f: RepMap) -> tuple[Rep, RepMap]:
@@ -311,7 +319,7 @@ def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
     # the lift onto the non-pivot coordinates just selects those columns
     T = field.ax_matmul_batch(pmat.a, big.T[:, :, others])
     quo = Rep._of(big.group, field, T, validate=True)
-    return quo, RepMap(big, quo, pmat, validate=True)
+    return quo, RepMap(big, quo, pmat)
 
 
 def suspension(X: Rep, U: Subgroup) -> tuple[Rep, ShortExactSeq]:

@@ -173,7 +173,7 @@ def _check_associative(T: np.ndarray):
 
 def group_from_table(table, labels: Sequence[str] | None = None) -> FinGroup:
     """Fully validated construction from raw table data."""
-    return FinGroup(table, labels=labels, validate=True)
+    return FinGroup(table, labels=labels)
 
 
 def _closure(G: FinGroup, seed) -> np.ndarray:
@@ -212,25 +212,24 @@ class Subgroup:
 
     __slots__ = ("parent", "members", "_local", "_group", "_gens", "_cosets")
 
-    def __init__(self, parent: FinGroup, members: Iterable[int], validate: bool = True):
+    def __init__(self, parent: FinGroup, members: Iterable[int]):
         self.parent = parent
         self.members = tuple(sorted(set(int(m) for m in members)))
         self._local = None
         self._group = None
         self._gens = None
         self._cosets = None
-        if validate:
-            inside = self.local_index >= 0
-            if not inside[parent.identity]:
-                raise ValueError("identity missing")
-            # the first member to fail decides the error, inverse before product
-            ms = list(self.members)
-            no_inv = ~inside[parent.inverse[ms]]
-            no_prod = ~inside[parent.table[np.ix_(ms, ms)]].all(axis=1)
-            bad = np.flatnonzero(no_inv | no_prod)
-            if len(bad):
-                what = "inverse" if no_inv[bad[0]] else "product"
-                raise ValueError(f"not closed under {what}")
+        inside = self.local_index >= 0
+        if not inside[parent.identity]:
+            raise ValueError("identity missing")
+        # the first member to fail decides the error, inverse before product
+        ms = list(self.members)
+        no_inv = ~inside[parent.inverse[ms]]
+        no_prod = ~inside[parent.table[np.ix_(ms, ms)]].all(axis=1)
+        bad = np.flatnonzero(no_inv | no_prod)
+        if len(bad):
+            what = "inverse" if no_inv[bad[0]] else "product"
+            raise ValueError(f"not closed under {what}")
 
     @staticmethod
     def generate(parent: FinGroup, gens: Iterable[int]) -> "Subgroup":
@@ -335,7 +334,7 @@ def _subgroup(self: FinGroup, members) -> Subgroup:
     key = tuple(sorted(set(int(m) for m in members)))
     hit = self._subgroup_cache.get(key)
     if hit is None:
-        hit = Subgroup(self, key, validate=True)
+        hit = Subgroup(self, key)
         self._subgroup_cache[key] = hit
     return hit
 

@@ -29,7 +29,7 @@ def unipotent_block(field: FiniteField, size: int) -> Matrix:
         a[i, i] = 1
         if i + 1 < size:
             a[i, i + 1] = 1
-    return Matrix(field, a, copy=False)
+    return Matrix._of(field, a)
 
 
 def jordan_block_rep(G: FinGroup, field: FiniteField, size: int) -> Rep:

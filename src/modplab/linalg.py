@@ -26,7 +26,7 @@ from .memo import ENTRY_OVERHEAD, Memo
 class Matrix:
     __slots__ = ("field", "a")
 
-    def __init__(self, field: FiniteField, data, copy: bool = True):
+    def __init__(self, field: FiniteField, data):
         raw = np.asarray(data)
         if raw.ndim != 2:
             raise ValueError("matrix data must be two dimensional")
@@ -36,7 +36,7 @@ class Matrix:
             raise ValueError("entries must be integer field codes")
         if raw.size and (raw.min() < 0 or raw.max() >= field.order):
             raise ValueError("entry out of field range")
-        a = np.array(raw, dtype=np.int16, copy=copy)
+        a = np.array(raw, dtype=np.int16)
         a.flags.writeable = False
         self.field = field
         self.a = a
@@ -110,9 +110,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.a[i])
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.a[:, j])
 
     def tolist(self) -> list[list[int]]:
         return [[int(x) for x in row] for row in self.a]

@@ -35,6 +35,10 @@ __all__ = [
     "direct_sum",
     "restrict",
     "induce",
+    "lower_lift",
+    "upper_lift",
+    "lower_drop",
+    "upper_drop",
     "equivariance_system",
     "intertwines",
     "hom_space",
@@ -327,6 +331,57 @@ def induce(U: Subgroup, W: Rep) -> Rep:
     out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
     out[g, j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
     return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=True)
+
+
+# Frobenius reciprocity on (k, rows, cols) stacks of maps in induce's block
+# layout, block i for the coset of the i-th representative r_i.  A lifted
+# stack is equivariant exactly when the stack it came from is; no map here
+# checks that.
+
+
+def _coset_reps(U: Subgroup, V: Rep) -> list[int]:
+    if V.group != U.parent:
+        raise ValueError("V must be a representation of U's parent group")
+    return list(coset_lookup(U.parent, U)[0])
+
+
+def _trivial_block(U: Subgroup, W: Rep) -> tuple[slice, int]:
+    """The coordinates of the block of the coset U itself, and its
+    representative r0, a member of U."""
+    if W.group != U.as_group():
+        raise ValueError("W must be a representation of U.as_group()")
+    reps, pos = coset_lookup(U.parent, U)
+    i0 = int(pos[U.parent.identity])
+    return slice(i0 * W.dim, (i0 + 1) * W.dim), reps[i0]
+
+
+def lower_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
+    """U-maps W -> Res V to G-maps Ind W -> V: block column i is
+    rho_V(r_i^-1) X."""
+    reps = _coset_reps(U, V)
+    k, dV, dW = X.shape
+    moved = V.field.ax_matmul_batch(V.T[U.parent.inverse[reps]], X[:, None])
+    return moved.transpose(0, 2, 1, 3).reshape(k, dV, len(reps) * dW)
+
+
+def upper_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
+    """U-maps Res V -> W to G-maps V -> Ind W: block row i is
+    X rho_V(r_i)."""
+    reps = _coset_reps(U, V)
+    k, dW, dV = X.shape
+    return V.field.ax_matmul_batch(X[:, None], V.T[reps]).reshape(k, len(reps) * dW, dV)
+
+
+def lower_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
+    """The inverse of lower_lift: F[:, :, block0] rho_W(r0)."""
+    block, r0 = _trivial_block(U, W)
+    return W.field.ax_matmul_batch(F[:, :, block], W.T[U.local(r0)])
+
+
+def upper_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
+    """The inverse of upper_lift: rho_W(r0^-1) F[:, block0]."""
+    block, r0 = _trivial_block(U, W)
+    return W.field.ax_matmul_batch(W.T[U.local(U.parent.inv(r0))], F[:, block])
 
 
 def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Matrix:

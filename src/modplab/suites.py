@@ -7,7 +7,7 @@ or a count.  Suites use a seeded generator only for choosing sample
 vectors and map coefficients; every iteration order is fixed.
 
 suites:
-  frobenius        adjunction dimension counts and round-trip transports
+  frobenius        adjunction dimension counts and lift/drop round trips
   phi-machinery    fixed points of induced trivials, qualifying subgroups,
                    kernel/anchor behavior of cover maps, assembled covers
   higman           projectivity of modules induced from order-prime-to-p
@@ -40,7 +40,6 @@ from .covers import (
     induced_trivial,
     nonzero_vectors,
     qualifying_subgroups,
-    transport_stack,
 )
 from .exact import (
     adjunction_counit,
@@ -59,7 +58,7 @@ from .exact import (
     unit_retraction,
 )
 from .fields import FiniteField, p_part
-from .groups import FinGroup, Subgroup, all_subgroups, coset_lookup
+from .groups import FinGroup, Subgroup, all_subgroups
 from .jordan import jordan_block_rep, jordan_type, stable_jordan_type
 from .linalg import Matrix, Subspace, hstack, row_reduce
 from .reps import (
@@ -74,9 +73,13 @@ from .reps import (
     hom_space,
     induce,
     intertwines,
+    lower_drop,
+    lower_lift,
     regular_rep,
     restrict,
     trivial_rep,
+    upper_drop,
+    upper_lift,
 )
 from .reports import Case, make_report
 
@@ -168,19 +171,19 @@ def _frobenius_case(G: FinGroup, F: FiniteField, U: Subgroup) -> dict:
                 upper_g.dim == upper_u.dim,
                 f"upper adjunction dims {upper_g.dim} != {upper_u.dim}",
             )
-            # each basis moves across as one stack and back
-            for flavor, space, src, dst in (
-                ("lower", lower_u, W, down),
-                ("upper", upper_u, down, W),
+            # each basis is lifted as one stack and dropped back
+            for flavor, space, src, dst, lift, drop, big in (
+                ("lower", lower_u, W, down, lower_lift, lower_drop, (ind, V)),
+                ("upper", upper_u, down, W, upper_lift, upper_drop, (V, ind)),
             ):
                 k = space.dim
                 if not k:
                     continue
                 X = space.basis.a.reshape(k, dst.dim, src.dim)
                 _ensure(intertwines(src, dst, X), f"{flavor} hom basis is not equivariant")
-                moved, s2, t2 = transport_stack(U, W, V, flavor, X, src, dst, ind)
-                back, _, _ = transport_stack(U, W, V, flavor, moved, s2, t2, ind)
-                _ensure(np.array_equal(back, X), f"{flavor} round trip broke")
+                moved = lift(U, V, X)
+                _ensure(intertwines(*big, moved), f"{flavor} lifted maps are not equivariant")
+                _ensure(np.array_equal(drop(U, W, moved), X), f"{flavor} round trip broke")
                 trips += k
             pairs += 1
     return {"pairs": pairs, "round_trips": trips}
@@ -236,10 +239,9 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
         for U in qualifying_subgroups(V, v):
             phi = cover_map(U, V, v)
             _ensure(phi.kernel().dim > 0, "qualifying subgroup produced an injective cover map")
-            _, pos = coset_lookup(K, U)
-            i0 = pos[K.identity]
+            anchor = lower_drop(U, trivial_rep(U.as_group(), F), phi.matrix.a[None])
             _ensure(
-                phi.matrix.col(i0) == v,
+                np.array_equal(anchor[0, :, 0], v),
                 "indicator of the trivial coset missed its vector",
             )
             anchored += 1
@@ -482,7 +484,7 @@ def _check_pullbacks(
                 continue
             h = RepMap(X, W, Matrix._of(F, hs.basis.a[0].reshape(W.dim, X.dim)))
             both = direct_sum([X, proj1.source])
-            corner = RepMap(both, W, hstack([h.matrix, (-proj1.matrix)]), validate=True)
+            corner = RepMap(both, W, hstack([h.matrix, (-proj1.matrix)]))
             P, incl = subrep_on_kernel(corner)
             toX = RepMap(P, X, Matrix(F, incl.matrix.a[: X.dim, :]))
             for U in sample_subs[:2]:

@@ -11,7 +11,6 @@ from modplab.covers import (
     fixed_cover_subspace,
     induced_trivial,
     qualifying_subgroups,
-    transport_stack,
 )
 from modplab.fields import FiniteField
 from modplab.linalg import Matrix, Subspace, row_reduce
@@ -21,10 +20,14 @@ from modplab.reps import (
     characters_of,
     fixed_points,
     hom_space,
-    induce,
+    intertwines,
+    lower_drop,
+    lower_lift,
     regular_rep,
     restrict,
     trivial_rep,
+    upper_drop,
+    upper_lift,
 )
 
 F2 = FiniteField(2)
@@ -72,8 +75,29 @@ def test_cover_map_frozen_augmentation():
     phi = cover_map(Subgroup.trivial(C2), trivial_rep(C2, F2), (1,))
     assert phi.matrix.tolist() == [[1, 1]]
     assert row_reduce(phi.matrix).kernel.dim == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="map is not equivariant"):
         cover_map(Subgroup.full(C2), regular_rep(C2, F2), (1, 0))  # not fixed
+
+
+@pytest.mark.parametrize("q, code", [(2, 3), (2, -1), (3, -1), (4, 7)])
+def test_vector_codes_outside_the_field_are_rejected(q, code):
+    """A code is never reduced into the field: over F2, (3,) is not (1,)."""
+    F = FiniteField(2, 2) if q == 4 else FiniteField(q)
+    C2 = cyclic_group(2)
+    V = trivial_rep(C2, F)
+    with pytest.raises(ValueError, match="out of field range"):
+        cover_map(Subgroup.trivial(C2), V, (code,))
+    with pytest.raises(ValueError, match="out of field range"):
+        qualifying_subgroups(V, (code,))
+
+
+def test_vector_of_the_wrong_length_is_rejected():
+    C2 = cyclic_group(2)
+    V = trivial_rep(C2, F2)
+    with pytest.raises(ValueError, match="vector length"):
+        cover_map(Subgroup.trivial(C2), V, (1, 0))
+    with pytest.raises(ValueError, match="vector length"):
+        qualifying_subgroups(V, (1, 0))
 
 
 def test_cover_map_kernel_nonzero_on_qualifying():
@@ -83,7 +107,7 @@ def test_cover_map_kernel_nonzero_on_qualifying():
         phi = cover_map(U, V, (1,))
         assert row_reduce(phi.matrix).kernel.dim > 0
         # the indicator of the trivial coset maps to the vector itself
-        assert phi.matrix.col(0) == (1,)
+        assert phi.matrix.a[:, 0].tolist() == [1]
 
 
 def test_assemble_cover_frozen():
@@ -127,30 +151,27 @@ def test_frobenius_transport_round_trip():
     V = trivial_rep(S3, F3)
     ind = induced_trivial(U, F3)
     assert hom_space(ind, V).dim == hom_space(W, restrict(V, U)).dim == 1
-    ind = induce(U, W)
     t = RepMap(W, restrict(V, U), Matrix.identity(F3, 1))
-    big, source, target = transport_stack(U, W, V, "lower", t.matrix.a[None], t.source, t.target, ind)
-    assert source.dim == 3 and target is V
-    back, *_ = transport_stack(U, W, V, "lower", big, source, target, ind)
-    assert np.array_equal(back[0], t.matrix.a)
+    big = lower_lift(U, V, t.matrix.a[None])
+    assert big.shape == (1, 1, 3) and intertwines(ind, V, big)
+    assert np.array_equal(lower_drop(U, W, big)[0], t.matrix.a)
     up = RepMap(restrict(V, U), W, Matrix.identity(F3, 1))
-    lifted, source, target = transport_stack(U, W, V, "upper", up.matrix.a[None], up.source, up.target, ind)
-    assert source is V and target.dim == 3
-    assert np.array_equal(transport_stack(U, W, V, "upper", lifted, source, target, ind)[0][0], up.matrix.a)
+    lifted = upper_lift(U, V, up.matrix.a[None])
+    assert lifted.shape == (1, 3, 1) and intertwines(V, ind, lifted)
+    assert np.array_equal(upper_drop(U, W, lifted)[0], up.matrix.a)
 
 
 def test_frobenius_transport_rejects_mismatch():
     S3 = sym3()
     U = Subgroup(S3, [0, 3])
     W = trivial_rep(U.as_group(), F3)
-    V = trivial_rep(S3, F3)
-    t = RepMap(W, restrict(V, U), Matrix.identity(F3, 1))
-    X = t.matrix.a[None]
-    ind = induce(U, W)
-    with pytest.raises(ValueError):
-        transport_stack(U, W, V, "sideways", X, t.source, t.target, ind)
-    with pytest.raises(ValueError):
-        transport_stack(U, W, trivial_rep(S3, F2), "lower", X, t.source, t.target, ind)
+    X = np.eye(1, dtype=np.int16)[None]
+    for lift in (lower_lift, upper_lift):
+        with pytest.raises(ValueError):
+            lift(U, trivial_rep(cyclic_group(6), F3), X)  # V not on U's parent
+    for drop in (lower_drop, upper_drop):
+        with pytest.raises(ValueError):
+            drop(U, trivial_rep(S3, F3), np.zeros((1, 3, 3), dtype=np.int16))  # W not on U
 
 
 def test_character_eigenspace_frozen():

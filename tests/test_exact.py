@@ -1,6 +1,6 @@
 import pytest
 
-from modplab.catalog import catalog_reps, cyclic_group, sym3
+from modplab.catalog import alt4, catalog_reps, cyclic_group, sym3
 from modplab.covers import induced_trivial
 from modplab.exact import (
     SplitWitness,
@@ -63,6 +63,26 @@ def test_u_split_search_retraction():
     assert r is not None and r.map @ inc.matrix == Matrix.identity(F2, 1)
     with pytest.raises(ValueError):
         u_split_search(inc, Subgroup.full(C2), "both")
+
+
+def _foreign_subgroups():
+    """Subgroups of C4 and A4, none of them a subgroup of S3: (0, 2) and
+    (0, 3) index inside S3's order, (0, 8) beyond it."""
+    return [Subgroup(cyclic_group(4), [0, 2]), Subgroup(alt4(), [0, 3]), Subgroup(alt4(), [0, 8])]
+
+
+@pytest.mark.parametrize("U", _foreign_subgroups(), ids=repr)
+def test_u_split_search_rejects_a_subgroup_of_another_group(U):
+    reg = regular_rep(sym3(), F2)
+    f = RepMap(reg, reg, Matrix.identity(F2, 6))
+    with pytest.raises(ValueError, match="parent group"):
+        u_split_search(f, U, "section")
+
+
+@pytest.mark.parametrize("U", _foreign_subgroups(), ids=repr)
+def test_relative_projectivity_rejects_a_subgroup_of_another_group(U):
+    with pytest.raises(ValueError, match="parent group"):
+        relative_projectivity_test(regular_rep(sym3(), F2), U)
 
 
 def test_splits_over():

@@ -66,11 +66,29 @@ def test_every_private_function_is_referenced():
 DEFAULTS_ALLOWED = {"cli.main:argv"}
 
 
+def _functions(tree):
+    """(qualified name, call name, function, count of implicit leading
+    arguments) for each module-level function and each method; a
+    constructor is called by its class name, and a method other than a
+    staticmethod receives its instance or class implicitly."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                call = node.name if fn.name == "__init__" else fn.name
+                yield f"{node.name}.{fn.name}", call, fn, 0 if static else 1
+
+
 def test_every_default_is_set_by_a_caller():
-    """Each defaulted parameter of a module-level function is passed, by
-    position or by keyword, by some call in src/; an option no caller sets
+    """Each defaulted parameter of a module-level function, method or
+    constructor is passed, by position or by keyword, by some call in src/
+    with a value other than its literal default; an option no caller sets
     is a code path only tests take.  Calls match on the bare or attribute
-    name of the function."""
+    name of the function, a constructor's on its class name."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     calls = {}
     for tree in trees.values():
@@ -79,23 +97,30 @@ def test_every_default_is_set_by_a_caller():
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
+
+    def sets(call, index, param, default):
+        if index is not None and len(call.args) > index:
+            value = call.args[index]
+        else:
+            value = next((k.value for k in call.keywords if k.arg == param), None)
+        if value is None:
+            return False
+        return not (isinstance(default, ast.Constant) and ast.dump(value) == ast.dump(default))
+
     unset = []
     for mod, tree in trees.items():
-        for fn in tree.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for qualname, call_name, fn, implicit in _functions(tree):
             a = fn.args
             positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
             defaulted = [
-                (i, arg.arg) for i, arg in enumerate(positional) if i >= len(positional) - len(a.defaults)
+                (i - implicit, arg.arg, d) for i, (arg, d) in enumerate(zip(positional[first:], a.defaults), first)
             ]
-            defaulted += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            for i, param in defaulted:
-                passed = any(
-                    (i is not None and len(c.args) > i)
-                    or any(k.arg == param for k in c.keywords)
-                    for c in calls.get(fn.name, ())
-                )
-                if not passed and f"{mod}.{fn.name}:{param}" not in DEFAULTS_ALLOWED:
-                    unset.append(f"{mod}.{fn.name}:{param}")
-    assert not unset, f"defaulted parameters no call in src/ sets: {sorted(unset)}"
+            defaulted += [(None, arg.arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for i, param, default in defaulted:
+                key = f"{mod}.{qualname}:{param}"
+                if key in DEFAULTS_ALLOWED:
+                    continue
+                if not any(sets(c, i, param, default) for c in calls.get(call_name, ())):
+                    unset.append(key)
+    assert not unset, f"defaulted parameters no call in src/ sets to another value: {sorted(unset)}"

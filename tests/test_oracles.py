@@ -1026,7 +1026,7 @@ def test_subspace_pivots_match_rref_and_first_nonzero_scan(pk, data):
     assert Subspace.zero(F, cols).pivots == []
 
 
-# ---- stacked adjunction transports and qualifying subgroups ----
+# ---- Frobenius reciprocity stack maps and qualifying subgroups ----
 
 
 def ref_right_coset_reps(G, U):
@@ -1041,12 +1041,20 @@ def ref_right_coset_reps(G, U):
     flavor=st.sampled_from(["lower", "upper"]),
     data=st.data(),
 )
-def test_transport_stack_matches_per_coset_products(gname, fname, flavor, data):
+def test_stack_maps_match_per_coset_products(gname, fname, flavor, data):
     from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
-    from modplab.covers import transport_stack
     from modplab.groups import all_subgroups
     from modplab.linalg import hstack, vstack
-    from modplab.reps import hom_space, induce, restrict
+    from modplab.reps import (
+        hom_space,
+        induce,
+        intertwines,
+        lower_drop,
+        lower_lift,
+        restrict,
+        upper_drop,
+        upper_lift,
+    )
 
     G, F = catalog_groups()[gname], catalog_fields()[fname]
     U = data.draw(st.sampled_from(all_subgroups(G)))
@@ -1054,11 +1062,14 @@ def test_transport_stack_matches_per_coset_products(gname, fname, flavor, data):
     W = W_pool[data.draw(st.sampled_from(sorted(W_pool)))]
     V = V_pool[data.draw(st.sampled_from(sorted(V_pool)))]
     down, ind = restrict(V, U), induce(U, W)
-    src, dst = (W, down) if flavor == "lower" else (down, W)
+    if flavor == "lower":
+        src, dst, lift, drop, big = W, down, lower_lift, lower_drop, (ind, V)
+    else:
+        src, dst, lift, drop, big = down, W, upper_lift, upper_drop, (V, ind)
     space = hom_space(src, dst)
     X = space.basis.a.reshape(space.dim, dst.dim, src.dim)
-    moved, s2, t2 = transport_stack(U, W, V, flavor, X, src, dst, ind)
-    assert (s2, t2) == ((ind, V) if flavor == "lower" else (V, ind))
+    moved = lift(U, V, X)
+    assert intertwines(*big, moved)
     reps = ref_right_coset_reps(G, U)
     for f, got in zip(X, moved):
         t = Matrix(F, f)
@@ -1067,9 +1078,80 @@ def test_transport_stack_matches_per_coset_products(gname, fname, flavor, data):
         else:  # block row i is t rho_V(r_i)
             want = vstack([t @ Matrix(F, V.T[r]) for r in reps])
         assert np.array_equal(got, want.a)
-    back, s3, t3 = transport_stack(U, W, V, flavor, moved, s2, t2, ind)
-    assert (s3, t3) == (src, dst)
-    assert np.array_equal(back, X)
+    assert np.array_equal(drop(U, W, moved), X)
+
+
+def ref_adjunction_matrices(U, P):
+    """The unit, counit, unit retraction, counit section and Higman witness
+    (None when there is none) of U and P, laid out block by block as induce
+    lays out its basis: one block per least coset representative, the coset
+    U itself at the position of the identity."""
+    from modplab.groups import coset_lookup
+
+    G, F, d = U.parent, P.field, P.dim
+    reps, pos = coset_lookup(G, U)
+    n = len(reps)
+    i0 = pos[G.identity]
+    r0 = reps[i0]
+    unit = P.T[list(reps)].reshape(n * d, d)
+    counit = P.T[G.inverse[list(reps)]].transpose(1, 0, 2).reshape(d, n * d)
+    retraction = np.zeros((d, n * d), dtype=np.int16)
+    retraction[:, i0 * d : (i0 + 1) * d] = P.T[G.inv(r0)]
+    section = np.zeros((n * d, d), dtype=np.int16)
+    section[i0 * d : (i0 + 1) * d, :] = P.T[r0]
+    gens = list(U.generators())
+    Y = exact._equivariant_solve(P.T[gens], P.T[gens], exact._trace_operator(P, P, U), d)
+    witness = None if Y is None else Matrix(F, F.ax_matmul_batch(Y.a, P.T[list(reps)]).reshape(n * d, d))
+    return {
+        "unit": Matrix(F, unit),
+        "counit": Matrix(F, counit),
+        "retraction": Matrix(F, retraction),
+        "section": Matrix(F, section),
+        "witness": witness,
+    }
+
+
+def ref_cover_columns(U, V, v):
+    """Column i of the cover map is the inverse of the i-th coset
+    representative applied to v."""
+    from modplab.groups import coset_lookup
+
+    G = U.parent
+    reps, _ = coset_lookup(G, U)
+    orbit = V.orbit(v)
+    return Matrix(V.field, orbit[G.inverse[list(reps)]].T)
+
+
+@pytest.mark.parametrize("gname", sorted(catalog.catalog_groups()))
+def test_adjunction_matrices_match_block_layout(gname):
+    """Every subgroup, standard field and pool rep: the unit, counit,
+    retraction, section, cover maps and Higman witness equal the matrices
+    written out block by block."""
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.groups import all_subgroups
+    from modplab.reps import fixed_points, restrict
+    from modplab.suites import STANDARD_FIELDS
+
+    G = catalog_groups()[gname]
+    checked = 0
+    for fname in STANDARD_FIELDS:
+        F = catalog_fields()[fname]
+        for U in all_subgroups(G):
+            for name, P in catalog_reps(G, F, 4).items():
+                for v in fixed_points(restrict(P, U)).basis.tolist():
+                    assert covers.cover_map(U, P, v).matrix == ref_cover_columns(U, P, v), (fname, U, name)
+                if not _fits_induce(P, U):
+                    continue
+                want = ref_adjunction_matrices(U, P)
+                assert exact.adjunction_unit(U, P).matrix == want["unit"], (fname, U, name)
+                assert exact.adjunction_counit(U, P).matrix == want["counit"], (fname, U, name)
+                assert exact.unit_retraction(U, P).map == want["retraction"], (fname, U, name)
+                assert exact.counit_section(U, P).map == want["section"], (fname, U, name)
+                flag, witness = exact.relative_projectivity_test(P, U)
+                assert flag == (want["witness"] is not None), (fname, U, name)
+                assert (None if witness is None else witness.map) == want["witness"], (fname, U, name)
+                checked += 1
+    assert checked > 0
 
 
 def ref_join(G, A, B):
