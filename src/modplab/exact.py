@@ -285,6 +285,13 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness 
 
 # ---------------------------------------------------------------------------
 # sub/quotient representations on canonical coordinates
+#
+# Each action is proved by its map, with no dense check of its own.  Both
+# maps are the identity on the kept coordinates, so the identity acts as I.
+# The RepMap's check on the generators makes the space invariant, because
+# the inclusion is injective and the projection surjective; the action read
+# off the kept coordinates then intertwines for every element, which makes
+# it a homomorphism.  A subspace that is not invariant fails that check.
 
 
 def subrep_on_subspace(big: Rep, space: Subspace) -> tuple[Rep, RepMap]:
@@ -294,7 +301,7 @@ def subrep_on_subspace(big: Rep, space: Subspace) -> tuple[Rep, RepMap]:
     pivots = space.pivots
     incl = space.basis.transpose()
     T = field.ax_matmul_batch(big.T[:, pivots, :], incl.a)
-    sub = Rep._of(big.group, field, T, validate=True)
+    sub = Rep._of(big.group, field, T, validate=False)
     return sub, RepMap(sub, big, incl)
 
 
@@ -318,7 +325,7 @@ def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
     pmat = Matrix._of(field, proj)
     # the lift onto the non-pivot coordinates just selects those columns
     T = field.ax_matmul_batch(pmat.a, big.T[:, :, others])
-    quo = Rep._of(big.group, field, T, validate=True)
+    quo = Rep._of(big.group, field, T, validate=False)
     return quo, RepMap(big, quo, pmat)
 
 

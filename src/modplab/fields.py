@@ -100,39 +100,30 @@ def _poly_rem(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(x % p for x in a))
 
 
+def _monics(p: int, d: int):
+    """The monic polynomials of degree d over Z/p, constant coefficient
+    first, in increasing order of their base-p digit encoding (constant
+    coefficient least significant)."""
+    for m in range(p**d):
+        yield tuple(m // p**i % p for i in range(d)) + (1,)
+
+
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg//2."""
     deg = len(modulus) - 1
     if deg < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for m in range(p**d):
-            digits = []
-            mm = m
-            for _ in range(d):
-                digits.append(mm % p)
-                mm //= p
-            cand = tuple(digits) + (1,)
-            if not _poly_rem(modulus, cand, p):
-                return False
-    return True
+    return all(
+        _poly_rem(modulus, cand, p) for d in range(1, deg // 2 + 1) for cand in _monics(p, d)
+    )
 
 
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over Z/p.
-
-    Candidates are scanned in increasing order of their base-p digit
-    encoding (constant coefficient least significant).
-    """
+    """Lexicographically smallest monic irreducible of degree k over Z/p,
+    scanning the candidates in the order of _monics."""
     if k == 1:
         return (0, 1)
-    for m in range(p**k):
-        digits = []
-        mm = m
-        for _ in range(k):
-            digits.append(mm % p)
-            mm //= p
-        cand = tuple(digits) + (1,)
+    for cand in _monics(p, k):
         if _is_irreducible(cand, p):
             return cand
     raise ValueError(f"no irreducible of degree {k} over F_{p}")  # unreachable

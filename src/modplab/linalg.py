@@ -99,20 +99,10 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, self.a.T.copy())
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """The image of a coordinate vector, M @ v."""
-        v = np.asarray(vec, dtype=np.int16).reshape(-1, 1)
-        if v.shape[0] != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(int(x) for x in self.field.ax_matmul(self.a, v)[:, 0])
-
     # ---- access ----
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.a[i])
-
     def tolist(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self.a]
+        return self.a.tolist()
 
     def __eq__(self, other):
         return (
@@ -231,23 +221,18 @@ class Subspace:
             return []
         return (self.basis.a != 0).argmax(axis=1).tolist()
 
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce(vec))
-
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Remainder of vec after eliminating against the echelon basis."""
+    def reduce(self, rows) -> np.ndarray:
+        """Remainders of the rows of a (k, n) code array, range-checked,
+        after eliminating against the echelon basis B.  B is the identity on
+        its pivot columns, so this is one product: rows - rows[:, pivots] @ B."""
         f = self.field
-        v = np.asarray(vec, dtype=np.int16).copy()
-        if v.shape != (self.ambient_dim,):
+        v = Matrix(f, rows).a
+        if v.shape[1] != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        B = self.basis.a
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                v = f.ax_sub(v, f.ax_scale(B[i], int(v[c])))
-        return tuple(int(x) for x in v)
+        return f.ax_sub(v, f.ax_matmul(v[:, self.pivots], self.basis.a))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
+        return not self.reduce(other.basis.a).any()
 
     def __eq__(self, other):
         return (

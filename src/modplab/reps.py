@@ -162,9 +162,6 @@ class RepMap:
     def is_surjective(self) -> bool:
         return self.rank() == self.target.dim
 
-    def kernel(self) -> Subspace:
-        return row_reduce(self.matrix).kernel
-
     def image(self) -> Subspace:
         return row_reduce(self.matrix).image
 
@@ -188,16 +185,16 @@ class ShortExactSeq:
     def __init__(self, left: RepMap, right: RepMap):
         if left.target != right.source:
             raise ValueError("middle objects differ")
-        # one reduction of each map serves both of its checks
-        L = row_reduce(left.matrix)
-        if L.rank != left.source.dim:
+        if not left.is_injective():
             raise ValueError("left map is not injective")
-        R = row_reduce(right.matrix)
-        if R.rank != right.target.dim:
+        if not right.is_surjective():
             raise ValueError("right map is not surjective")
         if left.source.dim + right.target.dim != left.target.dim:
             raise ValueError("dimension count fails")
-        if L.image != R.kernel:
+        # once the dimensions add up, the image of the monic left map has
+        # the dimension of the kernel of the epic right map, so it is that
+        # kernel exactly when it lies inside it: when the composite is zero
+        if (right.matrix @ left.matrix).a.any():
             raise ValueError("image of left map differs from kernel of right map")
         self.left = left
         self.right = right

@@ -238,7 +238,7 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
     for v in nonzero_vectors(F, V.dim):
         for U in qualifying_subgroups(V, v):
             phi = cover_map(U, V, v)
-            _ensure(phi.kernel().dim > 0, "qualifying subgroup produced an injective cover map")
+            _ensure(not phi.is_injective(), "qualifying subgroup produced an injective cover map")
             anchor = lower_drop(U, trivial_rep(U.as_group(), F), phi.matrix.a[None])
             _ensure(
                 np.array_equal(anchor[0, :, 0], v),
@@ -254,12 +254,10 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
     _ensure(not expect_fail, "free summand present but coverage unexpectedly succeeded")
     _ensure(asm.onto.rank() == V.dim, "assembled map is not surjective")
     sk = fixed_cover_subspace(asm)
-    for i in range(sk.dim):
-        image = asm.onto.matrix.apply(sk.basis.row(i))
-        _ensure(
-            all(x == 0 for x in image),
-            "assembled map does not vanish on the fixed subspace",
-        )
+    _ensure(
+        not (asm.onto.matrix @ sk.basis.transpose()).a.any(),
+        "assembled map does not vanish on the fixed subspace",
+    )
     if asm.source.dim <= 40:
         _ensure(fixed_points(asm.source) == sk, "blockwise fixed subspace mismatch")
     return {
@@ -699,9 +697,8 @@ def _check_projectors(pool: dict[str, Rep], C: Subgroup, chars: list) -> int:
             space, P = character_eigenspace(V, C, chi)
             _ensure(P is not None, "projector unavailable for p'-order center")
             _ensure(row_reduce(P).image == space, "projector image mismatch")
-            for i in range(space.dim):
-                b = space.basis.row(i)
-                _ensure(P.apply(b) == b, "projector not identity on eigenspace")
+            B = space.basis
+            _ensure(B @ P.transpose() == B, "projector not identity on eigenspace")
             dims += space.dim
             count += 1
         if len(chars) == C.order:
@@ -737,9 +734,9 @@ def _check_surjections(
             for chi in chars:
                 s1, _ = character_eigenspace(V1, C, chi)
                 s2, _ = character_eigenspace(V2, C, chi)
-                rows = [gamma.matrix.apply(s1.basis.row(i)) for i in range(s1.dim)]
+                image = s1.basis @ gamma.matrix.transpose()
                 _ensure(
-                    Subspace.from_rows(F, V2.dim, rows) == s2,
+                    Subspace.from_rows(F, V2.dim, image) == s2,
                     "surjection failed to stay surjective on an eigenspace",
                 )
             count += 1

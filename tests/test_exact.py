@@ -199,6 +199,17 @@ def test_subrep_and_quotient():
     assert ker.dim == 1 and kinc.matrix.tolist() == [[1], [1]]
 
 
+def test_subrep_and_quotient_reject_a_non_invariant_subspace():
+    # the generator of C2 swaps e0 and e1; a transposition of S3 moves the
+    # basis vector of the identity
+    for V in (regular_rep(cyclic_group(2), F2), regular_rep(sym3(), F3)):
+        line = Subspace.from_rows(V.field, V.dim, [[1] + [0] * (V.dim - 1)])
+        with pytest.raises(ValueError, match="map is not equivariant"):
+            subrep_on_subspace(V, line)
+        with pytest.raises(ValueError, match="map is not equivariant"):
+            quotient_rep(V, line)
+
+
 def test_suspension_and_loop_frozen():
     C2 = cyclic_group(2)
     triv = trivial_rep(C2, F2)

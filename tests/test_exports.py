@@ -38,18 +38,30 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def test_every_private_function_is_referenced():
-    """Each module-level private function is read somewhere in the package,
-    so a helper that lost its last caller leaves the tree with it."""
+def _package_trees():
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     trees["__init__.py"] = ast.parse(Path(modplab.__file__).read_text(encoding="utf-8"))
+    return trees
+
+
+def _names_read(trees, bare=True):
+    """Every attribute name read anywhere in the trees, and every bare name
+    unless bare is False."""
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if bare and isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_private_function_is_referenced():
+    """Each module-level private function is read somewhere in the package,
+    so a helper that lost its last caller leaves the tree with it."""
+    trees = _package_trees()
+    used = _names_read(trees)
     unused = sorted(
         f"{name}:{node.name}"
         for name, tree in trees.items()
@@ -60,6 +72,26 @@ def test_every_private_function_is_referenced():
         and node.name not in used
     )
     assert not unused, f"private functions nothing in src/ references: {unused}"
+
+
+def test_every_public_method_has_a_caller_in_src():
+    """Each public method or property of a class in linalg.py and reps.py is
+    read as an attribute somewhere in the package, so an API that only tests
+    call leaves the tree with its last caller in src/.  Bare names do not
+    count: a local variable named row is no call of Matrix.row."""
+    trees = _package_trees()
+    used = _names_read(trees, bare=False)
+    unused = sorted(
+        f"{name}:{cls.name}.{fn.name}"
+        for name in ("linalg.py", "reps.py")
+        for cls in trees[name].body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and fn.name not in used
+    )
+    assert not unused, f"public methods nothing in src/ calls: {unused}"
 
 
 # parameters whose default is the only value real callers want

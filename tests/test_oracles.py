@@ -12,6 +12,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 import time
 from pathlib import Path
 
@@ -284,6 +285,117 @@ def test_solve_matches_sympy(case, width, in_image, data):
     assert np.array_equal(A.astype(np.int64) @ X.a % F.p, B)
 
 
+# ---- membership and exactness against the old row-at-a-time checks ----
+
+MEMBERSHIP_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]  # F2, F3, F4, F9
+
+
+def _random_codes(F, rows, cols, rng):
+    return np.array(
+        [[rng.randrange(F.order) for _ in range(cols)] for _ in range(rows)], dtype=np.int16
+    ).reshape(rows, cols)
+
+
+def ref_reduce(F, basis, vec):
+    """Eliminate vec against an echelon basis one pivot at a time, in
+    schoolbook arithmetic: the loop Subspace.reduce ran before it became
+    one product."""
+    v = [int(x) for x in vec]
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        if v[c]:
+            f = v[c]
+            v = [ref_sub(F, x, ref_mul(F, f, y)) for x, y in zip(v, row)]
+    return v
+
+
+def ref_echelon_rows(F, A):
+    R, piv = ref_rref(F, A)
+    return R[: len(piv)]
+
+
+def ref_kernel(F, A):
+    """The canonical basis of the right kernel of A, one vector per free
+    column of its textbook reduced form, reduced again."""
+    R, piv = ref_rref(F, A)
+    free = [c for c in range(A.shape[1]) if c not in piv]
+    K = np.zeros((len(free), A.shape[1]), dtype=np.int64)
+    for t, c in enumerate(free):
+        K[t, c] = 1
+        for i, pc in enumerate(piv):
+            K[t, pc] = ref_sub(F, 0, R[i, c])
+    return ref_echelon_rows(F, K)
+
+
+def ref_exactness(F, L, R):
+    """The old verdict on 0 -> . -L-> . -R-> . -> 0 in schoolbook
+    arithmetic: the first failing check's message, or None."""
+    (dm, ds), dt = L.shape, R.shape[0]
+    if len(ref_rref(F, L)[1]) != ds:
+        return "left map is not injective"
+    if len(ref_rref(F, R)[1]) != dt:
+        return "right map is not surjective"
+    if ds + dt != dm:
+        return "dimension count fails"
+    if not np.array_equal(ref_echelon_rows(F, L.T), ref_kernel(F, R)):
+        return "image of left map differs from kernel of right map"
+    return None
+
+
+@pytest.mark.parametrize("pk", MEMBERSHIP_FIELDS)
+def test_subspace_reduce_matches_per_pivot_loop(pk):
+    F = field(*pk)
+    rng = random.Random(pk[0] ** pk[1])
+    verdicts = set()
+    for _ in range(30):
+        n = rng.randrange(0, 6)
+        spanned = Subspace.from_rows(F, n, _random_codes(F, rng.randrange(1, 4), n, rng))
+        for S in (Subspace.zero(F, n), Subspace.full(F, n), spanned):
+            basis = S.basis.a.tolist()
+            vecs = _random_codes(F, rng.randrange(0, 4), n, rng)
+            assert S.reduce(vecs).tolist() == [ref_reduce(F, basis, v) for v in vecs.tolist()]
+            inner = S.basis.a[: rng.randrange(0, S.dim + 1)]
+            for T in (Subspace.from_rows(F, n, Matrix(F, inner)), spanned):
+                want = all(not any(ref_reduce(F, basis, v)) for v in T.basis.a.tolist())
+                assert S.contains_space(T) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("pk", MEMBERSHIP_FIELDS)
+def test_short_exact_seq_matches_image_kernel_verdict(pk):
+    from modplab.catalog import cyclic_group
+    from modplab.reps import RepMap, ShortExactSeq, trivial_rep
+
+    F = field(*pk)
+    G = cyclic_group(2)  # between trivial reps every linear map is equivariant
+    rng = random.Random(pk[0] ** pk[1])
+    seen = set()
+    for _ in range(60):
+        dm = rng.randrange(0, 5)
+        R = _random_codes(F, rng.randrange(0, dm + 1), dm, rng)
+        if rng.random() < 0.7:
+            # the kernel of R as columns, sometimes with one entry changed
+            L = ref_kernel(F, R).T.astype(np.int16)
+            if L.size and rng.random() < 0.5:
+                i, j = rng.randrange(L.shape[0]), rng.randrange(L.shape[1])
+                L[i, j] = (L[i, j] + 1 + rng.randrange(F.order - 1)) % F.order
+        else:
+            L = _random_codes(F, dm, rng.randrange(0, dm + 1), rng)
+        mid = trivial_rep(G, F, dm)
+        left = RepMap(trivial_rep(G, F, L.shape[1]), mid, Matrix(F, L))
+        right = RepMap(mid, trivial_rep(G, F, R.shape[0]), Matrix(F, R))
+        try:
+            ShortExactSeq(left, right)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        want = ref_exactness(F, L, R)
+        assert got == want
+        seen.add(want)
+    assert len(seen) == 5  # acceptance and each of the four rejections occur
+
+
 # ---- operation tables ----
 
 
@@ -385,9 +497,8 @@ def test_hom_space_satisfies_frobenius_reciprocity(gname, fname, data):
     assert spaces[0].dim == spaces[2].dim  # Hom_G(Ind W, V) = Hom_U(W, Res V)
     assert spaces[1].dim == spaces[3].dim  # Hom_G(V, Ind W) = Hom_U(Res V, W)
     for (X, Y), space in zip(pairs, spaces):
-        for i in range(space.dim):
-            flat = space.basis.row(i)
-            M = [list(flat[r * X.dim : (r + 1) * X.dim]) for r in range(Y.dim)]
+        for flat in space.basis.a:
+            M = flat.reshape(Y.dim, X.dim).tolist()
             for g in range(X.group.order):
                 assert _equivariant(F, M, X.T[g].tolist(), Y.T[g].tolist())
 
