@@ -8,7 +8,7 @@ certificates, all glued together by deterministic verification suites.
 """
 
 from .fields import FiniteField
-from .linalg import EchelonForm, Matrix, Subspace, hstack, row_reduce, solve, vstack
+from .linalg import Matrix, Subspace, column_space, hstack, row_reduce, solve, vstack
 from .groups import (
     FinGroup,
     Subgroup,

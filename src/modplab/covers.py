@@ -225,7 +225,7 @@ def character_eigenspace(
         # rho(z) - chi(z) I for each generator z
         scalars = np.array([chi.value(z) for z in gens], dtype=np.int16)[:, None, None]
         moved = field.ax_sub(V.T[list(gens)], scalars * np.eye(V.dim, dtype=np.int16))
-        space = row_reduce(Matrix._of(field, moved.reshape(-1, V.dim))).kernel
+        space = row_reduce(Matrix._of(field, moved.reshape(-1, V.dim)))
     parts = [p_part(G.element_order(z), field.p) for z in C.members]
     # only pure p-power-order elements decide availability; mixed orders
     # factor through them inside the abelian C

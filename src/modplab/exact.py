@@ -24,10 +24,7 @@ from .reps import (
     hom_space,
     induce,
     intertwines,
-    lower_drop,
-    lower_lift,
     restrict,
-    upper_drop,
     upper_lift,
 )
 
@@ -161,19 +158,29 @@ def _induced_from_restriction(U: Subgroup, X: Rep) -> Rep:
     return store[key]
 
 
-def _identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=np.int16)[None]
+# The unit is the column of blocks rho(r_i) and the counit the row of blocks
+# rho(r_i^-1), block i for the coset of the i-th coset_lookup representative
+# r_i, as in induce.  Their canonical splittings keep only the block of U's
+# own coset, pos[identity], and zero the rest.
 
 
 def _unit_matrix(U: Subgroup, X: Rep) -> Matrix:
-    """x goes to g |-> gx: the upper lift of the identity of Res X."""
-    return Matrix._of(X.field, upper_lift(U, X, _identity(X.dim))[0])
+    """x goes to g |-> gx."""
+    reps, d = list(coset_lookup(U.parent, U)[0]), X.dim
+    return Matrix._of(X.field, X.T[reps].reshape(len(reps) * d, d))
 
 
 def _counit_matrix(U: Subgroup, X: Rep) -> Matrix:
-    """f goes to the sum of r^{-1} f(r) over coset representatives r: the
-    lower lift of the identity of Res X."""
-    return Matrix._of(X.field, lower_lift(U, X, _identity(X.dim))[0])
+    """f goes to the sum of r^{-1} f(r) over coset representatives r."""
+    G, reps, d = U.parent, list(coset_lookup(U.parent, U)[0]), X.dim
+    blocks = X.T[G.inverse[reps]].transpose(1, 0, 2)
+    return Matrix._of(X.field, blocks.reshape(d, len(reps) * d))
+
+
+def _own_coset(U: Subgroup, X: Rep) -> np.ndarray:
+    """Whether each coordinate of Ind Res X lies in the block of U's own coset."""
+    G = U.parent
+    return np.arange(G.order // U.order * X.dim) // X.dim == coset_lookup(G, U)[1][G.identity]
 
 
 def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
@@ -184,14 +191,14 @@ def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
 
 
 def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
-    """Evaluation at the identity, the upper drop of the identity of the
-    induced module: a U-equivariant retraction of the unit."""
+    """Evaluation at the identity, the counit's block of U's own coset: a
+    U-equivariant retraction of the unit."""
     ind = _induced_from_restriction(U, X)
-    field, down = X.field, restrict(X, U)
-    R = Matrix._of(field, upper_drop(U, down, _identity(ind.dim))[0])
+    field = X.field
+    R = Matrix._of(field, _counit_matrix(U, X).a * _own_coset(U, X))
     if R @ _unit_matrix(U, X) != Matrix.identity(field, X.dim):
         raise AssertionError("evaluation at the identity failed to retract")
-    RepMap(restrict(ind, U), down, R)
+    RepMap(restrict(ind, U), restrict(X, U), R)
     return SplitWitness("retraction", R)
 
 
@@ -204,14 +211,14 @@ def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
 
 def counit_section(U: Subgroup, X: Rep) -> SplitWitness:
     """x goes to the function supported on U with value x at the identity,
-    the lower drop of the identity of the induced module: a U-equivariant
-    section of the counit."""
+    the unit's block of U's own coset: a U-equivariant section of the
+    counit."""
     ind = _induced_from_restriction(U, X)
-    field, down = X.field, restrict(X, U)
-    S = Matrix._of(field, lower_drop(U, down, _identity(ind.dim))[0])
+    field = X.field
+    S = Matrix._of(field, _unit_matrix(U, X).a * _own_coset(U, X)[:, None])
     if _counit_matrix(U, X) @ S != Matrix.identity(field, X.dim):
         raise AssertionError("canonical section failed against the counit")
-    RepMap(down, restrict(ind, U), S)
+    RepMap(restrict(X, U), restrict(ind, U), S)
     return SplitWitness("section", S)
 
 
@@ -307,7 +314,7 @@ def subrep_on_subspace(big: Rep, space: Subspace) -> tuple[Rep, RepMap]:
 
 def subrep_on_kernel(f: RepMap) -> tuple[Rep, RepMap]:
     """The kernel of f as a representation, plus the inclusion."""
-    return subrep_on_subspace(f.source, row_reduce(f.matrix).kernel)
+    return subrep_on_subspace(f.source, row_reduce(f.matrix))
 
 
 def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
@@ -316,7 +323,9 @@ def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
     field = big.field
     D = big.dim
     pivots = image.pivots
-    others = [j for j in range(D) if j not in set(pivots)]
+    is_piv = np.zeros(D, dtype=bool)
+    is_piv[pivots] = True
+    others = (~is_piv).nonzero()[0].tolist()
     # row t keeps coordinate others[t] and moves basis row i's entry there
     # onto pivot column pivots[i], negated
     proj = np.zeros((len(others), D), dtype=np.int16)

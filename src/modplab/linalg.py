@@ -13,8 +13,6 @@ computes for the rest of the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -138,8 +136,10 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
     Both are fresh objects the caller may write to, whether the reduction
     is computed or read from the memo."""
     M = arr.astype(np.int16, copy=True)
-    key = (field.key(), M.shape, M.tobytes())
-    known = _RREF_MEMO.get(key)
+    # the key copies M, so it is built only when the memo could store the entry
+    fits = M.size + ENTRY_OVERHEAD <= _RREF_MEMO.budget
+    key = (field.key(), M.shape, M.tobytes()) if fits else None
+    known = _RREF_MEMO.get(key) if fits else None
     if known is not None:
         P, piv = known
         M[: len(piv)] = P
@@ -171,7 +171,8 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
             )
         pivots.append(c)
         r += 1
-    _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols + ENTRY_OVERHEAD)
+    if fits:
+        _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols + ENTRY_OVERHEAD)
     return M, pivots
 
 
@@ -249,38 +250,25 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-@dataclass(frozen=True)
-class EchelonForm:
-    rank: int
-    kernel: Subspace
-    source: Matrix = dataclass_field(repr=False)
-
-    @cached_property
-    def image(self) -> Subspace:
-        """Column space of the source, reduced on first access only."""
-        M = self.source
-        return Subspace.from_rows(M.field, M.rows, M.transpose())
-
-
-def row_reduce(M: Matrix) -> EchelonForm:
-    """Rank, right kernel and (lazily) column space of M.
-
-    The rank and the kernel cost two reductions; reading ``image`` adds a
-    third, on the transpose.
-    """
+def row_reduce(M: Matrix) -> Subspace:
+    """The right kernel of M: one reduction of M, then one of the kernel
+    rows, for its canonical form."""
     f = M.field
     R, piv = _rref(f, M.a)
-    rank = len(piv)
-    # kernel: one vector per free column, then re-echelon for canonical form
+    # one vector per free column, minus the pivot rows' entries there
     is_piv = np.zeros(M.cols, dtype=bool)
     is_piv[piv] = True
     free = (~is_piv).nonzero()[0]
     krows = np.zeros((len(free), M.cols), dtype=np.int16)
     if len(free):
         krows[np.arange(len(free)), free] = 1
-        krows[:, is_piv] = f.ax_neg(R[:rank, free].T)
-    kernel = Subspace.from_rows(f, M.cols, Matrix._of(f, krows))
-    return EchelonForm(rank, kernel, M)
+        krows[:, is_piv] = f.ax_neg(R[: len(piv), free].T)
+    return Subspace.from_rows(f, M.cols, Matrix._of(f, krows))
+
+
+def column_space(M: Matrix) -> Subspace:
+    """The span of the columns of M: one reduction of the transpose."""
+    return Subspace.from_rows(M.field, M.rows, M.transpose())
 
 
 def solve(A: Matrix, B: Matrix) -> Matrix | None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import BATCH_CELLS, FiniteField, p_part
 from .groups import FinGroup, Subgroup, coset_lookup
-from .linalg import Matrix, Subspace, row_reduce
+from .linalg import Matrix, Subspace, column_space, row_reduce
 
 __all__ = [
     "Rep",
@@ -163,7 +163,7 @@ class RepMap:
         return self.rank() == self.target.dim
 
     def image(self) -> Subspace:
-        return row_reduce(self.matrix).image
+        return column_space(self.matrix)
 
     def __eq__(self, other):
         return (
@@ -419,7 +419,7 @@ def hom_space(V1: Rep, V2: Rep) -> Subspace:
         return Subspace.zero(field, amb)
     if not gens:
         return Subspace.full(field, amb)
-    return row_reduce(equivariance_system(field, V1.T[gens], V2.T[gens])).kernel
+    return row_reduce(equivariance_system(field, V1.T[gens], V2.T[gens]))
 
 
 def fixed_points(V: Rep) -> Subspace:
@@ -428,7 +428,7 @@ def fixed_points(V: Rep) -> Subspace:
     if not gens or V.dim == 0:
         return Subspace.full(V.field, V.dim)
     moved = V.field.ax_sub(V.T[list(gens)], np.eye(V.dim, dtype=np.int16))
-    return row_reduce(Matrix._of(V.field, moved.reshape(-1, V.dim))).kernel
+    return row_reduce(Matrix._of(V.field, moved.reshape(-1, V.dim)))
 
 
 def cyclic_span(V: Rep, v: Sequence[int]) -> Subspace:

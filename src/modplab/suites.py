@@ -60,7 +60,7 @@ from .exact import (
 from .fields import FiniteField, p_part
 from .groups import FinGroup, Subgroup, all_subgroups
 from .jordan import jordan_block_rep, jordan_type, stable_jordan_type
-from .linalg import Matrix, Subspace, hstack, row_reduce
+from .linalg import Matrix, Subspace, column_space, hstack
 from .reps import (
     Rep,
     RepMap,
@@ -696,7 +696,7 @@ def _check_projectors(pool: dict[str, Rep], C: Subgroup, chars: list) -> int:
         for chi in chars:
             space, P = character_eigenspace(V, C, chi)
             _ensure(P is not None, "projector unavailable for p'-order center")
-            _ensure(row_reduce(P).image == space, "projector image mismatch")
+            _ensure(column_space(P) == space, "projector image mismatch")
             B = space.basis
             _ensure(B @ P.transpose() == B, "projector not identity on eigenspace")
             dims += space.dim

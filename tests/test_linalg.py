@@ -6,8 +6,8 @@ from test_oracles import ref_rref
 
 from modplab import linalg
 from modplab.fields import FiniteField
-from modplab.linalg import Matrix, Subspace, _rref, hstack, row_reduce, solve, vstack
-from modplab.memo import ENTRY_OVERHEAD
+from modplab.linalg import Matrix, Subspace, _rref, column_space, hstack, row_reduce, solve, vstack
+from modplab.memo import ENTRY_OVERHEAD, Memo
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -51,13 +51,13 @@ def test_matmul_f4():
 
 def test_row_reduce_frozen_examples():
     assert Matrix.identity(F2, 3).rank() == 3
-    ech = row_reduce(Matrix.zeros(F3, 2, 2))
-    assert ech.rank == 0
-    assert ech.kernel.dim == 2
-    ech2 = row_reduce(Matrix(F2, [[1, 1], [1, 1]]))
-    assert ech2.rank == 1
-    assert ech2.kernel.basis.tolist() == [[1, 1]]
-    assert ech2.image.basis.tolist() == [[1, 1]]
+    Z = Matrix.zeros(F3, 2, 2)
+    assert Z.rank() == 0
+    assert row_reduce(Z).dim == 2
+    M = Matrix(F2, [[1, 1], [1, 1]])
+    assert M.rank() == 1
+    assert row_reduce(M).basis.tolist() == [[1, 1]]
+    assert column_space(M).basis.tolist() == [[1, 1]]
 
 
 def test_rank_nullity_random():
@@ -66,10 +66,10 @@ def test_rank_nullity_random():
         for _ in range(25):
             rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
             M = _random_matrix(F, rows, cols, rng)
-            ech = row_reduce(M)
-            assert ech.rank + ech.kernel.dim == cols
-            assert ech.image.dim == ech.rank
-            assert not (M @ ech.kernel.basis.transpose()).a.any()
+            kernel = row_reduce(M)
+            assert M.rank() + kernel.dim == cols
+            assert column_space(M).dim == M.rank()
+            assert not (M @ kernel.basis.transpose()).a.any()
 
 
 def test_solve_frozen_examples():
@@ -158,8 +158,8 @@ def test_subspace_reduce_range_checks_its_rows(F):
 
 
 def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
-    import modplab.linalg as linalg
-
+    """The kernel costs a reduction of M and one of its kernel rows; the
+    column space costs exactly one more, of the transpose."""
     calls = []
     real = linalg._rref
 
@@ -169,13 +169,13 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rref", counting)
     M = Matrix(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
-    ech = row_reduce(M)
-    assert ech.kernel.dim == 2
-    assert len(calls) == 2
-    assert ech.image.basis.tolist() == [[1, 2, 0], [0, 0, 1]]
-    assert len(calls) == 3
-    assert ech.image.dim == ech.rank
-    assert len(calls) == 3
+    assert row_reduce(M).dim == 2
+    assert calls == [(3, 4), (2, 4)]
+    calls.clear()
+    image = column_space(M)
+    assert calls == [(4, 3)]
+    assert image.basis.tolist() == [[1, 2, 0], [0, 0, 1]]
+    assert image.dim == M.rank() == 2
 
 
 # ---- the _rref memo ----
@@ -256,3 +256,40 @@ def test_rref_memo_bounds_its_entry_count_on_tiny_reductions(fresh_memos):
             assert _rref(F31, np.array([[a, b]], dtype=np.int16))[1] == [0]
             assert len(linalg._RREF_MEMO) <= cap
     assert len(linalg._RREF_MEMO) == cap and linalg._RREF_MEMO.cells == cap * cells
+
+
+class _SpyMemo(Memo):
+    """A Memo that records each lookup and store."""
+
+    def __init__(self, budget):
+        super().__init__(budget)
+        self.calls = []
+
+    def get(self, key):
+        self.calls.append(("get", key[1]))
+        return super().get(key)
+
+    def put(self, key, value, cells):
+        self.calls.append(("put", key[1]))
+        super().put(key, value, cells)
+
+
+def test_rref_builds_no_key_for_a_reduction_the_memo_cannot_store(monkeypatch):
+    """A reduction whose own cells and entry charge exceed the budget is
+    computed as usual, with no lookup and no store; a small one still goes
+    through the memo."""
+    spy = _SpyMemo(ENTRY_OVERHEAD + 24)
+    monkeypatch.setattr(linalg, "_RREF_MEMO", spy)
+    rng = np.random.default_rng(11)
+    big = rng.integers(0, 3, (5, 5)).astype(np.int16)  # 25 cells, one too many
+    for _ in range(2):
+        R, piv = _rref(F3, big)
+        R_ref, piv_ref = ref_rref(F3, big)
+        assert np.array_equal(R, R_ref) and piv == piv_ref
+    assert spy.calls == [] and len(spy) == 0
+    small = np.array([[1, 2], [2, 1]], dtype=np.int16)
+    for _ in range(2):
+        R, piv = _rref(F3, small)
+        assert np.array_equal(R, ref_rref(F3, small)[0]) and piv == [0]
+    assert spy.calls == [("get", (2, 2)), ("put", (2, 2)), ("get", (2, 2))]
+    assert len(spy) == 1

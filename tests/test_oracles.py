@@ -26,7 +26,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from modplab import catalog, cli, covers, exact, linalg
 from modplab.fields import FiniteField, _poly_rem, p_part
-from modplab.linalg import Matrix, Subspace, _rref, row_reduce, solve
+from modplab.linalg import Matrix, Subspace, _rref, column_space, row_reduce, solve
 
 # F4, F8, F9, F_{2^10}, F_{31^2}
 EXT = [(2, 2), (2, 3), (3, 2), (2, 10), (31, 2)]
@@ -254,13 +254,72 @@ def test_rref_and_rank_match_sympy(case):
 @given(gfp_matrices())
 def test_kernel_matches_sympy_nullspace(case):
     F, A = case
-    kernel = row_reduce(Matrix(F, A)).kernel
+    kernel = row_reduce(Matrix(F, A))
     null = _ints(_dm(F.p, A).nullspace())
     if null.size == 0:
         assert kernel.dim == 0
         return
     N, piv = sympy_rref(F.p, null)
     assert np.array_equal(kernel.basis.a, N[: len(piv)])
+
+
+def school_echelon(F, rows, width):
+    """The nonzero rows of the reduced echelon form of a list of rows, by
+    Gauss-Jordan with the field's scalar add, mul and inv only, first
+    nonzero pivot first; plus the pivot columns."""
+    minus_one = next(y for y in range(F.order) if F.add(1, y) == 0)
+    M = [[int(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        i = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if i is None:
+            continue
+        M[r], M[i] = M[i], M[r]
+        inv = F.inv(M[r][c])
+        M[r] = [F.mul(inv, x) for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = F.mul(minus_one, M[i][c])
+                M[i] = [F.add(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    return M[: len(pivots)], pivots
+
+
+def school_kernel_and_columns(F, A):
+    """The canonical bases of the right kernel and of the column space of A."""
+    rows, cols = A.shape
+    R, piv = school_echelon(F, A.tolist(), cols)
+    minus_one = next(y for y in range(F.order) if F.add(1, y) == 0)
+    kernel = []
+    for free in (c for c in range(cols) if c not in piv):
+        v = [0] * cols
+        v[free] = 1
+        for row, c in zip(R, piv):
+            v[c] = F.mul(minus_one, row[free])
+        kernel.append(v)
+    columns = [[int(A[i, j]) for i in range(rows)] for j in range(cols)]
+    return school_echelon(F, kernel, cols)[0], school_echelon(F, columns, rows)[0]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_kernel_and_column_space_match_schoolbook_elimination(q):
+    F = field(2, 2) if q == 4 else field(3, 2) if q == 9 else field(q)
+    rng = np.random.default_rng(q)
+    cases = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((3, 4)), np.eye(4), np.eye(3)[:, ::-1]]
+    for _ in range(30):
+        cases.append(rng.integers(0, F.order, tuple(rng.integers(1, 7, 2))))
+    kinds = set()
+    for A in cases:
+        A = A.astype(np.int16)
+        M = Matrix(F, A)
+        want_kernel, want_columns = school_kernel_and_columns(F, A)
+        kernel, columns = row_reduce(M), column_space(M)
+        assert (kernel.ambient_dim, columns.ambient_dim) == (A.shape[1], A.shape[0])
+        assert kernel.basis.tolist() == want_kernel, A
+        assert columns.basis.tolist() == want_columns, A
+        kinds.add((kernel.dim == 0, columns.dim == 0))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @PROPERTY
@@ -970,7 +1029,7 @@ def test_trace_witness_check_rejects_a_non_equivariant_y(monkeypatch):
 
     P, U, Y = _projective_case()
     F, local = P.field, restrict(P, U)
-    kernel = row_reduce(_trace_operator(P, P, U)).kernel.basis.a
+    kernel = row_reduce(_trace_operator(P, P, U)).basis.a
     bad = next(
         Yb
         for z in kernel
@@ -1263,6 +1322,72 @@ def test_adjunction_matrices_match_block_layout(gname):
                 assert (None if witness is None else witness.map) == want["witness"], (fname, U, name)
                 checked += 1
     assert checked > 0
+
+
+def old_identity_lifts(U, P):
+    """The unit, counit, unit retraction and counit section as lifts and
+    drops of an identity through batched products, block i for the i-th
+    least right coset representative r_i: the unit's block row i is
+    I rho(r_i), the counit's block column i is rho(r_i^-1) I, and the
+    retraction and section are rho(r0^-1) and rho(r0) applied to the rows
+    and the columns of the identity of Ind Res P at the block of U's own
+    coset, whose least element is r0."""
+    G, F, d = U.parent, P.field, P.dim
+    reps = ref_right_coset_reps(G, U)
+    n, r0 = len(reps), min(U.members)
+    block = slice(reps.index(r0) * d, (reps.index(r0) + 1) * d)
+    I, big = np.eye(d, dtype=np.int16)[None], np.eye(n * d, dtype=np.int16)[None]
+    lower = F.ax_matmul_batch(P.T[G.inverse[reps]], I[:, None])
+    return {
+        "unit": F.ax_matmul_batch(I[:, None], P.T[reps]).reshape(n * d, d),
+        "counit": lower.transpose(0, 2, 1, 3).reshape(d, n * d),
+        "retraction": F.ax_matmul_batch(P.T[G.inv(r0)], big[:, block])[0],
+        "section": F.ax_matmul_batch(big[:, :, block], P.T[r0])[0],
+    }
+
+
+def _relabelled(name, at):
+    """A catalog group on new element indices: the other elements in
+    reverse order, with the identity moved from 0 to index at."""
+    from modplab.groups import FinGroup
+
+    G = catalog.catalog_groups()[name]
+    old = [x for x in reversed(range(G.order)) if x != G.identity]
+    old.insert(at, G.identity)  # new index i is the old element old[i]
+    new = np.argsort(old)
+    return FinGroup(new[G.table[np.ix_(old, old)]])
+
+
+RELABELLED = {"S3-relabelled": ("S3", 3), "A4-relabelled": ("A4", 5)}
+
+
+@pytest.mark.parametrize("gname", sorted(catalog.catalog_groups()) + sorted(RELABELLED))
+def test_adjunction_gathers_match_identity_lifts(gname):
+    """Every subgroup and pool rep over F2, F3 and F4: the unit, counit,
+    retraction and section equal the lifts and drops of an identity, also
+    where the identity is not element 0 and U's own coset has a least
+    element other than the identity, of order 2 in S3 and 3 in A4."""
+    from modplab.catalog import catalog_fields, catalog_reps
+    from modplab.groups import all_subgroups
+
+    G = _relabelled(*RELABELLED[gname]) if gname in RELABELLED else catalog.catalog_groups()[gname]
+    checked, moved = 0, 0
+    for fname in ("F2", "F3", "F4"):
+        F = catalog_fields()[fname]
+        for U in all_subgroups(G):
+            moved += min(U.members) != G.identity
+            for name, P in catalog_reps(G, F, 4).items():
+                if not _fits_induce(P, U):
+                    continue
+                want, where = old_identity_lifts(U, P), (fname, U.members, name)
+                assert np.array_equal(exact.adjunction_unit(U, P).matrix.a, want["unit"]), where
+                assert np.array_equal(exact.adjunction_counit(U, P).matrix.a, want["counit"]), where
+                assert np.array_equal(exact.unit_retraction(U, P).map.a, want["retraction"]), where
+                assert np.array_equal(exact.counit_section(U, P).map.a, want["section"]), where
+                checked += 1
+    assert checked > 0
+    if gname in RELABELLED:
+        assert G.identity == RELABELLED[gname][1] and moved > 0
 
 
 def ref_join(G, A, B):
