@@ -15,7 +15,6 @@ from .groups import (
     all_subgroups,
     conjugate_intersect,
     coset_lookup,
-    coset_reps,
     group_from_table,
 )
 from .reps import (
@@ -49,7 +48,6 @@ from .covers import (
     qualifying_subgroups,
 )
 from .exact import (
-    SplitWitness,
     StableHomResult,
     adjunction_counit,
     adjunction_unit,

@@ -174,9 +174,11 @@ def _fairness_sl2(args) -> int:
                     else []
                 )
             else:
+                # with no valid exponent, the brute force at a = 0 raises
+                # the error that decides the exit code
                 base = _oracle_rows(
                     args.p, N, args.m, args.n, _valid_exponents(args.m, args.n, N)
-                )
+                ) or _oracle_rows(args.p, N, args.m, args.n, [0])
                 refined = _oracle_rows(
                     args.p, N, args.m, cert.n_prime,
                     _valid_exponents(args.m, cert.n_prime, N),
@@ -297,7 +299,10 @@ def cmd_stable(args) -> int:
     for V1, V2, label in pairs:
         # one trace image serves both columns: relatively projective and
         # relatively injective modules coincide (Higman)
-        res = stable_hom(V1, V2, U).to_json()
+        try:
+            res = stable_hom(V1, V2, U).to_json()
+        except ValueError as exc:  # a system over the dense cell budget
+            return _fail(str(exc), 2)
         rows.append(
             {
                 "pair": label,

@@ -15,21 +15,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import Subgroup, coset_lookup
-from .linalg import Matrix, Subspace, row_reduce, solve, vstack
+from .linalg import Matrix, Subspace, check_cells, row_reduce, solve, vstack
 from .reps import (
     Rep,
     RepMap,
     ShortExactSeq,
+    coset_stack,
+    counit_matrix,
     equivariance_system,
     hom_space,
     induce,
     intertwines,
+    own_block,
     restrict,
+    unit_matrix,
     upper_lift,
 )
 
 __all__ = [
-    "SplitWitness",
     "StableHomResult",
     "u_split_search",
     "averaging_section",
@@ -48,12 +51,6 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class SplitWitness:
-    kind: str  # "section" or "retraction"
-    map: Matrix
-
-
-@dataclass(frozen=True)
 class StableHomResult:
     total_dim: int
     factoring_dim: int
@@ -67,7 +64,7 @@ class StableHomResult:
         }
 
 
-def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
+def u_split_search(f: RepMap, U: Subgroup, kind: str) -> Matrix | None:
     """Canonical U-equivariant one-sided inverse of f, if one exists.
 
     kind "section": X with f.matrix @ X = identity on the target.
@@ -87,6 +84,7 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
     # identity it asks for is empty
     F = f.matrix.a
     d = dt if kind == "section" else ds
+    check_cells("u_split_search", d * d, ds * dt)
     fixed = np.zeros((d, d, ds, dt), dtype=np.int16)
     a = np.arange(d)
     if kind == "section":
@@ -94,8 +92,7 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> SplitWitness | None:
     else:
         fixed[a, :, a, :] = F.T  # row (i, j), column (i, l) holds F[l, j]
     C = Matrix._of(field, fixed.reshape(d * d, ds * dt))
-    X = _equivariant_solve(f.target.T[gens], f.source.T[gens], C, d)
-    return None if X is None else SplitWitness(kind, X)
+    return _equivariant_solve(f.target.T[gens], f.source.T[gens], C, d)
 
 
 def _equivariant_solve(T_in: np.ndarray, T_out: np.ndarray, C: Matrix, d: int) -> Matrix | None:
@@ -114,7 +111,7 @@ def _equivariant_solve(T_in: np.ndarray, T_out: np.ndarray, C: Matrix, d: int) -
 
 def averaging_section(
     sigma: Matrix, f: RepMap, Uprime: Subgroup, U: Subgroup
-) -> SplitWitness:
+) -> Matrix:
     """Average a section over cosets to upgrade its equivariance from a
     finite-index subgroup U' to U; requires the index to be invertible."""
     G = U.parent
@@ -141,7 +138,7 @@ def averaging_section(
         raise AssertionError("averaged map stopped being a section")
     if not intertwines(restrict(W, U), restrict(V, U), out.a):
         raise AssertionError("averaged section is not U-equivariant")
-    return SplitWitness("section", out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,71 +155,46 @@ def _induced_from_restriction(U: Subgroup, X: Rep) -> Rep:
     return store[key]
 
 
-# The unit is the column of blocks rho(r_i) and the counit the row of blocks
-# rho(r_i^-1), block i for the coset of the i-th coset_lookup representative
-# r_i, as in induce.  Their canonical splittings keep only the block of U's
-# own coset, pos[identity], and zero the rest.
-
-
-def _unit_matrix(U: Subgroup, X: Rep) -> Matrix:
-    """x goes to g |-> gx."""
-    reps, d = list(coset_lookup(U.parent, U)[0]), X.dim
-    return Matrix._of(X.field, X.T[reps].reshape(len(reps) * d, d))
-
-
-def _counit_matrix(U: Subgroup, X: Rep) -> Matrix:
-    """f goes to the sum of r^{-1} f(r) over coset representatives r."""
-    G, reps, d = U.parent, list(coset_lookup(U.parent, U)[0]), X.dim
-    blocks = X.T[G.inverse[reps]].transpose(1, 0, 2)
-    return Matrix._of(X.field, blocks.reshape(d, len(reps) * d))
-
-
-def _own_coset(U: Subgroup, X: Rep) -> np.ndarray:
-    """Whether each coordinate of Ind Res X lies in the block of U's own coset."""
-    G = U.parent
-    return np.arange(G.order // U.order * X.dim) // X.dim == coset_lookup(G, U)[1][G.identity]
-
-
 def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
     """X into the induction of its own restriction."""
     if X.group != U.parent:
         raise ValueError("X must be a representation of U's parent group")
-    return RepMap(X, _induced_from_restriction(U, X), _unit_matrix(U, X))
+    return RepMap(X, _induced_from_restriction(U, X), unit_matrix(U, X))
 
 
-def unit_retraction(U: Subgroup, X: Rep) -> SplitWitness:
-    """Evaluation at the identity, the counit's block of U's own coset: a
-    U-equivariant retraction of the unit."""
+def unit_retraction(U: Subgroup, X: Rep) -> Matrix:
+    """Evaluation at the identity, the counit's block of U's own coset with
+    the others zeroed: a U-equivariant retraction of the unit."""
     ind = _induced_from_restriction(U, X)
-    field = X.field
-    R = Matrix._of(field, _counit_matrix(U, X).a * _own_coset(U, X))
-    if R @ _unit_matrix(U, X) != Matrix.identity(field, X.dim):
+    field, local = X.field, restrict(X, U)
+    R = Matrix._of(field, counit_matrix(U, X).a * own_block(U, local))
+    if R @ unit_matrix(U, X) != Matrix.identity(field, X.dim):
         raise AssertionError("evaluation at the identity failed to retract")
-    RepMap(restrict(ind, U), restrict(X, U), R)
-    return SplitWitness("retraction", R)
+    RepMap(restrict(ind, U), local, R)
+    return R
 
 
 def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
     """Induction of the restriction onto X."""
     if X.group != U.parent:
         raise ValueError("X must be a representation of U's parent group")
-    return RepMap(_induced_from_restriction(U, X), X, _counit_matrix(U, X))
+    return RepMap(_induced_from_restriction(U, X), X, counit_matrix(U, X))
 
 
-def counit_section(U: Subgroup, X: Rep) -> SplitWitness:
+def counit_section(U: Subgroup, X: Rep) -> Matrix:
     """x goes to the function supported on U with value x at the identity,
-    the unit's block of U's own coset: a U-equivariant section of the
-    counit."""
+    the unit's block of U's own coset with the others zeroed: a
+    U-equivariant section of the counit."""
     ind = _induced_from_restriction(U, X)
-    field = X.field
-    S = Matrix._of(field, _unit_matrix(U, X).a * _own_coset(U, X)[:, None])
-    if _counit_matrix(U, X) @ S != Matrix.identity(field, X.dim):
+    field, local = X.field, restrict(X, U)
+    S = Matrix._of(field, unit_matrix(U, X).a * own_block(U, local)[:, None])
+    if counit_matrix(U, X) @ S != Matrix.identity(field, X.dim):
         raise AssertionError("canonical section failed against the counit")
-    RepMap(restrict(X, U), restrict(ind, U), S)
-    return SplitWitness("section", S)
+    RepMap(local, restrict(ind, U), S)
+    return S
 
 
-def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> SplitWitness:
+def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> Matrix:
     """U-equivariant section of the suspension projection: push any linear
     lift off the unit's image with I - A rho, rho the unit retraction.
 
@@ -231,7 +203,7 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> SplitWitness:
     """
     A, proj = ses.left, ses.right
     field = X.field
-    rho = unit_retraction(U, X).map
+    rho = unit_retraction(U, X)
     lift = solve(proj.matrix, Matrix.identity(field, proj.target.dim))
     if lift is None:
         raise AssertionError("suspension projection is not surjective")
@@ -240,7 +212,7 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> SplitWitness:
     if proj.matrix @ sigma != Matrix.identity(field, proj.target.dim):
         raise AssertionError("canonical section failed against the projection")
     RepMap(restrict(proj.target, U), restrict(proj.source, U), sigma)
-    return SplitWitness("section", sigma)
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +222,18 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> SplitWitness:
 def _trace_operator(V1: Rep, V2: Rep, U: Subgroup) -> Matrix:
     """Matrix of the relative trace X |-> sum over r in U\\G of
     rho2(r^-1) X rho1(r), on d2 x d1 matrices X flattened row major."""
-    G = U.parent
-    if V1.group != G or V2.group != G:
-        raise ValueError("V1 and V2 must be representations of U's parent group")
     field = V1.field
-    d1, d2 = V1.dim, V2.dim
-    R = list(coset_lookup(G, U)[0])
+    d1, d2, n = V1.dim, V2.dim, U.index
+    check_cells("the relative trace", d2 * d1, d2 * d1)
     # the sum over r of rho2(r^-1) (x) rho1(r)^T as one product: entry
     # ((i, j), (k, l)) is sum_r rho2(r^-1)[i, k] rho1(r)[l, j]
-    left = V2.T[G.inverse[R]].reshape(len(R), d2 * d2)  # row r: (i, k)
-    right = V1.T[R].transpose(0, 2, 1).reshape(len(R), d1 * d1)  # row r: (j, l)
+    left = coset_stack(U, V2, inverse=True).reshape(n, d2 * d2)  # row r: (i, k)
+    right = coset_stack(U, V1).transpose(0, 2, 1).reshape(n, d1 * d1)  # row r: (j, l)
     trace = field.ax_matmul(left.T, right).reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3)
     return Matrix._of(field, trace.reshape(d2 * d1, d2 * d1))
 
 
-def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness | None]:
+def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None]:
     """Whether P is relatively U-projective, which for group algebras is the
     same as relatively U-injective, by Higman's criterion: the identity of P
     is the relative trace of a U-endomorphism Y.
@@ -282,12 +251,12 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, SplitWitness 
     if Y is None:
         return (False, None)
     X = Matrix._of(field, upper_lift(U, P, Y.a[None])[0])
-    if _counit_matrix(U, P) @ X != Matrix.identity(field, P.dim):
+    if counit_matrix(U, P) @ X != Matrix.identity(field, P.dim):
         raise AssertionError("trace witness failed to section the counit")
     local = restrict(P, U)
     if not intertwines(local, local, Y.a):
         raise AssertionError("trace witness is not U-equivariant")
-    return (True, SplitWitness("section", X))
+    return (True, X)
 
 
 # ---------------------------------------------------------------------------

@@ -342,36 +342,28 @@ def _subgroup(self: FinGroup, members) -> Subgroup:
 FinGroup._subgroup = _subgroup
 
 
-def _right_cosets(G: FinGroup, U: Subgroup) -> tuple[tuple[int, ...], np.ndarray]:
+def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """Least members of the right cosets Ug in increasing order, and the
-    position of each element's coset among them.  Column g of the table
-    rows of U is the coset Ug, so its minimum is that coset's least member."""
-    least = G.table[list(U.members)].min(axis=0)
-    is_rep = np.zeros(G.order, dtype=bool)
-    is_rep[least] = True
-    return tuple(np.flatnonzero(is_rep).tolist()), (np.cumsum(is_rep) - 1)[least]
+    position of each element's coset among them, as read-only arrays.
 
-
-def coset_reps(G: FinGroup, U: Subgroup) -> tuple[int, ...]:
-    """Minimal-index representatives for U\\G, in increasing order."""
-    return _right_cosets(G, U)[0]
-
-
-def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[tuple[int, ...], np.ndarray]:
-    """Representatives of U\\G plus a read-only array element -> its coset's
-    position among them.
-
-    When G is U's own parent the pair is computed once and kept on U, so
-    every call returns the same array.
+    G must be U's parent.  It stays an argument because perfbench/tracer.py
+    reads the group and the subgroup of each call to count distinct lookups.
+    The pair is computed once and kept on U, so every call returns the same
+    arrays.
     """
-    if G is U.parent and U._cosets is not None:
-        return U._cosets
-    reps, pos = _right_cosets(G, U)
-    pos.flags.writeable = False
-    out = (reps, pos)
-    if G is U.parent:
-        U._cosets = out
-    return out
+    if G != U.parent:
+        raise ValueError("G must be U's parent group")
+    if U._cosets is None:
+        # column g of the table rows of U is the coset Ug, so its minimum
+        # is that coset's least member
+        least = G.table[list(U.members)].min(axis=0)
+        is_rep = np.zeros(G.order, dtype=bool)
+        is_rep[least] = True
+        reps, pos = np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[least]
+        reps.flags.writeable = False
+        pos.flags.writeable = False
+        U._cosets = (reps, pos)
+    return U._cosets
 
 
 def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:
@@ -393,7 +385,7 @@ def all_subgroups(G: FinGroup) -> tuple[Subgroup, ...]:
         while frontier:
             new = []
             for S in frontier:
-                for g in coset_reps(G, G._subgroup(S)):
+                for g in coset_lookup(G, G._subgroup(S))[0]:
                     if g == S[0]:
                         continue  # the least member of S is S's own coset
                     T = tuple(np.flatnonzero(_closure(G, [*S, g])).tolist())

@@ -123,6 +123,23 @@ class Matrix:
         return len(piv)
 
 
+# The dense systems (equivariance, relative trace, split search, solve's
+# augmented matrix) refuse to allocate more int16 cells than this (512 MiB;
+# their reductions take about ten bytes a cell).  Higman's trace operator of
+# a group of order 120 has 14,400 ** 2 cells and fits; one of order 192
+# has 36,864 ** 2.
+SYSTEM_CELLS = 1 << 28
+
+
+def check_cells(what: str, rows: int, cols: int) -> None:
+    """Refuse a rows x cols system over SYSTEM_CELLS before it is built."""
+    if rows * cols > SYSTEM_CELLS:
+        raise ValueError(
+            f"{what} needs a {rows} x {cols} matrix, {rows * cols} cells,"
+            f" over the budget of {SYSTEM_CELLS}"
+        )
+
+
 # _rref's memo: (field key, shape, int16 bytes) -> (pivot rows, pivot
 # columns).  An entry counts its key cells, its value cells and
 # memo.ENTRY_OVERHEAD.
@@ -278,6 +295,7 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     if A.rows != B.rows:
         raise ValueError("row count mismatch")
     f, n = A.field, A.cols
+    check_cells("solve", A.rows, n + B.cols)
     R, piv = _rref(f, np.concatenate([A.a, B.a], axis=1))
     if piv and piv[-1] >= n:
         return None  # a pivot landed in the augmented block: inconsistent

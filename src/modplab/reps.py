@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import BATCH_CELLS, FiniteField, p_part
 from .groups import FinGroup, Subgroup, coset_lookup
-from .linalg import Matrix, Subspace, column_space, row_reduce
+from .linalg import Matrix, Subspace, check_cells, column_space, row_reduce
 
 __all__ = [
     "Rep",
@@ -35,6 +35,10 @@ __all__ = [
     "direct_sum",
     "restrict",
     "induce",
+    "coset_stack",
+    "own_block",
+    "unit_matrix",
+    "counit_matrix",
     "lower_lift",
     "upper_lift",
     "lower_drop",
@@ -316,69 +320,84 @@ def induce(U: Subgroup, W: Rep) -> Rep:
             f"induce needs a {G.order} x {d} x {d} action tensor, {G.order * d * d} cells,"
             f" over the budget of {INDUCE_CELLS}"
         )
-    reps, pos = coset_lookup(G, U)
-    R = np.array(reps)
+    R, pos = coset_lookup(G, U)
     mul, inv = G.table, G.inverse
     g = np.arange(G.order)[:, None]
     # g sends block i to block j = pos(r_i g^-1), acting there by
     # u = r_j g r_i^-1, which lies in U
     j = pos[mul[R[None, :], inv[g]]]
     u = mul[mul[R[j], g], inv[R][None, :]]
-    n, dW = len(reps), W.dim
+    n, dW = len(R), W.dim
     out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
     out[g, j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
     return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=True)
 
 
-# Frobenius reciprocity on (k, rows, cols) stacks of maps in induce's block
-# layout, block i for the coset of the i-th representative r_i.  A lifted
-# stack is equivariant exactly when the stack it came from is; no map here
-# checks that.
+# Every map written in induce's block layout: block i for the coset of the
+# i-th coset_lookup representative r_i.  The unit is the column of blocks
+# rho(r_i) and the counit the row of blocks rho(r_i^-1); Frobenius
+# reciprocity moves (k, rows, cols) stacks of maps across the adjunction
+# with the same stacks.  A lifted stack is equivariant exactly when the
+# stack it came from is; no map here checks that.
 
 
-def _coset_reps(U: Subgroup, V: Rep) -> list[int]:
+def coset_stack(U: Subgroup, V: Rep, inverse: bool = False) -> np.ndarray:
+    """The (index, d, d) stack of rho_V(r_i), or of rho_V(r_i^-1) when
+    inverse is set, in block order."""
     if V.group != U.parent:
         raise ValueError("V must be a representation of U's parent group")
-    return list(coset_lookup(U.parent, U)[0])
+    reps = coset_lookup(U.parent, U)[0]
+    return V.T[U.parent.inverse[reps] if inverse else reps]
 
 
-def _trivial_block(U: Subgroup, W: Rep) -> tuple[slice, int]:
-    """The coordinates of the block of the coset U itself, and its
-    representative r0, a member of U."""
+def own_block(U: Subgroup, W: Rep) -> np.ndarray:
+    """Whether each coordinate of Ind W lies in the block of U's own coset,
+    pos[identity].  That coset's representative r0 is the least member of
+    U, element 0 of U.as_group()."""
     if W.group != U.as_group():
         raise ValueError("W must be a representation of U.as_group()")
-    reps, pos = coset_lookup(U.parent, U)
-    i0 = int(pos[U.parent.identity])
-    return slice(i0 * W.dim, (i0 + 1) * W.dim), reps[i0]
+    G = U.parent
+    return np.arange(U.index * W.dim) // W.dim == coset_lookup(G, U)[1][G.identity]
+
+
+def unit_matrix(U: Subgroup, X: Rep) -> Matrix:
+    """x goes to g |-> gx: the column of blocks rho_X(r_i)."""
+    stack = coset_stack(U, X)
+    return Matrix._of(X.field, stack.reshape(len(stack) * X.dim, X.dim))
+
+
+def counit_matrix(U: Subgroup, X: Rep) -> Matrix:
+    """f goes to the sum of r^-1 f(r) over the representatives r: the row
+    of blocks rho_X(r_i^-1)."""
+    stack = coset_stack(U, X, inverse=True)
+    return Matrix._of(X.field, stack.transpose(1, 0, 2).reshape(X.dim, len(stack) * X.dim))
 
 
 def lower_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
     """U-maps W -> Res V to G-maps Ind W -> V: block column i is
     rho_V(r_i^-1) X."""
-    reps = _coset_reps(U, V)
+    stack = coset_stack(U, V, inverse=True)
     k, dV, dW = X.shape
-    moved = V.field.ax_matmul_batch(V.T[U.parent.inverse[reps]], X[:, None])
-    return moved.transpose(0, 2, 1, 3).reshape(k, dV, len(reps) * dW)
+    moved = V.field.ax_matmul_batch(stack, X[:, None])
+    return moved.transpose(0, 2, 1, 3).reshape(k, dV, len(stack) * dW)
 
 
 def upper_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
     """U-maps Res V -> W to G-maps V -> Ind W: block row i is
     X rho_V(r_i)."""
-    reps = _coset_reps(U, V)
+    stack = coset_stack(U, V)
     k, dW, dV = X.shape
-    return V.field.ax_matmul_batch(X[:, None], V.T[reps]).reshape(k, len(reps) * dW, dV)
+    return V.field.ax_matmul_batch(X[:, None], stack).reshape(k, len(stack) * dW, dV)
 
 
 def lower_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
-    """The inverse of lower_lift: F[:, :, block0] rho_W(r0)."""
-    block, r0 = _trivial_block(U, W)
-    return W.field.ax_matmul_batch(F[:, :, block], W.T[U.local(r0)])
+    """The inverse of lower_lift: F[:, :, own block] rho_W(r0)."""
+    return W.field.ax_matmul_batch(F[:, :, own_block(U, W)], W.T[0])
 
 
 def upper_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
-    """The inverse of upper_lift: rho_W(r0^-1) F[:, block0]."""
-    block, r0 = _trivial_block(U, W)
-    return W.field.ax_matmul_batch(W.T[U.local(U.parent.inv(r0))], F[:, block])
+    """The inverse of upper_lift: rho_W(r0^-1) F[:, own block]."""
+    return W.field.ax_matmul_batch(W.T[W.group.inverse[0]], F[:, own_block(U, W)])
 
 
 def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Matrix:
@@ -387,6 +406,7 @@ def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> M
     d2 x d1 matrices X flattened row major: the blocks
     I (x) rho1(g)^T - rho2(g) (x) I, built without Kronecker products."""
     s, d1, d2 = T1.shape[0], T1.shape[1], T2.shape[1]
+    check_cells("equivariance_system", s * d2 * d1, d2 * d1)
     out = np.zeros((s, d2, d1, d2, d1), dtype=np.int16)
     a1, a2 = np.arange(d1), np.arange(d2)
     # entry ((a, c), (a, b)) of I (x) rho1^T is rho1[b, c] ...

@@ -441,7 +441,7 @@ def _check_canonical_witnesses(F: FiniteField, pool: list[Rep], sample_subs: lis
     for U in sample_subs:
         w = u_split_search(ident, U, "section")
         _ensure(
-            w is not None and w.map == Matrix.identity(F, X0.dim),
+            w == Matrix.identity(F, X0.dim),
             "identity map lost its canonical section",
         )
 
@@ -518,7 +518,7 @@ def _check_prime_index(F: FiniteField, subs: list[Subgroup], epics: list[RepMap]
                     "splitting classes differ despite invertible index",
                 )
                 if lo is not None:
-                    averaging_section(lo.map, f, Up, U)
+                    averaging_section(lo, f, Up, U)
                 count += 1
             if count >= 6:
                 break

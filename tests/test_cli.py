@@ -264,6 +264,17 @@ def test_stable_exits_2_when_the_rep_pool_is_over_the_induce_budget(capsys, monk
     assert "over the budget of 0" in err
 
 
+def test_stable_exits_2_when_a_system_is_over_the_cell_budget(capsys, monkeypatch):
+    from modplab import linalg
+
+    # the stable homs run first; hom_space of triv and a 3-dimensional
+    # pool rep needs a 3 x 3 equivariance system
+    monkeypatch.setattr(linalg, "SYSTEM_CELLS", 8)
+    code, out, err = run(["stable", "--group", "C3", "--field", "F3"], capsys)
+    assert code == 2 and out == ""
+    assert "equivariance_system needs a 3 x 3 matrix, 9 cells, over the budget of 8" in err
+
+
 def test_stable_reruns_byte_identical(capsys):
     argv = ["stable", "--group", "C2", "--field", "F2", "--U", "0"]
     _, first, _ = run(argv, capsys)
@@ -326,6 +337,23 @@ def test_fairness_oracle_with_huge_precision_exits_2(capsys):
     argv = ["fairness", "--mode", "sl2", "--p", "2", "--m", "1", "--n", "1", "--oracle-N", "100000000"]
     code, out, err = run(argv, capsys)
     assert code == 2 and out == "" and "exceeds the cap" in err
+
+
+@pytest.mark.parametrize(
+    "depths, code",
+    [
+        (["--m", "1", "--n", "1", "--oracle-N", "1"], 3),  # n >= N
+        (["--m", "1", "--n", "1", "--oracle-N", "-5"], 2),  # N < 1
+        (["--m", "5", "--n", "1", "--oracle-N", "3"], 3),  # m > N
+    ],
+)
+def test_fairness_oracle_with_no_valid_exponent_fails_as_with_a(capsys, depths, code):
+    """Not even a = 0 fits the precision, so no oracle row can run: the
+    exit code is the one the same arguments give with --a 0."""
+    argv = ["fairness", "--mode", "sl2", "--p", "3"] + depths
+    assert run(argv + ["--a", "0"], capsys)[0] == code
+    got, out, err = run(argv, capsys)
+    assert got == code and out == "" and err.startswith("error:")
 
 
 # ---- the exit-code contract under random argument vectors ----

@@ -156,3 +156,17 @@ def test_every_default_is_set_by_a_caller():
                 if not any(sets(c, i, param, default) for c in calls.get(call_name, ())):
                     unset.append(key)
     assert not unset, f"defaulted parameters no call in src/ sets to another value: {sorted(unset)}"
+
+
+def test_coset_lookup_is_read_only_by_the_owners_of_the_block_layout():
+    """groups.py computes the cosets and reps.py writes every map in
+    induce's block layout; exact.py reads cosets only to list the
+    U'-cosets inside U in averaging_section."""
+    readers = set()
+    for name, tree in _package_trees().items():
+        for top in tree.body:
+            where = name if name in ("groups.py", "reps.py") else f"{name}:{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if "coset_lookup" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    readers.add(where)
+    assert readers == {"groups.py", "reps.py", "exact.py:averaging_section"}

@@ -293,3 +293,41 @@ def test_rref_builds_no_key_for_a_reduction_the_memo_cannot_store(monkeypatch):
         assert np.array_equal(R, ref_rref(F3, small)[0]) and piv == [0]
     assert spy.calls == [("get", (2, 2)), ("put", (2, 2)), ("get", (2, 2))]
     assert len(spy) == 1
+
+
+def _oversized_system(builder):
+    """A call of builder that, unrefused, would allocate at least 8 MB:
+    each system has over four million int16 cells."""
+    from modplab.catalog import cyclic_group
+    from modplab.exact import _trace_operator, u_split_search
+    from modplab.groups import Subgroup
+    from modplab.reps import RepMap, equivariance_system, regular_rep
+
+    if builder == "solve":
+        A, B = Matrix.zeros(F2, 2000, 2000), Matrix.zeros(F2, 2000, 1)
+        return lambda: solve(A, B)  # 2,000 x 2,001
+    if builder == "equivariance_system":
+        T = np.zeros((2, 48, 48), dtype=np.int16)
+        return lambda: equivariance_system(F2, T, T)  # 4,608 x 2,304
+    G = cyclic_group(48)
+    reg, E = regular_rep(G, F2), Subgroup.trivial(G)
+    if builder == "relative trace":
+        return lambda: _trace_operator(reg, reg, E)  # 2,304 x 2,304
+    f = RepMap(reg, reg, Matrix.identity(F2, 48), validate=False)
+    return lambda: u_split_search(f, E, "section")  # F @ X = I: 2,304 x 2,304
+
+
+@pytest.mark.parametrize("builder", ["equivariance_system", "relative trace", "u_split_search", "solve"])
+def test_dense_systems_over_the_cell_budget_refuse_before_allocating(builder, monkeypatch):
+    import tracemalloc
+
+    call = _oversized_system(builder)
+    monkeypatch.setattr(linalg, "SYSTEM_CELLS", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cells, over the budget of 1000"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -126,3 +126,17 @@ def test_every_suite_passes_on_small_generated_groups(cname, suite):
     rep = run_suite(suite, seed=0, catalog=_sweep_catalogs()[cname])
     bad = [(c["id"], c["outcome"], c["details"]) for c in rep["cases"] if c["outcome"] != "pass"]
     assert bad == []
+
+
+def test_a_case_over_the_dense_cell_budget_reads_error(monkeypatch):
+    """Higman's trace operator on the regular module of S3 has 36 ** 2
+    cells, over a budget of 100: the case is an error that names the
+    budget, and C2's 4 ** 2 still passes."""
+    from modplab import linalg
+
+    monkeypatch.setattr(linalg, "SYSTEM_CELLS", 100)
+    cases = {c["id"]: c for c in run_suite("higman")["cases"]}
+    assert cases["higman/C2/F2"]["outcome"] == "pass"
+    refused = cases["higman/S3/F2"]
+    assert refused["outcome"] == "error"
+    assert "cells, over the budget of 100" in refused["details"]["exception"]
