@@ -13,9 +13,9 @@ import json
 import os
 
 from .covers import induced_trivial
-from .fields import FiniteField, p_part
+from .fields import FiniteField
 from .groups import FinGroup, Subgroup, all_subgroups, group_from_table
-from .jordan import jordan_block_rep
+from .jordan import cyclic_generator, jordan_block_rep
 from .reps import Rep, character_rep, group_characters, regular_rep, trivial_rep
 
 __all__ = [
@@ -198,9 +198,8 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
             out[f"perm{d}"] = induced_trivial(U, field)
     if G.order <= max_dim:
         out["reg"] = regular_rep(G, field)
-    n = G.order
-    if p_part(n, field.p)[1] == 1 and n > 1 and any(G.element_order(g) == n for g in range(n)):
-        for size in range(2, min(n, max_dim) + 1):
+    if cyclic_generator(G, field.p) is not None:
+        for size in range(2, min(G.order, max_dim) + 1):
             out[f"jordan{size}"] = jordan_block_rep(G, field, size)
     _REP_CACHE[key] = out
     return out

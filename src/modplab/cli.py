@@ -7,7 +7,8 @@ tabulates stable hom dimensions.  All output is UTF-8, newline-terminated,
 and byte-identical across reruns with the same inputs and seed.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 precision
-precondition violated.
+precondition violated.  Subcommands raise; main alone turns a
+PrecisionError into 3 and any other ValueError into 2.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ import os
 import sys
 
 from .catalog import catalog_fields, catalog_groups, catalog_reps, group_from_json, load_catalog
-from .exact import (
-    adjunction_unit,
-    loop_rep,
-    relative_projectivity_test,
-    stable_hom,
-    suspension,
-    u_split_search,
-)
+from .exact import loop_rep, projectivity_flags, stable_hom, suspension
 from .fairness import (
     PrecisionError,
     central_refinement,
@@ -35,11 +29,10 @@ from .fairness import (
     verify_certificate,
     witness_search,
 )
-from .fields import p_part
 from .groups import FinGroup, Subgroup
-from .jordan import jordan_block_rep, stable_jordan_type
+from .jordan import cyclic_generator, jordan_block_rep, stable_jordan_type
 from .reports import canonical_json, render_text
-from .suites import SUITES, run_suite
+from .suites import run_suite
 
 __all__ = ["main"]
 
@@ -52,7 +45,7 @@ def _emit(text: str, out: str | None):
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _InputError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -62,10 +55,6 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-class _InputError(Exception):
-    """Bad input found inside a subcommand; main() reports it and exits 2."""
-
-
 def _load_catalog(path: str | None) -> dict | None:
     """The --catalog file, or None when none was given."""
     if not path:
@@ -73,20 +62,25 @@ def _load_catalog(path: str | None) -> dict | None:
     try:
         return load_catalog(path)
     except (OSError, ValueError, KeyError) as exc:
-        raise _InputError(f"malformed catalog: {exc}") from exc
+        raise ValueError(f"malformed catalog: {exc}") from exc
 
 
-def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup | None:
+def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup:
+    """A catalog group by name, or a group JSON file by path; a name or
+    path that names nothing is an unknown group."""
     if name_or_path.endswith(".json") or os.path.sep in name_or_path:
         try:
             with open(name_or_path, encoding="utf-8") as fh:
                 return group_from_json(json.load(fh))
         except OSError:
-            return None
+            pass
         except (ValueError, KeyError, TypeError) as exc:
-            raise _InputError(f"malformed group file {name_or_path}: {exc}") from exc
-    groups = catalog["groups"] if catalog else catalog_groups()
-    return groups.get(name_or_path)
+            raise ValueError(f"malformed group file {name_or_path}: {exc}") from exc
+    else:
+        G = (catalog["groups"] if catalog else catalog_groups()).get(name_or_path)
+        if G is not None:
+            return G
+    raise ValueError(f"unknown group {name_or_path!r}")
 
 
 def _parse_members(G: FinGroup, text: str) -> Subgroup:
@@ -102,10 +96,7 @@ def _parse_members(G: FinGroup, text: str) -> Subgroup:
 
 
 def cmd_verify(args) -> int:
-    catalog = _load_catalog(args.catalog)
-    if args.suite not in SUITES:
-        return _fail(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", 2)
-    report = run_suite(args.suite, args.seed, catalog)
+    report = run_suite(args.suite, args.seed, _load_catalog(args.catalog))
     text = canonical_json(report) if args.format == "json" else render_text(report)
     _emit(text, args.out)
     clean = report["summary"]["fail"] == 0 and report["summary"]["error"] == 0
@@ -116,10 +107,15 @@ def cmd_verify(args) -> int:
 # fairness
 
 
+def _in_window(m: int, n: int, N: int, a: int) -> bool:
+    """Whether the exponent a fits the precision N at depths m and n."""
+    return n + 2 * a < N and m + 2 * a <= N
+
+
 def _valid_exponents(m: int, n: int, N: int):
     """Lazily, so a huge N fails at the first oracle row's cap check."""
     a = 0
-    while n + 2 * a < N and m + 2 * a <= N:
+    while _in_window(m, n, N, a):
         yield a
         a += 1
 
@@ -144,11 +140,8 @@ def _oracle_rows(p: int, N: int, m: int, n: int, exponents) -> list[dict]:
 def _fairness_sl2(args) -> int:
     for name in ("p", "m", "n"):
         if getattr(args, name) is None:
-            return _fail(f"sl2 mode requires --{name}", 2)
-    try:
-        cert = fairness_refinement(args.m, args.n, args.p)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+            raise ValueError(f"sl2 mode requires --{name}")
+    cert = fairness_refinement(args.m, args.n, args.p)
     body = {
         "schema": "1",
         "command": "fairness",
@@ -157,40 +150,35 @@ def _fairness_sl2(args) -> int:
         "certificate_valid": verify_certificate(cert),
     }
     ok = body["certificate_valid"]
-    try:
+    if args.a is not None:
+        body["depths_at_a"] = {
+            "a": args.a,
+            "original": overlap_depths(args.m, args.n, args.a).to_json(),
+            "refined": overlap_depths(args.m, cert.n_prime, args.a).to_json(),
+        }
+    if args.oracle_N is not None:
+        N = args.oracle_N
         if args.a is not None:
-            body["depths_at_a"] = {
-                "a": args.a,
-                "original": overlap_depths(args.m, args.n, args.a).to_json(),
-                "refined": overlap_depths(args.m, cert.n_prime, args.a).to_json(),
-            }
-        if args.oracle_N is not None:
-            N = args.oracle_N
-            if args.a is not None:
-                base = _oracle_rows(args.p, N, args.m, args.n, [args.a])
-                refined = (
-                    _oracle_rows(args.p, N, args.m, cert.n_prime, [args.a])
-                    if cert.n_prime + 2 * args.a < N and args.m + 2 * args.a <= N
-                    else []
-                )
-            else:
-                # with no valid exponent, the brute force at a = 0 raises
-                # the error that decides the exit code
-                base = _oracle_rows(
-                    args.p, N, args.m, args.n, _valid_exponents(args.m, args.n, N)
-                ) or _oracle_rows(args.p, N, args.m, args.n, [0])
-                refined = _oracle_rows(
-                    args.p, N, args.m, cert.n_prime,
-                    _valid_exponents(args.m, cert.n_prime, N),
-                )
-            rows = base + refined
-            body["oracle"] = rows
-            body["oracle_agreement"] = "pass" if all(r["agree"] for r in rows) else "fail"
-            ok = ok and body["oracle_agreement"] == "pass"
-    except PrecisionError as exc:
-        return _fail(str(exc), 3)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+            base = _oracle_rows(args.p, N, args.m, args.n, [args.a])
+            refined = (
+                _oracle_rows(args.p, N, args.m, cert.n_prime, [args.a])
+                if _in_window(args.m, cert.n_prime, N, args.a)
+                else []
+            )
+        else:
+            # with no valid exponent, the brute force at a = 0 raises
+            # the error that decides the exit code
+            base = _oracle_rows(
+                args.p, N, args.m, args.n, _valid_exponents(args.m, args.n, N)
+            ) or _oracle_rows(args.p, N, args.m, args.n, [0])
+            refined = _oracle_rows(
+                args.p, N, args.m, cert.n_prime,
+                _valid_exponents(args.m, cert.n_prime, N),
+            )
+        rows = base + refined
+        body["oracle"] = rows
+        body["oracle_agreement"] = "pass" if all(r["agree"] for r in rows) else "fail"
+        ok = ok and body["oracle_agreement"] == "pass"
     if args.format == "json":
         text = canonical_json(body)
     else:
@@ -219,20 +207,15 @@ def _fairness_sl2(args) -> int:
 
 def _fairness_finite(args) -> int:
     if args.group is None:
-        return _fail("finite mode requires --group", 2)
+        raise ValueError("finite mode requires --group")
     G = _resolve_group(args.group, _load_catalog(args.catalog))
-    if G is None:
-        return _fail(f"unknown group {args.group!r}", 2)
-    try:
-        K = _parse_members(G, args.K) if args.K else Subgroup.full(G)
-        H = _parse_members(G, args.H) if args.H else Subgroup.full(G)
-        if args.Hprime is not None:
-            Hp = _parse_members(G, args.Hprime)
-        else:
-            Hp = central_refinement(G, K, H)
-        report = witness_search(G, K, H, Hp)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    K = _parse_members(G, args.K) if args.K else Subgroup.full(G)
+    H = _parse_members(G, args.H) if args.H else Subgroup.full(G)
+    if args.Hprime is not None:
+        Hp = _parse_members(G, args.Hprime)
+    else:
+        Hp = central_refinement(G, K, H)
+    report = witness_search(G, K, H, Hp)
     body = {
         "schema": "1",
         "command": "fairness",
@@ -265,22 +248,14 @@ def cmd_fairness(args) -> int:
 def cmd_stable(args) -> int:
     catalog = _load_catalog(args.catalog)
     G = _resolve_group(args.group, catalog)
-    if G is None:
-        return _fail(f"unknown group {args.group!r}", 2)
     fields = dict(catalog_fields())
     if catalog:
         fields.update(catalog["fields"])
     F = fields.get(args.field)
     if F is None:
-        return _fail(f"unknown field {args.field!r}", 2)
-    try:
-        U = _parse_members(G, args.U) if args.U else Subgroup.trivial(G)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    try:
-        pool = catalog_reps(G, F, 4)
-    except ValueError as exc:  # a permutation module over induce's size budget
-        return _fail(str(exc), 2)
+        raise ValueError(f"unknown field {args.field!r}")
+    U = _parse_members(G, args.U) if args.U else Subgroup.trivial(G)
+    pool = catalog_reps(G, F, 4)
     if args.pairs:
         try:
             pairs = []
@@ -288,7 +263,7 @@ def cmd_stable(args) -> int:
                 left, right = tok.split(":")
                 pairs.append((pool[left], pool[right], f"{left}->{right}"))
         except (ValueError, KeyError) as exc:
-            return _fail(f"bad --pairs (names from {sorted(pool)}): {exc}", 2)
+            raise ValueError(f"bad --pairs (names from {sorted(pool)}): {exc}") from exc
     else:
         pairs = [
             (V1, V2, f"{n1}->{n2}")
@@ -299,10 +274,7 @@ def cmd_stable(args) -> int:
     for V1, V2, label in pairs:
         # one trace image serves both columns: relatively projective and
         # relatively injective modules coincide (Higman)
-        try:
-            res = stable_hom(V1, V2, U).to_json()
-        except ValueError as exc:  # a system over the dense cell budget
-            return _fail(str(exc), 2)
+        res = stable_hom(V1, V2, U).to_json()
         rows.append(
             {
                 "pair": label,
@@ -311,38 +283,26 @@ def cmd_stable(args) -> int:
             }
         )
     crosscheck = []
-    all_agree = True
-    full = Subgroup.full(G)
     for name, P in pool.items():
-        # the trace criterion against an independent split search on the unit
-        try:
-            fp, _ = relative_projectivity_test(P, U)
-            unit = adjunction_unit(U, P)
-        except ValueError as exc:  # Ind Res P is over induce's size budget
-            return _fail(str(exc), 2)
-        fi = u_split_search(unit, full, "retraction") is not None
-        all_agree = all_agree and fp == fi
+        fp, fi = projectivity_flags(P, U)
         crosscheck.append(
             {"object": name, "projective": fp, "injective": fi, "agree": fp == fi}
         )
     jordan = []
-    if G.is_abelian() and p_part(G.order, F.p)[1] == 1 and G.order > 1:
-        try:
-            for i in range(1, min(G.order, 5)):
-                J = jordan_block_rep(G, F, i)
-                Om, _ = loop_rep(J, U)
-                T, _ = suspension(J, U)
-                jordan.append(
-                    {
-                        "block": i,
-                        "loop_dim": Om.dim,
-                        "loop_stable": list(stable_jordan_type(Om)),
-                        "susp_dim": T.dim,
-                        "susp_stable": list(stable_jordan_type(T)),
-                    }
-                )
-        except ValueError:
-            jordan = []  # not cyclic; no block classification
+    if cyclic_generator(G, F.p) is not None:
+        for i in range(1, min(G.order, 5)):
+            J = jordan_block_rep(G, F, i)
+            Om, _ = loop_rep(J, U)
+            T, _ = suspension(J, U)
+            jordan.append(
+                {
+                    "block": i,
+                    "loop_dim": Om.dim,
+                    "loop_stable": list(stable_jordan_type(Om)),
+                    "susp_dim": T.dim,
+                    "susp_stable": list(stable_jordan_type(T)),
+                }
+            )
     body = {
         "schema": "1",
         "command": "stable",
@@ -382,7 +342,7 @@ def cmd_stable(args) -> int:
             )
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
-    return 0 if all_agree else 1
+    return 0 if all(c["agree"] for c in crosscheck) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +392,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except PrecisionError as exc:
+        return _fail(str(exc), 3)
+    except ValueError as exc:
         return _fail(str(exc), 2)
 
 

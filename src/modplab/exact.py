@@ -42,6 +42,7 @@ __all__ = [
     "counit_section",
     "suspension_section",
     "relative_projectivity_test",
+    "projectivity_flags",
     "subrep_on_subspace",
     "subrep_on_kernel",
     "quotient_rep",
@@ -257,6 +258,15 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None
     if not intertwines(local, local, Y.a):
         raise AssertionError("trace witness is not U-equivariant")
     return (True, X)
+
+
+def projectivity_flags(P: Rep, U: Subgroup) -> tuple[bool, bool]:
+    """Whether P is relatively U-projective, by the trace test, and whether
+    it is relatively U-injective, by an independent split search for a
+    G-retraction of the unit P -> Ind Res P; Higman says they agree."""
+    projective, _ = relative_projectivity_test(P, U)
+    retraction = u_split_search(adjunction_unit(U, P), Subgroup.full(P.group), "retraction")
+    return projective, retraction is not None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .linalg import Matrix
 from .reps import Rep, rep_from_generators
 
 __all__ = [
+    "cyclic_generator",
     "unipotent_block",
     "jordan_block_rep",
     "jordan_type",
@@ -44,14 +45,22 @@ def jordan_block_rep(G: FinGroup, field: FiniteField, size: int) -> Rep:
     return rep_from_generators(G, field, {gen: unipotent_block(field, size)})
 
 
-def _full_order_generator(G: FinGroup, p: int) -> int:
+def cyclic_generator(G: FinGroup, p: int) -> int | None:
+    """The least element of order |G| when |G| is a power of p (so G is a
+    cyclic p-group), else None; the trivial group is generated by 0."""
     n = G.order
     if p_part(n, p)[1] != 1:
+        return None
+    return next((g for g in range(n) if G.element_order(g) == n), None)
+
+
+def _full_order_generator(G: FinGroup, p: int) -> int:
+    if p_part(G.order, p)[1] != 1:
         raise ValueError("group order is not a power of the characteristic")
-    for g in range(n):
-        if G.element_order(g) == n:
-            return g
-    raise ValueError("group is not cyclic")
+    gen = cyclic_generator(G, p)
+    if gen is None:
+        raise ValueError("group is not cyclic")
+    return gen
 
 
 def jordan_type(V: Rep) -> tuple[int, ...]:

@@ -47,6 +47,7 @@ from .exact import (
     averaging_section,
     counit_section,
     loop_rep,
+    projectivity_flags,
     quotient_rep,
     relative_projectivity_test,
     stable_hom,
@@ -59,7 +60,7 @@ from .exact import (
 )
 from .fields import FiniteField, p_part
 from .groups import FinGroup, Subgroup, all_subgroups
-from .jordan import jordan_block_rep, jordan_type, stable_jordan_type
+from .jordan import cyclic_generator, jordan_block_rep, jordan_type, stable_jordan_type
 from .linalg import Matrix, Subspace, column_space, hstack
 from .reps import (
     Rep,
@@ -87,22 +88,6 @@ __all__ = ["SUITES", "run_suite"]
 
 FROBENIUS_GROUPS = ("C2", "C3", "C4", "V4", "C9", "S3", "D4", "Q8", "A4")
 STANDARD_FIELDS = ("F2", "F3", "F4", "F9")
-P_GROUP_PAIRS = (
-    ("C2", "F2"),
-    ("C2", "F4"),
-    ("C3", "F3"),
-    ("C3", "F9"),
-    ("C4", "F2"),
-    ("C4", "F4"),
-    ("V4", "F2"),
-    ("V4", "F4"),
-    ("C9", "F3"),
-    ("C9", "F9"),
-    ("D4", "F2"),
-    ("D4", "F4"),
-    ("Q8", "F2"),
-    ("Q8", "F4"),
-)
 
 
 class _CheckFail(AssertionError):
@@ -114,8 +99,21 @@ def _ensure(cond: bool, msg: str):
         raise _CheckFail(msg)
 
 
+def _where(exc: Exception) -> str:
+    """module:function of the innermost modplab frame that exc passed
+    through, _ensure aside; no line number, so reruns stay byte-identical."""
+    where, tb = "", exc.__traceback__
+    while tb is not None:
+        module, code = tb.tb_frame.f_globals.get("__name__", ""), tb.tb_frame.f_code
+        if module.startswith("modplab.") and code is not _ensure.__code__:
+            where = f"{module.removeprefix('modplab.')}:{code.co_name}"
+        tb = tb.tb_next
+    return where
+
+
 def _error_case(cid: str, inputs: dict, exc: Exception) -> Case:
-    return Case(cid, inputs, "error", {"exception": f"{type(exc).__name__}: {exc}"})
+    details = {"exception": f"{type(exc).__name__}: {exc}", "where": _where(exc)}
+    return Case(cid, inputs, "error", details)
 
 
 def _run_case(cases: list[Case], cid: str, inputs: dict, fn, *args):
@@ -123,9 +121,19 @@ def _run_case(cases: list[Case], cid: str, inputs: dict, fn, *args):
         details = fn(*args) or {}
         cases.append(Case(cid, inputs, "pass", details))
     except _CheckFail as exc:
-        cases.append(Case(cid, inputs, "fail", {"reason": str(exc)}))
+        cases.append(Case(cid, inputs, "fail", {"reason": str(exc), "where": _where(exc)}))
     except Exception as exc:  # pragma: no cover - defensive
         cases.append(_error_case(cid, inputs, exc))
+
+
+def _value_or_error(cases: list[Case], cid: str, inputs: dict, fn, *args):
+    """fn(*args), or None after adding an error case for what it raised:
+    an input that several cases share fails once, as one case."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        cases.append(_error_case(cid, inputs, exc))
+        return None
 
 
 def _resolve_catalog(catalog):
@@ -195,7 +203,9 @@ def suite_frobenius(seed: int, catalog) -> list[Case]:
     for gname in gnames:
         G = groups[gname]
         for fname in fnames:
-            for U in all_subgroups(G):
+            inputs = {"group": gname, "field": fname}
+            cid = f"frobenius/{gname}/{fname}/subgroups"
+            for U in _value_or_error(cases, cid, inputs, all_subgroups, G) or ():
                 cid = f"frobenius/{gname}/{fname}/{subgroup_id(G, U)}"
                 inputs = {"group": gname, "field": fname, "subgroup": list(U.members)}
                 _run_case(cases, cid, inputs, _frobenius_case, G, fields[fname], U)
@@ -209,12 +219,9 @@ def suite_frobenius(seed: int, catalog) -> list[Case]:
 def _expect_uncoverable(K: FinGroup, field: FiniteField, V: Rep) -> bool:
     # a cover exists unless V has a free direct summand, which at these
     # dimensions can only happen for a cyclic group no bigger than dim V
-    if K.order > V.dim:
+    if K.order > V.dim or cyclic_generator(K, field.p) is None:
         return False
-    try:
-        return K.order in jordan_type(V)
-    except ValueError:
-        return False
+    return K.order in jordan_type(V)
 
 
 def _phi_constants(K: FinGroup, F: FiniteField) -> dict:
@@ -269,27 +276,20 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
 
 def suite_phi_machinery(seed: int, catalog) -> list[Case]:
     groups, fields, gnames, fnames = _grid(catalog)
-    if catalog is None:
-        pairs = list(P_GROUP_PAIRS)
-    else:
-        pairs = [
-            (g, f)
-            for g in gnames
-            for f in fnames
-            if groups[g].order > 1 and p_part(groups[g].order, fields[f].p)[1] == 1
-        ]
+    pairs = [
+        (g, f)
+        for g in gnames
+        for f in fnames
+        if groups[g].order > 1 and p_part(groups[g].order, fields[f].p)[1] == 1
+    ]
     cases: list[Case] = []
     for gname, fname in pairs:
         K = groups[gname]
         F = fields[fname]
         inputs = {"group": gname, "field": fname}
         _run_case(cases, f"phi/{gname}/{fname}/constants", inputs, _phi_constants, K, F)
-        try:
-            pool = catalog_reps(K, F, 3)
-        except Exception as exc:
-            cases.append(_error_case(f"phi/{gname}/{fname}/reps", inputs, exc))
-            continue
-        for vname, V in pool.items():
+        pool = _value_or_error(cases, f"phi/{gname}/{fname}/reps", inputs, catalog_reps, K, F, 3)
+        for vname, V in (pool or {}).items():
             inputs = {"group": gname, "field": fname, "rep": vname}
             _run_case(cases, f"phi/{gname}/{fname}/{vname}", inputs, _phi_rep, K, F, V)
     return cases
@@ -542,15 +542,13 @@ def _check_unit_counit(pool: list[Rep], sample_subs: list[Subgroup]) -> int:
 
 
 def _exact_case(
-    G: FinGroup,
-    F: FiniteField,
-    subs: list[Subgroup],
-    sample_subs: list[Subgroup],
-    rng: random.Random,
-    prime_index_counts: list[int],
+    G: FinGroup, F: FiniteField, rng: random.Random, prime_index_counts: list[int]
 ) -> dict:
     """One exact-axioms case; its prime-index count joins the suite total
-    once that check has passed, even if a later check fails."""
+    once that check has passed, even if a later check fails.  The samples
+    are the first three subgroups and the whole group."""
+    subs = all_subgroups(G)
+    sample_subs = list({S.members: S for S in [*subs[:3], Subgroup.full(G)]}.values())
     pool = list(catalog_reps(G, F, 4).values())
     built, epics = _build_sequences(G, F, pool, sample_subs, rng)
     split_certified = _certify_splits(built)
@@ -582,14 +580,9 @@ def suite_exact_axioms(seed: int, catalog) -> list[Case]:
     prime_index_counts: list[int] = []
     for gname in gnames:
         G = groups[gname]
-        subs = all_subgroups(G)
-        seen_subs = {}
-        for S in list(subs[: min(3, len(subs))]) + [Subgroup.full(G)]:
-            seen_subs.setdefault(S.members, S)
-        sample_subs = list(seen_subs.values())
         for fname in fnames:
             rng = random.Random(f"{seed}:exact:{gname}:{fname}")
-            args = (G, fields[fname], subs, sample_subs, rng, prime_index_counts)
+            args = (G, fields[fname], rng, prime_index_counts)
             inputs = {"group": gname, "field": fname}
             _run_case(cases, f"exact/{gname}/{fname}", inputs, _exact_case, *args)
     if catalog is None:
@@ -608,10 +601,8 @@ def _stable_case(G: FinGroup, F: FiniteField, U: Subgroup) -> dict:
     independent split search on the unit (relative injectivity)."""
     pool = catalog_reps(G, F, 4)
     agree = 0
-    full = Subgroup.full(G)
     for P in pool.values():
-        fp, _ = relative_projectivity_test(P, U)
-        fi = u_split_search(adjunction_unit(U, P), full, "retraction") is not None
+        fp, fi = projectivity_flags(P, U)
         _ensure(fp == fi, f"projective flag {fp} but injective flag {fi}")
         agree += 1
     return {"objects": agree}
@@ -661,7 +652,9 @@ def suite_stable_frobenius(seed: int, catalog) -> list[Case]:
     for gname in gnames:
         G = groups[gname]
         for fname in fnames:
-            for U in all_subgroups(G):
+            inputs = {"group": gname, "field": fname}
+            cid = f"stable/{gname}/{fname}/subgroups"
+            for U in _value_or_error(cases, cid, inputs, all_subgroups, G) or ():
                 cid = f"stable/{gname}/{fname}/{subgroup_id(G, U)}"
                 inputs = {"group": gname, "field": fname, "subgroup": list(U.members)}
                 _run_case(cases, cid, inputs, _stable_case, G, fields[fname], U)

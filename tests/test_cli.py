@@ -275,6 +275,17 @@ def test_stable_exits_2_when_a_system_is_over_the_cell_budget(capsys, monkeypatc
     assert "equivariance_system needs a 3 x 3 matrix, 9 cells, over the budget of 8" in err
 
 
+def test_stable_exits_2_when_the_split_search_is_over_the_cell_budget(capsys, monkeypatch):
+    from modplab import linalg
+
+    # triv:triv's stable hom needs 1-cell systems; the cross-check's split
+    # search for a retraction of triv -> Ind Res triv needs 3 cells
+    monkeypatch.setattr(linalg, "SYSTEM_CELLS", 2)
+    code, out, err = run(["stable", "--group", "C3", "--field", "F3", "--pairs", "triv:triv"], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == "error: u_split_search needs a 1 x 3 matrix, 3 cells, over the budget of 2\n"
+
+
 def test_stable_reruns_byte_identical(capsys):
     argv = ["stable", "--group", "C2", "--field", "F2", "--U", "0"]
     _, first, _ = run(argv, capsys)

@@ -1,6 +1,6 @@
 import pytest
 
-from modplab.catalog import alt4, catalog_reps, cyclic_group, sym3
+from modplab.catalog import alt4, catalog_groups, catalog_reps, cyclic_group, sym3
 from modplab.covers import induced_trivial
 from modplab.exact import (
     adjunction_counit,
@@ -8,6 +8,7 @@ from modplab.exact import (
     averaging_section,
     counit_section,
     loop_rep,
+    projectivity_flags,
     quotient_rep,
     relative_projectivity_test,
     stable_hom,
@@ -21,7 +22,7 @@ from modplab.exact import (
 from modplab.fields import FiniteField
 from modplab.jordan import jordan_block_rep, jordan_type, stable_jordan_type
 from modplab.linalg import Matrix, Subspace
-from modplab.groups import Subgroup
+from modplab.groups import Subgroup, all_subgroups
 from modplab.reps import (
     RepMap,
     direct_sum,
@@ -277,3 +278,15 @@ def test_stable_hom_additivity_over_sum():
     lhs = stable_hom(direct_sum([J1, J2]), J1, E)
     parts = [stable_hom(J, J1, E) for J in (J1, J2)]
     assert lhs.stable_dim == sum(p.stable_dim for p in parts)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+@pytest.mark.parametrize("name", sorted(catalog_groups()))
+def test_projectivity_flags_are_the_two_separate_tests(name, field):
+    G = catalog_groups()[name]
+    full = Subgroup.full(G)
+    for U in all_subgroups(G):
+        for P in catalog_reps(G, field, 4).values():
+            projective = relative_projectivity_test(P, U)[0]
+            injective = u_split_search(adjunction_unit(U, P), full, "retraction") is not None
+            assert projectivity_flags(P, U) == (projective, injective)

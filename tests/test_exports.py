@@ -170,3 +170,19 @@ def test_coset_lookup_is_read_only_by_the_owners_of_the_block_layout():
                 if "coset_lookup" in (getattr(node, "id", None), getattr(node, "attr", None)):
                     readers.add(where)
     assert readers == {"groups.py", "reps.py", "exact.py:averaging_section"}
+
+
+def test_only_cli_main_maps_exceptions_to_exit_codes():
+    """Subcommands and helpers raise; main alone catches an exception to
+    return an exit code, and it alone calls _fail."""
+    tree = ast.parse((Path(modplab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    returning, failing = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and any(
+                isinstance(inner, ast.Return) for inner in ast.walk(node)
+            ):
+                returning.add(top.name)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail":
+                failing.add(top.name)
+    assert returning == failing == {"main"}

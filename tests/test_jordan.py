@@ -1,9 +1,16 @@
 import pytest
 
-from modplab.catalog import cyclic_group, klein_group
+from modplab.catalog import catalog_groups, cyclic_group, klein_group
+from modplab.groups import group_from_table
 from modplab.fields import FiniteField
 from modplab.linalg import Matrix
-from modplab.jordan import jordan_block_rep, jordan_type, stable_jordan_type, unipotent_block
+from modplab.jordan import (
+    cyclic_generator,
+    jordan_block_rep,
+    jordan_type,
+    stable_jordan_type,
+    unipotent_block,
+)
 from modplab.reps import direct_sum, regular_rep, trivial_rep
 
 F2 = FiniteField(2)
@@ -68,3 +75,36 @@ def test_stable_jordan_type_strips_free_blocks():
         [jordan_block_rep(C3, F3, 3), jordan_block_rep(C3, F3, 2), jordan_block_rep(C3, F3, 3)]
     )
     assert stable_jordan_type(mixed) == (2,)
+
+
+def _brute_cyclic_generator(G, p):
+    """Powers of each element by table lookups, in index order."""
+    n = G.order
+    while n % p == 0:
+        n //= p
+    if n != 1:
+        return None
+    for g in range(G.order):
+        x, order = g, 1
+        while x != G.identity:
+            x, order = int(G.table[x, g]), order + 1
+        if order == G.order:
+            return g
+    return None
+
+
+GROUPS = {**catalog_groups(), "E": group_from_table([[0]])}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_cyclic_generator_matches_brute_force(name, p):
+    G = GROUPS[name]
+    assert cyclic_generator(G, p) == _brute_cyclic_generator(G, p)
+
+
+def test_cyclic_generator_on_the_edge_cases():
+    G = GROUPS
+    assert [cyclic_generator(G["E"], p) for p in (2, 3, 5)] == [0, 0, 0]
+    assert cyclic_generator(G["V4"], 2) is None and cyclic_generator(G["Q8"], 2) is None
+    assert cyclic_generator(G["C9"], 3) == 1 and cyclic_generator(G["C9"], 2) is None

@@ -140,3 +140,36 @@ def test_a_case_over_the_dense_cell_budget_reads_error(monkeypatch):
     refused = cases["higman/S3/F2"]
     assert refused["outcome"] == "error"
     assert "cells, over the budget of 100" in refused["details"]["exception"]
+    assert refused["details"]["where"] == "linalg:check_cells"
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_group_over_the_subgroup_cap_is_an_error_case(suite):
+    """No suite raises on a catalog group too large to enumerate: every
+    case that does not pass is an error that names the cap and where it
+    was hit."""
+    from modplab.catalog import cyclic_group
+    from modplab.fields import FiniteField
+
+    catalog = {"groups": {"C194": cyclic_group(194)}, "fields": {"F2": FiniteField(2)}}
+    rep = run_suite(suite, catalog=catalog)
+    bad = [c for c in rep["cases"] if c["outcome"] != "pass"]
+    assert all(c["outcome"] == "error" for c in bad)
+    assert all("exceeds enumeration cap 192" in c["details"]["exception"] for c in bad)
+    assert all(c["details"]["where"] == "groups:all_subgroups" for c in bad)
+    if suite in ("frobenius", "stable-frobenius"):  # one case for the whole subgroup loop
+        prefix = suite.split("-")[0]
+        assert [c["id"] for c in bad] == [f"{prefix}/C194/F2/subgroups"]
+    elif suite != "phi-machinery":  # 194 is no prime power, so phi has no case
+        assert len(bad) == 1
+
+
+def test_a_failed_check_names_its_function():
+    """_ensure is skipped: the reason's place is the check that called it."""
+    from modplab.suites import _check_total, _run_case
+
+    cases = []
+    _run_case(cases, "total", {}, _check_total, 3, 50, "key", "things counted")
+    (case,) = cases
+    assert case.outcome == "fail"
+    assert case.details == {"reason": "only 3 things counted", "where": "suites:_check_total"}
