@@ -6,9 +6,12 @@ optional exhaustive oracle) or finite witness searches, and `stable`
 tabulates stable hom dimensions.  All output is UTF-8, newline-terminated,
 and byte-identical across reruns with the same inputs and seed.
 
-Exit codes: 0 success, 1 invariant failure, 2 input error, 3 precision
+Exit codes: 0 success, 1 invariant failure, 2 input error (also an
+unwritable stdout or --out, and a verify run with no case), 3 precision
 precondition violated.  Subcommands raise; main alone turns a
-PrecisionError into 3 and any other ValueError into 2.
+PrecisionError into 3 and any other ValueError into 2.  `main` is the
+in-process entry; `run`, the console entry, ends the process once the
+answer is flushed.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .jordan import cyclic_generator, jordan_block_rep, stable_jordan_type
 from .reports import canonical_json, render_text
 from .suites import run_suite
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 
 def _emit(text: str, out: str | None):
@@ -46,8 +49,14 @@ def _emit(text: str, out: str | None):
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    elif sys.stdout is None:
+        raise ValueError("cannot write stdout: file descriptor 1 is closed")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def _fail(msg: str, code: int) -> int:
@@ -97,6 +106,8 @@ def _parse_members(G: FinGroup, text: str) -> Subgroup:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite, args.seed, _load_catalog(args.catalog))
+    if report["summary"]["total"] == 0:
+        raise ValueError(f"suite {args.suite!r} has no case on this catalog")
     text = canonical_json(report) if args.format == "json" else render_text(report)
     _emit(text, args.out)
     clean = report["summary"]["fail"] == 0 and report["summary"]["error"] == 0
@@ -398,5 +409,23 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
 
 
+def run() -> None:
+    """Console entry: `main()`, then flush and end the process with
+    `os._exit`, so no command pays for interpreter teardown after its
+    answer.  argparse's SystemExit (--help, usage errors) gives the code;
+    any other exception propagates as from `main()`."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when its descriptor was closed
+            try:
+                stream.flush()
+            except OSError:
+                pass  # a broken pipe; _emit has already reported stdout
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

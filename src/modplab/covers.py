@@ -12,7 +12,7 @@ surjection onto the representation, when enough vectors qualify.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,16 +112,14 @@ def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]
     return out
 
 
-@dataclass(frozen=True)
-class CoverBlock:
+class CoverBlock(NamedTuple):
     vector: tuple
     subgroup: Subgroup  # the qualifying U
     offset: int
     size: int
 
 
-@dataclass(frozen=True)
-class CoverAssembly:
+class CoverAssembly(NamedTuple):
     source: Rep
     onto: RepMap
     blocks: tuple[CoverBlock, ...]

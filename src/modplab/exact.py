@@ -10,7 +10,7 @@ returned flag is backed by an explicit verified matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ __all__ = [
     "stable_hom",
 ]
 
-@dataclass(frozen=True)
-class StableHomResult:
+class StableHomResult(NamedTuple):
     total_dim: int
     factoring_dim: int
     stable_dim: int

@@ -13,7 +13,7 @@ intersecting with a depth-m subgroup takes componentwise maxima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ class PrecisionError(ValueError):
     """Working precision too small to determine the requested quantity."""
 
 
-@dataclass(frozen=True)
-class DepthTriple:
+class DepthTriple(NamedTuple):
     upper: int
     torus: int
     lower: int
@@ -66,16 +65,14 @@ class DepthTriple:
         return {"upper": self.upper, "torus": self.torus, "lower": self.lower}
 
 
-@dataclass(frozen=True)
-class CertComponent:
+class CertComponent(NamedTuple):
     name: str
     lhs_expr: str  # depth expression at the refined level
     rhs_expr: str  # depth expression at the original level
     strict_for_all_a: bool
 
 
-@dataclass(frozen=True)
-class FairnessCertificate:
+class FairnessCertificate(NamedTuple):
     m: int
     n: int
     n_prime: int
@@ -104,8 +101,7 @@ class FairnessCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     outcome: str  # "witness-found" or "exhausted"
     g: int | None
     group: FinGroup

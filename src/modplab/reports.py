@@ -5,21 +5,36 @@ seed produce byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 
 VERSION = "0.1.0"
 
 __all__ = ["VERSION", "Case", "input_digest", "canonical_json", "make_report", "render_text"]
 
 
-@dataclass
 class Case:
-    id: str
-    inputs: dict
-    outcome: str  # "pass" | "fail" | "error"
-    details: dict = field(default_factory=dict)
+    """One suite case, mutable and compared by value; `details` defaults
+    to a new empty dict."""
+
+    __slots__ = ("id", "inputs", "outcome", "details")
+    __hash__ = None
+
+    def __init__(self, id: str, inputs: dict, outcome: str, details: dict | None = None):
+        self.id = id
+        self.inputs = inputs
+        self.outcome = outcome  # "pass" | "fail" | "error"
+        self.details = {} if details is None else details
+
+    def _values(self) -> tuple:
+        return (self.id, self.inputs, self.outcome, self.details)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "Case(id=%r, inputs=%r, outcome=%r, details=%r)" % self._values()
 
     def to_json(self) -> dict:
         return {
@@ -31,6 +46,8 @@ class Case:
 
 
 def input_digest(obj) -> str:
+    import hashlib  # loads OpenSSL; only verify reports take a digest
+
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 

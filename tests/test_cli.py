@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modplab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv, capsys):
@@ -66,6 +69,26 @@ def test_catalog_field_beyond_int16_exits_2(tmp_path, capsys):
 def test_fairness_sl2_rejects_composite_p(capsys):
     code, out, err = run(["fairness", "--mode", "sl2", "--p", "4", "--m", "1", "--n", "1"], capsys)
     assert code == 2 and out == "" and "prime" in err
+
+
+@pytest.mark.parametrize(
+    "suite, catalog",
+    [
+        ("phi-machinery", "s3-f5"),
+        ("chi-functor", "s3-f5"),
+        ("chi-functor", "small"),
+        ("chi-functor", "large"),
+    ],
+)
+def test_verify_with_no_case_exits_2(suite, catalog, tmp_path, capsys):
+    if catalog == "s3-f5":
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps({"groups": [{"ref": "S3"}], "fields": [{"name": "F5", "p": 5}]}))
+    else:
+        path = ROOT / "perfbench" / "catalogs" / f"{catalog}.json"
+    code, out, err = run(["verify", "--suite", suite, "--catalog", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: suite {suite!r} has no case on this catalog\n"
 
 
 def test_verify_text_format(capsys):
