@@ -215,11 +215,15 @@ def group_from_json(data: dict) -> FinGroup:
     return group_from_table(data["table"], data.get("labels"))
 
 
-def _name(value) -> str:
+def _add(named: dict, kind: str, name, value) -> None:
+    """named[name] = value for a new string name; a repeat would silently
+    replace the earlier entry."""
     # suites sort the names, so a mix of types would fail there
-    if not isinstance(value, str):
-        raise ValueError(f"catalog names must be strings, not {value!r}")
-    return value
+    if not isinstance(name, str):
+        raise ValueError(f"catalog names must be strings, not {name!r}")
+    if name in named:
+        raise ValueError(f"repeated {kind} name {name!r}")
+    named[name] = value
 
 
 def load_catalog(path: str) -> dict:
@@ -239,19 +243,19 @@ def load_catalog(path: str) -> dict:
                 with open(gpath, encoding="utf-8") as gh:
                     gdata = json.load(gh)
                 name = gdata.get("name") or os.path.splitext(os.path.basename(gpath))[0]
-                groups[_name(name)] = group_from_json(gdata)
+                _add(groups, "group", name, group_from_json(gdata))
             elif "ref" in entry:
                 name = entry["ref"]
                 builtin = catalog_groups().get(name)
                 if builtin is None:
                     raise ValueError(f"unknown group reference {name!r}")
-                groups[name] = builtin
+                _add(groups, "group", name, builtin)
             else:
-                groups[_name(entry["name"])] = group_from_json(entry)
+                _add(groups, "group", entry["name"], group_from_json(entry))
         fields: dict[str, FiniteField] = {}
         for entry in data.get("fields", []):
             f = FiniteField(entry["p"], entry.get("k", 1))
-            fields[_name(entry.get("name", f"F{f.order}"))] = f
+            _add(fields, "field", entry.get("name", f"F{f.order}"), f)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed catalog entry: {exc!r}") from exc
     if not groups or not fields:

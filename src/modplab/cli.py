@@ -7,7 +7,8 @@ tabulates stable hom dimensions.  All output is UTF-8, newline-terminated,
 and byte-identical across reruns with the same inputs and seed.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error (also an
-unwritable stdout or --out, and a verify run with no case), 3 precision
+unwritable stdout or --out, a verify run with no case, a catalog that
+repeats a name, and a catalog or group file nested too deeply), 3 precision
 precondition violated.  Subcommands raise; main alone turns a
 PrecisionError into 3 and any other ValueError into 2.  `main` is the
 in-process entry; `run`, the console entry, ends the process once the
@@ -70,7 +71,8 @@ def _load_catalog(path: str | None) -> dict | None:
         return None
     try:
         return load_catalog(path)
-    except (OSError, ValueError, KeyError) as exc:
+    # json.load raises RecursionError on a deeply nested file
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         raise ValueError(f"malformed catalog: {exc}") from exc
 
 
@@ -83,7 +85,7 @@ def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup:
                 return group_from_json(json.load(fh))
         except OSError:
             pass
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed group file {name_or_path}: {exc}") from exc
     else:
         G = (catalog["groups"] if catalog else catalog_groups()).get(name_or_path)

@@ -18,12 +18,13 @@ import numpy as np
 
 from .fields import FiniteField, p_part
 from .groups import Subgroup, all_subgroups
-from .linalg import Matrix, Subspace, hstack, row_reduce
+from .linalg import Matrix, Subspace, hstack
 from .reps import (
     Character,
     Rep,
     RepMap,
     direct_sum,
+    equivariant_kernel,
     induce,
     lower_lift,
     trivial_rep,
@@ -216,14 +217,13 @@ def character_eigenspace(
     if chi.domain != C or C.parent != G or chi.field != V.field:
         raise ValueError("character does not match the subgroup and field")
     field = V.field
-    gens = C.generators()
+    gens = list(C.generators())
     if not gens or V.dim == 0:
         space = Subspace.full(field, V.dim)
     else:
-        # rho(z) - chi(z) I for each generator z
+        # the maps from chi's one-dimensional module into V
         scalars = np.array([chi.value(z) for z in gens], dtype=np.int16)[:, None, None]
-        moved = field.ax_sub(V.T[list(gens)], scalars * np.eye(V.dim, dtype=np.int16))
-        space = row_reduce(Matrix._of(field, moved.reshape(-1, V.dim)))
+        space = equivariant_kernel(field, scalars, V.T[gens])
     parts = [p_part(G.element_order(z), field.p) for z in C.members]
     # only pure p-power-order elements decide availability; mixed orders
     # factor through them inside the abelian C

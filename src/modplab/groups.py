@@ -1,9 +1,9 @@
 """Finite groups given by multiplication tables, and their subgroup calculus.
 
 Elements are indices 0..n-1 into the table.  Construction through
-``group_from_table`` validates everything, including exhaustive
-associativity; internal constructors that multiply in an already
-associative structure skip that O(n^3) pass.
+``group_from_table`` validates everything, associativity included (by
+Light's test on a generating set, O(n^2) per generator); internal
+constructors that multiply in an already associative structure skip it.
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ class FinGroup:
         ids = np.flatnonzero((T == ar).all(axis=1) & (T == ar[:, None]).all(axis=0))
         if len(ids) != 1:
             raise ValueError("no two-sided identity")
-        e = ids[0]
-        if validate:
-            _check_associative(T)
+        e = int(ids[0])
+        gens = _check_associative(T, e) if validate else None
         # each row of a latin square holds e exactly once, in row order
         inv = np.nonzero(T == e)[1].astype(np.int16)
         if labels is not None:
@@ -66,10 +65,10 @@ class FinGroup:
         inv.flags.writeable = False
         self.order = n
         self.table = T
-        self.identity = int(e)
+        self.identity = e
         self.inverse = inv
         self.labels = labels
-        self._gens = None
+        self._gens = gens
         self._subgroups = None
         self._subgroup_cache = {}
         self._join_cache = {}
@@ -103,7 +102,7 @@ class FinGroup:
     def generators(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily in index order."""
         if self._gens is None:
-            self._gens = _greedy_generators(self, range(self.order))
+            self._gens = _greedy_generators(self.table, self.identity, range(self.order))
         return self._gens
 
     def center_members(self) -> tuple[int, ...]:
@@ -161,14 +160,19 @@ class FinGroup:
         return f"FinGroup(order={self.order})"
 
 
-def _check_associative(T: np.ndarray):
-    n, chunk = T.shape[0], 32  # rows per (chunk, n, n) comparison
-    for start in range(0, n, chunk):
-        block = T[start : start + chunk]  # (c, n)
-        left = T[block, :]  # (c, n, n): (i j) k
-        right = block[:, T.reshape(-1)].reshape(block.shape[0], n, n)  # i (j k)
-        if not np.array_equal(left, right):
+def _check_associative(T: np.ndarray, e: int) -> tuple[int, ...]:
+    """Light's test, returning the generators it checked.  The elements a
+    with (xa)y = x(ay) for all x and y are closed under the operation, and
+    e is one of them, so the table is associative when every generator of
+    the table passes (Clifford and Preston, The Algebraic Theory of
+    Semigroups I, 1961, section 1.2).  The greedy generators come from
+    closing subsets under the table, which needs no associativity."""
+    gens = _greedy_generators(T, e, range(T.shape[0]))
+    for a in gens:
+        # column a read at each xa, against row a's entries as columns
+        if not np.array_equal(T[T[:, a]], T[:, T[a]]):
             raise ValueError("table is not associative")
+    return gens
 
 
 def group_from_table(table, labels: Sequence[str] | None = None) -> FinGroup:
@@ -176,32 +180,34 @@ def group_from_table(table, labels: Sequence[str] | None = None) -> FinGroup:
     return FinGroup(table, labels=labels)
 
 
-def _closure(G: FinGroup, seed) -> np.ndarray:
-    """Membership mask of the subgroup generated by seed (a list or array of
-    element indices, or a mask): all products of the set with itself are
-    added until nothing new appears.  A product-closed subset of a finite
-    group holds inverses."""
-    got = np.zeros(G.order, dtype=bool)
-    got[G.identity] = True
+def _closure(T: np.ndarray, e: int, seed) -> np.ndarray:
+    """Membership mask of the closure of seed (a list or array of element
+    indices, or a mask) and the identity e under the table T: all products
+    of the set with itself are added until nothing new appears.  In a group
+    this is the subgroup generated, since a product-closed subset of a
+    finite group holds inverses."""
+    got = np.zeros(T.shape[0], dtype=bool)
+    got[e] = True
     got[seed] = True
     size = 0
     while (grown := np.count_nonzero(got)) > size:
         size = grown
         ms = np.flatnonzero(got)
-        got[G.table[ms[:, None], ms]] = True
+        got[T[ms[:, None], ms]] = True
     return got
 
 
-def _greedy_generators(G: FinGroup, members: Sequence[int]) -> tuple[int, ...]:
-    """Generators of the subgroup on members: each member, in the given
-    order, that the earlier ones do not reach."""
+def _greedy_generators(T: np.ndarray, e: int, members: Sequence[int]) -> tuple[int, ...]:
+    """Generators of the closure on members under the table T with
+    identity e: each member, in the given order, that the earlier ones do
+    not reach."""
     gens: list[int] = []
-    reach = _closure(G, [])
+    reach = _closure(T, e, [])
     for g in members:
         if not reach[g]:
             gens.append(int(g))
             reach[g] = True
-            reach = _closure(G, reach)
+            reach = _closure(T, e, reach)
             if np.count_nonzero(reach) == len(members):
                 break
     return tuple(gens)
@@ -233,7 +239,7 @@ class Subgroup:
 
     @staticmethod
     def generate(parent: FinGroup, gens: Iterable[int]) -> "Subgroup":
-        return parent._subgroup(np.flatnonzero(_closure(parent, list(gens))))
+        return parent._subgroup(np.flatnonzero(_closure(parent.table, parent.identity, list(gens))))
 
     @staticmethod
     def trivial(parent: FinGroup) -> "Subgroup":
@@ -291,7 +297,7 @@ class Subgroup:
     def generators(self) -> tuple[int, ...]:
         """Parent indices generating the subgroup, greedy in index order."""
         if self._gens is None:
-            self._gens = _greedy_generators(self.parent, self.members)
+            self._gens = _greedy_generators(self.parent.table, self.parent.identity, self.members)
         return self._gens
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
@@ -397,7 +403,7 @@ def all_subgroups(G: FinGroup) -> tuple[Subgroup, ...]:
                 for g in coset_lookup(G, G._subgroup(S))[0]:
                     if g == S[0]:
                         continue  # the least member of S is S's own coset
-                    T = tuple(np.flatnonzero(_closure(G, [*S, g])).tolist())
+                    T = tuple(np.flatnonzero(_closure(G.table, G.identity, [*S, g])).tolist())
                     if T not in found:
                         found.add(T)
                         new.append(T)

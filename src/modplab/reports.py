@@ -45,11 +45,28 @@ class Case:
         }
 
 
-def input_digest(obj) -> str:
-    import hashlib  # loads OpenSSL; only verify reports take a digest
+_sha256 = None  # bound at the first digest; only verify reports take one
 
+
+def _builtin_sha256():
+    """The interpreter's own SHA-256, which loads no OpenSSL: `_sha2` from
+    Python 3.12, `_sha256` before; hashlib's only if neither imports."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+def input_digest(obj) -> str:
+    global _sha256
+    if _sha256 is None:
+        _sha256 = _builtin_sha256()
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+    return _sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def canonical_json(obj) -> str:

@@ -9,7 +9,10 @@ so that products over many group elements are single batched kernel
 calls.  The homomorphism property is verified at construction: the
 identity must map to the identity matrix and action(g*h) = action(g) @
 action(h) is checked for every generator g against every h, which by
-induction on word length forces the property for all pairs.
+induction on word length forces the property for all pairs.  induce
+checks the same two things on its integer coset data instead of its
+dense matrices.  hom_space, fixed_points and the character eigenspaces
+of covers are all one memoised kernel, equivariant_kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from .fields import BATCH_CELLS, FiniteField, p_part
 from .groups import FinGroup, Subgroup, coset_lookup
 from .linalg import Matrix, Subspace, check_cells, column_space, row_reduce
+from .memo import ENTRY_OVERHEAD, Memo
 
 __all__ = [
     "Rep",
@@ -44,6 +48,7 @@ __all__ = [
     "lower_drop",
     "upper_drop",
     "equivariance_system",
+    "equivariant_kernel",
     "intertwines",
     "hom_space",
     "fixed_points",
@@ -320,17 +325,50 @@ def induce(U: Subgroup, W: Rep) -> Rep:
             f"induce needs a {G.order} x {d} x {d} action tensor, {G.order * d * d} cells,"
             f" over the budget of {INDUCE_CELLS}"
         )
+    j, u = _coset_action(U)
+    _check_coset_action(U, j, u)
+    n, dW = j.shape[1], W.dim
+    out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
+    out[np.arange(G.order)[:, None], j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
+    return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=False)
+
+
+def _coset_action(U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """induce's coset data, two (|G|, index) arrays: g sends block i to
+    block j[g, i] and acts there by u[g, i], a member of U."""
+    G = U.parent
     R, pos = coset_lookup(G, U)
     mul, inv = G.table, G.inverse
     g = np.arange(G.order)[:, None]
-    # g sends block i to block j = pos(r_i g^-1), acting there by
-    # u = r_j g r_i^-1, which lies in U
+    # the block of r_i g^-1's coset, and u = r_j g r_i^-1
     j = pos[mul[R[None, :], inv[g]]]
     u = mul[mul[R[j], g], inv[R][None, :]]
-    n, dW = len(R), W.dim
-    out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
-    out[g, j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
-    return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=True)
+    return j, u
+
+
+def _check_coset_action(U: Subgroup, j: np.ndarray, u: np.ndarray) -> None:
+    """Raise unless coset data (j, u) make Ind W a representation for every
+    representation W of U.  The identity must fix each block with label e,
+    every label must lie in U, and for each generator g and every h,
+    j_gh = j_g o j_h and u_{gh,i} = u_{g,j_h(i)} u_{h,i}: then the block
+    matrices multiply as the group does, as Rep's dense check would find,
+    at |gens| |G| index integer gathers instead of |gens| |G| dense
+    products."""
+    G = U.parent
+    e, mul = G.identity, G.table
+    ok = (
+        np.array_equal(j[e], np.arange(j.shape[1]))
+        and bool((u[e] == e).all())
+        and bool((U.local_index[u] >= 0).all())
+    )
+    gens = list(G.generators())
+    if ok and gens:
+        gh = mul[gens]  # (s, |G|)
+        ok = np.array_equal(j[gh], j[gens][:, j]) and np.array_equal(
+            u[gh], mul[u[gens][:, j], u[None]]
+        )
+    if not ok:
+        raise ValueError("action is not a homomorphism")
 
 
 # Every map written in induce's block layout: block i for the coset of the
@@ -416,6 +454,27 @@ def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> M
     return Matrix._of(field, out.reshape(s * d2 * d1, d2 * d1))
 
 
+# equivariant_kernel's memo: (field key, both stack shapes, both stacks'
+# int16 bytes) -> the kernel.  An entry counts both stacks' cells, its basis
+# cells and memo.ENTRY_OVERHEAD.
+KERNEL_MEMO_CELLS = 1 << 22
+_KERNEL_MEMO = Memo(KERNEL_MEMO_CELLS)
+
+
+def equivariant_kernel(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Subspace:
+    """The d2 x d1 matrices X with X @ T1[i] == T2[i] @ X for every i, as
+    row-major flattened vectors in canonical form: the kernel of
+    equivariance_system(field, T1, T2) for two int16 stacks.  It is
+    memoised on the field and both stacks; a repeat call returns the same
+    Subspace, whose basis is read-only."""
+    key = (field.key(), T1.shape, T2.shape, T1.tobytes(), T2.tobytes())
+    space = _KERNEL_MEMO.get(key)
+    if space is None:
+        space = row_reduce(equivariance_system(field, T1, T2))
+        _KERNEL_MEMO.put(key, space, T1.size + T2.size + space.basis.a.size + ENTRY_OVERHEAD)
+    return space
+
+
 def intertwines(S: Rep, T: Rep, X: np.ndarray) -> bool:
     """Whether every map in the (..., dT, dS) stack X is equivariant from S
     to T: X @ rho_S(g) == rho_T(g) @ X for each generator g, checked with
@@ -439,16 +498,16 @@ def hom_space(V1: Rep, V2: Rep) -> Subspace:
         return Subspace.zero(field, amb)
     if not gens:
         return Subspace.full(field, amb)
-    return row_reduce(equivariance_system(field, V1.T[gens], V2.T[gens]))
+    return equivariant_kernel(field, V1.T[gens], V2.T[gens])
 
 
 def fixed_points(V: Rep) -> Subspace:
-    """The subspace of vectors fixed by every element of the group."""
-    gens = V.group.generators()
+    """The subspace of vectors fixed by every element of the group: the
+    maps from the trivial module."""
+    gens = list(V.group.generators())
     if not gens or V.dim == 0:
         return Subspace.full(V.field, V.dim)
-    moved = V.field.ax_sub(V.T[list(gens)], np.eye(V.dim, dtype=np.int16))
-    return row_reduce(Matrix._of(V.field, moved.reshape(-1, V.dim)))
+    return equivariant_kernel(V.field, np.ones((len(gens), 1, 1), dtype=np.int16), V.T[gens])
 
 
 def cyclic_span(V: Rep, v: Sequence[int]) -> Subspace:

@@ -287,11 +287,12 @@ def test_stable_exits_2_when_the_rep_pool_is_over_the_induce_budget(capsys, monk
     assert "over the budget of 0" in err
 
 
-def test_stable_exits_2_when_a_system_is_over_the_cell_budget(capsys, monkeypatch):
+def test_stable_exits_2_when_a_system_is_over_the_cell_budget(capsys, monkeypatch, fresh_memos):
     from modplab import linalg
 
     # the stable homs run first; hom_space of triv and a 3-dimensional
-    # pool rep needs a 3 x 3 equivariance system
+    # pool rep needs a 3 x 3 equivariance system (a memoised kernel would
+    # answer without building it, hence the fresh memos)
     monkeypatch.setattr(linalg, "SYSTEM_CELLS", 8)
     code, out, err = run(["stable", "--group", "C3", "--field", "F3"], capsys)
     assert code == 2 and out == ""
@@ -359,6 +360,69 @@ def test_catalog_name_that_is_not_a_string_exits_2(tmp_path, capsys):
     cat.write_text(json.dumps({"groups": [{"ref": "C2"}], "fields": [{"p": 2, "name": 5}, {"p": 3}]}))
     code, out, err = run(["verify", "--suite", "chi-functor", "--catalog", str(cat)], capsys)
     assert code == 2 and out == "" and "names must be strings" in err
+
+
+C3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "catalog, repeat",
+    [
+        ({"groups": [{"ref": "C2"}, {"name": "C2", "table": C3_TABLE}], "fields": [{"name": "F2", "p": 2}]},
+         "repeated group name 'C2'"),
+        ({"groups": [{"name": "G", "table": C3_TABLE}, {"name": "G", "table": C3_TABLE}],
+          "fields": [{"name": "F2", "p": 2}]}, "repeated group name 'G'"),
+        ({"groups": [{"ref": "C2"}], "fields": [{"name": "F2", "p": 2}, {"name": "F2", "p": 3}]},
+         "repeated field name 'F2'"),
+        ({"groups": [{"ref": "C2"}], "fields": [{"p": 2}, {"name": "F2", "p": 2}]},
+         "repeated field name 'F2'"),
+    ],
+    ids=["ref-then-table", "two-tables", "two-fields", "default-field-name"],
+)
+def test_catalog_with_a_repeated_name_exits_2(tmp_path, capsys, catalog, repeat):
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(catalog))
+    code, out, err = run(["verify", "--suite", "higman", "--catalog", str(cat)], capsys)
+    assert code == 2 and out == "" and err == f"error: malformed catalog: {repeat}\n"
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "higman"],
+        ["stable", "--group", "C3", "--field", "F3"],
+        ["fairness", "--mode", "finite", "--group", "S3"],
+    ],
+)
+def test_deeply_nested_catalog_exits_2(tmp_path, capsys, argv):
+    cat = tmp_path / "cat.json"
+    cat.write_text(DEEP)
+    code, out, err = run(argv + ["--catalog", str(cat)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: malformed catalog")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_group_file_in_a_catalog_exits_2(tmp_path, capsys):
+    (tmp_path / "g.json").write_text(DEEP)
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"groups": ["g.json"], "fields": [{"p": 2}]}))
+    code, out, err = run(["verify", "--suite", "higman", "--catalog", str(cat)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: malformed catalog")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stable", "--field", "F2", "--group"], ["fairness", "--mode", "finite", "--group"]],
+)
+def test_deeply_nested_group_file_exits_2(tmp_path, capsys, argv):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(DEEP)
+    code, out, err = run(argv + [str(gfile)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: malformed group file")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("depths", [["--m", "1", "--n", "65536"], ["--m", "10" * 10, "--n", "1"]])

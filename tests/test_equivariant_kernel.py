@@ -1,0 +1,137 @@
+"""reps.equivariant_kernel: the memoised kernel behind hom_space,
+fixed_points and covers.character_eigenspace.  The oracles are a direct
+reduction of the stacked system, and the hand-built "rho(g) - c I" systems
+that fixed_points and character_eigenspace reduced before."""
+
+import numpy as np
+import pytest
+
+from modplab import reps
+from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+from modplab.covers import character_eigenspace
+from modplab.fields import FiniteField
+from modplab.groups import all_subgroups
+from modplab.linalg import Matrix, row_reduce
+from modplab.memo import ENTRY_OVERHEAD, Memo
+from modplab.reps import (
+    Rep,
+    characters_of,
+    equivariance_system,
+    equivariant_kernel,
+    fixed_points,
+    hom_space,
+)
+
+FIELDS = {"F2": (2, 1), "F3": (3, 1), "F4": (2, 2), "F9": (3, 2)}
+
+
+def _random_stack(rng, field, s, d):
+    return rng.integers(0, field.order, size=(s, d, d)).astype(np.int16)
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_kernel_is_the_reduced_system_on_random_stacks(fname, s, fresh_memos):
+    field = FiniteField(*FIELDS[fname])
+    rng = np.random.default_rng([s, field.order])
+    for d1, d2 in [(1, 1), (1, 3), (3, 1), (2, 4), (4, 2), (3, 3)]:
+        T1, T2 = _random_stack(rng, field, s, d1), _random_stack(rng, field, s, d2)
+        # a stack with a shared eigenvector keeps some kernels nonzero
+        if d1 == d2:
+            T2 = T2.copy()
+            T2[:] = T1
+        expect = row_reduce(equivariance_system(field, T1, T2))
+        cold = equivariant_kernel(field, T1, T2)
+        assert cold == expect
+        assert equivariant_kernel(field, T1.copy(), T2.copy()) is cold  # warm
+    assert len(reps._KERNEL_MEMO) == 6
+
+
+def test_kernel_keys_on_field_and_shapes(fresh_memos):
+    """The same codes as other fields or other shapes are other entries."""
+    a = np.array([[[1, 1], [0, 1]]], dtype=np.int16)
+    b = np.array([[[1, 0], [1, 1]]], dtype=np.int16)
+    F2, F3 = FiniteField(2), FiniteField(3)
+    got = {
+        "F2": equivariant_kernel(F2, a, b),
+        "F3": equivariant_kernel(F3, a, b),
+        "flat": equivariant_kernel(F2, a.reshape(4, 1, 1), b.reshape(4, 1, 1)),
+    }
+    assert len(reps._KERNEL_MEMO) == 3
+    assert got["F2"] == row_reduce(equivariance_system(F2, a, b))
+    assert got["F3"] == row_reduce(equivariance_system(F3, a, b))
+    assert got["F2"] != got["F3"] and got["flat"].ambient_dim == 1
+
+
+def test_hit_returns_an_equal_read_only_subspace(fresh_memos):
+    G, F = catalog_groups()["S3"], catalog_fields()["F3"]
+    pool = catalog_reps(G, F, 4)
+    first = {(a, b): hom_space(V, W) for a, V in pool.items() for b, W in pool.items()}
+    entries = len(reps._KERNEL_MEMO)
+    for (a, b), space in first.items():
+        again = hom_space(pool[a], pool[b])
+        assert again == space and again is space
+        assert not again.basis.a.flags.writeable
+    assert len(reps._KERNEL_MEMO) == entries
+
+
+def test_equal_generator_stacks_share_an_entry(fresh_memos):
+    G, F = catalog_groups()["A4"], catalog_fields()["F2"]
+    pool = catalog_reps(G, F, 4)
+    V = pool["perm4"]
+    twin = Rep._of(G, F, V.T.copy(), validate=False)
+    assert twin is not V
+    space = hom_space(V, V)
+    assert len(reps._KERNEL_MEMO) == 1
+    assert hom_space(twin, twin) is space and hom_space(V, twin) is space
+    assert len(reps._KERNEL_MEMO) == 1
+    # fixed points are the maps from the trivial module, one more entry
+    assert fixed_points(V) is fixed_points(twin)
+    assert len(reps._KERNEL_MEMO) == 2
+
+
+def test_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
+    budget = 3 * ENTRY_OVERHEAD + 200
+    monkeypatch.setattr(reps, "_KERNEL_MEMO", Memo(budget))
+    G, F = catalog_groups()["D4"], catalog_fields()["F3"]
+    pool = list(catalog_reps(G, F, 4).values())
+    seen = 0
+    for V in pool:
+        for W in pool:
+            assert hom_space(V, W) == row_reduce(
+                equivariance_system(F, V.T[list(G.generators())], W.T[list(G.generators())])
+            )
+            seen += 1
+            assert reps._KERNEL_MEMO.cells <= budget
+    assert 0 < len(reps._KERNEL_MEMO) < seen
+
+
+def _old_fixed_points(V):
+    gens = list(V.group.generators())
+    moved = V.field.ax_sub(V.T[gens], np.eye(V.dim, dtype=np.int16))
+    return row_reduce(Matrix._of(V.field, moved.reshape(-1, V.dim)))
+
+
+def _old_eigenspace(V, C, chi):
+    gens = list(C.generators())
+    scalars = np.array([chi.value(z) for z in gens], dtype=np.int16)[:, None, None]
+    moved = V.field.ax_sub(V.T[gens], scalars * np.eye(V.dim, dtype=np.int16))
+    return row_reduce(Matrix._of(V.field, moved.reshape(-1, V.dim)))
+
+
+@pytest.mark.parametrize("gname", sorted(catalog_groups()))
+def test_fixed_points_and_eigenspaces_match_the_hand_built_systems(gname):
+    G = catalog_groups()[gname]
+    checked = 0
+    for F in catalog_fields().values():
+        pool = [V for V in catalog_reps(G, F, 4).values() if V.dim]
+        for V in pool:
+            assert fixed_points(V) == _old_fixed_points(V)
+        for C in all_subgroups(G):
+            if C.order == 1 or not C.as_group().is_abelian():
+                continue
+            for chi in characters_of(C, F):
+                for V in pool:
+                    assert character_eigenspace(V, C, chi)[0] == _old_eigenspace(V, C, chi)
+                    checked += 1
+    assert checked

@@ -1,6 +1,17 @@
+import itertools
+
+import numpy as np
 import pytest
 
-from modplab.catalog import alt4, cyclic_group, dihedral4, klein_group, quaternion8, sym3
+from modplab.catalog import (
+    alt4,
+    catalog_groups,
+    cyclic_group,
+    dihedral4,
+    klein_group,
+    quaternion8,
+    sym3,
+)
 from modplab.groups import (
     FinGroup,
     Subgroup,
@@ -199,3 +210,88 @@ def test_coset_lookup_is_memoised_per_subgroup():
             for u in U.members:
                 want[A4.mul(u, r)] = i
         assert pos.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# associativity: Light's test on generators against the cubic check
+
+
+def cubic_associative(T) -> bool:
+    """(ij)k == i(jk) for every triple, as one (n, n, n) comparison."""
+    T = np.asarray(T)
+    return bool(np.array_equal(T[T], T[:, T]))
+
+
+def light_accepts(T) -> bool:
+    try:
+        group_from_table(T)
+    except ValueError as exc:
+        assert str(exc) == "table is not associative"
+        return False
+    return True
+
+
+def intercalate_swaps(T, e: int):
+    """Every table made from T by swapping the two symbols of a 2 x 2
+    latin subsquare whose rows and columns avoid the identity e, so the
+    result is still a latin square with identity e."""
+    T = np.asarray(T, dtype=np.int64)
+    n = len(T)
+    at = np.argsort(T, axis=1)  # at[r, x]: the column where row r holds x
+    others = [x for x in range(n) if x != e]
+    for r1, r2 in itertools.combinations(others, 2):
+        # c2 is where row r2 repeats row r1's symbol at c1
+        c1 = np.arange(n)
+        c2 = at[r2, T[r1, c1]]
+        hit = (T[r1, c2] == T[r2, c1]) & (c1 < c2) & (c1 != e) & (c2 != e)
+        for a, b in zip(c1[hit].tolist(), c2[hit].tolist()):
+            S = T.copy()
+            S[[r1, r1, r2, r2], [a, b, a, b]] = T[[r1, r1, r2, r2], [b, a, b, a]]
+            yield S
+
+
+def test_light_agrees_with_the_cubic_check_on_every_intercalate_swap():
+    verdicts = [
+        (cubic_associative(S), light_accepts(S))
+        for G in catalog_groups().values()
+        for S in intercalate_swaps(G.table, G.identity)
+    ]
+    assert all(cubic == light for cubic, light in verdicts)
+    assert len(verdicts) == 149 and sum(cubic for cubic, _ in verdicts) == 4
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_light_agrees_with_the_cubic_check_on_random_tables(seed):
+    """A random renumbering of a built-in group or of a direct product of
+    two, then a chain of random intercalate swaps: the first table is
+    associative, and the later ones mostly are not."""
+    rng = np.random.default_rng(seed)
+    groups = list(catalog_groups().values())
+    G, H = (groups[i] for i in rng.integers(len(groups), size=2))
+    if G.order * H.order <= 64:
+        G = FinGroup.direct_product(G, H)
+    sigma = rng.permutation(G.order)
+    T = np.empty((G.order, G.order), dtype=np.int64)
+    T[np.ix_(sigma, sigma)] = sigma[G.table]
+    e = int(sigma[G.identity])
+    verdicts = [(cubic_associative(T), light_accepts(T))]
+    for _ in range(6):
+        swaps = list(intercalate_swaps(T, e))
+        if not swaps:
+            break
+        T = swaps[rng.integers(len(swaps))]
+        verdicts.append((cubic_associative(T), light_accepts(T)))
+    assert verdicts[0] == (True, True)
+    assert all(cubic == light for cubic, light in verdicts)
+
+
+@pytest.mark.parametrize("n", [48, 50, 64])
+def test_light_rejects_each_intercalate_swap_of_a_larger_cyclic_table(n):
+    # rows r and r + n/2 form intercalates with columns c and c + n/2
+    T = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    assert light_accepts(T) and cubic_associative(T)
+    for r, c in ((1, 2), (3, n // 2 - 1), (n // 2 - 1, 5)):
+        S = T.copy()
+        rows, cols = [r, r, r + n // 2, r + n // 2], [c, c + n // 2, c, c + n // 2]
+        S[rows, cols] = T[rows, [c + n // 2, c, c + n // 2, c]]
+        assert not cubic_associative(S) and not light_accepts(S)

@@ -1,8 +1,19 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
+from modplab import reports
 from modplab.reports import VERSION, Case, canonical_json, input_digest, make_report, render_text
+
+DIGEST_INPUTS = [
+    {},
+    {"x": 1, "y": [1, 2]},
+    {"group": "S3", "field": "F9", "subgroup": [0, 3]},
+    {"text": "\u00e9\u4e2d" * 40, "n": -(2**70), "nested": {"a": [None, True, 1.5]}},
+    ["a list", 3],
+]
 
 
 def test_canonical_json_is_sorted_compact_newline():
@@ -17,6 +28,27 @@ def test_input_digest_stable():
     assert len(d) == 12 and int(d, 16) >= 0
     assert d == input_digest({"y": [1, 2], "x": 1})
     assert d != input_digest({"x": 2, "y": [1, 2]})
+
+
+def _hashlib_digest(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("obj", DIGEST_INPUTS, ids=range(len(DIGEST_INPUTS)))
+def test_input_digest_matches_hashlib(obj):
+    assert input_digest(obj) == _hashlib_digest(obj)
+
+
+def test_builtin_sha256_falls_back_to_hashlib(monkeypatch):
+    # a None entry in sys.modules makes that import raise ImportError
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    sha256 = reports._builtin_sha256()
+    assert sha256 is hashlib.sha256
+    monkeypatch.setattr(reports, "_sha256", sha256)
+    for obj in DIGEST_INPUTS:
+        assert input_digest(obj) == _hashlib_digest(obj)
 
 
 def test_case_to_json_shape():
