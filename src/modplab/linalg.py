@@ -268,19 +268,23 @@ class Subspace:
 
 
 def row_reduce(M: Matrix) -> Subspace:
-    """The right kernel of M: one reduction of M, then one of the kernel
-    rows, for its canonical form."""
-    f = M.field
-    R, piv = _rref(f, M.a)
-    # one vector per free column, minus the pivot rows' entries there
-    is_piv = np.zeros(M.cols, dtype=bool)
+    """The right kernel of M, from one reduction of M with its columns
+    reversed.  There the kernel vector of a free column f is 1 at f and
+    nonzero elsewhere only at pivot columns left of f.  Back in the
+    original order it leads at f with a 1, where every other kernel vector
+    is zero, so these vectors, ordered by leading column, are the kernel's
+    reduced echelon basis."""
+    f, n = M.field, M.cols
+    R, piv = _rref(f, M.a[:, ::-1])
+    is_piv = np.zeros(n, dtype=bool)
     is_piv[piv] = True
+    # one vector per free column, minus the pivot rows' entries there
     free = (~is_piv).nonzero()[0]
-    krows = np.zeros((len(free), M.cols), dtype=np.int16)
+    krows = np.zeros((len(free), n), dtype=np.int16)
     if len(free):
         krows[np.arange(len(free)), free] = 1
         krows[:, is_piv] = f.ax_neg(R[: len(piv), free].T)
-    return Subspace.from_rows(f, M.cols, Matrix._of(f, krows))
+    return Subspace(f, n, Matrix._of(f, krows[::-1, ::-1].copy()))
 
 
 def column_space(M: Matrix) -> Subspace:

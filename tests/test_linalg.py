@@ -158,7 +158,7 @@ def test_subspace_reduce_range_checks_its_rows(F):
 
 
 def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
-    """The kernel costs a reduction of M and one of its kernel rows; the
+    """The kernel costs one reduction, of M with its columns reversed; the
     column space costs exactly one more, of the transpose."""
     calls = []
     real = linalg._rref
@@ -170,7 +170,7 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
     monkeypatch.setattr(linalg, "_rref", counting)
     M = Matrix(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
     assert row_reduce(M).dim == 2
-    assert calls == [(3, 4), (2, 4)]
+    assert calls == [(3, 4)]
     calls.clear()
     image = column_space(M)
     assert calls == [(4, 3)]

@@ -309,6 +309,10 @@ def test_kernel_and_column_space_match_schoolbook_elimination(q):
     cases = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((3, 4)), np.eye(4), np.eye(3)[:, ::-1]]
     for _ in range(30):
         cases.append(rng.integers(0, F.order, tuple(rng.integers(1, 7, 2))))
+    for _ in range(10):  # rank at most 2, so kernels of every size occur
+        r, c, k = rng.integers(1, 7), rng.integers(1, 7), rng.integers(1, 3)
+        left, right = rng.integers(0, F.order, (r, k)), rng.integers(0, F.order, (k, c))
+        cases.append(F.ax_matmul(left.astype(np.int16), right.astype(np.int16)))
     kinds = set()
     for A in cases:
         A = A.astype(np.int16)
