@@ -216,7 +216,7 @@ def _greedy_generators(T: np.ndarray, e: int, members: Sequence[int]) -> tuple[i
 class Subgroup:
     """A subgroup of a FinGroup, held as its sorted member index tuple."""
 
-    __slots__ = ("parent", "members", "_local", "_group", "_gens", "_cosets")
+    __slots__ = ("parent", "members", "_local", "_group", "_gens", "_cosets", "_action")
 
     def __init__(self, parent: FinGroup, members: Iterable[int]):
         self.parent = parent
@@ -225,6 +225,7 @@ class Subgroup:
         self._group = None
         self._gens = None
         self._cosets = None
+        self._action = None
         inside = self.local_index >= 0
         if not inside[parent.identity]:
             raise ValueError("identity missing")
@@ -379,6 +380,49 @@ def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
         pos.flags.writeable = False
         U._cosets = (reps, pos)
     return U._cosets
+
+
+def coset_action(U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """How U's parent G moves the right cosets of U, as two read-only
+    (|G|, index) arrays in coset_lookup's order: g sends coset i to coset
+    j[g, i], and u[g, i] = r_j g r_i^-1, the member of U that r_j g and r_i
+    differ by.  Computed and checked once per subgroup and kept on U."""
+    if U._action is None:
+        G = U.parent
+        R, pos = coset_lookup(G, U)
+        mul, inv = G.table, G.inverse
+        g = np.arange(G.order)[:, None]
+        # g sends coset i to coset j, that of r_i g^-1, and r_j g r_i^-1 is in U
+        j = pos[mul[R[None, :], inv[g]]]
+        u = mul[mul[R[j], g], inv[R][None, :]]
+        _check_coset_action(U, j, u)
+        j.flags.writeable = False
+        u.flags.writeable = False
+        U._action = (j, u)
+    return U._action
+
+
+def _check_coset_action(U: Subgroup, j: np.ndarray, u: np.ndarray) -> None:
+    """Raise unless g |-> (j_g, u_g) composes as G does, so that the block
+    matrices it gives to an induced module multiply as G does for every
+    representation of U: j_e = id, u_(e,i) = e, every label in U, and for
+    each generator g and every h, j_gh = j_g o j_h and
+    u_(gh,i) = u_(g,j_h(i)) u_(h,i).  Integer gathers, |gens| |G| index
+    of them; by induction on word length the identities then hold for
+    every pair."""
+    G = U.parent
+    e, mul = G.identity, G.table
+    gens = list(G.generators())
+    gh = mul[gens]  # (s, |G|)
+    ok = (
+        (j[e] == np.arange(j.shape[1])).all()
+        and (u[e] == e).all()
+        and (U.local_index[u] >= 0).all()
+        and (j[gh] == j[gens][:, j]).all()
+        and (u[gh] == mul[u[gens][:, j], u]).all()
+    )
+    if not ok:
+        raise ValueError("action is not a homomorphism")
 
 
 def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:

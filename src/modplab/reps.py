@@ -10,8 +10,9 @@ calls.  The homomorphism property is verified at construction: the
 identity must map to the identity matrix and action(g*h) = action(g) @
 action(h) is checked for every generator g against every h, which by
 induction on word length forces the property for all pairs.  induce
-checks the same two things on its integer coset data instead of its
-dense matrices.  hom_space, fixed_points and the character eigenspaces
+skips that dense check: groups.coset_action proves the same two things
+once per subgroup, on the integer data induce builds its blocks from.
+hom_space, fixed_points and the character eigenspaces
 of covers are all one memoised kernel, equivariant_kernel.
 """
 
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fields import BATCH_CELLS, FiniteField, p_part
-from .groups import FinGroup, Subgroup, coset_lookup
+from .groups import FinGroup, Subgroup, coset_action, coset_lookup
 from .linalg import Matrix, Subspace, check_cells, column_space, row_reduce
 from .memo import ENTRY_OVERHEAD, Memo
 
@@ -325,50 +326,13 @@ def induce(U: Subgroup, W: Rep) -> Rep:
             f"induce needs a {G.order} x {d} x {d} action tensor, {G.order * d * d} cells,"
             f" over the budget of {INDUCE_CELLS}"
         )
-    j, u = _coset_action(U)
-    _check_coset_action(U, j, u)
+    j, u = coset_action(U)
     n, dW = j.shape[1], W.dim
     out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
     out[np.arange(G.order)[:, None], j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
+    # coset_action has checked that (j, u) compose as G does, which makes
+    # these block matrices an action for any representation W of U
     return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=False)
-
-
-def _coset_action(U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
-    """induce's coset data, two (|G|, index) arrays: g sends block i to
-    block j[g, i] and acts there by u[g, i], a member of U."""
-    G = U.parent
-    R, pos = coset_lookup(G, U)
-    mul, inv = G.table, G.inverse
-    g = np.arange(G.order)[:, None]
-    # the block of r_i g^-1's coset, and u = r_j g r_i^-1
-    j = pos[mul[R[None, :], inv[g]]]
-    u = mul[mul[R[j], g], inv[R][None, :]]
-    return j, u
-
-
-def _check_coset_action(U: Subgroup, j: np.ndarray, u: np.ndarray) -> None:
-    """Raise unless coset data (j, u) make Ind W a representation for every
-    representation W of U.  The identity must fix each block with label e,
-    every label must lie in U, and for each generator g and every h,
-    j_gh = j_g o j_h and u_{gh,i} = u_{g,j_h(i)} u_{h,i}: then the block
-    matrices multiply as the group does, as Rep's dense check would find,
-    at |gens| |G| index integer gathers instead of |gens| |G| dense
-    products."""
-    G = U.parent
-    e, mul = G.identity, G.table
-    ok = (
-        np.array_equal(j[e], np.arange(j.shape[1]))
-        and bool((u[e] == e).all())
-        and bool((U.local_index[u] >= 0).all())
-    )
-    gens = list(G.generators())
-    if ok and gens:
-        gh = mul[gens]  # (s, |G|)
-        ok = np.array_equal(j[gh], j[gens][:, j]) and np.array_equal(
-            u[gh], mul[u[gens][:, j], u[None]]
-        )
-    if not ok:
-        raise ValueError("action is not a homomorphism")
 
 
 # Every map written in induce's block layout: block i for the coset of the

@@ -1,5 +1,5 @@
-"""induce is checked by its coset data (j, u) instead of Rep's dense
-homomorphism check.  The dense check stays the oracle: on every built-in
+"""induce is checked by its coset data (j, u) from groups.coset_action
+instead of Rep's dense homomorphism check.  The dense check stays the oracle: on every built-in
 (U, W) both accept, on corrupted j or u they reject alike, and the
 assembled tensor matches a reference built block by block from the
 definition of the induced module."""
@@ -9,10 +9,10 @@ import random
 import numpy as np
 import pytest
 
-from modplab import reps
+from modplab import groups
 from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
-from modplab.groups import FinGroup, all_subgroups, coset_lookup
-from modplab.reps import induce, regular_rep, trivial_rep
+from modplab.groups import FinGroup, Subgroup, all_subgroups, coset_action, coset_lookup
+from modplab.reps import Rep, induce, regular_rep, trivial_rep
 
 
 def _pairs(G, F):
@@ -81,7 +81,7 @@ def test_induced_tensor_matches_the_blockwise_reference(gname, renumber):
 def _corruptions(U, rng):
     """(what, g, j, u): the coset data with one entry in row g changed."""
     G = U.parent
-    j, u = reps._coset_action(U)
+    j, u = (a.copy() for a in coset_action(U))
     n = j.shape[1]
     g = int(rng.integers(G.order))
     i = int(rng.integers(n))
@@ -123,7 +123,7 @@ def _all_pairs_verdict(U, j, u) -> bool:
 
 def _passes(U, j, u) -> bool:
     try:
-        reps._check_coset_action(U, j, u)
+        groups._check_coset_action(U, j, u)
     except ValueError as exc:
         assert str(exc) == "action is not a homomorphism"
         return False
@@ -141,7 +141,7 @@ def test_corrupted_coset_data_fail_the_check(gname):
     rng = np.random.default_rng(len(gname))
     failed = set()
     for U in all_subgroups(G):
-        assert _passes(U, *reps._coset_action(U))
+        assert _passes(U, *coset_action(U))
         for _ in range(3):
             for what, g, j, u in _corruptions(U, rng):
                 verdict = _passes(U, j, u)
@@ -194,20 +194,30 @@ def test_dense_check_agrees_on_corrupted_data_with_a_faithful_w(gname):
                 out[np.arange(G.order)[:, None], j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
                 T = out.reshape(G.order, n * d, n * d)
                 try:
-                    reps.Rep._of(G, F, T, validate=True)
+                    Rep._of(G, F, T, validate=True)
                     dense = True
                 except ValueError:
                     dense = False
                 assert dense == _passes(U, j, u)
 
 
+def test_coset_action_is_checked_once_and_kept():
+    G = catalog_groups()["A4"]
+    U = all_subgroups(G)[2]
+    j, u = coset_action(U)
+    assert coset_action(U)[0] is j and not j.flags.writeable and not u.flags.writeable
+
+
 def test_induce_raises_on_corrupted_coset_data(monkeypatch):
+    """A coset lookup that put one element in the wrong coset would give
+    coset data that fail the check, and induce refuses them."""
     G = catalog_groups()["S3"]
-    U = all_subgroups(G)[1]
-    j, u = reps._coset_action(U)
-    g = next(x for x in range(G.order) if x != G.identity and x not in G.generators())
-    bad = u.copy()
-    bad[g, 0] = next(m for m in U.members if m != u[g, 0])
-    monkeypatch.setattr(reps, "_coset_action", lambda V: (j, bad))
+    members = all_subgroups(G)[1].members
+    R, pos = coset_lookup(G, all_subgroups(G)[1])
+    bad = pos.copy()
+    x = next(x for x in range(G.order) if x not in R)  # not a representative
+    bad[x] = (bad[x] + 1) % len(R)
+    monkeypatch.setattr(groups, "coset_lookup", lambda G, U: (R, bad))
+    U = Subgroup(G, members)  # a fresh object, with nothing kept on it yet
     with pytest.raises(ValueError, match="action is not a homomorphism"):
         induce(U, trivial_rep(U.as_group(), catalog_fields()["F2"]))
