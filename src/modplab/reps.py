@@ -12,8 +12,8 @@ action(h) is checked for every generator g against every h, which by
 induction on word length forces the property for all pairs.  induce
 skips that dense check: groups.coset_action proves the same two things
 once per subgroup, on the integer data induce builds its blocks from.
-hom_space, fixed_points and the character eigenspaces
-of covers are all one memoised kernel, equivariant_kernel.
+hom_space, fixed_points and the character eigenspaces of covers are all
+one memoised kernel, equivariant_kernel.
 """
 
 from __future__ import annotations

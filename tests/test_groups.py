@@ -231,11 +231,11 @@ def light_accepts(T) -> bool:
     return True
 
 
-def intercalate_swaps(T, e: int):
-    """Every table made from T by swapping the two symbols of a 2 x 2
-    latin subsquare whose rows and columns avoid the identity e, so the
-    result is still a latin square with identity e."""
-    T = np.asarray(T, dtype=np.int64)
+def intercalates(T, e: int):
+    """Every 2 x 2 latin subsquare of T whose rows and columns avoid the
+    identity e, as (r1, r2, c1, c2): T[r1, c1] == T[r2, c2] and
+    T[r1, c2] == T[r2, c1]."""
+    T = np.asarray(T)
     n = len(T)
     at = np.argsort(T, axis=1)  # at[r, x]: the column where row r holds x
     others = [x for x in range(n) if x != e]
@@ -245,16 +245,22 @@ def intercalate_swaps(T, e: int):
         c2 = at[r2, T[r1, c1]]
         hit = (T[r1, c2] == T[r2, c1]) & (c1 < c2) & (c1 != e) & (c2 != e)
         for a, b in zip(c1[hit].tolist(), c2[hit].tolist()):
-            S = T.copy()
-            S[[r1, r1, r2, r2], [a, b, a, b]] = T[[r1, r1, r2, r2], [b, a, b, a]]
-            yield S
+            yield r1, r2, a, b
+
+
+def swapped(T, r1, r2, c1, c2):
+    """T with the two symbols of the subsquare exchanged: still a latin
+    square, with the same identity when the subsquare avoids it."""
+    S = np.array(T, dtype=np.int64)
+    S[[r1, r1, r2, r2], [c1, c2, c1, c2]] = S[[r1, r1, r2, r2], [c2, c1, c2, c1]]
+    return S
 
 
 def test_light_agrees_with_the_cubic_check_on_every_intercalate_swap():
     verdicts = [
         (cubic_associative(S), light_accepts(S))
         for G in catalog_groups().values()
-        for S in intercalate_swaps(G.table, G.identity)
+        for S in (swapped(G.table, *q) for q in intercalates(G.table, G.identity))
     ]
     assert all(cubic == light for cubic, light in verdicts)
     assert len(verdicts) == 149 and sum(cubic for cubic, _ in verdicts) == 4
@@ -276,10 +282,10 @@ def test_light_agrees_with_the_cubic_check_on_random_tables(seed):
     e = int(sigma[G.identity])
     verdicts = [(cubic_associative(T), light_accepts(T))]
     for _ in range(6):
-        swaps = list(intercalate_swaps(T, e))
-        if not swaps:
+        found = list(intercalates(T, e))
+        if not found:
             break
-        T = swaps[rng.integers(len(swaps))]
+        T = swapped(T, *found[rng.integers(len(found))])
         verdicts.append((cubic_associative(T), light_accepts(T)))
     assert verdicts[0] == (True, True)
     assert all(cubic == light for cubic, light in verdicts)
