@@ -39,17 +39,17 @@ def cyclic_group(n: int) -> FinGroup:
     return group_from_table(table, labels)
 
 
+def _compose(a, b):
+    """The permutation a after b, each a tuple of images."""
+    return tuple(a[x] for x in b)
+
+
 def _perm_group(perms, labels) -> FinGroup:
-    compose = lambda a, b: tuple(a[b[i]] for i in range(len(b)))  # noqa: E731
-    return FinGroup.from_elements(list(perms), compose, labels)
+    return FinGroup.from_elements(list(perms), _compose, labels)
 
 
 def klein_group() -> FinGroup:
-    a = cyclic_group(2)
-    G = FinGroup.direct_product(a, a)
-    return group_from_table(
-        [[G.mul(i, j) for j in range(4)] for i in range(4)], ["e", "a", "b", "ab"]
-    )
+    return group_from_table([[i ^ j for j in range(4)] for i in range(4)], ["e", "a", "b", "ab"])
 
 
 def sym3() -> FinGroup:
@@ -66,50 +66,21 @@ def sym3() -> FinGroup:
 
 
 def dihedral4() -> FinGroup:
-    e = (0, 1, 2, 3)
-    r = (1, 2, 3, 0)
-    s = (0, 3, 2, 1)
-    comp = lambda a, b: tuple(a[b[i]] for i in range(4))  # noqa: E731
-    r2, r3 = comp(r, r), comp(comp(r, r), r)
-    perms = [e, r, r2, r3, s, comp(r, s), comp(r2, s), comp(r3, s)]
-    labels = ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"]
-    return _perm_group(perms, labels)
+    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+    rotations = [(0, 1, 2, 3), r, _compose(r, r), _compose(r, _compose(r, r))]
+    perms = rotations + [_compose(x, s) for x in rotations]
+    return _perm_group(perms, ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"])
 
 
 def quaternion8() -> FinGroup:
-    cross = {
-        ("i", "j"): ("k", 1),
-        ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1),
-        ("k", "j"): ("i", -1),
-        ("k", "i"): ("j", 1),
-        ("i", "k"): ("j", -1),
-    }
-
-    def qmul(x, y):
-        (s1, a1), (s2, a2) = x, y
-        sign = s1 * s2
-        if a1 == "1":
-            return (sign, a2)
-        if a2 == "1":
-            return (sign, a1)
-        if a1 == a2:
-            return (-sign, "1")
-        axis, extra = cross[(a1, a2)]
-        return (sign * extra, axis)
-
-    elems = [
-        (1, "1"),
-        (-1, "1"),
-        (1, "i"),
-        (-1, "i"),
-        (1, "j"),
-        (-1, "j"),
-        (1, "k"),
-        (-1, "k"),
-    ]
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return FinGroup.from_elements(elems, qmul, labels)
+    """Q8 as 2 x 2 matrices over Z/3, each a row-major 4-tuple:
+    i = [[0, -1], [1, 0]], j = [[1, 1], [1, -1]] and k = ij."""
+    mul = lambda a, b: tuple(  # noqa: E731
+        (a[r] * b[c] + a[r + 1] * b[c + 2]) % 3 for r in (0, 2) for c in (0, 1)
+    )
+    i, j = (0, 2, 1, 0), (1, 1, 1, 2)
+    elems = [x for u in ((1, 0, 0, 1), i, j, mul(i, j)) for x in (u, mul((2, 0, 0, 2), u))]
+    return FinGroup.from_elements(elems, mul, ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
 def alt4() -> FinGroup:
@@ -177,7 +148,7 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
         if hit["triv"].group is not G:
             # an equal table on another group object: hand back reps on the
             # caller's G, so later group checks compare by identity
-            return {name: Rep._of(G, field, V.T, validate=False) for name, V in hit.items()}
+            return {name: Rep._of(G, field, V.T) for name, V in hit.items()}
         return hit
     out: dict[str, Rep] = {"triv": trivial_rep(G, field, 1)}
     if max_dim >= 2:
@@ -215,14 +186,18 @@ def group_from_json(data: dict) -> FinGroup:
     return group_from_table(data["table"], data.get("labels"))
 
 
-def _add(named: dict, kind: str, name, value) -> None:
-    """named[name] = value for a new string name; a repeat would silently
-    replace the earlier entry."""
+def _add(named: dict, kind: str, name, value, builtins: dict) -> None:
+    """named[name] = value for a new string name: a repeat would silently
+    replace the earlier entry.  A built-in name keeps its meaning, since
+    some cases pick their inputs by name: the value must equal the
+    built-in, a group by its table and a field by its key."""
     # suites sort the names, so a mix of types would fail there
     if not isinstance(name, str):
         raise ValueError(f"catalog names must be strings, not {name!r}")
     if name in named:
         raise ValueError(f"repeated {kind} name {name!r}")
+    if name in builtins and builtins[name] != value:
+        raise ValueError(f"{kind} name {name!r} is built in, for another {kind}")
     named[name] = value
 
 
@@ -235,6 +210,7 @@ def load_catalog(path: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError("catalog must be a JSON object")
     base = os.path.dirname(os.path.abspath(path))
+    builtin_groups, builtin_fields = catalog_groups(), catalog_fields()
     try:
         groups: dict[str, FinGroup] = {}
         for entry in data.get("groups", []):
@@ -243,19 +219,19 @@ def load_catalog(path: str) -> dict:
                 with open(gpath, encoding="utf-8") as gh:
                     gdata = json.load(gh)
                 name = gdata.get("name") or os.path.splitext(os.path.basename(gpath))[0]
-                _add(groups, "group", name, group_from_json(gdata))
+                G = group_from_json(gdata)
             elif "ref" in entry:
                 name = entry["ref"]
-                builtin = catalog_groups().get(name)
-                if builtin is None:
+                G = builtin_groups.get(name)
+                if G is None:
                     raise ValueError(f"unknown group reference {name!r}")
-                _add(groups, "group", name, builtin)
             else:
-                _add(groups, "group", entry["name"], group_from_json(entry))
+                name, G = entry["name"], group_from_json(entry)
+            _add(groups, "group", name, G, builtin_groups)
         fields: dict[str, FiniteField] = {}
         for entry in data.get("fields", []):
             f = FiniteField(entry["p"], entry.get("k", 1))
-            _add(fields, "field", entry.get("name", f"F{f.order}"), f)
+            _add(fields, "field", entry.get("name", f"F{f.order}"), f, builtin_fields)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed catalog entry: {exc!r}") from exc
     if not groups or not fields:

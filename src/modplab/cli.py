@@ -8,11 +8,12 @@ and byte-identical across reruns with the same inputs and seed.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error (also an
 unwritable stdout or --out, a verify run with no case, a catalog that
-repeats a name, and a catalog or group file nested too deeply), 3 precision
+repeats a name or gives a built-in name another meaning, a catalog or group
+file nested too deeply, and running out of memory), 3 precision
 precondition violated.  Subcommands raise; main alone turns a
-PrecisionError into 3 and any other ValueError into 2.  `main` is the
-in-process entry; `run`, the console entry, ends the process once the
-answer is flushed.
+PrecisionError into 3 and any other ValueError or a MemoryError into 2.
+`main` is the in-process entry; `run`, the console entry, ends the process
+once the answer is flushed.
 """
 
 from __future__ import annotations
@@ -409,6 +410,9 @@ def main(argv=None) -> int:
         return _fail(str(exc), 3)
     except ValueError as exc:
         return _fail(str(exc), 2)
+    except MemoryError as exc:
+        # numpy names the allocation that failed; a bare MemoryError has no text
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 2)
 
 
 def run() -> None:

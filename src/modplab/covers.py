@@ -152,7 +152,7 @@ def assemble_cover(V: Rep) -> CoverAssembly:
     """
     G, field = V.group, V.field
     if V.dim == 0:
-        zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16), validate=False)
+        zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16))
         onto = RepMap(zero, V, Matrix.zeros(field, 0, 0), validate=False)
         return CoverAssembly(zero, onto, (), ())
     chosen = _default_vectors(V)
@@ -218,12 +218,9 @@ def character_eigenspace(
         raise ValueError("character does not match the subgroup and field")
     field = V.field
     gens = list(C.generators())
-    if not gens or V.dim == 0:
-        space = Subspace.full(field, V.dim)
-    else:
-        # the maps from chi's one-dimensional module into V
-        scalars = np.array([chi.value(z) for z in gens], dtype=np.int16)[:, None, None]
-        space = equivariant_kernel(field, scalars, V.T[gens])
+    # the maps from chi's one-dimensional module into V
+    scalars = np.array([chi.value(z) for z in gens], dtype=np.int16).reshape(-1, 1, 1)
+    space = equivariant_kernel(field, scalars, V.T[gens])
     parts = [p_part(G.element_order(z), field.p) for z in C.members]
     # only pure p-power-order elements decide availability; mixed orders
     # factor through them inside the abelian C
@@ -275,4 +272,6 @@ def extend_by_central_character(
     k = local[cands[np.arange(KC.order), first]]
     values = np.array(chi.values, dtype=np.int16)[first]
     T = field.ax_mul(V.T[k], values[:, None, None])
-    return Rep._of(KC.as_group(), field, T, validate=True)
+    W = Rep._of(KC.as_group(), field, T)
+    W._validate()
+    return W

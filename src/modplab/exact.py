@@ -286,7 +286,7 @@ def subrep_on_subspace(big: Rep, space: Subspace) -> tuple[Rep, RepMap]:
     pivots = space.pivots
     incl = space.basis.transpose()
     T = field.ax_matmul_batch(big.T[:, pivots, :], incl.a)
-    sub = Rep._of(big.group, field, T, validate=False)
+    sub = Rep._of(big.group, field, T)
     return sub, RepMap(sub, big, incl)
 
 
@@ -312,7 +312,7 @@ def quotient_rep(big: Rep, image: Subspace) -> tuple[Rep, RepMap]:
     pmat = Matrix._of(field, proj)
     # the lift onto the non-pivot coordinates just selects those columns
     T = field.ax_matmul_batch(pmat.a, big.T[:, :, others])
-    quo = Rep._of(big.group, field, T, validate=False)
+    quo = Rep._of(big.group, field, T)
     return quo, RepMap(big, quo, pmat)
 
 

@@ -244,11 +244,11 @@ class Subgroup:
 
     @staticmethod
     def trivial(parent: FinGroup) -> "Subgroup":
-        return _named_subgroup(parent, "trivial", (parent.identity,))
+        return parent._subgroup((parent.identity,))
 
     @staticmethod
     def full(parent: FinGroup) -> "Subgroup":
-        return _named_subgroup(parent, "full", range(parent.order))
+        return parent._subgroup(range(parent.order))
 
     @property
     def order(self) -> int:
@@ -347,15 +347,6 @@ def _subgroup(self: FinGroup, members) -> Subgroup:
 
 
 FinGroup._subgroup = _subgroup
-
-
-def _named_subgroup(G: FinGroup, name: str, members) -> Subgroup:
-    """G._subgroup(members), also cached under `name`, so a repeat call
-    skips building the sorted member key."""
-    hit = G._subgroup_cache.get(name)
-    if hit is None:
-        hit = G._subgroup_cache[name] = G._subgroup(members)
-    return hit
 
 
 def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fields import BATCH_CELLS, FiniteField, p_part
+from .fields import FiniteField, p_part
 from .groups import FinGroup, Subgroup, coset_action, coset_lookup
 from .linalg import Matrix, Subspace, check_cells, column_space, row_reduce
 from .memo import ENTRY_OVERHEAD, Memo
@@ -85,13 +85,12 @@ class Rep:
         self._validate()
 
     @classmethod
-    def _of(cls, group: FinGroup, field: FiniteField, T: np.ndarray, validate: bool) -> "Rep":
+    def _of(cls, group: FinGroup, field: FiniteField, T: np.ndarray) -> "Rep":
         """Wrap a fresh (|G|, d, d) int16 tensor of field codes, such as a
-        kernel result; it becomes read-only."""
+        kernel result; it becomes read-only.  The caller proves that it is
+        an action, or calls _validate."""
         V = cls.__new__(cls)
         V._set(group, field, T)
-        if validate:
-            V._validate()
         return V
 
     def _set(self, group: FinGroup, field: FiniteField, T: np.ndarray):
@@ -107,15 +106,10 @@ class Rep:
         if not np.array_equal(T[G.identity], np.eye(self.dim, dtype=np.int16)):
             raise ValueError("identity does not act as the identity matrix")
         gens = list(G.generators())
-        if not gens:
-            return
-        # one batched product per slice of h; a small rep takes one slice,
-        # a large one keeps each slice's products within BATCH_CELLS codes
-        step = max(1, BATCH_CELLS // (len(gens) * self.dim * self.dim or 1))
-        for h in range(0, G.order, step):
-            products = self.field.ax_matmul_batch(T[gens][:, None], T[None, h : h + step])
-            if not np.array_equal(products, T[G.table[gens, h : h + step]]):
-                raise ValueError("action is not a homomorphism")
+        # every generator against every element, in one batched product
+        products = self.field.ax_matmul_batch(T[gens][:, None], T[None])
+        if not np.array_equal(products, T[G.table[gens]]):
+            raise ValueError("action is not a homomorphism")
 
     def orbit(self, vec: Sequence[int]) -> np.ndarray:
         """The (|G|, d) array whose row g is the image of vec under g, in
@@ -209,13 +203,9 @@ class ShortExactSeq:
         self.left = left
         self.right = right
 
-    @property
-    def middle(self) -> Rep:
-        return self.left.target
-
     def __repr__(self):
         return (
-            f"ShortExactSeq({self.left.source.dim} -> {self.middle.dim}"
+            f"ShortExactSeq({self.left.source.dim} -> {self.left.target.dim}"
             f" -> {self.right.target.dim})"
         )
 
@@ -226,7 +216,7 @@ class ShortExactSeq:
 
 def trivial_rep(G: FinGroup, field: FiniteField, dim: int = 1) -> Rep:
     T = np.repeat(np.eye(dim, dtype=np.int16)[None], G.order, axis=0)
-    return Rep._of(G, field, T, validate=False)
+    return Rep._of(G, field, T)
 
 
 def regular_rep(G: FinGroup, field: FiniteField) -> Rep:
@@ -234,7 +224,7 @@ def regular_rep(G: FinGroup, field: FiniteField) -> Rep:
     n = G.order
     T = np.zeros((n, n, n), dtype=np.int16)
     T[np.arange(n)[:, None], G.table, np.arange(n)[None, :]] = 1
-    return Rep._of(G, field, T, validate=False)
+    return Rep._of(G, field, T)
 
 
 def character_rep(G: FinGroup, field: FiniteField, values: Sequence[int]) -> Rep:
@@ -282,7 +272,9 @@ def rep_from_generators(
         raise ValueError("images do not generate the group")
     if not np.array_equal(T[keys], A):
         raise ValueError("generator images are inconsistent")
-    return Rep._of(G, field, T, validate=True)
+    V = Rep._of(G, field, T)
+    V._validate()
+    return V
 
 
 def direct_sum(reps: Sequence[Rep]) -> Rep:
@@ -295,7 +287,7 @@ def direct_sum(reps: Sequence[Rep]) -> Rep:
     for V in reps:
         T[:, o : o + V.dim, o : o + V.dim] = V.T
         o += V.dim
-    return Rep._of(G, field, T, validate=False)
+    return Rep._of(G, field, T)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +298,7 @@ def restrict(V: Rep, U: Subgroup) -> Rep:
     """V as a representation of U.as_group()."""
     if U.parent != V.group:
         raise ValueError("subgroup of a different group")
-    return Rep._of(U.as_group(), V.field, V.T[list(U.members)], validate=False)
+    return Rep._of(U.as_group(), V.field, V.T[list(U.members)])
 
 
 def induce(U: Subgroup, W: Rep) -> Rep:
@@ -332,7 +324,7 @@ def induce(U: Subgroup, W: Rep) -> Rep:
     out[np.arange(G.order)[:, None], j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
     # coset_action has checked that (j, u) compose as G does, which makes
     # these block matrices an action for any representation W of U
-    return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW), validate=False)
+    return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW))
 
 
 # Every map written in induce's block layout: block i for the coset of the
@@ -430,7 +422,10 @@ def equivariant_kernel(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Su
     row-major flattened vectors in canonical form: the kernel of
     equivariance_system(field, T1, T2) for two int16 stacks.  It is
     memoised on the field and both stacks; a repeat call returns the same
-    Subspace, whose basis is read-only."""
+    Subspace, whose basis is read-only.  With no pair of matrices, or no
+    entry in X, every X qualifies, and nothing is stored."""
+    if not len(T1) or not T1.shape[1] * T2.shape[1]:
+        return Subspace.full(field, T1.shape[1] * T2.shape[1])
     key = (field.key(), T1.shape, T2.shape, T1.tobytes(), T2.tobytes())
     space = _KERNEL_MEMO.get(key)
     if space is None:
@@ -455,22 +450,14 @@ def hom_space(V1: Rep, V2: Rep) -> Subspace:
     canonicalized by reduced echelon form."""
     if V1.group != V2.group or V1.field != V2.field:
         raise ValueError("reps live over different groups or fields")
-    field = V1.field
-    amb = V1.dim * V2.dim
     gens = list(V1.group.generators())
-    if amb == 0:
-        return Subspace.zero(field, amb)
-    if not gens:
-        return Subspace.full(field, amb)
-    return equivariant_kernel(field, V1.T[gens], V2.T[gens])
+    return equivariant_kernel(V1.field, V1.T[gens], V2.T[gens])
 
 
 def fixed_points(V: Rep) -> Subspace:
     """The subspace of vectors fixed by every element of the group: the
     maps from the trivial module."""
     gens = list(V.group.generators())
-    if not gens or V.dim == 0:
-        return Subspace.full(V.field, V.dim)
     return equivariant_kernel(V.field, np.ones((len(gens), 1, 1), dtype=np.int16), V.T[gens])
 
 

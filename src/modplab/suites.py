@@ -136,21 +136,29 @@ def _value_or_error(cases: list[Case], cid: str, inputs: dict, fn, *args):
         return None
 
 
-def _resolve_catalog(catalog):
+def _pairs(catalog, default_groups=FROBENIUS_GROUPS, default_fields=STANDARD_FIELDS):
+    """(group name, group, field name, field) for each pair a suite runs
+    on: the named defaults of the built-in catalog (None), or every pair of
+    a loaded one, names sorted."""
     if catalog is None:
-        return dict(catalog_groups()), dict(catalog_fields())
-    if isinstance(catalog, str):
-        catalog = load_catalog(catalog)
-    return dict(catalog["groups"]), dict(catalog["fields"])
+        groups, fields = catalog_groups(), catalog_fields()
+        gnames, fnames = default_groups, default_fields
+    else:
+        groups, fields = catalog["groups"], catalog["fields"]
+        gnames, fnames = sorted(groups), sorted(fields)
+    return [(g, groups[g], f, fields[f]) for g in gnames for f in fnames]
 
 
-def _grid(catalog, default_groups=FROBENIUS_GROUPS):
-    """Group/field name lists a suite iterates over: the defaults for the
-    built-in catalog, everything (sorted) for a user-supplied one."""
-    groups, fields = _resolve_catalog(catalog)
-    if catalog is None:
-        return groups, fields, list(default_groups), list(STANDARD_FIELDS)
-    return groups, fields, sorted(groups), sorted(fields)
+def _subgroup_cases(cases: list[Case], prefix: str, catalog, fn):
+    """One case fn(G, F, U) for each subgroup U of each pair's group; a
+    group whose subgroups cannot be listed gives one error case instead."""
+    for gname, G, fname, F in _pairs(catalog):
+        inputs = {"group": gname, "field": fname}
+        cid = f"{prefix}/{gname}/{fname}/subgroups"
+        for U in _value_or_error(cases, cid, inputs, all_subgroups, G) or ():
+            cid = f"{prefix}/{gname}/{fname}/{subgroup_id(G, U)}"
+            inputs = {"group": gname, "field": fname, "subgroup": list(U.members)}
+            _run_case(cases, cid, inputs, fn, G, F, U)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +206,8 @@ def _frobenius_case(G: FinGroup, F: FiniteField, U: Subgroup) -> dict:
 
 
 def suite_frobenius(seed: int, catalog) -> list[Case]:
-    groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
-    for gname in gnames:
-        G = groups[gname]
-        for fname in fnames:
-            inputs = {"group": gname, "field": fname}
-            cid = f"frobenius/{gname}/{fname}/subgroups"
-            for U in _value_or_error(cases, cid, inputs, all_subgroups, G) or ():
-                cid = f"frobenius/{gname}/{fname}/{subgroup_id(G, U)}"
-                inputs = {"group": gname, "field": fname, "subgroup": list(U.members)}
-                _run_case(cases, cid, inputs, _frobenius_case, G, fields[fname], U)
+    _subgroup_cases(cases, "frobenius", catalog, _frobenius_case)
     return cases
 
 
@@ -275,17 +274,10 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
 
 
 def suite_phi_machinery(seed: int, catalog) -> list[Case]:
-    groups, fields, gnames, fnames = _grid(catalog)
-    pairs = [
-        (g, f)
-        for g in gnames
-        for f in fnames
-        if groups[g].order > 1 and p_part(groups[g].order, fields[f].p)[1] == 1
-    ]
     cases: list[Case] = []
-    for gname, fname in pairs:
-        K = groups[gname]
-        F = fields[fname]
+    for gname, K, fname, F in _pairs(catalog):
+        if K.order == 1 or p_part(K.order, F.p)[1] != 1:
+            continue
         inputs = {"group": gname, "field": fname}
         _run_case(cases, f"phi/{gname}/{fname}/constants", inputs, _phi_constants, K, F)
         pool = _value_or_error(cases, f"phi/{gname}/{fname}/reps", inputs, catalog_reps, K, F, 3)
@@ -323,13 +315,10 @@ def _higman_case(G: FinGroup, F: FiniteField) -> dict:
 
 
 def suite_higman(seed: int, catalog) -> list[Case]:
-    groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
-    for gname in gnames:
-        G = groups[gname]
-        for fname in fnames:
-            inputs = {"group": gname, "field": fname}
-            _run_case(cases, f"higman/{gname}/{fname}", inputs, _higman_case, G, fields[fname])
+    for gname, G, fname, F in _pairs(catalog):
+        inputs = {"group": gname, "field": fname}
+        _run_case(cases, f"higman/{gname}/{fname}", inputs, _higman_case, G, F)
     return cases
 
 
@@ -575,16 +564,13 @@ def _check_total(total: int, floor: int, key: str, shortfall: str) -> dict:
 
 
 def suite_exact_axioms(seed: int, catalog) -> list[Case]:
-    groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
     prime_index_counts: list[int] = []
-    for gname in gnames:
-        G = groups[gname]
-        for fname in fnames:
-            rng = random.Random(f"{seed}:exact:{gname}:{fname}")
-            args = (G, fields[fname], rng, prime_index_counts)
-            inputs = {"group": gname, "field": fname}
-            _run_case(cases, f"exact/{gname}/{fname}", inputs, _exact_case, *args)
+    for gname, G, fname, F in _pairs(catalog):
+        rng = random.Random(f"{seed}:exact:{gname}:{fname}")
+        inputs = {"group": gname, "field": fname}
+        args = (G, F, rng, prime_index_counts)
+        _run_case(cases, f"exact/{gname}/{fname}", inputs, _exact_case, *args)
     if catalog is None:
         total = sum(prime_index_counts)
         key, shortfall = "prime_index_checks_total", "prime-index comparisons ran"
@@ -647,24 +633,14 @@ def _stable_jordan(G: FinGroup, F: FiniteField, p: int) -> dict:
 
 
 def suite_stable_frobenius(seed: int, catalog) -> list[Case]:
-    groups, fields, gnames, fnames = _grid(catalog)
     cases: list[Case] = []
-    for gname in gnames:
-        G = groups[gname]
-        for fname in fnames:
+    _subgroup_cases(cases, "stable", catalog, _stable_case)
+    primes = {("C2", "F2"): 2, ("C3", "F3"): 3, ("C5", "F5"): 5}
+    for gname, G, fname, F in _pairs(catalog, ("C2", "C3", "C5"), ("F2", "F3", "F5")):
+        if (gname, fname) in primes:
             inputs = {"group": gname, "field": fname}
-            cid = f"stable/{gname}/{fname}/subgroups"
-            for U in _value_or_error(cases, cid, inputs, all_subgroups, G) or ():
-                cid = f"stable/{gname}/{fname}/{subgroup_id(G, U)}"
-                inputs = {"group": gname, "field": fname, "subgroup": list(U.members)}
-                _run_case(cases, cid, inputs, _stable_case, G, fields[fname], U)
-    for p, fname in ((2, "F2"), (3, "F3"), (5, "F5")):
-        gname = f"C{p}"
-        if gname not in groups or fname not in fields:
-            continue
-        inputs = {"group": gname, "field": fname}
-        args = (groups[gname], fields[fname], p)
-        _run_case(cases, f"stable/jordan/{gname}/{fname}", inputs, _stable_jordan, *args)
+            args = (G, F, primes[gname, fname])
+            _run_case(cases, f"stable/jordan/{gname}/{fname}", inputs, _stable_jordan, *args)
     return cases
 
 
@@ -839,27 +815,21 @@ def _check_regular_eigenspaces(G: FinGroup, F: FiniteField) -> dict:
 
 
 def suite_chi_functor(seed: int, catalog) -> list[Case]:
-    groups, fields, gnames, fnames = _grid(
-        catalog, default_groups=("C2", "C3", "C4", "C5", "C6", "C9", "V4")
-    )
     cases: list[Case] = []
     surjection_counts: list[int] = []
-    for gname in gnames:
-        G = groups[gname]
+    for gname, G, fname, F in _pairs(catalog, ("C2", "C3", "C4", "C5", "C6", "C9", "V4")):
         if not G.is_abelian():
             continue
-        for fname in fnames:
-            F = fields[fname]
-            K, C = _primary_parts(G, F.p)
-            if C.order == 1:
-                continue
-            rng = random.Random(f"{seed}:chi:{gname}:{fname}")
-            args = (G, F, K, C, rng, surjection_counts)
-            inputs = {"group": gname, "field": fname, "center_part": list(C.members)}
-            _run_case(cases, f"chi/{gname}/{fname}", inputs, _chi_case, *args)
-    if "C3" in groups and "F4" in fields:
-        args = (groups["C3"], fields["F4"])
-        _run_case(cases, "chi/zz-regular-eigenspaces", {}, _check_regular_eigenspaces, *args)
+        K, C = _primary_parts(G, F.p)
+        if C.order == 1:
+            continue
+        rng = random.Random(f"{seed}:chi:{gname}:{fname}")
+        args = (G, F, K, C, rng, surjection_counts)
+        inputs = {"group": gname, "field": fname, "center_part": list(C.members)}
+        _run_case(cases, f"chi/{gname}/{fname}", inputs, _chi_case, *args)
+    for gname, G, fname, F in _pairs(catalog, ("C3",), ("F4",)):
+        if (gname, fname) == ("C3", "F4"):
+            _run_case(cases, "chi/zz-regular-eigenspaces", {}, _check_regular_eigenspaces, G, F)
     if catalog is None:
         total = sum(surjection_counts)
         key, shortfall = "surjections_total", "surjections sampled"
@@ -883,4 +853,6 @@ def run_suite(name: str, seed: int = 0, catalog=None) -> dict:
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if isinstance(catalog, str):
+        catalog = load_catalog(catalog)
     return make_report(name, seed, fn(seed, catalog))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -33,6 +34,32 @@ def test_group_roster():
         "Q8": 8,
         "A4": 12,
     }
+
+
+# SHA-256 of each built-in group's int16 table bytes followed by its labels
+# as a JSON list: a construction may change, the group and its numbering not
+FROZEN_BUILTINS = {
+    "C2": "c6b689fddd588159e0da6feb9a6f39e63782fcc0ec5bc10142865310912e886d",
+    "C3": "3ba28b21030f4a166a8e68eee59c4ee7781c404e1be57f2c6e458709b56364d1",
+    "C4": "c3ed4ac0dc9bfae17eb447d3f163e96c5fe5654e483f4573d12201f3370b5ae5",
+    "C5": "a6d3a3487c05d1f83acfe67bea39e3be351c9d8a48a538f22f4a06e3e056018d",
+    "C6": "036b47be2066c8e084a9681bd25feb2cdc88569f4e6fc0d7f1f92b49db80c279",
+    "C9": "6fb47ec433a808fa625c86333965ea8f92712b98bd3611769413e489f9017c94",
+    "V4": "47d98393fe58abd799e2da0b0b791851808d7cf5b9030d9433a1e410d78c95c9",
+    "S3": "d290d81b4b0a84eede75b9909a4eba84aed8062d5ecd3b675b882271ff39ba7a",
+    "D4": "42c65f697543aeb2d7bf09f8d6a21ae93ceab81474161d7cc990315643c9b716",
+    "Q8": "984cbaeac68e07088b2bdd0254ef2889c7035a104e3ba69541d61af5d335ee31",
+    "A4": "cd88ad7aa05cf7add2dd08915b8d8719ac11179075204e7a533c616232440ed3",
+}
+
+
+def test_builtin_tables_and_labels_are_frozen():
+    got = {
+        name: hashlib.sha256(G.table.tobytes() + json.dumps(G.labels).encode()).hexdigest()
+        for name, G in catalog_groups().items()
+    }
+    assert all(G.table.dtype == np.int16 for G in catalog_groups().values())
+    assert got == FROZEN_BUILTINS
 
 
 def test_field_roster():
@@ -104,6 +131,18 @@ def test_load_catalog_all_entry_forms(tmp_path):
     loaded = load_catalog(str(cfile))
     assert {k: v.order for k, v in loaded["groups"].items()} == {"S3": 6, "c2": 2, "flip": 2}
     assert {k: v.order for k, v in loaded["fields"].items()} == {"F2": 2, "ext": 9}
+
+
+def test_load_catalog_takes_a_builtin_name_for_an_equal_object(tmp_path):
+    S3 = catalog_groups()["S3"]
+    cat = {
+        "groups": [{"name": "S3", "table": S3.table.tolist()}],  # no labels: equal all the same
+        "fields": [{"name": "F4", "p": 2, "k": 2}],
+    }
+    cfile = tmp_path / "cat.json"
+    cfile.write_text(json.dumps(cat))
+    loaded = load_catalog(str(cfile))
+    assert loaded["groups"]["S3"] == S3 and loaded["fields"]["F4"] == catalog_fields()["F4"]
 
 
 def test_load_catalog_rejects_malformed(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from modplab.catalog import catalog_groups
 from modplab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -384,6 +385,74 @@ def test_catalog_with_a_repeated_name_exits_2(tmp_path, capsys, catalog, repeat)
     cat.write_text(json.dumps(catalog))
     code, out, err = run(["verify", "--suite", "higman", "--catalog", str(cat)], capsys)
     assert code == 2 and out == "" and err == f"error: malformed catalog: {repeat}\n"
+
+
+S3 = catalog_groups()["S3"]
+F4_AS_F2 = {"groups": [{"ref": "C3"}], "fields": [{"name": "F4", "p": 2}]}
+
+
+@pytest.mark.parametrize(
+    "catalog, argv, message",
+    [
+        (F4_AS_F2, ["verify", "--suite", "chi-functor"], "field name 'F4'"),
+        ({"groups": [{"name": "C3", "table": S3.table.tolist()}], "fields": [{"name": "F3", "p": 3}]},
+         ["verify", "--suite", "stable-frobenius"], "group name 'C3'"),
+        (F4_AS_F2, ["stable", "--group", "C3", "--field", "F4"], "field name 'F4'"),
+    ],
+    ids=["chi-F4-over-F2", "stable-frobenius-S3-as-C3", "stable-F4-over-F2"],
+)
+def test_catalog_that_redefines_a_builtin_name_exits_2(tmp_path, capsys, catalog, argv, message):
+    # these once gave a false fail (exit 1), an error case (exit 1), and an
+    # F2 computation labelled F4 (exit 0)
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps(catalog))
+    code, out, err = run(argv + ["--catalog", str(cat)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: malformed catalog: {message} is built in, for another {message.split()[0]}\n"
+
+
+def _c2_catalog(tmp_path) -> str:
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"groups": [{"ref": "C2"}], "fields": [{"p": 2}]}))
+    return str(cat)
+
+
+def test_out_of_memory_in_the_report_digest_exits_2(tmp_path, monkeypatch, capsys):
+    from modplab import reports
+
+    def exhausted():
+        raise MemoryError()
+
+    monkeypatch.setattr(reports, "_sha256", None)
+    monkeypatch.setattr(reports, "_builtin_sha256", exhausted)
+    code, out, err = run(["verify", "--suite", "higman", "--catalog", _c2_catalog(tmp_path)], capsys)
+    assert code == 2 and out == "" and err == "error: out of memory\n"
+
+
+def test_out_of_memory_in_stable_exits_2(monkeypatch, capsys):
+    from modplab import cli
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "stable_hom", exhausted)
+    code, out, err = run(["stable", "--group", "C2", "--field", "F2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
+
+
+def test_out_of_memory_inside_a_suite_case_is_an_error_case(tmp_path, monkeypatch, capsys):
+    from modplab import suites
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(suites, "relative_projectivity_test", exhausted)
+    code, out, err = run(["verify", "--suite", "higman", "--catalog", _c2_catalog(tmp_path)], capsys)
+    assert code == 1 and err == ""
+    cases = json.loads(out)["cases"]
+    assert cases and all(c["outcome"] == "error" for c in cases)
+    assert cases[0]["details"]["exception"] == "MemoryError: Unable to allocate 8.00 GiB for an array"
 
 
 DEEP = "[" * 100_000 + "]" * 100_000

@@ -79,7 +79,7 @@ def test_equal_generator_stacks_share_an_entry(fresh_memos):
     G, F = catalog_groups()["A4"], catalog_fields()["F2"]
     pool = catalog_reps(G, F, 4)
     V = pool["perm4"]
-    twin = Rep._of(G, F, V.T.copy(), validate=False)
+    twin = Rep._of(G, F, V.T.copy())
     assert twin is not V
     space = hom_space(V, V)
     assert len(reps._KERNEL_MEMO) == 1

@@ -138,6 +138,14 @@ def test_descriptor_and_key():
     assert FiniteField(2).key() != F4.key()
 
 
+def test_equal_fields_hash_equal():
+    F4, other = FiniteField(2, 2), FiniteField(2, 2)
+    assert F4 is not other and F4 == other and hash(F4) == hash(other)
+    assert {F4: "F4"}[other] == "F4"
+    for different in (FiniteField(2), FiniteField(5), FiniteField(3, 2)):
+        assert F4 != different and hash(F4) != hash(different)
+
+
 def _trial_division(n):
     return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
 

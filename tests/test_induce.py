@@ -194,7 +194,7 @@ def test_dense_check_agrees_on_corrupted_data_with_a_faithful_w(gname):
                 out[np.arange(G.order)[:, None], j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
                 T = out.reshape(G.order, n * d, n * d)
                 try:
-                    Rep._of(G, F, T, validate=True)
+                    Rep._of(G, F, T)._validate()
                     dense = True
                 except ValueError:
                     dense = False

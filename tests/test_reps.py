@@ -64,7 +64,10 @@ def test_rep_copies_outside_data_and_skips_validation_only_on_request():
     bad = np.array([[[1]], [[2]], [[2]]], dtype=np.int16)  # not a homomorphism
     with pytest.raises(ValueError, match="homomorphism"):
         Rep(cyclic_group(3), F3, bad)
-    assert Rep._of(cyclic_group(3), F3, bad, validate=False).T is bad
+    unchecked = Rep._of(cyclic_group(3), F3, bad)
+    assert unchecked.T is bad
+    with pytest.raises(ValueError, match="homomorphism"):
+        unchecked._validate()
 
 
 def test_builders_frozen():
@@ -181,6 +184,16 @@ def test_repmap_validation():
         RepMap(triv, reg, Matrix.identity(F2, 2))  # shape mismatch
 
 
+def test_repmap_equality():
+    C2 = cyclic_group(2)
+    triv, reg = trivial_rep(C2, F2), regular_rep(C2, F2)
+    diag = RepMap(triv, reg, Matrix(F2, [[1], [1]]))
+    assert diag == RepMap(trivial_rep(C2, F2), regular_rep(C2, F2), Matrix(F2, [[1], [1]]))
+    assert diag != RepMap(triv, reg, Matrix.zeros(F2, 2, 1))  # another matrix
+    assert diag != RepMap(reg, triv, Matrix(F2, [[1, 1]]))  # other ends
+    assert diag != diag.matrix
+
+
 def test_short_exact_seq_validation():
     C2 = cyclic_group(2)
     triv, reg = trivial_rep(C2, F2), regular_rep(C2, F2)
@@ -259,6 +272,15 @@ def test_character_validation():
     with pytest.raises(ValueError):
         # order-3 element in characteristic 3 must map to 1
         Character(full, F3, (1, 2, 2))
+
+
+def test_character_equality():
+    C3 = cyclic_group(3)
+    chi = Character(Subgroup.full(C3), F4, (1, 2, 3))
+    assert chi == Character(Subgroup.full(cyclic_group(3)), FiniteField(2, 2), (1, 2, 3))
+    assert chi != Character(Subgroup.full(C3), F4, (1, 3, 2))  # other values
+    assert chi != Character(Subgroup(sym3(), [0, 1, 2]), F4, (1, 2, 3))  # other domain
+    assert chi != chi.values
 
 
 @pytest.mark.parametrize(
