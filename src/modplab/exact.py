@@ -15,14 +15,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import Subgroup, coset_lookup
-from .linalg import Matrix, Subspace, check_cells, row_reduce, solve, vstack
+from .linalg import Matrix, Subspace, check_cells, row_reduce, solve
 from .reps import (
     Rep,
     RepMap,
     ShortExactSeq,
+    _equivariant_solve,
     coset_stack,
     counit_matrix,
-    equivariance_system,
     hom_space,
     induce,
     intertwines,
@@ -93,20 +93,6 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> Matrix | None:
         fixed[a, :, a, :] = F.T  # row (i, j), column (i, l) holds F[l, j]
     C = Matrix._of(field, fixed.reshape(d * d, ds * dt))
     return _equivariant_solve(f.target.T[gens], f.source.T[gens], C, d)
-
-
-def _equivariant_solve(T_in: np.ndarray, T_out: np.ndarray, C: Matrix, d: int) -> Matrix | None:
-    """The canonical X with X rho_in(u) = rho_out(u) X for every pair of
-    the (s, d_in, d_in) and (s, d_out, d_out) stacks T_in, T_out and
-    C vec(X) = vec(I_d), X flattened row major; None if there is none."""
-    field = C.field
-    equi = equivariance_system(field, T_in, T_out)
-    rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
-    rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
-    x = solve(vstack([equi, C]), Matrix._of(field, rhs))
-    if x is None:
-        return None
-    return Matrix._of(field, x.a.reshape(T_out.shape[1], T_in.shape[1]))
 
 
 def averaging_section(

@@ -248,7 +248,10 @@ class Subgroup:
 
     @staticmethod
     def full(parent: FinGroup) -> "Subgroup":
-        return parent._subgroup(range(parent.order))
+        # the members are already sorted and distinct: look the cache key up
+        # before _subgroup sorts them again
+        key = tuple(range(parent.order))
+        return parent._subgroup_cache.get(key) or parent._subgroup(key)
 
     @property
     def order(self) -> int:

@@ -7,8 +7,10 @@ and rearrangements of existing matrices are wrapped by ``Matrix._of``
 without a rescan.  Reduction is classical Gauss-Jordan with the first
 nonzero pivot in column order, so echelon forms (and everything derived
 from them: ranks, kernels, solutions) are canonical.  A reduction depends
-only on the field and the input codes, so ``_rref`` memoises each one it
-computes for the rest of the process.
+only on the field and the input codes, so ``_rref``, behind ``rank`` and
+``Subspace.from_rows``, memoises the ones it computes.  ``row_reduce`` and
+``solve`` eliminate without that memo: the equivariant kernels and solves
+of ``reps`` memoise their own answers, and an answer is stored once.
 """
 
 from __future__ import annotations
@@ -162,6 +164,16 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
         M[: len(piv)] = P
         M[len(piv) :] = 0
         return M, list(piv)
+    pivots = _eliminate(field, M)
+    if fits:
+        r, cols = len(pivots), M.shape[1]
+        _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols + ENTRY_OVERHEAD)
+    return M, pivots
+
+
+def _eliminate(field: FiniteField, M: np.ndarray) -> list[int]:
+    """Bring the writable int16 array M to reduced row echelon form in
+    place, and return its pivot columns."""
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
@@ -188,9 +200,7 @@ def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
             )
         pivots.append(c)
         r += 1
-    if fits:
-        _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols + ENTRY_OVERHEAD)
-    return M, pivots
+    return pivots
 
 
 class Subspace:
@@ -275,7 +285,8 @@ def row_reduce(M: Matrix) -> Subspace:
     is zero, so these vectors, ordered by leading column, are the kernel's
     reduced echelon basis."""
     f, n = M.field, M.cols
-    R, piv = _rref(f, M.a[:, ::-1])
+    R = M.a[:, ::-1].copy()
+    piv = _eliminate(f, R)
     is_piv = np.zeros(n, dtype=bool)
     is_piv[piv] = True
     # one vector per free column, minus the pivot rows' entries there
@@ -300,7 +311,8 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
         raise ValueError("row count mismatch")
     f, n = A.field, A.cols
     check_cells("solve", A.rows, n + B.cols)
-    R, piv = _rref(f, np.concatenate([A.a, B.a], axis=1))
+    R = np.concatenate([A.a, B.a], axis=1)
+    piv = _eliminate(f, R)
     if piv and piv[-1] >= n:
         return None  # a pivot landed in the augmented block: inconsistent
     X = np.zeros((n, B.cols), dtype=np.int16)

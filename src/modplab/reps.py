@@ -13,7 +13,8 @@ induction on word length forces the property for all pairs.  induce
 skips that dense check: groups.coset_action proves the same two things
 once per subgroup, on the integer data induce builds its blocks from.
 hom_space, fixed_points and the character eigenspaces of covers are all
-one memoised kernel, equivariant_kernel.
+one memoised kernel, equivariant_kernel; the split searches and the trace
+test of exact are one memoised affine solve, _equivariant_solve.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .fields import FiniteField, p_part
 from .groups import FinGroup, Subgroup, coset_action, coset_lookup
-from .linalg import Matrix, Subspace, check_cells, column_space, row_reduce
+from .linalg import Matrix, Subspace, check_cells, column_space, row_reduce, solve, vstack
 from .memo import ENTRY_OVERHEAD, Memo
 
 __all__ = [
@@ -410,9 +411,13 @@ def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> M
     return Matrix._of(field, out.reshape(s * d2 * d1, d2 * d1))
 
 
-# equivariant_kernel's memo: (field key, both stack shapes, both stacks'
-# int16 bytes) -> the kernel.  An entry counts both stacks' cells, its basis
-# cells and memo.ENTRY_OVERHEAD.
+# The memo of equivariant_kernel and _equivariant_solve.  A kernel entry is
+# (field key, both stack shapes, both stacks' int16 bytes) -> the kernel,
+# and counts both stacks' cells, its basis cells and memo.ENTRY_OVERHEAD.
+# A solve entry is ("solve", field key, d, the three shapes, the three
+# arrays' int16 bytes) -> (the solution or None,), and counts the stacks',
+# the constraint's and the solution's cells and memo.ENTRY_OVERHEAD.  The
+# keys differ in length, so a kernel key never equals a solve key.
 KERNEL_MEMO_CELLS = 1 << 22
 _KERNEL_MEMO = Memo(KERNEL_MEMO_CELLS)
 
@@ -432,6 +437,34 @@ def equivariant_kernel(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Su
         space = row_reduce(equivariance_system(field, T1, T2))
         _KERNEL_MEMO.put(key, space, T1.size + T2.size + space.basis.a.size + ENTRY_OVERHEAD)
     return space
+
+
+def _equivariant_solve(T_in: np.ndarray, T_out: np.ndarray, C: Matrix, d: int) -> Matrix | None:
+    """The canonical X with X T_in[i] == T_out[i] X for every i, for the
+    int16 stacks T_in (s, d_in, d_in) and T_out (s, d_out, d_out), and
+    C vec(X) = vec(I_d), X flattened row major; None if there is none.
+    It is memoised on every input, None included; a repeat call returns
+    the same read-only Matrix."""
+    field = C.field
+    cells = T_in.size + T_out.size + C.a.size + ENTRY_OVERHEAD
+    # the key copies every input, so it is built only when the memo could
+    # store the entry
+    key = None
+    if cells <= _KERNEL_MEMO.budget:
+        key = ("solve", field.key(), d, T_in.shape, T_out.shape, C.a.shape)
+        key += (T_in.tobytes(), T_out.tobytes(), C.a.tobytes())
+        known = _KERNEL_MEMO.get(key)
+        if known is not None:
+            return known[0]
+    equi = equivariance_system(field, T_in, T_out)
+    rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
+    rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
+    x = solve(vstack([equi, C]), Matrix._of(field, rhs))
+    if x is not None:
+        x = Matrix._of(field, x.a.reshape(T_out.shape[1], T_in.shape[1]))
+    if key is not None:
+        _KERNEL_MEMO.put(key, (x,), cells + (0 if x is None else x.a.size))
+    return x
 
 
 def intertwines(S: Rep, T: Rep, X: np.ndarray) -> bool:

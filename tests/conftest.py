@@ -6,7 +6,8 @@ from modplab.memo import Memo
 
 @pytest.fixture
 def fresh_memos(monkeypatch):
-    """Swap the product, reduction and equivariant-kernel memos for empty
+    """Swap the product memo, the reduction memo behind rank and from_rows,
+    and the memo of equivariant kernels and equivariant solves for empty
     ones with the same budgets, so that entries from earlier tests neither
     hit nor evict."""
     monkeypatch.setattr(fields, "_MATMUL_MEMO", Memo(fields.MATMUL_MEMO_CELLS))

@@ -1,12 +1,14 @@
 """reps.equivariant_kernel: the memoised kernel behind hom_space,
 fixed_points and covers.character_eigenspace.  The oracles are a direct
 reduction of the stacked system, and the hand-built "rho(g) - c I" systems
-that fixed_points and character_eigenspace reduced before."""
+that fixed_points and character_eigenspace reduced before.  Also
+reps._equivariant_solve, the memoised affine solve behind exact's split
+searches and trace test, which shares the kernel's memo."""
 
 import numpy as np
 import pytest
 
-from modplab import reps
+from modplab import linalg, reps
 from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
 from modplab.covers import character_eigenspace
 from modplab.fields import FiniteField
@@ -15,6 +17,7 @@ from modplab.linalg import Matrix, row_reduce
 from modplab.memo import ENTRY_OVERHEAD, Memo
 from modplab.reps import (
     Rep,
+    _equivariant_solve,
     characters_of,
     equivariance_system,
     equivariant_kernel,
@@ -135,3 +138,103 @@ def test_fixed_points_and_eigenspaces_match_the_hand_built_systems(gname):
                     assert character_eigenspace(V, C, chi)[0] == _old_eigenspace(V, C, chi)
                     checked += 1
     assert checked
+
+
+# ---- _equivariant_solve ----
+
+# X is 1 x 2 and must commute with the swap: X = (x, x).  With C = (1 1)
+# that asks for 2x = 1, which F3 solves with x = 2 and F2 cannot; with
+# C = (1 0) it asks for x = 1.
+SWAP = np.array([[[0, 1], [1, 0]]], dtype=np.int16)
+ONE = np.ones((1, 1, 1), dtype=np.int16)
+
+
+def _counting_systems(monkeypatch):
+    calls = []
+    real = reps.equivariance_system
+
+    def counting(field, T1, T2):
+        calls.append(T1.shape)
+        return real(field, T1, T2)
+
+    monkeypatch.setattr(reps, "equivariance_system", counting)
+    return calls
+
+
+def test_solve_keys_on_field_d_shapes_and_constraint(fresh_memos):
+    F2, F3 = FiniteField(2), FiniteField(3)
+    both, first = [[1, 1]], [[1, 0]]
+    assert _equivariant_solve(SWAP, ONE, Matrix(F3, both), 1).tolist() == [[2, 2]]
+    assert _equivariant_solve(SWAP, ONE, Matrix(F2, both), 1) is None
+    assert _equivariant_solve(SWAP, ONE, Matrix(F3, first), 1).tolist() == [[1, 1]]
+    # the swap's codes as four 1 x 1 matrices, one of them 0: there X = 0
+    four = SWAP.reshape(4, 1, 1)
+    assert _equivariant_solve(four, np.ones_like(four), Matrix(F3, [[1]]), 1) is None
+    assert len(reps._KERNEL_MEMO) == 4
+    # d must match C's rows whatever the memo holds
+    with pytest.raises(ValueError, match="row count mismatch"):
+        _equivariant_solve(SWAP, ONE, Matrix(F3, both), 2)
+
+
+def test_solve_memoises_an_inconsistent_system(monkeypatch, fresh_memos):
+    calls = _counting_systems(monkeypatch)
+    C = Matrix(FiniteField(2), [[1, 1]])
+    assert _equivariant_solve(SWAP, ONE, C, 1) is None
+    assert len(calls) == 1 and len(reps._KERNEL_MEMO) == 1
+    assert _equivariant_solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1) is None
+    assert len(calls) == 1 and len(reps._KERNEL_MEMO) == 1
+
+
+def test_solve_hit_returns_an_equal_read_only_matrix(monkeypatch, fresh_memos):
+    calls = _counting_systems(monkeypatch)
+    C = Matrix(FiniteField(3), [[1, 1]])
+    cold = _equivariant_solve(SWAP, ONE, C, 1)
+    again = _equivariant_solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1)
+    assert again is cold and again == Matrix(C.field, [[2, 2]])
+    assert not again.a.flags.writeable and len(calls) == 1
+
+
+def test_solve_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
+    from modplab.exact import projectivity_flags
+
+    G, F = catalog_groups()["S3"], catalog_fields()["F3"]
+    pool = [V for V in catalog_reps(G, F, 4).values() if V.dim]
+    subgroups = all_subgroups(G)
+    want = {(i, U): projectivity_flags(V, U) for i, V in enumerate(pool) for U in subgroups}
+    budget = 4 * ENTRY_OVERHEAD + 300
+    monkeypatch.setattr(reps, "_KERNEL_MEMO", Memo(budget))
+    for _ in range(2):
+        for (i, U), flags in want.items():
+            assert projectivity_flags(pool[i], U) == flags
+            assert reps._KERNEL_MEMO.cells <= budget
+    assert 0 < len(reps._KERNEL_MEMO) < len(want)
+
+
+def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
+    """higman and stable-frobenius over the benchmark's large catalog, run
+    twice in one process: the second run reads every kernel, solve and
+    reduction from the memos and reports the same bytes."""
+    from pathlib import Path
+
+    from modplab.catalog import load_catalog
+    from modplab.reports import canonical_json
+    from modplab.suites import run_suite
+
+    root = Path(__file__).resolve().parent.parent
+    catalog = load_catalog(str(root / "perfbench" / "catalogs" / "large.json"))
+
+    def run_both():
+        return [canonical_json(run_suite(s, 0, catalog)) for s in ("higman", "stable-frobenius")]
+
+    cold = run_both()
+    systems = _counting_systems(monkeypatch)
+    eliminations = []
+    real = linalg._eliminate
+
+    def counting(field, M):
+        eliminations.append(M.shape)
+        return real(field, M)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert run_both() == cold
+    assert systems == [] and eliminations == []

@@ -191,6 +191,11 @@ def test_full_and_trivial_return_the_cached_subgroup(make):
     assert Subgroup.generate(G, range(G.order)) is full
     assert Subgroup.generate(G, [G.identity]) is triv
     assert full in all_subgroups(G) and triv in all_subgroups(G)
+    assert Subgroup.full(G) is G._subgroup(range(G.order))
+    # the same one cache, whichever builder fills it first
+    H = make()
+    whole = H._subgroup(range(H.order))
+    assert Subgroup.full(H) is whole
 
 
 def test_coset_lookup_is_memoised_per_subgroup():

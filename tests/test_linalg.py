@@ -157,17 +157,17 @@ def test_subspace_reduce_range_checks_its_rows(F):
             S.reduce([[0, 1, 0]])
 
 
-def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
-    """The kernel costs one reduction, of M with its columns reversed; the
-    column space costs exactly one more, of the transpose."""
+def test_row_reduce_image_costs_one_extra_reduction(monkeypatch, fresh_memos):
+    """The kernel costs one elimination, of M with its columns reversed;
+    the column space costs exactly one more, of the transpose."""
     calls = []
-    real = linalg._rref
+    real = linalg._eliminate
 
     def counting(field, arr):
         calls.append(arr.shape)
         return real(field, arr)
 
-    monkeypatch.setattr(linalg, "_rref", counting)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
     M = Matrix(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
     assert row_reduce(M).dim == 2
     assert calls == [(3, 4)]
@@ -176,6 +176,21 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch):
     assert calls == [(4, 3)]
     assert image.basis.tolist() == [[1, 2, 0], [0, 0, 1]]
     assert image.dim == M.rank() == 2
+
+
+def test_only_rank_and_from_rows_store_reductions(fresh_memos):
+    """row_reduce and solve eliminate without the _rref memo, since their
+    callers memoise the answers; rank and from_rows each add an entry."""
+    A = Matrix(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
+    B = Matrix(F3, [[1], [2], [0]])
+    assert row_reduce(A).dim == 2
+    assert solve(A, B) == Matrix(F3, [[1], [0], [0], [0]])
+    assert solve(A, Matrix(F3, [[1], [1], [0]])) is None
+    assert len(linalg._RREF_MEMO) == 0
+    assert A.rank() == 2
+    assert len(linalg._RREF_MEMO) == 1
+    assert Subspace.from_rows(F3, 4, [[1, 0, 0, 1], [2, 0, 0, 2]]).dim == 1
+    assert len(linalg._RREF_MEMO) == 2
 
 
 # ---- the _rref memo ----

@@ -753,10 +753,12 @@ def ref_u_split(f, U, kind):
 def _assert_split_matches_reference(f, U, kind):
     from modplab.exact import u_split_search
 
-    got, want = u_split_search(f, U, kind), ref_u_split(f, U, kind)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert np.array_equal(got.a, want)
+    want = ref_u_split(f, U, kind)
+    for _ in range(2):  # the second call reads the solve memo
+        got = u_split_search(f, U, kind)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.a, want)
     return got
 
 
