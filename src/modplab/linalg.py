@@ -6,11 +6,11 @@ arrays) is range-checked by ``Matrix(...)``; results of the field kernels
 and rearrangements of existing matrices are wrapped by ``Matrix._of``
 without a rescan.  Reduction is classical Gauss-Jordan with the first
 nonzero pivot in column order, so echelon forms (and everything derived
-from them: ranks, kernels, solutions) are canonical.  A reduction depends
-only on the field and the input codes, so ``_rref``, behind ``rank`` and
-``Subspace.from_rows``, memoises the ones it computes.  ``row_reduce`` and
-``solve`` eliminate without that memo: the equivariant kernels and solves
-of ``reps`` memoise their own answers, and an answer is stored once.
+from them: ranks, kernels, solutions) are canonical.  One function,
+``_rref``, eliminates: in place, on a private copy that ``rank``,
+``Subspace.from_rows``, ``row_reduce`` or ``solve`` makes of its input.
+Nothing here memoises a reduction; the equivariant kernels and solves of
+``reps`` memoise their answers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .fields import FiniteField
-from .memo import ENTRY_OVERHEAD, Memo
 
 
 class Matrix:
@@ -121,8 +120,7 @@ class Matrix:
     # ---- reduction ----
 
     def rank(self) -> int:
-        _, piv = _rref(self.field, self.a)
-        return len(piv)
+        return len(_rref(self.field, self.a.copy()))
 
 
 # The dense systems (equivariance, relative trace, split search, solve's
@@ -142,38 +140,9 @@ def check_cells(what: str, rows: int, cols: int) -> None:
         )
 
 
-# _rref's memo: (field key, shape, int16 bytes) -> (pivot rows, pivot
-# columns).  An entry counts its key cells, its value cells and
-# memo.ENTRY_OVERHEAD.
-RREF_MEMO_CELLS = 1 << 22
-_RREF_MEMO = Memo(RREF_MEMO_CELLS)
-
-
-def _rref(field: FiniteField, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of a copy of arr, plus pivot columns.
-
-    Both are fresh objects the caller may write to, whether the reduction
-    is computed or read from the memo."""
-    M = arr.astype(np.int16, copy=True)
-    # the key copies M, so it is built only when the memo could store the entry
-    fits = M.size + ENTRY_OVERHEAD <= _RREF_MEMO.budget
-    key = (field.key(), M.shape, M.tobytes()) if fits else None
-    known = _RREF_MEMO.get(key) if fits else None
-    if known is not None:
-        P, piv = known
-        M[: len(piv)] = P
-        M[len(piv) :] = 0
-        return M, list(piv)
-    pivots = _eliminate(field, M)
-    if fits:
-        r, cols = len(pivots), M.shape[1]
-        _RREF_MEMO.put(key, (M[:r].copy(), tuple(pivots)), M.size + r * cols + ENTRY_OVERHEAD)
-    return M, pivots
-
-
-def _eliminate(field: FiniteField, M: np.ndarray) -> list[int]:
-    """Bring the writable int16 array M to reduced row echelon form in
-    place, and return its pivot columns."""
+def _rref(field: FiniteField, M: np.ndarray) -> list[int]:
+    """Bring the caller's writable int16 array M to reduced row echelon
+    form in place, and return its pivot columns."""
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
@@ -217,17 +186,19 @@ class Subspace:
 
     @staticmethod
     def from_rows(field: FiniteField, ambient_dim: int, rows) -> "Subspace":
-        """The span of rows: a Matrix, or row sequences that are range-checked."""
+        """The span of rows: a Matrix over field, or row sequences that are
+        range-checked, each ambient_dim long."""
         if isinstance(rows, Matrix):
-            arr = rows.a
+            _common_field(field, [rows])
         else:
             rows = list(rows)
             if not rows:
                 return Subspace.zero(field, ambient_dim)
-            arr = Matrix(field, rows).a
-        if arr.shape[0] == 0:
-            return Subspace.zero(field, ambient_dim)
-        R, piv = _rref(field, arr)
+            rows = Matrix(field, rows)
+        if rows.cols != ambient_dim:
+            raise ValueError("row width != ambient dimension")
+        R = rows.a.copy()
+        piv = _rref(field, R)
         return Subspace(field, ambient_dim, Matrix._of(field, R[: len(piv)]))
 
     @staticmethod
@@ -260,6 +231,7 @@ class Subspace:
         return f.ax_sub(v, f.ax_matmul(v[:, self.pivots], self.basis.a))
 
     def contains_space(self, other: "Subspace") -> bool:
+        _common_field(self.field, [other.basis])  # reduce checks the width
         return not self.reduce(other.basis.a).any()
 
     def __eq__(self, other):
@@ -286,7 +258,7 @@ def row_reduce(M: Matrix) -> Subspace:
     reduced echelon basis."""
     f, n = M.field, M.cols
     R = M.a[:, ::-1].copy()
-    piv = _eliminate(f, R)
+    piv = _rref(f, R)
     is_piv = np.zeros(n, dtype=bool)
     is_piv[piv] = True
     # one vector per free column, minus the pivot rows' entries there
@@ -312,7 +284,7 @@ def solve(A: Matrix, B: Matrix) -> Matrix | None:
     f, n = A.field, A.cols
     check_cells("solve", A.rows, n + B.cols)
     R = np.concatenate([A.a, B.a], axis=1)
-    piv = _eliminate(f, R)
+    piv = _rref(f, R)
     if piv and piv[-1] >= n:
         return None  # a pivot landed in the augmented block: inconsistent
     X = np.zeros((n, B.cols), dtype=np.int16)

@@ -212,8 +212,8 @@ def test_solve_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
 
 def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
     """higman and stable-frobenius over the benchmark's large catalog, run
-    twice in one process: the second run reads every kernel, solve and
-    reduction from the memos and reports the same bytes."""
+    twice in one process: the second run reads every kernel and solve from
+    the memo, eliminates nothing and reports the same bytes."""
     from pathlib import Path
 
     from modplab.catalog import load_catalog
@@ -229,12 +229,12 @@ def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
     cold = run_both()
     systems = _counting_systems(monkeypatch)
     eliminations = []
-    real = linalg._eliminate
+    real = linalg._rref
 
     def counting(field, M):
         eliminations.append(M.shape)
         return real(field, M)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg, "_rref", counting)
     assert run_both() == cold
     assert systems == [] and eliminations == []

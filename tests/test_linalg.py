@@ -6,8 +6,7 @@ from test_oracles import ref_rref
 
 from modplab import linalg
 from modplab.fields import FiniteField
-from modplab.linalg import Matrix, Subspace, _rref, column_space, hstack, row_reduce, solve, vstack
-from modplab.memo import ENTRY_OVERHEAD, Memo
+from modplab.linalg import Matrix, Subspace, column_space, hstack, row_reduce, solve, vstack
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -157,17 +156,36 @@ def test_subspace_reduce_range_checks_its_rows(F):
             S.reduce([[0, 1, 0]])
 
 
+def test_from_rows_and_contains_space_refuse_another_field_or_width():
+    """Codes of another field are not elements of this one, even when they
+    are in range, and a row of the wrong width spans nothing in F^n, even
+    with no rows at all."""
+    for F, M in ((F2, Matrix(F3, [[1, 2, 0]])), (F4, Matrix(F5, [[1, 2, 3]]))):
+        with pytest.raises(ValueError, match="field mismatch"):
+            Subspace.from_rows(F, 3, M)
+    for rows in (Matrix.zeros(F2, 0, 5), Matrix(F2, [[0, 0, 0, 0]]), Matrix(F2, [[1, 0]]), [[1, 0]]):
+        with pytest.raises(ValueError, match="row width != ambient dimension"):
+            Subspace.from_rows(F2, 3, rows)
+    assert Subspace.from_rows(F2, 3, Matrix.zeros(F2, 0, 3)) == Subspace.zero(F2, 3)
+    S = Subspace.full(F4, 2)
+    with pytest.raises(ValueError, match="field mismatch"):
+        S.contains_space(Subspace.from_rows(F5, 2, [[1, 3]]))  # codes F4 has too
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        S.contains_space(Subspace.zero(F4, 3))
+    assert S.contains_space(Subspace.zero(F4, 2))
+
+
 def test_row_reduce_image_costs_one_extra_reduction(monkeypatch, fresh_memos):
     """The kernel costs one elimination, of M with its columns reversed;
     the column space costs exactly one more, of the transpose."""
     calls = []
-    real = linalg._eliminate
+    real = linalg._rref
 
     def counting(field, arr):
         calls.append(arr.shape)
         return real(field, arr)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg, "_rref", counting)
     M = Matrix(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
     assert row_reduce(M).dim == 2
     assert calls == [(3, 4)]
@@ -178,136 +196,43 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch, fresh_memos):
     assert image.dim == M.rank() == 2
 
 
-def test_only_rank_and_from_rows_store_reductions(fresh_memos):
-    """row_reduce and solve eliminate without the _rref memo, since their
-    callers memoise the answers; rank and from_rows each add an entry."""
+def test_each_reduction_calls_rref_once_on_a_private_array(monkeypatch):
+    """rank, from_rows, column_space, row_reduce and solve each eliminate
+    once, in place, on an array of their own, and leave the caller's
+    read-only arrays as they were."""
+    seen = []
+    real = linalg._rref
+
+    def spying(field, M):
+        seen.append((M, M.copy()))
+        return real(field, M)
+
+    monkeypatch.setattr(linalg, "_rref", spying)
     A = Matrix(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1]])
     B = Matrix(F3, [[1], [2], [0]])
-    assert row_reduce(A).dim == 2
-    assert solve(A, B) == Matrix(F3, [[1], [0], [0], [0]])
-    assert solve(A, Matrix(F3, [[1], [1], [0]])) is None
-    assert len(linalg._RREF_MEMO) == 0
-    assert A.rank() == 2
-    assert len(linalg._RREF_MEMO) == 1
-    assert Subspace.from_rows(F3, 4, [[1, 0, 0, 1], [2, 0, 0, 2]]).dim == 1
-    assert len(linalg._RREF_MEMO) == 2
-
-
-# ---- the _rref memo ----
-
-
-def _memo_cells():
-    memo = linalg._RREF_MEMO
-    return sum(k[1][0] * k[1][1] + memo.get(k)[0].size + ENTRY_OVERHEAD for k in memo.keys())
-
-
-def test_rref_memo_hit_is_fresh_and_writable(fresh_memos):
-    A = np.array([[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 1], [1, 2, 1, 2]], dtype=np.int16)
-    R0, p0 = _rref(F3, A)
-    want, wpiv = R0.copy(), list(p0)
-    assert len(linalg._RREF_MEMO) == 1
-    R0[:] = 2  # writing into a cold result does not reach the memo
-    p0.append(9)
-    for _ in range(2):
-        R, piv = _rref(F3, A)
-        assert np.array_equal(R, want) and piv == wpiv == [0, 2]
-        assert R.shape == A.shape and not R[2:].any()  # zero rows included
-        assert R.flags.writeable and isinstance(piv, list)
-        R[:] = 1  # nor does writing into a hit change the next one
-        piv.clear()
-    assert len(linalg._RREF_MEMO) == 1 and linalg._RREF_MEMO.cells == _memo_cells()
-
-
-def test_rref_memo_keys_on_field_and_shape(fresh_memos):
-    codes = np.array([1, 2, 3, 3, 1, 2], dtype=np.int16)  # codes of both F4 and F5
-    for F in (F4, F5):
-        for shape in ((2, 3), (3, 2)):
-            A = codes.reshape(shape)
-            R, piv = _rref(F, A)
-            R_ref, piv_ref = ref_rref(F, A)
-            assert np.array_equal(R, R_ref) and piv == piv_ref
-    assert len(linalg._RREF_MEMO) == 4
-    # the fields disagree on these bytes: over F4 the second row is w^2 times
-    # the first, over F5 the rows are independent
-    assert _rref(F4, codes.reshape(2, 3))[1] == [0]
-    assert _rref(F5, codes.reshape(2, 3))[1] == [0, 2]
-
-
-def test_rref_memo_stays_within_its_budget(fresh_memos):
-    budget = 3 * ENTRY_OVERHEAD + 60  # room for at most three entries
-    linalg._RREF_MEMO.budget = budget
-    rng = np.random.default_rng(5)
-    order = []
-    for _ in range(40):
-        A = rng.integers(0, 3, tuple(rng.integers(1, 5, 2))).astype(np.int16)
-        R, piv = _rref(F3, A)
-        R_ref, piv_ref = ref_rref(F3, A)
-        assert np.array_equal(R, R_ref) and piv == piv_ref
-        key = (F3.key(), A.shape, A.tobytes())
-        if key in order:
-            order.remove(key)
-        order.append(key)
-        assert linalg._RREF_MEMO.cells == _memo_cells() <= budget
-        # the oldest entries go first: what is left is the newest suffix
-        keys = linalg._RREF_MEMO.keys()
-        assert keys == order[len(order) - len(keys) :]
-    big = rng.integers(0, 3, (24, 24)).astype(np.int16)  # over the budget on its key cells alone
-    before = {k: linalg._RREF_MEMO.get(k) for k in linalg._RREF_MEMO.keys()}
-    R, piv = _rref(F3, big)
-    R_ref, piv_ref = ref_rref(F3, big)
-    assert np.array_equal(R, R_ref) and piv == piv_ref
-    assert {k: linalg._RREF_MEMO.get(k) for k in linalg._RREF_MEMO.keys()} == before
-
-
-def test_rref_memo_bounds_its_entry_count_on_tiny_reductions(fresh_memos):
-    # a nonzero 1 x 2 row stores 2 key and 2 pivot-row cells; the per-entry
-    # charge, not those 4 cells, bounds how many such entries fit
-    F31 = FiniteField(31)
-    cells = 2 + 2 + ENTRY_OVERHEAD
-    linalg._RREF_MEMO.budget = budget = 40 * cells + cells // 2
-    cap = budget // cells
-    for a in range(1, 31):
-        for b in range(10):  # 300 distinct reductions
-            assert _rref(F31, np.array([[a, b]], dtype=np.int16))[1] == [0]
-            assert len(linalg._RREF_MEMO) <= cap
-    assert len(linalg._RREF_MEMO) == cap and linalg._RREF_MEMO.cells == cap * cells
-
-
-class _SpyMemo(Memo):
-    """A Memo that records each lookup and store."""
-
-    def __init__(self, budget):
-        super().__init__(budget)
-        self.calls = []
-
-    def get(self, key):
-        self.calls.append(("get", key[1]))
-        return super().get(key)
-
-    def put(self, key, value, cells):
-        self.calls.append(("put", key[1]))
-        super().put(key, value, cells)
-
-
-def test_rref_builds_no_key_for_a_reduction_the_memo_cannot_store(monkeypatch):
-    """A reduction whose own cells and entry charge exceed the budget is
-    computed as usual, with no lookup and no store; a small one still goes
-    through the memo."""
-    spy = _SpyMemo(ENTRY_OVERHEAD + 24)
-    monkeypatch.setattr(linalg, "_RREF_MEMO", spy)
-    rng = np.random.default_rng(11)
-    big = rng.integers(0, 3, (5, 5)).astype(np.int16)  # 25 cells, one too many
-    for _ in range(2):
-        R, piv = _rref(F3, big)
-        R_ref, piv_ref = ref_rref(F3, big)
-        assert np.array_equal(R, R_ref) and piv == piv_ref
-    assert spy.calls == [] and len(spy) == 0
-    small = np.array([[1, 2], [2, 1]], dtype=np.int16)
-    for _ in range(2):
-        R, piv = _rref(F3, small)
-        assert np.array_equal(R, ref_rref(F3, small)[0]) and piv == [0]
-    assert spy.calls == [("get", (2, 2)), ("put", (2, 2)), ("get", (2, 2))]
-    assert len(spy) == 1
+    rows = [[1, 0, 0, 1], [2, 0, 0, 2]]
+    inputs = A.a.copy(), B.a.copy()
+    calls = {
+        "rank": lambda: A.rank() == 2,
+        "from_rows Matrix": lambda: Subspace.from_rows(F3, 4, A).dim == 2,
+        "from_rows list": lambda: Subspace.from_rows(F3, 4, rows).dim == 1,
+        "column_space": lambda: column_space(A).dim == 2,
+        "row_reduce": lambda: row_reduce(A).dim == 2,
+        "solve": lambda: solve(A, B) == Matrix(F3, [[1], [0], [0], [0]]),
+        "solve inconsistent": lambda: solve(A, Matrix(F3, [[1], [1], [0]])) is None,
+    }
+    for name, call in calls.items():
+        seen.clear()
+        assert call(), name
+        assert len(seen) == 1, name
+        ((M, before),) = seen
+        assert M.dtype == np.int16 and M.flags.writeable, name
+        assert not np.shares_memory(M, A.a) and not np.shares_memory(M, B.a), name
+        R_ref, _ = ref_rref(F3, before)
+        assert np.array_equal(M, R_ref), name  # reduced in place
+    assert rows == [[1, 0, 0, 1], [2, 0, 0, 2]]
+    for arr, want in zip((A.a, B.a), inputs):
+        assert not arr.flags.writeable and np.array_equal(arr, want)
 
 
 def _oversized_system(builder):

@@ -24,9 +24,10 @@ from hypothesis.extra import numpy as hnp
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from modplab import catalog, cli, covers, exact, linalg
+from modplab import catalog, cli, covers, exact, linalg, reps
 from modplab.fields import FiniteField, _poly_rem, p_part
 from modplab.linalg import Matrix, Subspace, _rref, column_space, row_reduce, solve
+from modplab.memo import Memo
 
 # F4, F8, F9, F_{2^10}, F_{31^2}
 EXT = [(2, 2), (2, 3), (3, 2), (2, 10), (31, 2)]
@@ -233,17 +234,34 @@ def test_rref_over_extension_fields_matches_reference(pk, data):
     F = field(*pk)
     rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
     A = data.draw(_codes(F, (rows, cols)))
-    R, piv = _rref(F, A)
+    R = A.copy()
+    piv = _rref(F, R)
     R_ref, piv_ref = ref_rref(F, A)
     assert piv == piv_ref
     assert np.array_equal(R, R_ref)
+
+
+def test_rref_of_the_same_codes_follows_the_field():
+    """1, 2, 3 are codes of both F4 and F5, and the fields disagree on them:
+    over F4 the second row of the 2 x 3 array is w^2 times the first, over
+    F5 the rows are independent."""
+    codes = np.array([1, 2, 3, 3, 1, 2], dtype=np.int16)
+    for F, pivots in ((field(2, 2), [0]), (field(5), [0, 2])):
+        for shape in ((2, 3), (3, 2)):
+            R = codes.reshape(shape).copy()
+            piv = _rref(F, R)
+            R_ref, piv_ref = ref_rref(F, codes.reshape(shape))
+            assert np.array_equal(R, R_ref) and piv == piv_ref
+            if shape == (2, 3):
+                assert piv == pivots
 
 
 @PROPERTY
 @given(gfp_matrices())
 def test_rref_and_rank_match_sympy(case):
     F, A = case
-    R, piv = _rref(F, A)
+    R = A.copy()
+    piv = _rref(F, R)
     R_ref, piv_ref = sympy_rref(F.p, A)
     assert piv == piv_ref
     assert np.array_equal(R, R_ref)
@@ -1198,7 +1216,7 @@ def test_subspace_pivots_match_rref_and_first_nonzero_scan(pk, data):
     rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
     S = Subspace.from_rows(F, cols, Matrix(F, data.draw(_codes(F, (rows, cols)))))
     scan = [next(j for j, x in enumerate(row) if x) for row in S.basis.tolist()]
-    assert S.pivots == _rref(F, S.basis.a)[1] == scan
+    assert S.pivots == _rref(F, S.basis.a.copy()) == scan
     assert Subspace.zero(F, cols).pivots == []
 
 
@@ -1605,11 +1623,20 @@ def test_generator_extension_rejects_bad_images(gname, fname, images):
 DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
 
 
+def _start_cold(monkeypatch):
+    """Empty the module caches and the memo of equivariant kernels and
+    solves, so that every representation, kernel and solve is rebuilt."""
+    for module, memo in ((catalog, "_REP_CACHE"), (covers, "_IND_CACHE"), (exact, "_IND_SELF_CACHE")):
+        monkeypatch.setattr(module, memo, {})
+    monkeypatch.setattr(reps, "_KERNEL_MEMO", Memo(reps.KERNEL_MEMO_CELLS))
+
+
 def _use_reference_kernels(monkeypatch, add=ref_add):
     """Swap FiniteField's array kernels (ax_matmul_batch with its product
-    memo) and linalg._rref (with its reduction memo) for schoolbook code
-    over q x q tables built from polynomial arithmetic, and empty the module
-    memos so that every representation is rebuilt on these kernels."""
+    memo) and linalg._rref, the one elimination, for schoolbook code over
+    q x q tables built from polynomial arithmetic, and start cold, so that
+    everything is rebuilt on these kernels.  Returns the shapes of the
+    arrays the reference elimination reduces, as it reduces them."""
     tables = {}
 
     def tabled(F):
@@ -1640,9 +1667,11 @@ def _use_reference_kernels(monkeypatch, add=ref_add):
             raise ValueError(f"scalar {s} is not an element code of {F!r}")
         return tabled(F)["mul"][A, s]
 
-    def rref(F, arr):
+    reductions = []
+
+    def rref(F, M):  # in place, as linalg._rref
+        reductions.append(M.shape)
         SUB, MUL, INV = (tabled(F)[name] for name in ("sub", "mul", "inv"))
-        M = np.array(arr, dtype=np.int16)
         pivots = []
         for c in range(M.shape[1]):
             r = len(pivots)
@@ -1655,7 +1684,7 @@ def _use_reference_kernels(monkeypatch, add=ref_add):
             others = others[others != r]
             M[others] = SUB[M[others], MUL[M[others, c, None], M[r]]]  # clear column c
             pivots.append(c)
-        return M, pivots
+        return pivots
 
     for name, kernel in (
         ("ax_matmul_batch", matmul_batch),
@@ -1667,8 +1696,8 @@ def _use_reference_kernels(monkeypatch, add=ref_add):
     ):
         monkeypatch.setattr(FiniteField, name, kernel)
     monkeypatch.setattr(linalg, "_rref", rref)
-    for module, memo in ((catalog, "_REP_CACHE"), (covers, "_IND_CACHE"), (exact, "_IND_SELF_CACHE")):
-        monkeypatch.setattr(module, memo, {})
+    _start_cold(monkeypatch)
+    return reductions
 
 
 def _prints_frozen_bytes(command, capsys):
@@ -1682,10 +1711,28 @@ def _prints_frozen_bytes(command, capsys):
 
 def test_frozen_commands_on_reference_kernels(capsys, monkeypatch):
     """Every frozen command prints its frozen bytes when all array
-    arithmetic and every reduction run on the schoolbook kernels above."""
+    arithmetic and every reduction run on the schoolbook kernels above.
+    The reference elimination reduces the same arrays, in the same order,
+    as linalg._rref in a cold production run of the same commands, so the
+    gate starts cold and no call of linalg._rref escapes the swap (that
+    every reduction calls linalg._rref is tests/test_linalg.py's to check)."""
     monkeypatch.chdir(ROOT)  # the commands name catalogs relative to the root
-    _use_reference_kernels(monkeypatch)
+    production = []
+    with monkeypatch.context() as m:
+        _start_cold(m)
+        real = linalg._rref
+
+        def counting(F, M):
+            production.append(M.shape)
+            return real(F, M)
+
+        m.setattr(linalg, "_rref", counting)
+        for command in sorted(DIGESTS):
+            assert cli.main(command.split()) == 0, command
+        capsys.readouterr()
+    reductions = _use_reference_kernels(monkeypatch)
     assert [c for c in sorted(DIGESTS) if not _prints_frozen_bytes(c, capsys)] == []
+    assert len(reductions) == len(production) and reductions == production
 
 
 def test_reference_gate_catches_a_dropped_mod_p(capsys, monkeypatch):
