@@ -9,6 +9,8 @@ All arithmetic is exact.  The one place floats appear is
 matrices with BLAS (the codes themselves over a prime field, their digit
 planes over an extension field); every sum it forms stays below 2**24
 (float32) or 2**53 (float64), where those types hold integers exactly.
+Small products over an extension field of characteristic 2 use no floats:
+they gather products from the MUL table and add them with XOR.
 It memoises small products in a bounded memo.
 """
 
@@ -33,7 +35,9 @@ BATCH_CELLS = 2**16
 # most MATMUL_MEMO_ENTRY_CELLS are stored: those are bound by call overhead,
 # and large ones rarely repeat.  An entry counts its operand cells, its
 # product cells and memo.ENTRY_OVERHEAD, so the budget bounds the memo at
-# about 2 MB and fewer than 4,096 entries.
+# about 2 MB and fewer than 4,096 entries.  The same bound on the
+# (batch, n, m, r) cells of a product over an extension field of
+# characteristic 2 picks the XOR gather over the gemm.
 MATMUL_MEMO_ENTRY_CELLS = 2**12
 MATMUL_MEMO_CELLS = 2**20
 _MATMUL_MEMO = Memo(MATMUL_MEMO_CELLS)
@@ -303,6 +307,17 @@ class FiniteField:
             return ((A.astype(np.int64) * s) % self.p).astype(np.int16)
         return self.MUL[A, s]
 
+    def ax_sub_outer(self, A, f, row):
+        """A - f[:, None] * row, for a (k, n) array A, k factors f and an
+        n-long row: an elimination step on k rows at once.  In
+        characteristic 2 the result is A itself, XORed in place."""
+        if self.p == 2:
+            A ^= self.MUL[f[:, None], row] if self.k > 1 else f[:, None] & row
+            return A
+        if self.k == 1:
+            return ((A - f[:, None].astype(np.int64) * row) % self.p).astype(np.int16)
+        return self.SUB[A, self.MUL[f[:, None], row]]
+
     def ax_matmul(self, A, B):
         """Product of two 2-d code arrays; stacks go to ax_matmul_batch."""
         if A.ndim != 2 or B.ndim != 2:
@@ -334,7 +349,14 @@ class FiniteField:
         if not (n and m and r):
             lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
             return np.zeros(lead + (n, r), dtype=np.int16)
-        if (A.size // m) * (B.size // m) * self.k**2 > BATCH_CELLS and max(A.ndim, B.ndim) > 2:
+        # (batch, n, r) output cells, counting both operands' batches
+        cells = (A.size // m) * (B.size // m)
+        if self.p == 2 and self.k > 1 and cells * m <= MATMUL_MEMO_ENTRY_CELLS:
+            # A small product in characteristic 2 is one gather of the
+            # (batch, n, m, r) products from MUL and an XOR sum over m,
+            # since addition of bit-vector codes is XOR
+            return np.bitwise_xor.reduce(self.MUL[A[..., :, :, None], B[..., None, :, :]], axis=-2)
+        if cells * self.k**2 > BATCH_CELLS and max(A.ndim, B.ndim) > 2:
             return self._matmul_slices(A, B)
         # One gemm per product, in a float type that holds every sum exactly
         # (FFLAS, Dumas, Giorgi & Pernet 2008); the reduction mod p runs on

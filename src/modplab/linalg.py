@@ -4,11 +4,13 @@ Matrices are immutable, row major, with entries stored as element codes in
 a numpy int16 array.  Data from outside (lists, JSON, catalogs, caller
 arrays) is range-checked by ``Matrix(...)``; results of the field kernels
 and rearrangements of existing matrices are wrapped by ``Matrix._of``
-without a rescan.  Reduction is classical Gauss-Jordan with the first
-nonzero pivot in column order, so echelon forms (and everything derived
-from them: ranks, kernels, solutions) are canonical.  One function,
-``_rref``, eliminates: in place, on a private copy that ``rank``,
-``Subspace.from_rows``, ``row_reduce`` or ``solve`` makes of its input.
+without a rescan.  Reduction is Gauss-Jordan to the reduced row echelon
+form, which is unique, so echelon forms (and everything derived from them:
+ranks, kernels, solutions) are canonical whichever nonzero entry of a
+column serves as its pivot.  One function, ``_rref``, eliminates: in
+place, on a private copy that ``rank``, ``Subspace.from_rows``,
+``row_reduce`` or ``solve`` makes of its input, one field call
+(``FiniteField.ax_sub_outer``) clearing each pivot column.
 Nothing here memoises a reduction; the equivariant kernels and solves of
 ``reps`` memoise their answers.
 """
@@ -147,26 +149,27 @@ def _rref(field: FiniteField, M: np.ndarray) -> list[int]:
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r >= rows:
+        if r == rows:
             break
-        hits = np.nonzero(M[r:, c])[0]
-        if len(hits) == 0:
+        # Rows r onwards are zero left of c, so any row there with a nonzero
+        # entry in column c may be the pivot row, since the reduced form is
+        # unique: the one with the largest code, nonzero unless all are.
+        i = r + int(M[r:, c].argmax())
+        pv = int(M[i, c])
+        if not pv:
             continue
-        i = r + int(hits[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        pv = int(M[r, c])
-        if pv != 1:
-            M[r] = field.ax_scale(M[r], field.inv(pv))
-        factors = M[:, c].copy()
-        factors[r] = 0
-        # The pivot row is zero left of c, so only rows with a nonzero
-        # factor change, and only in columns c onwards.
-        hit = np.nonzero(factors)[0]
+        if i != r or pv != 1:
+            row = field.ax_scale(M[i, c:], field.inv(pv))
+            M[i, c:] = M[r, c:]
+            M[r, c:] = row
+        # Only the other rows with a nonzero factor change, and only in
+        # columns c onwards.
+        M[r, c] = 0
+        hit = M[:, c].nonzero()[0]
+        M[r, c] = 1
         if len(hit):
-            M[hit, c:] = field.ax_sub(
-                M[hit, c:], field.ax_mul(factors[hit, None], M[r, c:][None, :])
-            )
+            A = M[hit, c:]
+            M[hit, c:] = field.ax_sub_outer(A, A[:, 0], M[r, c:])
         pivots.append(c)
         r += 1
     return pivots

@@ -329,12 +329,15 @@ def suite_higman(seed: int, catalog) -> list[Case]:
 def _random_proper_subspaces(V: Rep, rng: random.Random, want: int) -> list[Subspace]:
     out = []
     seen = set()
+    drawn = set()
     for _ in range(40):
         if len(out) >= want:
             break
         v = tuple(rng.randrange(V.field.order) for _ in range(V.dim))
-        if all(x == 0 for x in v):
+        # a vector drawn before spans a subspace already seen or not proper
+        if v in drawn or all(x == 0 for x in v):
             continue
+        drawn.add(v)
         S = cyclic_span(V, v)
         if 0 < S.dim < V.dim and S not in seen:
             seen.add(S)
@@ -656,56 +659,61 @@ def _primary_parts(G: FinGroup, p: int) -> tuple[Subgroup, Subgroup]:
     return K, C
 
 
-def _check_projectors(pool: dict[str, Rep], C: Subgroup, chars: list) -> int:
+def _check_projectors(pool: dict[str, Rep], C: Subgroup, chars: list) -> dict:
     """Each eigenspace has a projector onto it, and with a full dual the
-    eigenspaces exhaust V."""
-    count = 0
-    for V in pool.values():
+    eigenspaces exhaust V.  Returns each eigenspace by (rep name,
+    character index)."""
+    spaces = {}
+    for name, V in pool.items():
         dims = 0
-        for chi in chars:
+        for j, chi in enumerate(chars):
             space, P = character_eigenspace(V, C, chi)
             _ensure(P is not None, "projector unavailable for p'-order center")
             _ensure(column_space(P) == space, "projector image mismatch")
             B = space.basis
             _ensure(B @ P.transpose() == B, "projector not identity on eigenspace")
             dims += space.dim
-            count += 1
+            spaces[name, j] = space
         if len(chars) == C.order:
             _ensure(
                 dims == V.dim,
                 "eigenspaces do not exhaust the space despite a full dual",
             )
-    return count
+    return spaces
 
 
 def _check_surjections(
-    F: FiniteField, pool: dict[str, Rep], C: Subgroup, chars: list, rng: random.Random
+    F: FiniteField, pool: dict[str, Rep], spaces: dict, chars: list, rng: random.Random
 ) -> int:
-    """Random equivariant surjections stay surjective on each eigenspace;
-    stops after four."""
+    """Random equivariant surjections stay surjective on each eigenspace
+    (spaces from _check_projectors); stops after four."""
     count = 0
-    reps = list(pool.values())
-    for V1 in reps:
-        for V2 in reps:
+    for n1, V1 in pool.items():
+        for n2, V2 in pool.items():
             if V2.dim > V1.dim or V2.dim == 0:
                 continue
             hs = hom_space(V1, V2)
+            if not hs.dim:
+                continue  # only the zero map, never surjective; no draw
             gamma = None
+            failed = set()
             for _ in range(20):
                 coeffs = [rng.randrange(F.order) for _ in range(hs.dim)]
                 acc = F.ax_matmul(np.array([coeffs], dtype=np.int16), hs.basis.a)
+                key = acc.tobytes()
+                if key in failed:
+                    continue
                 acc = Matrix._of(F, acc.reshape(V2.dim, V1.dim))
                 if acc.rank() == V2.dim:
                     gamma = RepMap(V1, V2, acc)
                     break
+                failed.add(key)
             if gamma is None:
                 continue
-            for chi in chars:
-                s1, _ = character_eigenspace(V1, C, chi)
-                s2, _ = character_eigenspace(V2, C, chi)
-                image = s1.basis @ gamma.matrix.transpose()
+            for j in range(len(chars)):
+                image = spaces[n1, j].basis @ gamma.matrix.transpose()
                 _ensure(
-                    Subspace.from_rows(F, V2.dim, image) == s2,
+                    Subspace.from_rows(F, V2.dim, image) == spaces[n2, j],
                     "surjection failed to stay surjective on an eigenspace",
                 )
             count += 1
@@ -786,14 +794,14 @@ def _chi_case(
     once that check has passed, even if a later check fails."""
     chars = characters_of(C, F)
     pool = catalog_reps(G, F, 3)
-    projector_checks = _check_projectors(pool, C, chars)
-    surjections = _check_surjections(F, pool, C, chars, rng)
+    spaces = _check_projectors(pool, C, chars)
+    surjections = _check_surjections(F, pool, spaces, chars, rng)
     surjection_counts.append(surjections)
     extensions = _check_central_extensions(G, F, K, C, chars)
     omega_vectors = _check_qualifying_sets(G, F, C, pool)
     return {
         "characters": len(chars),
-        "projector_checks": projector_checks,
+        "projector_checks": len(spaces),
         "surjections": surjections,
         "extensions": extensions,
         "omega_vectors": omega_vectors,

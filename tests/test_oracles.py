@@ -13,8 +13,10 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from hypothesis.extra import numpy as hnp
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from modplab import catalog, cli, covers, exact, linalg, reps
+from modplab import catalog, cli, covers, exact, fields, linalg, reps
 from modplab.fields import FiniteField, _poly_rem, p_part
 from modplab.linalg import Matrix, Subspace, _rref, column_space, row_reduce, solve
 from modplab.memo import Memo
@@ -266,6 +268,89 @@ def test_rref_and_rank_match_sympy(case):
     assert piv == piv_ref
     assert np.array_equal(R, R_ref)
     assert Matrix(F, A).rank() == _dm(F.p, A).rank()
+
+
+# F2, F3, F4, F5, F9 and F_32749, the largest prime code an int16 holds
+RREF_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (32749, 1)]
+RREF_IDS = ["F2", "F3", "F4", "F5", "F9", "F32749"]
+
+
+def _reference_rref(F, A):
+    """ref_rref, or sympy's over F_32749, where ref_inv's search is slow."""
+    if F.order > 1000:
+        return sympy_rref(F.p, A)
+    return ref_rref(F, A)
+
+
+@pytest.mark.parametrize("pk", RREF_FIELDS, ids=RREF_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_rref_of_row_permuted_copies_matches_reference(pk, data):
+    """_rref may take any nonzero entry as a pivot; the reduced form of
+    every row order is the reference's, which takes the first."""
+    F = field(*pk)
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    A = data.draw(_codes(F, (rows, cols)))
+    if data.draw(st.booleans()):  # repeat and scale rows, so pivots collide
+        A = np.concatenate([A, F.ax_scale(A, data.draw(st.integers(1, F.order - 1)))])
+    R_ref, piv_ref = _reference_rref(F, A)
+    for _ in range(2):
+        order = data.draw(st.permutations(range(len(A))))
+        R = A[list(order)].copy()
+        assert _rref(F, R) == piv_ref
+        assert np.array_equal(R, R_ref)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0), (1, 6), (1, 1)])
+@pytest.mark.parametrize("pk", RREF_FIELDS, ids=RREF_IDS)
+def test_rref_of_empty_and_single_row_arrays(pk, shape):
+    F = field(*pk)
+    rng = np.random.default_rng(F.order)
+    for A in (np.zeros(shape, dtype=np.int16), rng.integers(0, F.order, shape).astype(np.int16)):
+        R = A.copy()
+        R_ref, piv_ref = _reference_rref(F, A)
+        assert _rref(F, R) == piv_ref and np.array_equal(R, R_ref)
+
+
+@pytest.mark.parametrize("rank", [0, 3, 7])
+@pytest.mark.parametrize("pk", RREF_FIELDS, ids=RREF_IDS)
+def test_rref_of_tall_systems_matches_reference(pk, rank):
+    """400 x 193 arrays with rows Y (rank x 193) and 400 - rank
+    combinations of them, shuffled: the row space is Y's, so the reduced
+    form is the reference's of Y above zero rows."""
+    F = field(*pk)
+    rng = np.random.default_rng(rank + F.order)
+    Y = rng.integers(0, F.order, (rank, 193)).astype(np.int16)
+    X = rng.integers(0, F.order, (400 - rank, rank)).astype(np.int16)
+    A = np.concatenate([Y, F.ax_matmul(X, Y)])[rng.permutation(400)]
+    R_Y, piv_ref = _reference_rref(F, Y)
+    R_ref = np.zeros((400, 193), dtype=np.int64)
+    R_ref[: len(piv_ref)] = R_Y[: len(piv_ref)]
+    R = A.copy()
+    assert _rref(F, R) == piv_ref
+    assert np.array_equal(R, R_ref)
+
+
+@pytest.mark.parametrize("pk", RREF_FIELDS, ids=RREF_IDS)
+def test_sub_outer_matches_schoolbook_arithmetic(pk):
+    """ax_sub_outer(A, f, row)[i, j] = A[i, j] - f[i] * row[j], zero factors
+    and zero row entries included; in characteristic 2 A is updated in
+    place, elsewhere it is left as it was."""
+    F = field(*pk)
+    rng = np.random.default_rng(F.order)
+    for k, n in ((1, 1), (3, 5), (6, 2), (0, 4), (4, 0)):
+        A = rng.integers(0, F.order, (k, n)).astype(np.int16)
+        f = rng.integers(0, F.order, k).astype(np.int16)
+        row = rng.integers(0, F.order, n).astype(np.int16)
+        f[:1] = 0
+        row[-1:] = F.order - 1
+        want = [[ref_sub(F, a, ref_mul(F, x, y)) for a, y in zip(Ai, row)] for Ai, x in zip(A, f)]
+        A0, f0, row0 = A.copy(), f.copy(), row.copy()
+        got = F.ax_sub_outer(A, f, row)
+        assert got.dtype == np.int16 and got.shape == (k, n)
+        assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(k, n))
+        assert np.array_equal(f, f0) and np.array_equal(row, row0)
+        assert (got is A) if F.p == 2 else np.array_equal(A, A0)
 
 
 @PROPERTY
@@ -664,6 +749,127 @@ def test_ax_matmul_rejects_stacks(pk):
         F.ax_matmul(A[0], A)
     with pytest.raises(ValueError):
         F.ax_matmul_batch(A, np.zeros((2, 4, 3), dtype=np.int16))  # inner dims differ
+
+
+# ---- characteristic-2 products: the XOR gather against ref_matmul and the gemm ----
+
+CHAR2 = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 8), (2, 10)]  # F4, F8, F16, F32, F256, F1024
+
+
+def _gemm(F, A, B):
+    """F._matmul with the gather bound at zero, so that the gemm computes."""
+    with mock.patch.object(fields, "MATMUL_MEMO_ENTRY_CELLS", 0):
+        return F._matmul(A, B)
+
+
+def ref_matmul_batch(F, A, B):
+    """ref_matmul on every entry of the broadcast batch."""
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A = np.broadcast_to(A, lead + A.shape[-2:])
+    B = np.broadcast_to(B, lead + B.shape[-2:])
+    out = np.zeros(lead + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for idx in np.ndindex(*lead):
+        out[idx] = ref_matmul(F, A[idx], B[idx])
+    return out
+
+
+def _assert_gather_product(F, A, B):
+    """_matmul and ax_matmul_batch of A and B equal ref_matmul on every
+    batch entry and the gemm, as fresh writable int16 arrays, and leave
+    A and B as they were."""
+    A0, B0 = A.copy(), B.copy()
+    want = ref_matmul_batch(F, A, B)
+    assert np.array_equal(_gemm(F, A, B), want)
+    for got in (F._matmul(A, B), F.ax_matmul_batch(A, B)):
+        assert got.dtype == np.int16 and got.flags.writeable
+        assert not any(np.shares_memory(got, X) for X in (A, B, F.MUL))
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+
+
+@st.composite
+def char2_products(draw, pk):
+    """Small operands of _matmul over a field of characteristic 2: 2-d,
+    a batch of 1 against s, or a batch against a 2-d operand; any axis may
+    be empty, and all codes may be the largest one."""
+    F = field(*pk)
+    n, m, r = draw(st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4)))
+    s = draw(st.integers(0, 3))
+    shapes = draw(
+        st.sampled_from(
+            [
+                ((n, m), (m, r)),
+                ((1, n, m), (s, m, r)),
+                ((s, n, m), (1, m, r)),
+                ((s, n, m), (m, r)),
+                ((n, m), (s, m, r)),
+            ]
+        )
+    )
+    if draw(st.booleans()):
+        return F, *(np.full(shape, F.order - 1, dtype=np.int16) for shape in shapes)
+    return F, draw(_codes(F, shapes[0])), draw(_codes(F, shapes[1]))
+
+
+@pytest.mark.parametrize("pk", CHAR2, ids=[f"F{2**k}" for _, k in CHAR2])
+@PROPERTY
+@given(data=st.data())
+def test_char2_gather_matches_reference_and_gemm(pk, data):
+    _assert_gather_product(*data.draw(char2_products(pk)))
+
+
+# (A shape, B shape) with (batch * n * m * r) at, just under and just over
+# MATMUL_MEMO_ENTRY_CELLS = 4096
+BOUND_SHAPES = {
+    "at": ((16, 16), (16, 16)),
+    "at-batched": ((1, 8, 4), (4, 4, 32)),
+    "under": ((15, 13), (13, 21)),
+    "over": ((17, 1), (1, 241)),
+}
+
+
+@pytest.mark.parametrize("where", sorted(BOUND_SHAPES))
+@pytest.mark.parametrize("pk", CHAR2, ids=[f"F{2**k}" for _, k in CHAR2])
+def test_char2_products_at_the_gather_bound(pk, where):
+    F = field(*pk)
+    shapes = BOUND_SHAPES[where]
+    m = shapes[0][-1]
+    cells = (np.prod(shapes[0]) // m) * (np.prod(shapes[1]) // m) * m
+    assert (cells > fields.MATMUL_MEMO_ENTRY_CELLS) == (where == "over")
+    assert (cells == fields.MATMUL_MEMO_ENTRY_CELLS) == where.startswith("at")
+    rng = np.random.default_rng(F.order + cells)
+    A, B = (rng.integers(0, F.order, shape).astype(np.int16) for shape in shapes)
+    A[..., 0, :] = F.order - 1  # an all-maximal row and column
+    B[..., :, 0] = F.order - 1
+    _assert_gather_product(F, A, B)
+
+
+class _SpyDict(dict):
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "pk, shapes, gemm",
+    [
+        ((2, 2), ((4, 4), (4, 4)), False),
+        ((2, 4), ((2, 8, 8), (8, 8)), False),
+        ((2, 2), ((16, 16), (16, 17)), True),  # 4,352 cells, over the bound
+        ((2, 2), ((2, 16, 16), (16, 16)), True),
+        ((3, 2), ((4, 4), (4, 4)), True),  # odd characteristic
+        ((5, 2), ((1, 3, 3), (2, 3, 3)), True),
+    ],
+)
+def test_gemm_takes_odd_characteristic_and_products_over_the_bound(pk, shapes, gemm):
+    F = FiniteField(*pk)  # a private field: its digit planes are replaced
+    F._planes = _SpyDict(F._planes)
+    F._planes.reads = 0
+    rng = np.random.default_rng(F.order)
+    A, B = (rng.integers(0, F.order, shape).astype(np.int16) for shape in shapes)
+    got = F._matmul(A, B)
+    assert (F._planes.reads > 0) == gemm
+    assert np.array_equal(got, ref_matmul_batch(F, A, B))
 
 
 # ---- induction and equivariance systems against the per-element constructions ----
@@ -1709,29 +1915,52 @@ def _prints_frozen_bytes(command, capsys):
     return code == 0 and hashlib.sha256(out).hexdigest() == DIGESTS[command]
 
 
+def _runs_of(code, shapes):
+    """A sys.setprofile hook that records the shape of M each time code
+    starts to run, whatever name or alias it was called through."""
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            shapes.append(frame.f_locals["M"].shape)
+
+    return hook
+
+
+def _profiled(hook, run):
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        return run()
+    finally:
+        sys.setprofile(previous)
+
+
 def test_frozen_commands_on_reference_kernels(capsys, monkeypatch):
     """Every frozen command prints its frozen bytes when all array
     arithmetic and every reduction run on the schoolbook kernels above.
     The reference elimination reduces the same arrays, in the same order,
-    as linalg._rref in a cold production run of the same commands, so the
-    gate starts cold and no call of linalg._rref escapes the swap (that
-    every reduction calls linalg._rref is tests/test_linalg.py's to check)."""
+    as linalg._rref's code in a cold production run of the same commands,
+    and no reduction runs that code under the swap: both runs count
+    executions of the code object, so a call through an alias counts too
+    (that every reduction calls linalg._rref is tests/test_linalg.py's to
+    check)."""
     monkeypatch.chdir(ROOT)  # the commands name catalogs relative to the root
-    production = []
+    code = linalg._rref.__code__
+    production, escaped = [], []
     with monkeypatch.context() as m:
         _start_cold(m)
-        real = linalg._rref
-
-        def counting(F, M):
-            production.append(M.shape)
-            return real(F, M)
-
-        m.setattr(linalg, "_rref", counting)
-        for command in sorted(DIGESTS):
-            assert cli.main(command.split()) == 0, command
+        codes = _profiled(
+            _runs_of(code, production), lambda: [cli.main(c.split()) for c in sorted(DIGESTS)]
+        )
+        assert codes == [0] * len(DIGESTS)
         capsys.readouterr()
     reductions = _use_reference_kernels(monkeypatch)
-    assert [c for c in sorted(DIGESTS) if not _prints_frozen_bytes(c, capsys)] == []
+    failing = _profiled(
+        _runs_of(code, escaped),
+        lambda: [c for c in sorted(DIGESTS) if not _prints_frozen_bytes(c, capsys)],
+    )
+    assert failing == []
+    assert escaped == []
     assert len(reductions) == len(production) and reductions == production
 
 

@@ -1,7 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
+from test_oracles import ROOT, _profiled, _start_cold
 
+from modplab import covers, reps, suites
+from modplab.linalg import Matrix
 from modplab.reports import canonical_json
 from modplab.suites import SUITES, run_suite
 
@@ -173,3 +177,53 @@ def test_a_failed_check_names_its_function():
     (case,) = cases
     assert case.outcome == "fail"
     assert case.details == {"reason": "only 3 things counted", "where": "suites:_check_total"}
+
+
+# ---- work budget: each fact once per case ----
+
+
+def test_chi_functor_computes_each_eigenspace_once_and_ranks_no_zero_map(monkeypatch, fresh_memos):
+    """Cold at seed 0: one character_eigenspace call per (pool rep,
+    character) of each case, 190 in all, and three for the regular rep of
+    C3 over F4; _check_surjections asks the rank of each distinct candidate
+    of a nonzero hom space at most once, and of no zero map."""
+    _start_cold(monkeypatch)
+    eigen, surj = covers.character_eigenspace.__code__, suites._check_surjections.__code__
+    rank = Matrix.rank.__code__
+    calls = Counter()
+    ranked = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in (eigen, surj):
+            calls[frame.f_code] += 1
+        elif event == "call" and frame.f_code is rank and frame.f_back.f_code is surj:
+            caller = frame.f_back.f_locals
+            candidate = frame.f_locals["self"].a.tobytes()
+            ranked.append((calls[surj], caller["n1"], caller["n2"], caller["hs"].dim, candidate))
+
+    report = _profiled(hook, lambda: run_suite("chi-functor", seed=0))
+    assert report["summary"]["pass"] == report["summary"]["total"]
+    assert calls[eigen] == 190 + 3
+    assert ranked and all(dim > 0 for _, _, _, dim, _ in ranked)
+    assert len(set(ranked)) == len(ranked)
+
+
+def test_exact_axioms_spans_each_drawn_vector_once(monkeypatch, fresh_memos):
+    """Cold at seed 0 over the small benchmark catalog, no
+    _random_proper_subspaces call spans a vector twice."""
+    _start_cold(monkeypatch)
+    draw, span = suites._random_proper_subspaces.__code__, reps.cyclic_span.__code__
+    draws = 0
+    spans = []
+
+    def hook(frame, event, arg):
+        nonlocal draws
+        if event == "call" and frame.f_code is draw:
+            draws += 1
+        elif event == "call" and frame.f_code is span and frame.f_back.f_code is draw:
+            spans.append((draws, tuple(frame.f_locals["v"])))
+
+    small = str(ROOT / "perfbench" / "catalogs" / "small.json")
+    report = _profiled(hook, lambda: run_suite("exact-axioms", seed=0, catalog=small))
+    assert report["summary"]["pass"] == report["summary"]["total"]
+    assert spans and len(set(spans)) == len(spans)
