@@ -10,10 +10,12 @@ returned flag is backed by an explicit verified matrix.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
+from .fields import FiniteField
 from .groups import Subgroup, coset_lookup
 from .linalg import Matrix, Subspace, check_cells, row_reduce, solve
 from .reps import (
@@ -79,20 +81,28 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> Matrix | None:
     field = f.source.field
     ds, dt = f.source.dim, f.target.dim
     gens = list(U.generators())
-    # F @ X = I or X @ F = I on X flattened row major, built by index like
-    # equivariance_system; at ds * dt == 0 it is solvable exactly when the
-    # identity it asks for is empty
     F = f.matrix.a
     d = dt if kind == "section" else ds
     check_cells("u_split_search", d * d, ds * dt)
+    constraint = partial(_split_constraint, field, F, kind)
+    return _equivariant_solve(field, f.target.T[gens], f.source.T[gens], d, kind, (F,), constraint)
+
+
+def _split_constraint(field: FiniteField, F: np.ndarray, kind: str) -> Matrix:
+    """F @ X = I (kind "section") or X @ F = I ("retraction") as
+    C vec(X) = vec(I) on the ds x dt matrices X flattened row major, for
+    the dt x ds matrix F, built by index like equivariance_system; at
+    ds * dt == 0 it is solvable exactly when the identity it asks for is
+    empty."""
+    dt, ds = F.shape
+    d = dt if kind == "section" else ds
     fixed = np.zeros((d, d, ds, dt), dtype=np.int16)
     a = np.arange(d)
     if kind == "section":
         fixed[:, a, :, a] = F  # row (i, j), column (k, j) holds F[i, k]
     else:
         fixed[a, :, a, :] = F.T  # row (i, j), column (i, l) holds F[l, j]
-    C = Matrix._of(field, fixed.reshape(d * d, ds * dt))
-    return _equivariant_solve(f.target.T[gens], f.source.T[gens], C, d)
+    return Matrix._of(field, fixed.reshape(d * d, ds * dt))
 
 
 def averaging_section(
@@ -205,17 +215,24 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> Matrix:
 # relative projectivity / injectivity
 
 
-def _trace_operator(V1: Rep, V2: Rep, U: Subgroup) -> Matrix:
-    """Matrix of the relative trace X |-> sum over r in U\\G of
-    rho2(r^-1) X rho1(r), on d2 x d1 matrices X flattened row major."""
-    field = V1.field
-    d1, d2, n = V1.dim, V2.dim, U.index
-    check_cells("the relative trace", d2 * d1, d2 * d1)
-    # the sum over r of rho2(r^-1) (x) rho1(r)^T as one product: entry
-    # ((i, j), (k, l)) is sum_r rho2(r^-1)[i, k] rho1(r)[l, j]
-    left = coset_stack(U, V2, inverse=True).reshape(n, d2 * d2)  # row r: (i, k)
-    right = coset_stack(U, V1).transpose(0, 2, 1).reshape(n, d1 * d1)  # row r: (j, l)
-    trace = field.ax_matmul(left.T, right).reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3)
+def _trace_stacks(V1: Rep, V2: Rep, U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks rho2(r^-1) and rho1(r) over the coset representatives r
+    of U\\G, in block order, which define the relative trace from V1 to
+    V2; a trace operator over the dense-cell budget is refused first."""
+    check_cells("the relative trace", V2.dim * V1.dim, V2.dim * V1.dim)
+    return coset_stack(U, V2, inverse=True), coset_stack(U, V1)
+
+
+def _trace_operator(field: FiniteField, left: np.ndarray, right: np.ndarray) -> Matrix:
+    """Matrix of the relative trace X |-> sum over r of left[r] X right[r],
+    on d2 x d1 matrices X flattened row major, for the (n, d2, d2) and
+    (n, d1, d1) stacks of _trace_stacks."""
+    n, d2, d1 = len(left), left.shape[1], right.shape[1]
+    # the sum over r of left[r] (x) right[r]^T as one product: entry
+    # ((i, j), (k, l)) is sum_r left[r][i, k] right[r][l, j]
+    rows = left.reshape(n, d2 * d2)  # row r: (i, k)
+    cols = right.transpose(0, 2, 1).reshape(n, d1 * d1)  # row r: (j, l)
+    trace = field.ax_matmul(rows.T, cols).reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3)
     return Matrix._of(field, trace.reshape(d2 * d1, d2 * d1))
 
 
@@ -233,7 +250,11 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None
         raise ValueError("P must be a representation of U's parent group")
     field = P.field
     gens = list(U.generators())
-    Y = _equivariant_solve(P.T[gens], P.T[gens], _trace_operator(P, P, U), P.dim)
+    left, right = _trace_stacks(P, P, U)
+    # other coset stacks can sum to the same operator: a 1-dim trivial
+    # module's trace is the index, so zero at every index divisible by p
+    acting, trace = P.T[gens], partial(_trace_operator, field, left, right)
+    Y = _equivariant_solve(field, acting, acting, P.dim, "trace", (left, right), trace, by_constraint=True)
     if Y is None:
         return (False, None)
     X = Matrix._of(field, upper_lift(U, P, Y.a[None])[0])
@@ -326,7 +347,7 @@ def stable_hom(V1: Rep, V2: Rep, U: Subgroup) -> StableHomResult:
     relative traces of the U-maps V1 -> V2."""
     total = hom_space(V1, V2)
     local = hom_space(restrict(V1, U), restrict(V2, U))
-    moved = local.basis @ _trace_operator(V1, V2, U).transpose()
+    moved = local.basis @ _trace_operator(V1.field, *_trace_stacks(V1, V2, U)).transpose()
     factoring = Subspace.from_rows(V1.field, V1.dim * V2.dim, moved)
     if not total.contains_space(factoring):
         raise AssertionError("factoring maps left the hom space")

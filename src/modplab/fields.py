@@ -165,11 +165,6 @@ class FiniteField:
         if k > 1:
             self._build_tables()
 
-    # ---- encoding -------------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
-
     # ---- tables ---------------------------------------------------------
 
     def _build_tables(self):
@@ -221,21 +216,6 @@ class FiniteField:
 
     # ---- scalar operations ----------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        return int(self.ADD[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
-        return int(self.SUB[a, b])
-
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return int(self.NEG[a])
-
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a * b) % self.p
@@ -258,15 +238,6 @@ class FiniteField:
             a = self.mul(a, a)
             n >>= 1
         return out
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        n, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-        return n
 
     # ---- vectorized kernels (arrays of element codes) ---------------------
 

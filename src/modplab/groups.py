@@ -4,6 +4,9 @@ Elements are indices 0..n-1 into the table.  Construction through
 ``group_from_table`` validates everything, associativity included (by
 Light's test on a generating set, O(n^2) per generator); internal
 constructors that multiply in an already associative structure skip it.
+``FinGroup.to_json`` is public API that nothing in the package calls: it
+writes the group JSON file that catalogs and ``--group PATH`` read, so a
+group built in Python (a direct product, say) can be saved for them.
 """
 
 from __future__ import annotations

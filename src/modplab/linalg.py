@@ -80,10 +80,6 @@ class Matrix:
         if self.field is not other.field and self.field != other.field:
             raise ValueError("field mismatch")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._need_same(other)
-        return Matrix._of(self.field, self.field.ax_add(self.a, other.a))
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._need_same(other)
         return Matrix._of(self.field, self.field.ax_sub(self.a, other.a))
@@ -100,10 +96,7 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, self.a.T.copy())
 
-    # ---- access ----
-
-    def tolist(self) -> list[list[int]]:
-        return self.a.tolist()
+    # ---- equality and display ----
 
     def __eq__(self, other):
         return (
@@ -117,7 +110,7 @@ class Matrix:
         return hash((self.field.key(), self.a.shape, self.a.tobytes()))
 
     def __repr__(self):
-        return f"Matrix({self.field!r}, {self.tolist()})"
+        return f"Matrix({self.field!r}, {self.a.tolist()})"
 
     # ---- reduction ----
 

@@ -761,13 +761,13 @@ def _check_qualifying_sets(G: FinGroup, F: FiniteField, C: Subgroup, pool: dict[
     for vname in ("triv", "triv2"):
         V = pool[vname]
         for v in nonzero_vectors(F, V.dim)[:8]:
-            got = qualifying_subgroups(V, v, C)
-            plain = qualifying_subgroups(V, v)
+            d = cyclic_span_dim(V, v)  # the one rank of v's orbit
+            got = qualifying_subgroups(V, v, C, span_dim=d)
+            plain = qualifying_subgroups(V, v, span_dim=d)
             _ensure(
                 set(s.members for s in got) <= set(s.members for s in plain),
                 "central qualifying set is not a subset of the plain one",
             )
-            d = cyclic_span_dim(V, v)
             fixed_by = V.orbit(v) == np.array(v)
             for U in all_subgroups(G):
                 expected = (

@@ -42,7 +42,7 @@ def test_induced_trivial_fixed_constants():
         ind = induced_trivial(U, F3)
         fp = fixed_points(ind)
         assert fp.dim == 1
-        assert fp.basis.tolist() == [[1] * ind.dim]
+        assert fp.basis.a.tolist() == [[1] * ind.dim]
 
 
 def test_qualifying_subgroups_frozen():
@@ -73,7 +73,7 @@ def test_qualifying_subgroups_with_central():
 def test_cover_map_frozen_augmentation():
     C2 = cyclic_group(2)
     phi = cover_map(Subgroup.trivial(C2), trivial_rep(C2, F2), (1,))
-    assert phi.matrix.tolist() == [[1, 1]]
+    assert phi.matrix.a.tolist() == [[1, 1]]
     assert row_reduce(phi.matrix).dim == 1
     with pytest.raises(ValueError, match="map is not equivariant"):
         cover_map(Subgroup.full(C2), regular_rep(C2, F2), (1, 0))  # not fixed
@@ -115,7 +115,7 @@ def test_assemble_cover_frozen():
     asm = assemble_cover(trivial_rep(C2, F2))
     assert asm.source.dim == 2
     assert [(b.vector, b.subgroup.members) for b in asm.blocks] == [((1,), (0,))]
-    assert asm.onto.matrix.tolist() == [[1, 1]]
+    assert asm.onto.matrix.a.tolist() == [[1, 1]]
     assert asm.dropped == ()
     assert asm.onto.rank() == 1
 

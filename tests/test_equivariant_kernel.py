@@ -8,7 +8,7 @@ searches and trace test, which shares the kernel's memo."""
 import numpy as np
 import pytest
 
-from modplab import linalg, reps
+from modplab import exact, linalg, reps
 from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
 from modplab.covers import character_eigenspace
 from modplab.fields import FiniteField
@@ -161,37 +161,58 @@ def _counting_systems(monkeypatch):
     return calls
 
 
+def _solve(T_in, T_out, C, d, built=None, kind="given"):
+    """_equivariant_solve for a given constraint C, defined by its own
+    codes; built, if given, collects C each time the solve builds it."""
+
+    def constraint():
+        if built is not None:
+            built.append(C)
+        return C
+
+    return _equivariant_solve(C.field, T_in, T_out, d, kind, (C.a,), constraint)
+
+
 def test_solve_keys_on_field_d_shapes_and_constraint(fresh_memos):
     F2, F3 = FiniteField(2), FiniteField(3)
     both, first = [[1, 1]], [[1, 0]]
-    assert _equivariant_solve(SWAP, ONE, Matrix(F3, both), 1).tolist() == [[2, 2]]
-    assert _equivariant_solve(SWAP, ONE, Matrix(F2, both), 1) is None
-    assert _equivariant_solve(SWAP, ONE, Matrix(F3, first), 1).tolist() == [[1, 1]]
+    assert _solve(SWAP, ONE, Matrix(F3, both), 1).a.tolist() == [[2, 2]]
+    assert _solve(SWAP, ONE, Matrix(F2, both), 1) is None
+    assert _solve(SWAP, ONE, Matrix(F3, first), 1).a.tolist() == [[1, 1]]
     # the swap's codes as four 1 x 1 matrices, one of them 0: there X = 0
     four = SWAP.reshape(4, 1, 1)
-    assert _equivariant_solve(four, np.ones_like(four), Matrix(F3, [[1]]), 1) is None
+    assert _solve(four, np.ones_like(four), Matrix(F3, [[1]]), 1) is None
     assert len(reps._KERNEL_MEMO) == 4
     # d must match C's rows whatever the memo holds
     with pytest.raises(ValueError, match="row count mismatch"):
-        _equivariant_solve(SWAP, ONE, Matrix(F3, both), 2)
+        _solve(SWAP, ONE, Matrix(F3, both), 2)
 
 
 def test_solve_memoises_an_inconsistent_system(monkeypatch, fresh_memos):
     calls = _counting_systems(monkeypatch)
     C = Matrix(FiniteField(2), [[1, 1]])
-    assert _equivariant_solve(SWAP, ONE, C, 1) is None
+    assert _solve(SWAP, ONE, C, 1) is None
     assert len(calls) == 1 and len(reps._KERNEL_MEMO) == 1
-    assert _equivariant_solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1) is None
+    assert _solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1) is None
     assert len(calls) == 1 and len(reps._KERNEL_MEMO) == 1
 
 
 def test_solve_hit_returns_an_equal_read_only_matrix(monkeypatch, fresh_memos):
     calls = _counting_systems(monkeypatch)
-    C = Matrix(FiniteField(3), [[1, 1]])
-    cold = _equivariant_solve(SWAP, ONE, C, 1)
-    again = _equivariant_solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1)
+    C, built = Matrix(FiniteField(3), [[1, 1]]), []
+    cold = _solve(SWAP, ONE, C, 1, built)
+    again = _solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1, built)
     assert again is cold and again == Matrix(C.field, [[2, 2]])
-    assert not again.a.flags.writeable and len(calls) == 1
+    assert not again.a.flags.writeable and len(calls) == 1 and len(built) == 1
+
+
+def test_solve_keys_on_kind(fresh_memos):
+    """The same stacks and defining arrays under another kind are another
+    entry, built anew."""
+    C, built = Matrix(FiniteField(3), [[1, 1]]), []
+    first, other = (_solve(SWAP, ONE, C, 1, built, kind) for kind in ("one", "other"))
+    assert first == other and first is not other
+    assert len(built) == 2 and len(reps._KERNEL_MEMO) == 2
 
 
 def test_solve_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
@@ -213,7 +234,8 @@ def test_solve_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
 def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
     """higman and stable-frobenius over the benchmark's large catalog, run
     twice in one process: the second run reads every kernel and solve from
-    the memo, eliminates nothing and reports the same bytes."""
+    the memo, builds no equivariance system, trace operator or split
+    constraint, eliminates nothing and reports the same bytes."""
     from pathlib import Path
 
     from modplab.catalog import load_catalog
@@ -226,7 +248,15 @@ def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
     def run_both():
         return [canonical_json(run_suite(s, 0, catalog)) for s in ("higman", "stable-frobenius")]
 
+    builders = []
+    for name in ("_trace_operator", "_split_constraint"):
+        real_builder = getattr(exact, name)
+        monkeypatch.setattr(
+            exact, name, lambda *a, name=name, real=real_builder: builders.append(name) or real(*a)
+        )
     cold = run_both()
+    assert set(builders) == {"_trace_operator", "_split_constraint"}
+    builders.clear()
     systems = _counting_systems(monkeypatch)
     eliminations = []
     real = linalg._rref
@@ -237,4 +267,83 @@ def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
 
     monkeypatch.setattr(linalg, "_rref", counting)
     assert run_both() == cold
-    assert systems == [] and eliminations == []
+    assert systems == [] and eliminations == [] and builders == []
+
+
+# ---- the solve memo's key: every array that defines the constraint ----
+
+
+def _solve_keys():
+    return [key for key in reps._KERNEL_MEMO.keys() if key[0] == "solve"]
+
+
+@pytest.mark.parametrize("gname", sorted(catalog_groups()))
+def test_projectivity_flags_on_a_shared_memo_match_a_fresh_memo_per_call(gname, monkeypatch):
+    """Every built-in field, subgroup and pool rep of the group: the flags
+    read through one memo shared by all calls equal the flags of each call
+    on an empty memo, so no two solves with different constraints share an
+    entry."""
+    from modplab.exact import projectivity_flags
+    from modplab.reps import INDUCE_CELLS
+
+    G = catalog_groups()[gname]
+    cases = [
+        (P, U)
+        for F in catalog_fields().values()
+        for P in catalog_reps(G, F, 4).values()
+        for U in all_subgroups(G)
+        if G.order * (U.index * P.dim) ** 2 <= INDUCE_CELLS
+    ]
+    alone = []
+    for P, U in cases:
+        monkeypatch.setattr(reps, "_KERNEL_MEMO", Memo(reps.KERNEL_MEMO_CELLS))
+        alone.append(projectivity_flags(P, U))
+    monkeypatch.setattr(reps, "_KERNEL_MEMO", Memo(reps.KERNEL_MEMO_CELLS))
+    assert [projectivity_flags(P, U) for P, U in cases] == alone
+    assert len(_solve_keys()) > len(cases)  # a trace test and a split search each
+
+
+def test_trace_solves_with_other_coset_stacks_share_no_entry(monkeypatch, fresh_memos):
+    """The trivial and the sign module of S3 over F3 act alike on C3's
+    generator but not on its other coset: two trace entries.  Both traces
+    are X |-> 2X, so the second test reads the answer that the first
+    stored under the operator, and one system is solved."""
+    from modplab.catalog import sym3
+    from modplab.exact import relative_projectivity_test
+    from modplab.reps import character_rep, coset_stack, trivial_rep
+
+    G, F = sym3(), FiniteField(3)
+    U = next(U for U in all_subgroups(G) if U.order == 3)
+    sign = [1 if G.element_order(g) != 2 else 2 for g in range(G.order)]
+    P1, P2 = trivial_rep(G, F), character_rep(G, F, sign)
+    gens = list(U.generators())
+    assert np.array_equal(P1.T[gens], P2.T[gens])
+    assert not np.array_equal(coset_stack(U, P1), coset_stack(U, P2))
+    systems = _counting_systems(monkeypatch)
+    assert relative_projectivity_test(P1, U)[0] and relative_projectivity_test(P2, U)[0]
+    assert sorted(key[3] for key in _solve_keys()) == ["constraint", "trace", "trace"]
+    assert len(systems) == 1
+    relative_projectivity_test(Rep._of(G, F, P1.T.copy()), U)  # an equal module: a hit
+    assert len(_solve_keys()) == 3 and len(systems) == 1
+
+
+def test_split_searches_of_other_kinds_or_maps_share_no_entry(fresh_memos):
+    """The identity of a module and twice it, searched for a section and
+    for a retraction: four entries, and the sections differ."""
+    from modplab.exact import u_split_search
+    from modplab.groups import Subgroup
+    from modplab.reps import RepMap
+
+    G, F = catalog_groups()["S3"], catalog_fields()["F3"]
+    P = next(V for V in catalog_reps(G, F, 4).values() if V.dim == 2)
+    full = Subgroup.full(G)
+    one = RepMap(P, P, Matrix.identity(F, 2))
+    two = RepMap(P, P, Matrix(F, [[2, 0], [0, 2]]))
+    got = {
+        (kind, k): u_split_search(f, full, kind)
+        for k, f in enumerate((one, two))
+        for kind in ("section", "retraction")
+    }
+    assert len(_solve_keys()) == 4
+    assert got["section", 0] == got["retraction", 0] == Matrix.identity(F, 2)
+    assert got["section", 1] == got["retraction", 1] == Matrix(F, [[2, 0], [0, 2]])

@@ -48,7 +48,7 @@ def test_u_split_search_frozen():
     assert u_split_search(aug, Subgroup.full(C2), "section") is None
     w = u_split_search(aug, Subgroup.trivial(C2), "section")
     assert w is not None
-    assert w.tolist() == [[1], [0]]  # canonical: free variables zero
+    assert w.a.tolist() == [[1], [0]]  # canonical: free variables zero
     ident = RepMap(trivial_rep(C2, F2), trivial_rep(C2, F2), Matrix.identity(F2, 1))
     wi = u_split_search(ident, Subgroup.full(C2), "section")
     assert wi == Matrix.identity(F2, 1)
@@ -98,9 +98,9 @@ def test_averaging_section_frozen():
     E, full = Subgroup.trivial(C2), Subgroup.full(C2)
     aug3 = _augmentation(C2, F3)
     sigma = counit_section(E, trivial_rep(C2, F3))
-    assert sigma.tolist() == [[1], [0]]
+    assert sigma.a.tolist() == [[1], [0]]
     tilde = averaging_section(sigma, aug3, E, full)
-    assert tilde.tolist() == [[2], [2]]  # (1/2)(e + g)·sigma, and 1/2 = 2
+    assert tilde.a.tolist() == [[2], [2]]  # (1/2)(e + g)·sigma, and 1/2 = 2
     assert aug3.matrix @ tilde == Matrix.identity(F3, 1)
     same = averaging_section(sigma, aug3, E, E)
     assert same == sigma
@@ -114,7 +114,7 @@ def test_adjunction_unit_frozen():
     C2 = cyclic_group(2)
     triv = trivial_rep(C2, F2)
     A = adjunction_unit(Subgroup.trivial(C2), triv)
-    assert A.matrix.tolist() == [[1], [1]]  # image = constants
+    assert A.matrix.a.tolist() == [[1], [1]]  # image = constants
     assert adjunction_unit(Subgroup.full(C2), triv).matrix == Matrix.identity(F2, 1)
     r = unit_retraction(Subgroup.trivial(C2), triv)
     assert r @ A.matrix == Matrix.identity(F2, 1)
@@ -124,7 +124,7 @@ def test_adjunction_counit_frozen():
     C2 = cyclic_group(2)
     triv = trivial_rep(C2, F2)
     B = adjunction_counit(Subgroup.trivial(C2), triv)
-    assert B.matrix.tolist() == [[1, 1]]  # the augmentation
+    assert B.matrix.a.tolist() == [[1, 1]]  # the augmentation
     assert adjunction_counit(Subgroup.full(C2), triv).matrix == Matrix.identity(F2, 1)
     s = counit_section(Subgroup.trivial(C2), triv)
     assert B.matrix @ s == Matrix.identity(F2, 1)
@@ -196,7 +196,7 @@ def test_subrep_and_quotient():
     assert quo.dim == 1
     assert not (proj.matrix @ inc.matrix).a.any()
     ker, kinc = subrep_on_kernel(_augmentation(C2, F2))
-    assert ker.dim == 1 and kinc.matrix.tolist() == [[1], [1]]
+    assert ker.dim == 1 and kinc.matrix.a.tolist() == [[1], [1]]
 
 
 def test_subrep_and_quotient_reject_a_non_invariant_subspace():

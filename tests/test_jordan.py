@@ -19,7 +19,7 @@ F9 = FiniteField(3, 2)
 
 
 def test_unipotent_block_shape():
-    assert unipotent_block(F3, 3).tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    assert unipotent_block(F3, 3).a.tolist() == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     assert unipotent_block(F2, 1) == Matrix.identity(F2, 1)
 
 

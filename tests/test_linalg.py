@@ -33,19 +33,18 @@ def test_constructors_and_shape():
 def test_arithmetic_small():
     A = Matrix(F3, [[1, 2], [0, 1]])
     B = Matrix(F3, [[2, 0], [1, 1]])
-    assert (A + B).tolist() == [[0, 2], [1, 2]]
-    assert (A - B).tolist() == [[2, 2], [2, 0]]
-    assert (-A).tolist() == [[2, 1], [0, 2]]
-    assert (A @ B).tolist() == [[1, 2], [1, 1]]
-    assert A.transpose().tolist() == [[1, 0], [2, 1]]
-    assert (A @ Matrix(F3, [[1], [1]])).tolist() == [[0], [1]]
+    assert (A - B).a.tolist() == [[2, 2], [2, 0]]
+    assert (-A).a.tolist() == [[2, 1], [0, 2]]
+    assert (A @ B).a.tolist() == [[1, 2], [1, 1]]
+    assert A.transpose().a.tolist() == [[1, 0], [2, 1]]
+    assert (A @ Matrix(F3, [[1], [1]])).a.tolist() == [[0], [1]]
 
 
 def test_matmul_f4():
     w = 2  # generator, w^2 = w + 1
     A = Matrix(F4, [[w, 1], [0, w]])
     # (A^2)[0][0] = w*w = w+1 = 3; [0][1] = w*1 + 1*w = 0; [1][1] = 3
-    assert (A @ A).tolist() == [[3, 0], [0, 3]]
+    assert (A @ A).a.tolist() == [[3, 0], [0, 3]]
 
 
 def test_row_reduce_frozen_examples():
@@ -55,8 +54,8 @@ def test_row_reduce_frozen_examples():
     assert row_reduce(Z).dim == 2
     M = Matrix(F2, [[1, 1], [1, 1]])
     assert M.rank() == 1
-    assert row_reduce(M).basis.tolist() == [[1, 1]]
-    assert column_space(M).basis.tolist() == [[1, 1]]
+    assert row_reduce(M).basis.a.tolist() == [[1, 1]]
+    assert column_space(M).basis.a.tolist() == [[1, 1]]
 
 
 def test_rank_nullity_random():
@@ -78,7 +77,7 @@ def test_solve_frozen_examples():
     assert not solve(Matrix.zeros(F2, 2, 2), Matrix.zeros(F2, 2, 1)).a.any()
     A = Matrix(F2, [[1, 1], [0, 0]])
     X = solve(A, B)
-    assert X.tolist() == [[1], [0]]  # free variables pinned to zero
+    assert X.a.tolist() == [[1], [0]]  # free variables pinned to zero
     assert A @ X == B
 
 
@@ -97,8 +96,8 @@ def test_solve_random_consistency():
 def test_stacking():
     A = Matrix(F2, [[1, 0]])
     B = Matrix(F2, [[0, 1]])
-    assert hstack([A, B]).tolist() == [[1, 0, 0, 1]]
-    assert vstack([A, B]).tolist() == [[1, 0], [0, 1]]
+    assert hstack([A, B]).a.tolist() == [[1, 0, 0, 1]]
+    assert vstack([A, B]).a.tolist() == [[1, 0], [0, 1]]
 
 
 def test_subspace_canonical_and_membership():
@@ -119,7 +118,7 @@ def test_subspace_sum_and_extremes():
     S = Subspace.from_rows(F2, 2, [[1, 0]])
     assert Subspace.zero(F2, 2).dim == 0
     assert not Subspace.full(F2, 2).reduce([[1, 1]]).any()
-    assert S.ambient_dim == 2 and S.basis.tolist() == [[1, 0]] and S.field.modulus == (0, 1)
+    assert S.ambient_dim == 2 and S.basis.a.tolist() == [[1, 0]] and S.field.modulus == (0, 1)
 
 
 def test_matrix_immutability_surface():
@@ -192,7 +191,7 @@ def test_row_reduce_image_costs_one_extra_reduction(monkeypatch, fresh_memos):
     calls.clear()
     image = column_space(M)
     assert calls == [(4, 3)]
-    assert image.basis.tolist() == [[1, 2, 0], [0, 0, 1]]
+    assert image.basis.a.tolist() == [[1, 2, 0], [0, 0, 1]]
     assert image.dim == M.rank() == 2
 
 
@@ -239,7 +238,7 @@ def _oversized_system(builder):
     """A call of builder that, unrefused, would allocate at least 8 MB:
     each system has over four million int16 cells."""
     from modplab.catalog import cyclic_group
-    from modplab.exact import _trace_operator, u_split_search
+    from modplab.exact import relative_projectivity_test, u_split_search
     from modplab.groups import Subgroup
     from modplab.reps import RepMap, equivariance_system, regular_rep
 
@@ -252,7 +251,7 @@ def _oversized_system(builder):
     G = cyclic_group(48)
     reg, E = regular_rep(G, F2), Subgroup.trivial(G)
     if builder == "relative trace":
-        return lambda: _trace_operator(reg, reg, E)  # 2,304 x 2,304
+        return lambda: relative_projectivity_test(reg, E)  # Tr: 2,304 x 2,304
     f = RepMap(reg, reg, Matrix.identity(F2, 48), validate=False)
     return lambda: u_split_search(f, E, "section")  # F @ X = I: 2,304 x 2,304
 

@@ -13,23 +13,21 @@ import hashlib
 import itertools
 import json
 import random
-import sys
 import time
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import ROOT, profiled, runs_of, start_cold
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from modplab import catalog, cli, covers, exact, fields, linalg, reps
+from modplab import catalog, cli, covers, exact, fields, linalg
 from modplab.fields import FiniteField, _poly_rem, p_part
 from modplab.linalg import Matrix, Subspace, _rref, column_space, row_reduce, solve
-from modplab.memo import Memo
 
 # F4, F8, F9, F_{2^10}, F_{31^2}
 EXT = [(2, 2), (2, 3), (3, 2), (2, 10), (31, 2)]
@@ -368,9 +366,9 @@ def test_kernel_matches_sympy_nullspace(case):
 
 def school_echelon(F, rows, width):
     """The nonzero rows of the reduced echelon form of a list of rows, by
-    Gauss-Jordan with the field's scalar add, mul and inv only, first
-    nonzero pivot first; plus the pivot columns."""
-    minus_one = next(y for y in range(F.order) if F.add(1, y) == 0)
+    Gauss-Jordan with ref_add and the field's scalar mul and inv only,
+    first nonzero pivot first; plus the pivot columns."""
+    minus_one = next(y for y in range(F.order) if ref_add(F, 1, y) == 0)
     M = [[int(x) for x in row] for row in rows]
     pivots = []
     for c in range(width):
@@ -384,7 +382,7 @@ def school_echelon(F, rows, width):
         for i in range(len(M)):
             if i != r and M[i][c]:
                 f = F.mul(minus_one, M[i][c])
-                M[i] = [F.add(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+                M[i] = [ref_add(F, x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
         pivots.append(c)
     return M[: len(pivots)], pivots
 
@@ -393,7 +391,7 @@ def school_kernel_and_columns(F, A):
     """The canonical bases of the right kernel and of the column space of A."""
     rows, cols = A.shape
     R, piv = school_echelon(F, A.tolist(), cols)
-    minus_one = next(y for y in range(F.order) if F.add(1, y) == 0)
+    minus_one = next(y for y in range(F.order) if ref_add(F, 1, y) == 0)
     kernel = []
     for free in (c for c in range(cols) if c not in piv):
         v = [0] * cols
@@ -423,8 +421,8 @@ def test_kernel_and_column_space_match_schoolbook_elimination(q):
         want_kernel, want_columns = school_kernel_and_columns(F, A)
         kernel, columns = row_reduce(M), column_space(M)
         assert (kernel.ambient_dim, columns.ambient_dim) == (A.shape[1], A.shape[0])
-        assert kernel.basis.tolist() == want_kernel, A
-        assert columns.basis.tolist() == want_columns, A
+        assert kernel.basis.a.tolist() == want_kernel, A
+        assert columns.basis.a.tolist() == want_columns, A
         kinds.add((kernel.dim == 0, columns.dim == 0))
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -627,11 +625,12 @@ def _small_groups():
 
 def _equivariant(F, M, rho1, rho2):
     """M rho1(g) == rho2(g) M, multiplied out with scalar field operations."""
+    add = functools.partial(ref_add, F)
 
     def mul(X, Y):
         return [
             [
-                functools.reduce(F.add, (F.mul(X[i][t], Y[t][j]) for t in range(len(Y))), 0)
+                functools.reduce(add, (F.mul(X[i][t], Y[t][j]) for t in range(len(Y))), 0)
                 for j in range(len(Y[0]))
             ]
             for i in range(len(X))
@@ -1085,7 +1084,7 @@ def _split_flags(P, U):
 )
 def test_stable_hom_matches_induced_construction(gname, fname, data):
     from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
-    from modplab.exact import _trace_operator, relative_projectivity_test, stable_hom
+    from modplab.exact import _trace_operator, _trace_stacks, relative_projectivity_test, stable_hom
     from modplab.groups import all_subgroups
     from modplab.linalg import Subspace
     from modplab.reps import hom_space, restrict
@@ -1097,7 +1096,8 @@ def test_stable_hom_matches_induced_construction(gname, fname, data):
     V2 = pool[data.draw(st.sampled_from(sorted(pool)))]
     amb = V1.dim * V2.dim
     local = hom_space(restrict(V1, U), restrict(V2, U))
-    image = Subspace.from_rows(F, amb, local.basis @ _trace_operator(V1, V2, U).transpose())
+    trace = _trace_operator(F, *_trace_stacks(V1, V2, U))
+    image = Subspace.from_rows(F, amb, local.basis @ trace.transpose())
     for flavor in ("injective", "projective"):
         assert image == ref_stable_hom(V1, V2, U, flavor), flavor
     got = stable_hom(V1, V2, U)
@@ -1168,27 +1168,39 @@ def test_higman_on_regular_rep_of_s4(order, p):
 # ---- Higman's criterion without the induced module, against the Ind round trip ----
 
 
-def ref_relative_projectivity(P, U):
-    """The trace test as it was before it stopped building Ind Res P: solve
-    Tr_U^G(Y) = 1 for a U-endomorphism Y, then check X = (Y rho(r))_r
-    against the counit of the materialised induced module and validate it
-    as a dense G-map into that module."""
-    from modplab.exact import _trace_operator, adjunction_counit
-    from modplab.groups import coset_lookup
+def ref_trace_solution(P, U):
+    """The canonical U-endomorphism Y of P with Tr_U^G(Y) = 1, as a d x d
+    array, from one solve of the stacked system and no memo; None if there
+    is none."""
+    from modplab.exact import _trace_operator, _trace_stacks
     from modplab.linalg import vstack
-    from modplab.reps import RepMap, equivariance_system, induce, restrict
+    from modplab.reps import equivariance_system
 
     F, d = P.field, P.dim
     gens = list(U.generators())
     equi = equivariance_system(F, P.T[gens], P.T[gens])
     rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
     rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
-    y = solve(vstack([equi, _trace_operator(P, P, U)]), Matrix._of(F, rhs))
+    y = solve(vstack([equi, _trace_operator(F, *_trace_stacks(P, P, U))]), Matrix._of(F, rhs))
+    return None if y is None else y.a.reshape(d, d)
+
+
+def ref_relative_projectivity(P, U):
+    """The trace test as it was before it stopped building Ind Res P: solve
+    Tr_U^G(Y) = 1 for a U-endomorphism Y, then check X = (Y rho(r))_r
+    against the counit of the materialised induced module and validate it
+    as a dense G-map into that module."""
+    from modplab.exact import adjunction_counit
+    from modplab.groups import coset_lookup
+    from modplab.reps import RepMap, induce, restrict
+
+    F, d = P.field, P.dim
+    y = ref_trace_solution(P, U)
     if y is None:
         return False, None
     ind = induce(U, restrict(P, U))
     reps, _ = coset_lookup(P.group, U)
-    X = Matrix._of(F, F.ax_matmul_batch(y.a.reshape(d, d), P.T[list(reps)]).reshape(ind.dim, d))
+    X = Matrix._of(F, F.ax_matmul_batch(y, P.T[list(reps)]).reshape(ind.dim, d))
     assert adjunction_counit(U, P).matrix @ X == Matrix.identity(F, d)
     RepMap(P, ind, X, validate=True)
     return True, X
@@ -1254,18 +1266,18 @@ def _projective_case():
 def test_trace_witness_check_rejects_a_non_equivariant_y(monkeypatch):
     """Y plus a kernel element of the trace keeps Tr(Y) = 1 but breaks
     U-equivariance; only the equivariance check can catch it."""
-    from modplab.exact import _trace_operator, relative_projectivity_test
+    from modplab.exact import _trace_operator, _trace_stacks, relative_projectivity_test
     from modplab.reps import intertwines, restrict
 
     P, U, Y = _projective_case()
     F, local = P.field, restrict(P, U)
-    kernel = row_reduce(_trace_operator(P, P, U)).basis.a
+    kernel = row_reduce(_trace_operator(F, *_trace_stacks(P, P, U))).basis.a
     bad = next(
         Yb
         for z in kernel
         if not intertwines(local, local, Yb := F.ax_add(Y, z.reshape(P.dim, P.dim)))
     )
-    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args: Matrix(F, bad))
+    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args, **kwargs: Matrix(F, bad))
     with pytest.raises(AssertionError, match="not U-equivariant"):
         relative_projectivity_test(P, U)
 
@@ -1276,7 +1288,7 @@ def test_trace_witness_check_rejects_a_y_of_wrong_trace(monkeypatch):
 
     P, U, _ = _projective_case()
     zero = Matrix.zeros(P.field, P.dim, P.dim)
-    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args: zero)
+    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args, **kwargs: zero)
     with pytest.raises(AssertionError, match="section the counit"):
         relative_projectivity_test(P, U)
 
@@ -1421,7 +1433,7 @@ def test_subspace_pivots_match_rref_and_first_nonzero_scan(pk, data):
     F = field(*pk)
     rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 8))
     S = Subspace.from_rows(F, cols, Matrix(F, data.draw(_codes(F, (rows, cols)))))
-    scan = [next(j for j, x in enumerate(row) if x) for row in S.basis.tolist()]
+    scan = [next(j for j, x in enumerate(row) if x) for row in S.basis.a.tolist()]
     assert S.pivots == _rref(F, S.basis.a.copy()) == scan
     assert Subspace.zero(F, cols).pivots == []
 
@@ -1499,9 +1511,8 @@ def ref_adjunction_matrices(U, P):
     retraction[:, i0 * d : (i0 + 1) * d] = P.T[G.inv(r0)]
     section = np.zeros((n * d, d), dtype=np.int16)
     section[i0 * d : (i0 + 1) * d, :] = P.T[r0]
-    gens = list(U.generators())
-    Y = exact._equivariant_solve(P.T[gens], P.T[gens], exact._trace_operator(P, P, U), d)
-    witness = None if Y is None else Matrix(F, F.ax_matmul_batch(Y.a, P.T[list(reps)]).reshape(n * d, d))
+    Y = ref_trace_solution(P, U)
+    witness = None if Y is None else Matrix(F, F.ax_matmul_batch(Y, P.T[list(reps)]).reshape(n * d, d))
     return {
         "unit": Matrix(F, unit),
         "counit": Matrix(F, counit),
@@ -1538,7 +1549,7 @@ def test_adjunction_matrices_match_block_layout(gname):
         F = catalog_fields()[fname]
         for U in all_subgroups(G):
             for name, P in catalog_reps(G, F, 4).items():
-                for v in fixed_points(restrict(P, U)).basis.tolist():
+                for v in fixed_points(restrict(P, U)).basis.a.tolist():
                     assert covers.cover_map(U, P, v).matrix == ref_cover_columns(U, P, v), (fname, U, name)
                 if not _fits_induce(P, U):
                     continue
@@ -1704,9 +1715,6 @@ def test_qualifying_subgroups_match_brute_force(gname, fname, central, data):
     assert [U.members for U in qualifying_subgroups(V, v, C)] == want
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
 # ---- generator extension against the breadth-first search it replaced ----
 
 
@@ -1829,14 +1837,6 @@ def test_generator_extension_rejects_bad_images(gname, fname, images):
 DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
 
 
-def _start_cold(monkeypatch):
-    """Empty the module caches and the memo of equivariant kernels and
-    solves, so that every representation, kernel and solve is rebuilt."""
-    for module, memo in ((catalog, "_REP_CACHE"), (covers, "_IND_CACHE"), (exact, "_IND_SELF_CACHE")):
-        monkeypatch.setattr(module, memo, {})
-    monkeypatch.setattr(reps, "_KERNEL_MEMO", Memo(reps.KERNEL_MEMO_CELLS))
-
-
 def _use_reference_kernels(monkeypatch, add=ref_add):
     """Swap FiniteField's array kernels (ax_matmul_batch with its product
     memo) and linalg._rref, the one elimination, for schoolbook code over
@@ -1902,7 +1902,7 @@ def _use_reference_kernels(monkeypatch, add=ref_add):
     ):
         monkeypatch.setattr(FiniteField, name, kernel)
     monkeypatch.setattr(linalg, "_rref", rref)
-    _start_cold(monkeypatch)
+    start_cold(monkeypatch)
     return reductions
 
 
@@ -1913,26 +1913,6 @@ def _prints_frozen_bytes(command, capsys):
         code = None
     out = capsys.readouterr().out.encode("utf-8")
     return code == 0 and hashlib.sha256(out).hexdigest() == DIGESTS[command]
-
-
-def _runs_of(code, shapes):
-    """A sys.setprofile hook that records the shape of M each time code
-    starts to run, whatever name or alias it was called through."""
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            shapes.append(frame.f_locals["M"].shape)
-
-    return hook
-
-
-def _profiled(hook, run):
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        return run()
-    finally:
-        sys.setprofile(previous)
 
 
 def test_frozen_commands_on_reference_kernels(capsys, monkeypatch):
@@ -1948,15 +1928,15 @@ def test_frozen_commands_on_reference_kernels(capsys, monkeypatch):
     code = linalg._rref.__code__
     production, escaped = [], []
     with monkeypatch.context() as m:
-        _start_cold(m)
-        codes = _profiled(
-            _runs_of(code, production), lambda: [cli.main(c.split()) for c in sorted(DIGESTS)]
+        start_cold(m)
+        codes = profiled(
+            runs_of(code, production), lambda: [cli.main(c.split()) for c in sorted(DIGESTS)]
         )
         assert codes == [0] * len(DIGESTS)
         capsys.readouterr()
     reductions = _use_reference_kernels(monkeypatch)
-    failing = _profiled(
-        _runs_of(code, escaped),
+    failing = profiled(
+        runs_of(code, escaped),
         lambda: [c for c in sorted(DIGESTS) if not _prints_frozen_bytes(c, capsys)],
     )
     assert failing == []

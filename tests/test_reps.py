@@ -152,7 +152,7 @@ def test_fixed_points_frozen():
     reg = regular_rep(C2, F2)
     assert fixed_points(restrict(reg, Subgroup.trivial(C2))).dim == 2
     fp = fixed_points(reg)
-    assert fp.dim == 1 and fp.basis.tolist() == [[1, 1]]
+    assert fp.dim == 1 and fp.basis.a.tolist() == [[1, 1]]
     # char-p fixed points of a p-group are never zero on nonzero reps
     for name, V in catalog_reps(C2, F2).items():
         if V.dim:

@@ -2,9 +2,9 @@ import json
 from collections import Counter
 
 import pytest
-from test_oracles import ROOT, _profiled, _start_cold
+from conftest import ROOT, profiled, start_cold
 
-from modplab import covers, reps, suites
+from modplab import covers, linalg, reps, suites
 from modplab.linalg import Matrix
 from modplab.reports import canonical_json
 from modplab.suites import SUITES, run_suite
@@ -187,7 +187,7 @@ def test_chi_functor_computes_each_eigenspace_once_and_ranks_no_zero_map(monkeyp
     character) of each case, 190 in all, and three for the regular rep of
     C3 over F4; _check_surjections asks the rank of each distinct candidate
     of a nonzero hom space at most once, and of no zero map."""
-    _start_cold(monkeypatch)
+    start_cold(monkeypatch)
     eigen, surj = covers.character_eigenspace.__code__, suites._check_surjections.__code__
     rank = Matrix.rank.__code__
     calls = Counter()
@@ -201,7 +201,7 @@ def test_chi_functor_computes_each_eigenspace_once_and_ranks_no_zero_map(monkeyp
             candidate = frame.f_locals["self"].a.tobytes()
             ranked.append((calls[surj], caller["n1"], caller["n2"], caller["hs"].dim, candidate))
 
-    report = _profiled(hook, lambda: run_suite("chi-functor", seed=0))
+    report = profiled(hook, lambda: run_suite("chi-functor", seed=0))
     assert report["summary"]["pass"] == report["summary"]["total"]
     assert calls[eigen] == 190 + 3
     assert ranked and all(dim > 0 for _, _, _, dim, _ in ranked)
@@ -211,7 +211,7 @@ def test_chi_functor_computes_each_eigenspace_once_and_ranks_no_zero_map(monkeyp
 def test_exact_axioms_spans_each_drawn_vector_once(monkeypatch, fresh_memos):
     """Cold at seed 0 over the small benchmark catalog, no
     _random_proper_subspaces call spans a vector twice."""
-    _start_cold(monkeypatch)
+    start_cold(monkeypatch)
     draw, span = suites._random_proper_subspaces.__code__, reps.cyclic_span.__code__
     draws = 0
     spans = []
@@ -224,6 +224,28 @@ def test_exact_axioms_spans_each_drawn_vector_once(monkeypatch, fresh_memos):
             spans.append((draws, tuple(frame.f_locals["v"])))
 
     small = str(ROOT / "perfbench" / "catalogs" / "small.json")
-    report = _profiled(hook, lambda: run_suite("exact-axioms", seed=0, catalog=small))
+    report = profiled(hook, lambda: run_suite("exact-axioms", seed=0, catalog=small))
     assert report["summary"]["pass"] == report["summary"]["total"]
     assert spans and len(set(spans)) == len(spans)
+
+
+def test_chi_functor_ranks_each_qualifying_vector_once(monkeypatch, fresh_memos):
+    """Cold at seed 0: _check_qualifying_sets runs one reduction per vector
+    it checks (190 in all), the rank of the vector's orbit, whichever
+    function below it asks for a reduction."""
+    start_cold(monkeypatch)
+    rref, check = linalg._rref.__code__, suites._check_qualifying_sets.__code__
+    reductions = 0
+
+    def hook(frame, event, arg):
+        nonlocal reductions
+        if event == "call" and frame.f_code is rref:
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not check:
+                caller = caller.f_back
+            reductions += caller is not None
+
+    report = profiled(hook, lambda: run_suite("chi-functor", seed=0))
+    assert report["summary"]["pass"] == report["summary"]["total"]
+    vectors = sum(c["details"].get("omega_vectors", 0) for c in report["cases"])
+    assert vectors == 190 and reductions == vectors
