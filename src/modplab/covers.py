@@ -85,13 +85,9 @@ def cover_map(U: Subgroup, V: Rep, v) -> RepMap:
     return RepMap(induced_trivial(U, V.field), V, mat)
 
 
-def qualifying_subgroups(
-    V: Rep, v, C: Subgroup | None = None, span_dim: int | None = None
-) -> list[Subgroup]:
+def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]:
     """Subgroups U fixing v whose coset space is strictly larger than the
     orbit span of v; with a central C, the coset space of U joined with C.
-    A caller that knows the span's dimension passes it as span_dim, and
-    the orbit is not ranked again.
 
     The zero vector is rejected: every subgroup would qualify vacuously.
     """
@@ -106,7 +102,7 @@ def qualifying_subgroups(
             raise ValueError("C must be a central subgroup of the acting group")
         if not fixed[list(C.generators())].all():
             raise ValueError("central subgroup must act trivially on the vector")
-    d = Matrix._of(V.field, orbit).rank() if span_dim is None else span_dim
+    d = Matrix._of(V.field, orbit).rank()  # the cyclic span's dimension
     out = []
     for U in all_subgroups(G):
         if not fixed[list(U.generators())].all():

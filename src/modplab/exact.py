@@ -10,7 +10,6 @@ returned flag is backed by an explicit verified matrix.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -84,8 +83,7 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> Matrix | None:
     F = f.matrix.a
     d = dt if kind == "section" else ds
     check_cells("u_split_search", d * d, ds * dt)
-    constraint = partial(_split_constraint, field, F, kind)
-    return _equivariant_solve(field, f.target.T[gens], f.source.T[gens], d, kind, (F,), constraint)
+    return _equivariant_solve(field, f.target.T[gens], f.source.T[gens], d, _split_constraint, F, kind)
 
 
 def _split_constraint(field: FiniteField, F: np.ndarray, kind: str) -> Matrix:
@@ -250,11 +248,8 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None
         raise ValueError("P must be a representation of U's parent group")
     field = P.field
     gens = list(U.generators())
-    left, right = _trace_stacks(P, P, U)
-    # other coset stacks can sum to the same operator: a 1-dim trivial
-    # module's trace is the index, so zero at every index divisible by p
-    acting, trace = P.T[gens], partial(_trace_operator, field, left, right)
-    Y = _equivariant_solve(field, acting, acting, P.dim, "trace", (left, right), trace, by_constraint=True)
+    acting = P.T[gens]
+    Y = _equivariant_solve(field, acting, acting, P.dim, _trace_operator, *_trace_stacks(P, P, U))
     if Y is None:
         return (False, None)
     X = Matrix._of(field, upper_lift(U, P, Y.a[None])[0])

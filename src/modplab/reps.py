@@ -414,15 +414,14 @@ def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> M
 # The memo of equivariant_kernel and _equivariant_solve.  A kernel entry is
 # (field key, both stack shapes, both stacks' int16 bytes) -> the kernel,
 # and counts both stacks' cells, its basis cells and memo.ENTRY_OVERHEAD.
-# A solve entry is ("solve", field key, d, kind, both stack shapes, both
-# stacks' int16 bytes, then each defining array's shape and int16 bytes)
-# -> (the solution or None,), and counts the stacks', the defining arrays'
-# and the solution's cells and memo.ENTRY_OVERHEAD: the constraint they
-# define, d**4 cells for a relative trace, is neither kept nor counted,
-# except where a solve asks to share answers by constraint; its entry of
-# kind "constraint" then has the constraint as its one defining array.  A
-# kernel key begins with a field key, a tuple, so it never equals a solve
-# key.
+# A solve entry is ("solve", field key, d, the constraint builder's
+# qualified name, both stack shapes, both stacks' int16 bytes, then each
+# builder argument: an array as its shape and int16 bytes, anything else
+# as it is) -> (the solution or None,), and counts the stacks', the
+# argument arrays' and the solution's cells and memo.ENTRY_OVERHEAD: the
+# constraint they build, d**4 cells for a relative trace, is neither kept
+# nor counted.  A kernel key begins with a field key, a tuple, so it never
+# equals a solve key.
 KERNEL_MEMO_CELLS = 1 << 22
 _KERNEL_MEMO = Memo(KERNEL_MEMO_CELLS)
 
@@ -445,44 +444,33 @@ def equivariant_kernel(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Su
 
 
 def _equivariant_solve(
-    field: FiniteField,
-    T_in: np.ndarray,
-    T_out: np.ndarray,
-    d: int,
-    kind: str,
-    data: tuple[np.ndarray, ...],
-    constraint: Callable[[], Matrix],
-    by_constraint: bool = False,
+    field: FiniteField, T_in: np.ndarray, T_out: np.ndarray, d: int, build: Callable[..., Matrix], *args
 ) -> Matrix | None:
     """The canonical X with X T_in[i] == T_out[i] X for every i, for the
     int16 stacks T_in (s, d_in, d_in) and T_out (s, d_out, d_out), and
-    C vec(X) = vec(I_d), X flattened row major; None if there is none.
-    C = constraint() is determined by kind and the int16 arrays data.  The
-    answer is memoised on the field, d, kind, both stacks and data, None
-    included, and C is built only on a miss; a repeat call returns the
-    same read-only Matrix.  Where other data can define the same C, as
-    other coset stacks can define one relative trace, by_constraint also
-    memoises the answer on C itself, read on a miss before solving."""
-    cells = T_in.size + T_out.size + sum(a.size for a in data) + ENTRY_OVERHEAD
+    C vec(X) = vec(I_d), X flattened row major, where C = build(field,
+    *args); None if there is none.  The answer is memoised on the field,
+    d, build's qualified name, both stacks and args (int16 arrays and
+    hashable values), None included, and C is built only on a miss; a
+    repeat call returns the same read-only Matrix."""
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
+    cells = T_in.size + T_out.size + sum(a.size for a in arrays) + ENTRY_OVERHEAD
     # the key copies every input, so it is built only when the memo could
     # store the entry
     key = None
     if cells <= _KERNEL_MEMO.budget:
-        key = ("solve", field.key(), d, kind, T_in.shape, T_out.shape, T_in.tobytes(), T_out.tobytes())
-        key += tuple((a.shape, a.tobytes()) for a in data)
+        key = ("solve", field.key(), d, build.__qualname__, T_in.shape, T_out.shape)
+        key += (T_in.tobytes(), T_out.tobytes())
+        key += tuple((a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in args)
         known = _KERNEL_MEMO.get(key)
         if known is not None:
             return known[0]
-    C = constraint()
-    if by_constraint:
-        x = _equivariant_solve(field, T_in, T_out, d, "constraint", (C.a,), lambda: C)
-    else:
-        equi = equivariance_system(field, T_in, T_out)
-        rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
-        rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
-        x = solve(vstack([equi, C]), Matrix._of(field, rhs))
-        if x is not None:
-            x = Matrix._of(field, x.a.reshape(T_out.shape[1], T_in.shape[1]))
+    equi = equivariance_system(field, T_in, T_out)
+    rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
+    rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
+    x = solve(vstack([equi, build(field, *args)]), Matrix._of(field, rhs))
+    if x is not None:
+        x = Matrix._of(field, x.a.reshape(T_out.shape[1], T_in.shape[1]))
     if key is not None:
         _KERNEL_MEMO.put(key, (x,), cells + (0 if x is None else x.a.size))
     return x

@@ -68,7 +68,6 @@ from .reps import (
     ShortExactSeq,
     characters_of,
     cyclic_span,
-    cyclic_span_dim,
     direct_sum,
     fixed_points,
     hom_space,
@@ -755,29 +754,17 @@ def _check_central_extensions(
 
 
 def _check_qualifying_sets(G: FinGroup, F: FiniteField, C: Subgroup, pool: dict[str, Rep]) -> int:
-    """Qualifying sets with a central subgroup are the plain ones that obey
-    the index bound; counts the vectors checked."""
+    """Every subgroup fixes a nonzero vector v of the trivial modules triv
+    and triv2, and v spans a line, so U qualifies with the central C
+    exactly when U joined with C is a proper subgroup; counts the vectors
+    checked."""
+    expected = [U.members for U in all_subgroups(G) if U.join(C).order < G.order]
     count = 0
     for vname in ("triv", "triv2"):
         V = pool[vname]
         for v in nonzero_vectors(F, V.dim)[:8]:
-            d = cyclic_span_dim(V, v)  # the one rank of v's orbit
-            got = qualifying_subgroups(V, v, C, span_dim=d)
-            plain = qualifying_subgroups(V, v, span_dim=d)
-            _ensure(
-                set(s.members for s in got) <= set(s.members for s in plain),
-                "central qualifying set is not a subset of the plain one",
-            )
-            fixed_by = V.orbit(v) == np.array(v)
-            for U in all_subgroups(G):
-                expected = (
-                    bool(fixed_by[list(U.generators())].all())
-                    and G.order // U.join(C).order > d
-                )
-                _ensure(
-                    (U in got) == expected,
-                    "qualifying set disagrees with the index bound",
-                )
+            got = [U.members for U in qualifying_subgroups(V, v, C)]
+            _ensure(got == expected, "qualifying set disagrees with the index bound")
             count += 1
     return count
 

@@ -5,6 +5,8 @@ that fixed_points and character_eigenspace reduced before.  Also
 reps._equivariant_solve, the memoised affine solve behind exact's split
 searches and trace test, which shares the kernel's memo."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -161,16 +163,16 @@ def _counting_systems(monkeypatch):
     return calls
 
 
-def _solve(T_in, T_out, C, d, built=None, kind="given"):
-    """_equivariant_solve for a given constraint C, defined by its own
+def _solve(T_in, T_out, C, d, built=None):
+    """_equivariant_solve for a given constraint C, built from its own
     codes; built, if given, collects C each time the solve builds it."""
 
-    def constraint():
+    def given(field, codes):
         if built is not None:
             built.append(C)
-        return C
+        return Matrix._of(field, codes)
 
-    return _equivariant_solve(C.field, T_in, T_out, d, kind, (C.a,), constraint)
+    return _equivariant_solve(C.field, T_in, T_out, d, given, C.a)
 
 
 def test_solve_keys_on_field_d_shapes_and_constraint(fresh_memos):
@@ -206,13 +208,22 @@ def test_solve_hit_returns_an_equal_read_only_matrix(monkeypatch, fresh_memos):
     assert not again.a.flags.writeable and len(calls) == 1 and len(built) == 1
 
 
-def test_solve_keys_on_kind(fresh_memos):
-    """The same stacks and defining arrays under another kind are another
+def test_solve_keys_on_the_builder(fresh_memos):
+    """The same stacks and arguments given to another builder are another
     entry, built anew."""
     C, built = Matrix(FiniteField(3), [[1, 1]]), []
-    first, other = (_solve(SWAP, ONE, C, 1, built, kind) for kind in ("one", "other"))
-    assert first == other and first is not other
-    assert len(built) == 2 and len(reps._KERNEL_MEMO) == 2
+
+    def first(field, codes):
+        built.append("first")
+        return Matrix._of(field, codes)
+
+    def other(field, codes):
+        built.append("other")
+        return Matrix._of(field, codes)
+
+    got = [_equivariant_solve(C.field, SWAP, ONE, 1, build, C.a) for build in (first, other)]
+    assert got[0] == got[1] and got[0] is not got[1]
+    assert built == ["first", "other"] and len(reps._KERNEL_MEMO) == 2
 
 
 def test_solve_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
@@ -251,9 +262,10 @@ def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
     builders = []
     for name in ("_trace_operator", "_split_constraint"):
         real_builder = getattr(exact, name)
-        monkeypatch.setattr(
-            exact, name, lambda *a, name=name, real=real_builder: builders.append(name) or real(*a)
+        counting_builder = functools.wraps(real_builder)(
+            lambda *a, name=name, real=real_builder: builders.append(name) or real(*a)
         )
+        monkeypatch.setattr(exact, name, counting_builder)
     cold = run_both()
     assert set(builders) == {"_trace_operator", "_split_constraint"}
     builders.clear()
@@ -305,9 +317,8 @@ def test_projectivity_flags_on_a_shared_memo_match_a_fresh_memo_per_call(gname, 
 
 def test_trace_solves_with_other_coset_stacks_share_no_entry(monkeypatch, fresh_memos):
     """The trivial and the sign module of S3 over F3 act alike on C3's
-    generator but not on its other coset: two trace entries.  Both traces
-    are X |-> 2X, so the second test reads the answer that the first
-    stored under the operator, and one system is solved."""
+    generator but not on its other coset: two trace entries and two
+    systems, though both traces are X |-> 2X.  An equal module is a hit."""
     from modplab.catalog import sym3
     from modplab.exact import relative_projectivity_test
     from modplab.reps import character_rep, coset_stack, trivial_rep
@@ -321,10 +332,10 @@ def test_trace_solves_with_other_coset_stacks_share_no_entry(monkeypatch, fresh_
     assert not np.array_equal(coset_stack(U, P1), coset_stack(U, P2))
     systems = _counting_systems(monkeypatch)
     assert relative_projectivity_test(P1, U)[0] and relative_projectivity_test(P2, U)[0]
-    assert sorted(key[3] for key in _solve_keys()) == ["constraint", "trace", "trace"]
-    assert len(systems) == 1
-    relative_projectivity_test(Rep._of(G, F, P1.T.copy()), U)  # an equal module: a hit
-    assert len(_solve_keys()) == 3 and len(systems) == 1
+    assert [key[3] for key in _solve_keys()] == ["_trace_operator", "_trace_operator"]
+    assert len(systems) == 2
+    relative_projectivity_test(Rep._of(G, F, P1.T.copy()), U)
+    assert len(_solve_keys()) == 2 and len(systems) == 2
 
 
 def test_split_searches_of_other_kinds_or_maps_share_no_entry(fresh_memos):
