@@ -1277,7 +1277,7 @@ def test_trace_witness_check_rejects_a_non_equivariant_y(monkeypatch):
         for z in kernel
         if not intertwines(local, local, Yb := F.ax_add(Y, z.reshape(P.dim, P.dim)))
     )
-    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args, **kwargs: Matrix(F, bad))
+    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args: Matrix(F, bad))
     with pytest.raises(AssertionError, match="not U-equivariant"):
         relative_projectivity_test(P, U)
 
@@ -1288,7 +1288,7 @@ def test_trace_witness_check_rejects_a_y_of_wrong_trace(monkeypatch):
 
     P, U, _ = _projective_case()
     zero = Matrix.zeros(P.field, P.dim, P.dim)
-    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args, **kwargs: zero)
+    monkeypatch.setattr(exact, "_equivariant_solve", lambda *args: zero)
     with pytest.raises(AssertionError, match="section the counit"):
         relative_projectivity_test(P, U)
 
