@@ -15,7 +15,6 @@ from .groups import (
     all_subgroups,
     conjugate_intersect,
     coset_lookup,
-    group_from_table,
 )
 from .reps import (
     Character,
@@ -25,7 +24,6 @@ from .reps import (
     character_rep,
     characters_of,
     cyclic_span,
-    cyclic_span_dim,
     direct_sum,
     fixed_points,
     group_characters,

@@ -14,7 +14,7 @@ import os
 
 from .covers import induced_trivial
 from .fields import FiniteField
-from .groups import FinGroup, Subgroup, all_subgroups, group_from_table
+from .groups import FinGroup, Subgroup, all_subgroups
 from .jordan import cyclic_generator, jordan_block_rep
 from .reps import Rep, character_rep, group_characters, regular_rep, trivial_rep
 
@@ -36,7 +36,7 @@ __all__ = [
 def cyclic_group(n: int) -> FinGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
-    return group_from_table(table, labels)
+    return FinGroup(table, labels)
 
 
 def _compose(a, b):
@@ -49,7 +49,7 @@ def _perm_group(perms, labels) -> FinGroup:
 
 
 def klein_group() -> FinGroup:
-    return group_from_table([[i ^ j for j in range(4)] for i in range(4)], ["e", "a", "b", "ab"])
+    return FinGroup([[i ^ j for j in range(4)] for i in range(4)], ["e", "a", "b", "ab"])
 
 
 def sym3() -> FinGroup:
@@ -183,7 +183,7 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
 def group_from_json(data: dict) -> FinGroup:
     if not isinstance(data, dict):
         raise ValueError("a group must be a JSON object with a table")
-    return group_from_table(data["table"], data.get("labels"))
+    return FinGroup(data["table"], data.get("labels"))
 
 
 def _add(named: dict, kind: str, name, value, builtins: dict) -> None:

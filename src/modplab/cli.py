@@ -77,9 +77,20 @@ def _load_catalog(path: str | None) -> dict | None:
         raise ValueError(f"malformed catalog: {exc}") from exc
 
 
+def _named(kind: str, name: str, catalog: dict | None):
+    """The group or field ("group" or "field") of this name: the catalog's,
+    else the built-in one.  load_catalog refuses a built-in name for
+    another object, so the two never disagree."""
+    builtins = catalog_groups() if kind == "group" else catalog_fields()
+    found = {**builtins, **catalog[kind + "s"]} if catalog else builtins
+    if name not in found:
+        raise ValueError(f"unknown {kind} {name!r}")
+    return found[name]
+
+
 def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup:
-    """A catalog group by name, or a group JSON file by path; a name or
-    path that names nothing is an unknown group."""
+    """A group by name, or a group JSON file by path; a path that names
+    nothing is an unknown group."""
     if name_or_path.endswith(".json") or os.path.sep in name_or_path:
         try:
             with open(name_or_path, encoding="utf-8") as fh:
@@ -88,19 +99,12 @@ def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup:
             pass
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed group file {name_or_path}: {exc}") from exc
-    else:
-        G = (catalog["groups"] if catalog else catalog_groups()).get(name_or_path)
-        if G is not None:
-            return G
-    raise ValueError(f"unknown group {name_or_path!r}")
+        raise ValueError(f"unknown group {name_or_path!r}")
+    return _named("group", name_or_path, catalog)
 
 
 def _parse_members(G: FinGroup, text: str) -> Subgroup:
-    members = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    for m in members:
-        if not 0 <= m < G.order:
-            raise ValueError(f"element index {m} out of range")
-    return Subgroup(G, members)
+    return Subgroup(G, [int(tok) for tok in text.split(",") if tok.strip() != ""])
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +266,7 @@ def cmd_fairness(args) -> int:
 def cmd_stable(args) -> int:
     catalog = _load_catalog(args.catalog)
     G = _resolve_group(args.group, catalog)
-    fields = dict(catalog_fields())
-    if catalog:
-        fields.update(catalog["fields"])
-    F = fields.get(args.field)
-    if F is None:
-        raise ValueError(f"unknown field {args.field!r}")
+    F = _named("field", args.field, catalog)
     U = _parse_members(G, args.U) if args.U else Subgroup.trivial(G)
     pool = catalog_reps(G, F, 4)
     if args.pairs:

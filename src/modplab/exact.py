@@ -142,6 +142,10 @@ _IND_SELF_CACHE: dict = {}
 
 
 def _induced_from_restriction(U: Subgroup, X: Rep) -> Rep:
+    """The induction of X's restriction to U, made once per (U, X); the
+    four adjunction maps below call it first, so it checks their input."""
+    if X.group != U.parent:
+        raise ValueError("X must be a representation of U's parent group")
     key = (U.members, X)
     store = _IND_SELF_CACHE.setdefault(U.parent, {})
     if key not in store:
@@ -151,8 +155,6 @@ def _induced_from_restriction(U: Subgroup, X: Rep) -> Rep:
 
 def adjunction_unit(U: Subgroup, X: Rep) -> RepMap:
     """X into the induction of its own restriction."""
-    if X.group != U.parent:
-        raise ValueError("X must be a representation of U's parent group")
     return RepMap(X, _induced_from_restriction(U, X), unit_matrix(U, X))
 
 
@@ -170,8 +172,6 @@ def unit_retraction(U: Subgroup, X: Rep) -> Matrix:
 
 def adjunction_counit(U: Subgroup, X: Rep) -> RepMap:
     """Induction of the restriction onto X."""
-    if X.group != U.parent:
-        raise ValueError("X must be a representation of U's parent group")
     return RepMap(_induced_from_restriction(U, X), X, counit_matrix(U, X))
 
 

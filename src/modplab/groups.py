@@ -1,9 +1,12 @@
 """Finite groups given by multiplication tables, and their subgroup calculus.
 
-Elements are indices 0..n-1 into the table.  Construction through
-``group_from_table`` validates everything, associativity included (by
-Light's test on a generating set, O(n^2) per generator); internal
-constructors that multiply in an already associative structure skip it.
+Elements are indices 0..n-1 into the table.  ``FinGroup(table, labels)``
+validates outside tables, associativity included (by Light's test on a
+generating set, O(n^2) per generator); internal constructors that multiply
+in an already associative structure pass ``validate=False`` to skip that
+test.  Element indices from outside (the members given to ``Subgroup``,
+the generators given to ``Subgroup.generate``, the g of
+``conjugate_intersect``) are each checked by ``FinGroup._element``.
 ``FinGroup.to_json`` is public API that nothing in the package calls: it
 writes the group JSON file that catalogs and ``--group PATH`` read, so a
 group built in Python (a direct product, say) can be saved for them.
@@ -99,6 +102,14 @@ class FinGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
+    def _element(self, a) -> int:
+        """An element index from outside as an int, checked to lie in
+        0..n-1: numpy would wrap -1 to the last element."""
+        m = int(a)
+        if not 0 <= m < self.order:
+            raise ValueError(f"element index {m} out of range")
+        return m
+
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels else str(a)
 
@@ -139,6 +150,15 @@ class FinGroup:
             pairs, lambda x, y: (A.mul(x[0], y[0]), B.mul(x[1], y[1])), labels
         )
 
+    def _subgroup(self, members) -> "Subgroup":
+        """The subgroup on these members, made once per member set."""
+        key = tuple(sorted(set(int(m) for m in members)))
+        hit = self._subgroup_cache.get(key)
+        if hit is None:
+            hit = Subgroup(self, key)
+            self._subgroup_cache[key] = hit
+        return hit
+
     def to_json(self) -> dict:
         out = {"order": self.order, "table": [[int(x) for x in row] for row in self.table]}
         if self.labels:
@@ -176,11 +196,6 @@ def _check_associative(T: np.ndarray, e: int) -> tuple[int, ...]:
         if not np.array_equal(T[T[:, a]], T[:, T[a]]):
             raise ValueError("table is not associative")
     return gens
-
-
-def group_from_table(table, labels: Sequence[str] | None = None) -> FinGroup:
-    """Fully validated construction from raw table data."""
-    return FinGroup(table, labels=labels)
 
 
 def _closure(T: np.ndarray, e: int, seed) -> np.ndarray:
@@ -223,7 +238,7 @@ class Subgroup:
 
     def __init__(self, parent: FinGroup, members: Iterable[int]):
         self.parent = parent
-        self.members = tuple(sorted(set(int(m) for m in members)))
+        self.members = tuple(sorted(set(parent._element(m) for m in members)))
         self._local = None
         self._group = None
         self._gens = None
@@ -243,7 +258,8 @@ class Subgroup:
 
     @staticmethod
     def generate(parent: FinGroup, gens: Iterable[int]) -> "Subgroup":
-        return parent._subgroup(np.flatnonzero(_closure(parent.table, parent.identity, list(gens))))
+        seed = [parent._element(g) for g in gens]
+        return parent._subgroup(np.flatnonzero(_closure(parent.table, parent.identity, seed)))
 
     @staticmethod
     def trivial(parent: FinGroup) -> "Subgroup":
@@ -343,18 +359,6 @@ class Subgroup:
         return f"Subgroup({self.members})"
 
 
-def _subgroup(self: FinGroup, members) -> Subgroup:
-    key = tuple(sorted(set(int(m) for m in members)))
-    hit = self._subgroup_cache.get(key)
-    if hit is None:
-        hit = Subgroup(self, key)
-        self._subgroup_cache[key] = hit
-    return hit
-
-
-FinGroup._subgroup = _subgroup
-
-
 def coset_lookup(G: FinGroup, U: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """Least members of the right cosets Ug in increasing order, and the
     position of each element's coset among them, as read-only arrays.
@@ -425,6 +429,7 @@ def _check_coset_action(U: Subgroup, j: np.ndarray, u: np.ndarray) -> None:
 def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:
     """K meet gHg^-1 inside the common parent."""
     G = K.parent
+    g = G._element(g)
     conj = G.table[G.table[g, list(H.members)], G.inverse[g]]
     return G._subgroup(conj[K.local_index[conj] >= 0])
 

@@ -1,10 +1,11 @@
 """Dense exact linear algebra over a FiniteField.
 
 Matrices are immutable, row major, with entries stored as element codes in
-a numpy int16 array.  Data from outside (lists, JSON, catalogs, caller
-arrays) is range-checked by ``Matrix(...)``; results of the field kernels
-and rearrangements of existing matrices are wrapped by ``Matrix._of``
-without a rescan.  Reduction is Gauss-Jordan to the reduced row echelon
+a numpy int16 array.  Code arrays from outside (lists, JSON, catalogs,
+caller arrays) are checked and cast by ``field_codes``, for ``Matrix(...)``
+and ``reps.Rep(...)`` alike; results of the field kernels and
+rearrangements of existing matrices are wrapped by ``Matrix._of`` without
+a rescan.  Reduction is Gauss-Jordan to the reduced row echelon
 form, which is unique, so echelon forms (and everything derived from them:
 ranks, kernels, solutions) are canonical whichever nonzero entry of a
 column serves as its pivot.  One function, ``_rref``, eliminates: in
@@ -24,6 +25,17 @@ import numpy as np
 from .fields import FiniteField
 
 
+def field_codes(field: FiniteField, raw: np.ndarray) -> np.ndarray:
+    """A fresh int16 copy of an outside array of codes of field, after
+    checking that its entries are integers in 0..q-1: the cast alone would
+    truncate 1.5 to 1 and wrap large entries."""
+    if raw.size and raw.dtype.kind not in "biu":
+        raise ValueError("entries must be integer field codes")
+    if raw.size and (raw.min() < 0 or raw.max() >= field.order):
+        raise ValueError("entry out of field range")
+    return np.array(raw, dtype=np.int16)
+
+
 class Matrix:
     __slots__ = ("field", "a")
 
@@ -31,13 +43,7 @@ class Matrix:
         raw = np.asarray(data)
         if raw.ndim != 2:
             raise ValueError("matrix data must be two dimensional")
-        # kind and range are checked before the int16 cast, which would
-        # truncate 1.5 to 1 and wrap large entries
-        if raw.size and raw.dtype.kind not in "biu":
-            raise ValueError("entries must be integer field codes")
-        if raw.size and (raw.min() < 0 or raw.max() >= field.order):
-            raise ValueError("entry out of field range")
-        a = np.array(raw, dtype=np.int16)
+        a = field_codes(field, raw)
         a.flags.writeable = False
         self.field = field
         self.a = a

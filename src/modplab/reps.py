@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import FiniteField, p_part
 from .groups import FinGroup, Subgroup, coset_action, coset_lookup
-from .linalg import Matrix, Subspace, check_cells, column_space, row_reduce, solve, vstack
+from .linalg import Matrix, Subspace, check_cells, column_space, field_codes, row_reduce, solve, vstack
 from .memo import ENTRY_OVERHEAD, Memo
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "hom_space",
     "fixed_points",
     "cyclic_span",
-    "cyclic_span_dim",
     "group_characters",
     "characters_of",
 ]
@@ -76,13 +75,7 @@ class Rep:
         a = np.asarray(T)
         if a.ndim != 3 or a.shape[0] != group.order or a.shape[1] != a.shape[2]:
             raise ValueError("need one square matrix per group element")
-        # kind and range are checked before the int16 cast, which would
-        # truncate 1.9 to 1 and wrap large entries
-        if a.size and a.dtype.kind not in "biu":
-            raise ValueError("entries must be integer field codes")
-        if a.size and (a.min() < 0 or a.max() >= field.order):
-            raise ValueError("entry out of field range")
-        self._set(group, field, np.array(a, dtype=np.int16))
+        self._set(group, field, field_codes(field, a))
         self._validate()
 
     @classmethod
@@ -505,10 +498,6 @@ def fixed_points(V: Rep) -> Subspace:
 
 def cyclic_span(V: Rep, v: Sequence[int]) -> Subspace:
     return Subspace.from_rows(V.field, V.dim, Matrix._of(V.field, V.orbit(v)))
-
-
-def cyclic_span_dim(V: Rep, v: Sequence[int]) -> int:
-    return cyclic_span(V, v).dim
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,44 @@ def test_catalog_that_redefines_a_builtin_name_exits_2(tmp_path, capsys, catalog
     assert err == f"error: malformed catalog: {message} is built in, for another {message.split()[0]}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stable", "--group", "S3", "--field", "F4", "--pairs", "triv:perm2"],
+        ["stable", "--group", "D4", "--field", "F2", "--pairs", "triv:triv"],
+        ["fairness", "--mode", "finite", "--group", "S3", "--K", "0,3", "--H", "0,3", "--Hprime", "0"],
+        ["fairness", "--mode", "finite", "--group", "D4"],
+    ],
+    ids=["stable-S3-F4", "stable-D4-F2", "fairness-S3", "fairness-D4"],
+)
+def test_catalog_names_resolve_over_the_builtins(capsys, argv):
+    # large.json lists D4, A4 and F4; S3 and F2 once resolved with no
+    # catalog only, and `stable --group S3 --catalog large.json` exited 2
+    code, plain, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    code, out, err = run(argv + ["--catalog", str(ROOT / "perfbench" / "catalogs" / "large.json")], capsys)
+    assert code == 0 and err == "" and out == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stable", "--group", "Z3", "--field", "F3", "--pairs", "triv:triv"],
+        ["stable", "--group", "C3", "--field", "GF3", "--pairs", "triv:triv"],
+        ["fairness", "--mode", "finite", "--group", "Z3"],
+    ],
+    ids=["stable-catalog-group", "stable-catalog-field", "fairness-catalog-group"],
+)
+def test_catalog_only_names_resolve(tmp_path, capsys, argv):
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps({"groups": [{"name": "Z3", "table": catalog_groups()["C3"].table.tolist()}],
+                               "fields": [{"name": "GF3", "p": 3}]}))
+    code, out, err = run(argv + ["--catalog", str(cat)], capsys)
+    assert code == 0 and err == "" and json.loads(out)["command"] == argv[0]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and err.startswith("error: unknown ")
+
+
 def _c2_catalog(tmp_path) -> str:
     cat = tmp_path / "cat.json"
     cat.write_text(json.dumps({"groups": [{"ref": "C2"}], "fields": [{"p": 2}]}))

@@ -85,6 +85,14 @@ def test_relative_projectivity_rejects_a_subgroup_of_another_group(U):
         relative_projectivity_test(regular_rep(sym3(), F2), U)
 
 
+@pytest.mark.parametrize("U", _foreign_subgroups(), ids=repr)
+@pytest.mark.parametrize("entry", [adjunction_unit, adjunction_counit, unit_retraction, counit_section],
+                         ids=lambda f: f.__name__)
+def test_adjunction_maps_reject_a_module_over_another_group(entry, U):
+    with pytest.raises(ValueError, match="X must be a representation of U's parent group"):
+        entry(U, regular_rep(sym3(), F2))
+
+
 def test_splits_over():
     C2 = cyclic_group(2)
     _, ses = loop_rep(trivial_rep(C2, F2), Subgroup.trivial(C2))

@@ -18,16 +18,15 @@ from modplab.groups import (
     all_subgroups,
     conjugate_intersect,
     coset_lookup,
-    group_from_table,
 )
 
 
 def test_table_validation():
     with pytest.raises(ValueError):
-        group_from_table([[0, 1], [1, 1]])  # not a latin square
+        FinGroup([[0, 1], [1, 1]])  # not a latin square
     with pytest.raises(ValueError):
-        group_from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative
-    G = group_from_table([[0, 1], [1, 0]], labels=["e", "g"])
+        FinGroup([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # not associative
+    G = FinGroup([[0, 1], [1, 0]], labels=["e", "g"])
     assert G.order == 2 and G.label(1) == "g"
 
 
@@ -39,12 +38,12 @@ def test_table_validation():
 def test_table_entries_must_be_integers_in_range(table):
     # the int16 cast used to truncate 1.5 to 1 and overflow on large entries
     with pytest.raises(ValueError):
-        group_from_table(table)
+        FinGroup(table)
 
 
 def test_equal_subgroups_of_equal_groups_hash_equal():
     S3 = sym3()
-    twin = group_from_table(S3.table.tolist())
+    twin = FinGroup(S3.table.tolist())
     assert twin is not S3 and twin == S3
     a, b = Subgroup(S3, [0, 1, 2]), Subgroup(twin, [0, 1, 2])
     assert a == b and hash(a) == hash(b)
@@ -103,6 +102,26 @@ def test_subgroup_validation_reports_the_first_failing_member():
     ]:
         with pytest.raises(ValueError, match=message):
             Subgroup(C6, members)
+
+
+def _index_calls():
+    S3 = sym3()
+    K = H = Subgroup(S3, [0, 3])
+    return [
+        ("subgroup-negative", lambda: Subgroup(cyclic_group(2), [-1, 0]), -1),
+        ("subgroup-beyond", lambda: Subgroup(klein_group(), [0, 7]), 7),
+        ("subgroup-given-order", lambda: Subgroup(klein_group(), [0, 9, -2]), 9),
+        ("generate", lambda: Subgroup.generate(S3, [-1]), -1),
+        ("conjugate-intersect", lambda: conjugate_intersect(K, H, -1), -1),
+    ]
+
+
+@pytest.mark.parametrize("call, bad", [c[1:] for c in _index_calls()], ids=[c[0] for c in _index_calls()])
+def test_outside_element_indices_are_checked(call, bad):
+    # numpy used to wrap -1 to the last element and raise IndexError beyond
+    # the order; the first bad index in the order given is named
+    with pytest.raises(ValueError, match=rf"^element index {bad} out of range$"):
+        call()
 
 
 def test_subgroup_generate_frozen():
@@ -224,7 +243,7 @@ def cubic_associative(T) -> bool:
 
 def light_accepts(T) -> bool:
     try:
-        group_from_table(T)
+        FinGroup(T)
     except ValueError as exc:
         assert str(exc) == "table is not associative"
         return False

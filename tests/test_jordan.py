@@ -1,7 +1,7 @@
 import pytest
 
 from modplab.catalog import catalog_groups, cyclic_group, klein_group
-from modplab.groups import group_from_table
+from modplab.groups import FinGroup
 from modplab.fields import FiniteField
 from modplab.linalg import Matrix
 from modplab.jordan import (
@@ -93,7 +93,7 @@ def _brute_cyclic_generator(G, p):
     return None
 
 
-GROUPS = {**catalog_groups(), "E": group_from_table([[0]])}
+GROUPS = {**catalog_groups(), "E": FinGroup([[0]])}
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

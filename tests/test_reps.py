@@ -12,7 +12,7 @@ from modplab.reps import (
     ShortExactSeq,
     character_rep,
     characters_of,
-    cyclic_span_dim,
+    cyclic_span,
     direct_sum,
     fixed_points,
     hom_space,
@@ -162,9 +162,9 @@ def test_fixed_points_frozen():
 def test_cyclic_span_dim_frozen():
     C2 = cyclic_group(2)
     reg = regular_rep(C2, F2)
-    assert cyclic_span_dim(reg, (0, 0)) == 0
-    assert cyclic_span_dim(trivial_rep(C2, F2), (1,)) == 1
-    assert cyclic_span_dim(reg, (1, 0)) == 2
+    assert cyclic_span(reg, (0, 0)).dim == 0
+    assert cyclic_span(trivial_rep(C2, F2), (1,)).dim == 1
+    assert cyclic_span(reg, (1, 0)).dim == 2
 
 
 def test_direct_sum():
