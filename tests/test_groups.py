@@ -104,19 +104,19 @@ def test_subgroup_validation_reports_the_first_failing_member():
             Subgroup(C6, members)
 
 
-def _index_calls():
-    S3 = sym3()
-    K = H = Subgroup(S3, [0, 3])
-    return [
-        ("subgroup-negative", lambda: Subgroup(cyclic_group(2), [-1, 0]), -1),
-        ("subgroup-beyond", lambda: Subgroup(klein_group(), [0, 7]), 7),
-        ("subgroup-given-order", lambda: Subgroup(klein_group(), [0, 9, -2]), 9),
-        ("generate", lambda: Subgroup.generate(S3, [-1]), -1),
-        ("conjugate-intersect", lambda: conjugate_intersect(K, H, -1), -1),
-    ]
+TRANSPOSITION = Subgroup(sym3(), [0, 3])
 
 
-@pytest.mark.parametrize("call, bad", [c[1:] for c in _index_calls()], ids=[c[0] for c in _index_calls()])
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        pytest.param(lambda: Subgroup(cyclic_group(2), [-1, 0]), -1, id="subgroup-negative"),
+        pytest.param(lambda: Subgroup(klein_group(), [0, 7]), 7, id="subgroup-beyond"),
+        pytest.param(lambda: Subgroup(klein_group(), [0, 9, -2]), 9, id="subgroup-given-order"),
+        pytest.param(lambda: Subgroup.generate(sym3(), [-1]), -1, id="generate"),
+        pytest.param(lambda: conjugate_intersect(TRANSPOSITION, TRANSPOSITION, -1), -1, id="conjugate-intersect"),
+    ],
+)
 def test_outside_element_indices_are_checked(call, bad):
     # numpy used to wrap -1 to the last element and raise IndexError beyond
     # the order; the first bad index in the order given is named
