@@ -138,7 +138,7 @@ def _default_vectors(V: Rep) -> list[tuple]:
         return nonzero_vectors(V.field, d)
     # orbit of the standard basis: spans, stays group-stable, and avoids
     # enumerating all q^d vectors; g sends e_i to column i of its matrix
-    columns = V.T.transpose(0, 2, 1).reshape(-1, d)
+    columns = V.on(V.group.elements()).transpose(0, 2, 1).reshape(-1, d)
     return sorted(set(map(tuple, columns.tolist())))
 
 
@@ -220,19 +220,19 @@ def character_eigenspace(
     gens = list(C.generators())
     # the maps from chi's one-dimensional module into V
     scalars = np.array([chi.value(z) for z in gens], dtype=np.int16).reshape(-1, 1, 1)
-    space = equivariant_kernel(field, scalars, V.T[gens])
+    space = equivariant_kernel(field, scalars, V.on(gens))
     parts = [p_part(G.element_order(z), field.p) for z in C.members]
     # only pure p-power-order elements decide availability; mixed orders
     # factor through them inside the abelian C
     pure = [z for z, (_, m) in zip(C.members, parts) if m == 1]
-    if not (V.T[pure] == np.eye(V.dim, dtype=np.int16)).all():
+    if not (V.on(pure) == np.eye(V.dim, dtype=np.int16)).all():
         return space, None
     prime_to_p = [z for z, (e, _) in zip(C.members, parts) if e == 0]
     # the average of chi(z^-1) rho(z) as a (1 x n) coefficient row times
     # the n flattened matrices
     coeffs = np.array([[chi.value(G.inv(z)) for z in prime_to_p]], dtype=np.int16)
     coeffs = field.ax_scale(coeffs, field.inv(len(prime_to_p) % field.p))
-    avg = field.ax_matmul(coeffs, V.T[prime_to_p].reshape(len(prime_to_p), V.dim * V.dim))
+    avg = field.ax_matmul(coeffs, V.on(prime_to_p).reshape(len(prime_to_p), V.dim * V.dim))
     P = Matrix._of(field, avg.reshape(V.dim, V.dim))
     if P @ P != P:
         raise AssertionError("averaging operator failed to be idempotent")
@@ -260,7 +260,7 @@ def extend_by_central_character(
     local = K.local_index
     overlap = list(C.intersect(K).members)
     scalars = np.array([chi.value(z) for z in overlap], dtype=np.int16)[:, None, None]
-    if not np.array_equal(V.T[local[overlap]], scalars * np.eye(V.dim, dtype=np.int16)):
+    if not np.array_equal(V.on(local[overlap]), scalars * np.eye(V.dim, dtype=np.int16)):
         raise ValueError("character disagrees with the action on the overlap")
     KC = K.join(C)
     # x = k c with c the first member of C for which k = x c^-1 lies in K
@@ -271,7 +271,7 @@ def extend_by_central_character(
     first = in_K.argmax(axis=1)
     k = local[cands[np.arange(KC.order), first]]
     values = np.array(chi.values, dtype=np.int16)[first]
-    T = field.ax_mul(V.T[k], values[:, None, None])
+    T = field.ax_mul(V.on(k), values[:, None, None])
     W = Rep._of(KC.as_group(), field, T)
     W._validate()
     return W

@@ -21,7 +21,9 @@ from .reps import (
     Rep,
     RepMap,
     ShortExactSeq,
+    _block_row,
     _equivariant_solve,
+    _lift_rows,
     coset_stack,
     counit_matrix,
     hom_space,
@@ -30,7 +32,6 @@ from .reps import (
     own_block,
     restrict,
     unit_matrix,
-    upper_lift,
 )
 
 __all__ = [
@@ -79,11 +80,11 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> Matrix | None:
         raise ValueError("f must be a map of representations of U's parent group")
     field = f.source.field
     ds, dt = f.source.dim, f.target.dim
-    gens = list(U.generators())
+    gens = U.generators()
     F = f.matrix.a
     d = dt if kind == "section" else ds
     check_cells("u_split_search", d * d, ds * dt)
-    return _equivariant_solve(field, f.target.T[gens], f.source.T[gens], d, _split_constraint, F, kind)
+    return _equivariant_solve(field, f.target.on(gens), f.source.on(gens), d, _split_constraint, F, kind)
 
 
 def _split_constraint(field: FiniteField, F: np.ndarray, kind: str) -> Matrix:
@@ -125,8 +126,8 @@ def averaging_section(
     # sum over r of rho_V(r^-1) sigma rho_W(r) as one product of the row of
     # blocks rho_V(r^-1) sigma by the column of blocks rho_W(r)
     n, dV, dW = len(R), V.dim, W.dim
-    left = field.ax_matmul_batch(V.T[G.inverse[R]], sigma.a).transpose(1, 0, 2)
-    acc = field.ax_matmul(left.reshape(dV, n * dW), W.T[R].reshape(n * dW, dW))
+    left = field.ax_matmul_batch(V.on(G.inverse[R]), sigma.a).transpose(1, 0, 2)
+    acc = field.ax_matmul(left.reshape(dV, n * dW), W.on(R).reshape(n * dW, dW))
     out = Matrix._of(field, field.ax_scale(acc, field.inv(index % field.p)))
     if f.matrix @ out != Matrix.identity(field, W.dim):
         raise AssertionError("averaged map stopped being a section")
@@ -247,13 +248,14 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None
     if P.group != U.parent:
         raise ValueError("P must be a representation of U's parent group")
     field = P.field
-    gens = list(U.generators())
-    acting = P.T[gens]
-    Y = _equivariant_solve(field, acting, acting, P.dim, _trace_operator, *_trace_stacks(P, P, U))
+    acting = P.on(U.generators())
+    left, right = _trace_stacks(P, P, U)
+    Y = _equivariant_solve(field, acting, acting, P.dim, _trace_operator, left, right)
     if Y is None:
         return (False, None)
-    X = Matrix._of(field, upper_lift(U, P, Y.a[None])[0])
-    if counit_matrix(U, P) @ X != Matrix.identity(field, P.dim):
+    # the upper lift of Y and the counit, from the stacks just gathered
+    X = Matrix._of(field, _lift_rows(field, Y.a[None], right)[0])
+    if _block_row(field, left) @ X != Matrix.identity(field, P.dim):
         raise AssertionError("trace witness failed to section the counit")
     local = restrict(P, U)
     if not intertwines(local, local, Y.a):

@@ -6,7 +6,10 @@ generating set, O(n^2) per generator); internal constructors that multiply
 in an already associative structure pass ``validate=False`` to skip that
 test.  Element indices from outside (the members given to ``Subgroup``,
 the generators given to ``Subgroup.generate``, the g of
-``conjugate_intersect``) are each checked by ``FinGroup._element``.
+``conjugate_intersect``, and the element of ``FinGroup.mul``, ``.inv``,
+``.label``, ``.element_order``, ``Subgroup.contains`` and ``.local``) are
+each checked by ``FinGroup._element``; loops that already hold checked
+indices read ``table`` directly.
 ``FinGroup.to_json`` is public API that nothing in the package calls: it
 writes the group JSON file that catalogs and ``--group PATH`` read, so a
 group built in Python (a direct product, say) can be saved for them.
@@ -84,15 +87,16 @@ class FinGroup:
     # ---- basic operations ----
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.table[self._element(a), self._element(b)])
 
     def inv(self, a: int) -> int:
-        return int(self.inverse[a])
+        return int(self.inverse[self._element(a)])
 
     def element_order(self, a: int) -> int:
+        a = self._element(a)
         n, x = 1, a
         while x != self.identity:
-            x = self.mul(x, a)
+            x = int(self.table[x, a])
             n += 1
         return n
 
@@ -111,6 +115,7 @@ class FinGroup:
         return m
 
     def label(self, a: int) -> str:
+        a = self._element(a)
         return self.labels[a] if self.labels else str(a)
 
     def generators(self) -> tuple[int, ...]:
@@ -147,7 +152,7 @@ class FinGroup:
         if A.labels and B.labels:
             labels = [f"{A.labels[a]}|{B.labels[b]}" for a, b in pairs]
         return FinGroup.from_elements(
-            pairs, lambda x, y: (A.mul(x[0], y[0]), B.mul(x[1], y[1])), labels
+            pairs, lambda x, y: (int(A.table[x[0], y[0]]), int(B.table[x[1], y[1]])), labels
         )
 
     def _subgroup(self, members) -> "Subgroup":
@@ -292,11 +297,11 @@ class Subgroup:
         return self._local
 
     def contains(self, a: int) -> bool:
-        return bool(self.local_index[a] >= 0)
+        return bool(self.local_index[self.parent._element(a)] >= 0)
 
     def local(self, a: int) -> int:
         """Index of a parent element inside as_group()."""
-        i = int(self.local_index[a])
+        i = int(self.local_index[self.parent._element(a)])
         if i < 0:
             raise KeyError(a)
         return i
@@ -312,7 +317,7 @@ class Subgroup:
                 self._group = G
                 return G
             ms = list(self.members)
-            labels = [G.label(m) for m in ms] if G.labels else None
+            labels = [G.labels[m] for m in ms] if G.labels else None
             T = self.local_index[G.table[np.ix_(ms, ms)]]
             self._group = FinGroup(T, labels=labels, validate=False)
         return self._group
@@ -429,6 +434,8 @@ def _check_coset_action(U: Subgroup, j: np.ndarray, u: np.ndarray) -> None:
 def conjugate_intersect(K: Subgroup, H: Subgroup, g: int) -> Subgroup:
     """K meet gHg^-1 inside the common parent."""
     G = K.parent
+    if G is not H.parent and G != H.parent:
+        raise ValueError("different parents")
     g = G._element(g)
     conj = G.table[G.table[g, list(H.members)], G.inverse[g]]
     return G._subgroup(conj[K.local_index[conj] >= 0])

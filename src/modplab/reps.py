@@ -4,14 +4,23 @@ is simultaneously the left and right adjoint of restriction), equivariant
 hom spaces, fixed points, and multiplicative characters of abelian
 subgroups.
 
-A Rep stores its action as one read-only (|G|, d, d) int16 tensor ``T``,
-so that products over many group elements are single batched kernel
-calls.  The homomorphism property is verified at construction: the
+A Rep's action is a read-only (|G|, d, d) int16 tensor ``T``, slice T[g]
+the matrix of element g, and ``on(elements)`` gives the read-only stack
+of the action at a few elements; most readers want only the generators'.
+A Rep built from a tensor stores it.  induce and direct_sum return
+modules that keep the data that define them instead: the subgroup's coset
+action with the induced-from module, or the summands.  They gather on()
+from that data, keep each stack once gathered, the generators' above
+all, and build T, by the same gather over every element, only when a
+caller reads it.  Two
+Reps are equal when group, field and the generators' matrices agree,
+which determine the action, so neither equality nor hashing builds T.
+The homomorphism property is verified when a Rep wraps a tensor: the
 identity must map to the identity matrix and action(g*h) = action(g) @
 action(h) is checked for every generator g against every h, which by
 induction on word length forces the property for all pairs.  induce
 skips that dense check: groups.coset_action proves the same two things
-once per subgroup, on the integer data induce builds its blocks from.
+once per subgroup, on the integer data induce gathers its blocks from.
 hom_space, fixed_points and the character eigenspaces of covers are all
 one memoised kernel, equivariant_kernel; the split searches and the trace
 test of exact are one memoised affine solve, _equivariant_solve.
@@ -105,29 +114,106 @@ class Rep:
         if not np.array_equal(products, T[G.table[gens]]):
             raise ValueError("action is not a homomorphism")
 
+    def on(self, elements: Sequence[int]) -> np.ndarray:
+        """The read-only (k, d, d) stack of the action at the k listed
+        elements, in order."""
+        stack = self.T.take(elements, axis=0)
+        stack.flags.writeable = False
+        return stack
+
     def orbit(self, vec: Sequence[int]) -> np.ndarray:
         """The (|G|, d) array whose row g is the image of vec under g, in
         one batched product."""
         col = np.asarray(vec, dtype=np.int16).reshape(-1, 1)
-        return self.field.ax_matmul_batch(self.T, col)[:, :, 0]
+        return self.field.ax_matmul_batch(self.on(self.group.elements()), col)[:, :, 0]
 
     def __eq__(self, other):
         if self is other:
             return True
-        return (
-            isinstance(other, Rep)
-            and self.group == other.group
-            and self.field == other.field
-            and bool(np.array_equal(self.T, other.T))
-        )
+        if not isinstance(other, Rep) or self.group != other.group or self.field != other.field:
+            return False
+        gens = self.group.generators()
+        return bool(np.array_equal(self.on(gens), other.on(gens)))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.group, self.field.key(), self.T.shape, self.T.tobytes()))
+            stack = self.on(self.group.generators())
+            self._hash = hash((self.group, self.field.key(), stack.shape, stack.tobytes()))
         return self._hash
 
     def __repr__(self):
         return f"Rep(dim={self.dim}, group_order={self.group.order}, field={self.field!r})"
+
+
+class _Deferred(Rep):
+    """A module kept as the data that define it: _gather(at) builds the
+    (k, d, d) stack of the action at the k elements of the index array at.
+    Every stack gathered is kept, keyed by its element list: readers ask a
+    module for a few lists (the generators, the coset representatives or
+    their inverses, a subgroup's members), so a rerun gathers nothing.  T
+    is the stack of every element, gathered on its first read."""
+
+    __slots__ = ("_stacks",)
+
+    def on(self, elements: Sequence[int]) -> np.ndarray:
+        at = np.asarray(elements, dtype=np.intp)
+        key = at.tobytes()
+        stack = self._stacks.get(key)
+        if stack is None:
+            stack = self._gather(at)
+            stack.flags.writeable = False
+            self._stacks[key] = stack
+        return stack
+
+    def __getattr__(self, name):
+        # reached only for an unset slot, and T is the one left unset
+        if name != "T":
+            raise AttributeError(name)
+        self.T = self.on(self.group.elements())
+        return self.T
+
+
+class _Induced(_Deferred):
+    """induce(U, W): functions on the right cosets of U valued in W, kept
+    as U, whose coset_action is already checked, and W."""
+
+    __slots__ = ("_sub", "_inner")
+
+    def __init__(self, U: Subgroup, W: Rep):
+        self.group, self.field, self.dim = U.parent, W.field, U.index * W.dim
+        self._hash, self._stacks = None, {}
+        self._sub, self._inner = U, W
+
+    def _gather(self, at: np.ndarray) -> np.ndarray:
+        U, W = self._sub, self._inner
+        j, u = coset_action(U)
+        k, n, dW = len(at), j.shape[1], W.dim
+        # g sends block i to block j[g, i], acting there by W at u[g, i];
+        # coset_action has checked that (j, u) compose as G does, which
+        # makes these block matrices an action for any representation W of U
+        blocks = W.on(U.local_index[u[at]].reshape(-1)).reshape(k, n, dW, dW)
+        out = np.zeros((k, n, dW, n, dW), dtype=np.int16)
+        out[np.arange(k)[:, None], j[at], :, np.arange(n)[None, :], :] = blocks
+        return out.reshape(k, n * dW, n * dW)
+
+
+class _Sum(_Deferred):
+    """direct_sum(reps), kept as its block-diagonal summands."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, reps: Sequence[Rep]):
+        self.group, self.field, self.dim = reps[0].group, reps[0].field, sum(V.dim for V in reps)
+        self._hash, self._stacks = None, {}
+        self._parts = tuple(reps)
+
+    def _gather(self, at: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(at), self.dim, self.dim), dtype=np.int16)
+        o = 0
+        for V in self._parts:
+            out[:, o : o + V.dim, o : o + V.dim] = V.on(at)
+            o += V.dim
+        return out
 
 
 class RepMap:
@@ -243,6 +329,7 @@ def rep_from_generators(
         if M.field != field or M.rows != dim or M.cols != dim:
             raise ValueError("generator images must share one square shape and field")
     A = np.array([images[g].a for g in keys], dtype=np.int16)
+    keys = [G._element(g) for g in keys]
     T = np.zeros((G.order, dim, dim), dtype=np.int16)
     T[G.identity] = np.eye(dim, dtype=np.int16)
     reached = np.zeros(G.order, dtype=bool)
@@ -254,7 +341,7 @@ def rep_from_generators(
         ys, ks, xs = [], [], []
         for x in frontier:
             for k, g in enumerate(keys):
-                y = G.mul(g, x)
+                y = int(G.table[g, x])
                 if not reached[y]:
                     reached[y] = True
                     ys.append(y)
@@ -275,13 +362,7 @@ def direct_sum(reps: Sequence[Rep]) -> Rep:
     G, field = reps[0].group, reps[0].field
     if any(V.group != G or V.field != field for V in reps):
         raise ValueError("reps live over different groups or fields")
-    D = sum(V.dim for V in reps)
-    T = np.zeros((G.order, D, D), dtype=np.int16)
-    o = 0
-    for V in reps:
-        T[:, o : o + V.dim, o : o + V.dim] = V.T
-        o += V.dim
-    return Rep._of(G, field, T)
+    return _Sum(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +373,7 @@ def restrict(V: Rep, U: Subgroup) -> Rep:
     """V as a representation of U.as_group()."""
     if U.parent != V.group:
         raise ValueError("subgroup of a different group")
-    return Rep._of(U.as_group(), V.field, V.T[list(U.members)])
+    return Rep._of(U.as_group(), V.field, V.on(U.members))
 
 
 def induce(U: Subgroup, W: Rep) -> Rep:
@@ -301,7 +382,9 @@ def induce(U: Subgroup, W: Rep) -> Rep:
 
     The basis is (coset block, W basis vector), blocks ordered by the
     minimal-index coset representatives.  At finite index this single
-    functor is both adjoints of restriction.
+    functor is both adjoints of restriction.  The module keeps U and W
+    and gathers its action from coset_action(U); the dense tensor that a
+    reader of its T would build must fit INDUCE_CELLS.
     """
     G = U.parent
     if W.group != U.as_group():
@@ -312,13 +395,8 @@ def induce(U: Subgroup, W: Rep) -> Rep:
             f"induce needs a {G.order} x {d} x {d} action tensor, {G.order * d * d} cells,"
             f" over the budget of {INDUCE_CELLS}"
         )
-    j, u = coset_action(U)
-    n, dW = j.shape[1], W.dim
-    out = np.zeros((G.order, n, dW, n, dW), dtype=np.int16)
-    out[np.arange(G.order)[:, None], j, :, np.arange(n)[None, :], :] = W.T[U.local_index[u]]
-    # coset_action has checked that (j, u) compose as G does, which makes
-    # these block matrices an action for any representation W of U
-    return Rep._of(G, W.field, out.reshape(G.order, n * dW, n * dW))
+    coset_action(U)  # checks the coset data now, not at the first gather
+    return _Induced(U, W)
 
 
 # Every map written in induce's block layout: block i for the coset of the
@@ -335,7 +413,7 @@ def coset_stack(U: Subgroup, V: Rep, inverse: bool = False) -> np.ndarray:
     if V.group != U.parent:
         raise ValueError("V must be a representation of U's parent group")
     reps = coset_lookup(U.parent, U)[0]
-    return V.T[U.parent.inverse[reps] if inverse else reps]
+    return V.on(U.parent.inverse[reps] if inverse else reps)
 
 
 def own_block(U: Subgroup, W: Rep) -> np.ndarray:
@@ -357,8 +435,13 @@ def unit_matrix(U: Subgroup, X: Rep) -> Matrix:
 def counit_matrix(U: Subgroup, X: Rep) -> Matrix:
     """f goes to the sum of r^-1 f(r) over the representatives r: the row
     of blocks rho_X(r_i^-1)."""
-    stack = coset_stack(U, X, inverse=True)
-    return Matrix._of(X.field, stack.transpose(1, 0, 2).reshape(X.dim, len(stack) * X.dim))
+    return _block_row(X.field, coset_stack(U, X, inverse=True))
+
+
+def _block_row(field: FiniteField, stack: np.ndarray) -> Matrix:
+    """The (d, n d) row of the blocks of an (n, d, d) stack."""
+    n, d = len(stack), stack.shape[1]
+    return Matrix._of(field, stack.transpose(1, 0, 2).reshape(d, n * d))
 
 
 def lower_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
@@ -373,19 +456,23 @@ def lower_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
 def upper_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
     """U-maps Res V -> W to G-maps V -> Ind W: block row i is
     X rho_V(r_i)."""
-    stack = coset_stack(U, V)
+    return _lift_rows(V.field, X, coset_stack(U, V))
+
+
+def _lift_rows(field: FiniteField, X: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """upper_lift for the stack of rho_V(r_i): block row i is X stack[i]."""
     k, dW, dV = X.shape
-    return V.field.ax_matmul_batch(X[:, None], stack).reshape(k, len(stack) * dW, dV)
+    return field.ax_matmul_batch(X[:, None], stack).reshape(k, len(stack) * dW, dV)
 
 
 def lower_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
     """The inverse of lower_lift: F[:, :, own block] rho_W(r0)."""
-    return W.field.ax_matmul_batch(F[:, :, own_block(U, W)], W.T[0])
+    return W.field.ax_matmul_batch(F[:, :, own_block(U, W)], W.on([0])[0])
 
 
 def upper_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
     """The inverse of upper_lift: rho_W(r0^-1) F[:, own block]."""
-    return W.field.ax_matmul_batch(W.T[W.group.inverse[0]], F[:, own_block(U, W)])
+    return W.field.ax_matmul_batch(W.on([W.group.inv(0)])[0], F[:, own_block(U, W)])
 
 
 def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Matrix:
@@ -473,11 +560,11 @@ def intertwines(S: Rep, T: Rep, X: np.ndarray) -> bool:
     """Whether every map in the (..., dT, dS) stack X is equivariant from S
     to T: X @ rho_S(g) == rho_T(g) @ X for each generator g, checked with
     two batched products for the whole stack."""
-    gens = list(S.group.generators())
+    gens = S.group.generators()
     if not gens:
         return True
     f, X = S.field, X[..., None, :, :]
-    return bool(np.array_equal(f.ax_matmul_batch(X, S.T[gens]), f.ax_matmul_batch(T.T[gens], X)))
+    return bool(np.array_equal(f.ax_matmul_batch(X, S.on(gens)), f.ax_matmul_batch(T.on(gens), X)))
 
 
 def hom_space(V1: Rep, V2: Rep) -> Subspace:
@@ -485,15 +572,15 @@ def hom_space(V1: Rep, V2: Rep) -> Subspace:
     canonicalized by reduced echelon form."""
     if V1.group != V2.group or V1.field != V2.field:
         raise ValueError("reps live over different groups or fields")
-    gens = list(V1.group.generators())
-    return equivariant_kernel(V1.field, V1.T[gens], V2.T[gens])
+    gens = V1.group.generators()
+    return equivariant_kernel(V1.field, V1.on(gens), V2.on(gens))
 
 
 def fixed_points(V: Rep) -> Subspace:
     """The subspace of vectors fixed by every element of the group: the
     maps from the trivial module."""
-    gens = list(V.group.generators())
-    return equivariant_kernel(V.field, np.ones((len(gens), 1, 1), dtype=np.int16), V.T[gens])
+    gens = V.group.generators()
+    return equivariant_kernel(V.field, np.ones((len(gens), 1, 1), dtype=np.int16), V.on(gens))
 
 
 def cyclic_span(V: Rep, v: Sequence[int]) -> Subspace:

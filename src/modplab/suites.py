@@ -737,16 +737,16 @@ def _check_central_extensions(
     overlap = [K.local(z) for z in C.intersect(K).members]
     for V in list(catalog_reps(K.as_group(), F, 2).values())[:3]:
         I = np.eye(V.dim, dtype=np.int16)
-        if not (V.T[overlap] == I).all():
+        if not (V.on(overlap) == I).all():
             continue
         for chi in chars:
             W = extend_by_central_character(V, K, C, chi)
             _ensure(
-                np.array_equal(W.T[on_K], V.T),
+                np.array_equal(W.on(on_K), V.on(V.group.elements())),
                 "restriction back to K changed the action",
             )
             _ensure(
-                np.array_equal(W.T[on_C], np.array(chi.values)[:, None, None] * I),
+                np.array_equal(W.on(on_C), np.array(chi.values)[:, None, None] * I),
                 "central part does not act by the character",
             )
             count += 1

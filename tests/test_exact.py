@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import start_cold
+from modplab import exact, reps
 from modplab.catalog import alt4, catalog_groups, catalog_reps, cyclic_group, sym3
 from modplab.covers import induced_trivial
 from modplab.exact import (
@@ -169,6 +171,31 @@ def test_relative_projectivity_frozen():
     assert flag and isinstance(witness, Matrix)
     flag2, witness2 = relative_projectivity_test(triv3, Subgroup.trivial(S3))
     assert not flag2 and witness2 is None
+
+
+def test_trace_test_gathers_each_coset_stack_once(monkeypatch):
+    """The witness is checked against the two stacks the trace test
+    gathers, cold and warm; the upper lift and the counit used to gather
+    them again."""
+    start_cold(monkeypatch)
+    calls = []
+    original = reps.coset_stack
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("inverse", False))
+        return original(*args, **kwargs)
+
+    for module in (reps, exact):
+        monkeypatch.setattr(module, "coset_stack", spy)
+    S3 = sym3()
+    for members in ((0,), (0, 3), (0, 1, 2)):
+        U = Subgroup(S3, members)
+        P = induced_trivial(U, F3)
+        for _ in ("cold", "warm"):
+            calls.clear()
+            flag, witness = relative_projectivity_test(P, U)
+            assert flag and witness is not None
+            assert sorted(calls) == [False, True], members
 
 
 def _unit_retracts(V, U):

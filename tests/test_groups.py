@@ -115,6 +115,19 @@ TRANSPOSITION = Subgroup(sym3(), [0, 3])
         pytest.param(lambda: Subgroup(klein_group(), [0, 9, -2]), 9, id="subgroup-given-order"),
         pytest.param(lambda: Subgroup.generate(sym3(), [-1]), -1, id="generate"),
         pytest.param(lambda: conjugate_intersect(TRANSPOSITION, TRANSPOSITION, -1), -1, id="conjugate-intersect"),
+        *(
+            pytest.param(call, bad, id=f"{name}-{bad}")
+            for bad in (-1, 6)
+            for name, call in [
+                ("contains", lambda bad=bad: TRANSPOSITION.contains(bad)),
+                ("local", lambda bad=bad: TRANSPOSITION.local(bad)),
+                ("mul-left", lambda bad=bad: sym3().mul(bad, 1)),
+                ("mul-right", lambda bad=bad: sym3().mul(1, bad)),
+                ("inv", lambda bad=bad: sym3().inv(bad)),
+                ("label", lambda bad=bad: sym3().label(bad)),
+                ("element-order", lambda bad=bad: sym3().element_order(bad)),
+            ]
+        ),
     ],
 )
 def test_outside_element_indices_are_checked(call, bad):
@@ -122,6 +135,20 @@ def test_outside_element_indices_are_checked(call, bad):
     # the order; the first bad index in the order given is named
     with pytest.raises(ValueError, match=rf"^element index {bad} out of range$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        pytest.param(lambda: Subgroup(alt4(), [0, 8]), id="larger-parent"),
+        pytest.param(lambda: Subgroup(cyclic_group(4), [0, 2]), id="smaller-parent"),
+    ],
+)
+def test_conjugate_intersect_names_a_parent_mismatch(H):
+    # used to raise IndexError, or "not closed under inverse" from the
+    # subgroup built on the wrong parent's indices
+    with pytest.raises(ValueError, match="^different parents$"):
+        conjugate_intersect(TRANSPOSITION, H(), 1)
 
 
 def test_subgroup_generate_frozen():
