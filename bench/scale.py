@@ -2,7 +2,7 @@
 the built-in catalog, one child process per case under an address-space
 limit, and writes one canonical JSON file.
 
-    python3 bench/scale.py [--out BENCH_33.json] [--timeout S] [--quick]
+    python3 bench/scale.py [--out BENCH_33.json] [--quick]
 
 Children run `python -m modplab.cli` from this checkout's src/, strictly one
 at a time.  The groups (S4, S5 and the direct products C4xS4, C8xS4) are
@@ -14,7 +14,8 @@ Sections of the output file:
   scale   one row per case, each child limited to RLIMIT_AS = 4 GB
   ladder  stable-frobenius on C4xS4/F3 under RLIMIT_AS = 0.4, 0.5, 0.6 and
           0.75 GB
-A row records the case, its limit, the outcome ("exit N", "signal N" or
+A row records the case, its memory limit and its timeout (TIMEOUT_S wall
+seconds, the same for every child), the outcome ("exit N", "signal N" or
 "timeout"), the wall time, the child's peak resident set (ru_maxrss from
 wait4), the SHA-256 of its stdout, the verify report's summary when stdout
 is one, and the last line of stderr.  --quick runs one tiny case per
@@ -47,6 +48,7 @@ from modplab.groups import FinGroup  # noqa: E402
 
 GB = 1 << 30
 SCALE_LIMIT_GB = 4.0
+TIMEOUT_S = 300.0  # wall seconds per child
 LADDER_GB = (0.4, 0.5, 0.6, 0.75)
 FIELDS = {"F2": {"p": 2}, "F3": {"p": 3}}
 
@@ -103,7 +105,7 @@ def argv_of(case) -> list[str]:
     return ["verify", "--suite", what, "--catalog", f"{gname}-{fname}.json"]
 
 
-def run_child(argv: list[str], limit_gb: float, timeout: float, tmp: str) -> dict:
+def run_child(argv: list[str], limit_gb: float, tmp: str) -> dict:
     """Run one modplab command in a child limited to limit_gb of address
     space, in the input directory tmp; its resource usage comes from
     wait4, which reaps it."""
@@ -124,7 +126,7 @@ def run_child(argv: list[str], limit_gb: float, timeout: float, tmp: str) -> dic
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
             if pid:
                 break
-            if time.perf_counter() - start > timeout:
+            if time.perf_counter() - start > TIMEOUT_S:
                 proc.kill()
                 timed_out = True
                 _, status, usage = os.wait4(proc.pid, 0)
@@ -146,6 +148,7 @@ def run_child(argv: list[str], limit_gb: float, timeout: float, tmp: str) -> dic
     row = {
         "argv": argv,
         "limit_gb": limit_gb,
+        "timeout_s": TIMEOUT_S,
         "outcome": outcome,
         "wall_s": round(wall, 2),
         "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
@@ -159,7 +162,7 @@ def run_child(argv: list[str], limit_gb: float, timeout: float, tmp: str) -> dic
     return row
 
 
-def run(quick: bool, timeout: float) -> dict:
+def run(quick: bool) -> dict:
     scale = QUICK_SCALE if quick else SCALE
     ladder_case = QUICK_LADDER if quick else LADDER
     rungs = QUICK_LADDER_GB if quick else LADDER_GB
@@ -175,10 +178,10 @@ def run(quick: bool, timeout: float) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(tmp, [*scale, ladder_case])
         for case in scale:
-            row = run_child(argv_of(case), SCALE_LIMIT_GB, timeout, tmp)
+            row = run_child(argv_of(case), SCALE_LIMIT_GB, tmp)
             result["scale"].append({"case": "/".join(case), **row})
         for gb in rungs:
-            row = run_child(argv_of(ladder_case), gb, timeout, tmp)
+            row = run_child(argv_of(ladder_case), gb, tmp)
             result["ladder"].append({"case": "/".join(ladder_case), **row})
     return result
 
@@ -186,10 +189,9 @@ def run(quick: bool, timeout: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_33.json"))
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per child")
     parser.add_argument("--quick", action="store_true", help="one tiny case per section")
     args = parser.parse_args(argv)
-    result = run(args.quick, args.timeout)
+    result = run(args.quick)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
     for section in ("scale", "ladder"):

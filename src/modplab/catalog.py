@@ -148,7 +148,7 @@ def catalog_reps(G: FinGroup, field: FiniteField, max_dim: int = 4) -> dict[str,
         if hit["triv"].group is not G:
             # an equal table on another group object: hand back reps on the
             # caller's G, so later group checks compare by identity
-            return {name: Rep._of(G, field, V.on(G.elements())) for name, V in hit.items()}
+            return {name: Rep._of(G, field, V.T) for name, V in hit.items()}
         return hit
     out: dict[str, Rep] = {"triv": trivial_rep(G, field, 1)}
     if max_dim >= 2:

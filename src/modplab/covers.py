@@ -138,7 +138,7 @@ def _default_vectors(V: Rep) -> list[tuple]:
         return nonzero_vectors(V.field, d)
     # orbit of the standard basis: spans, stays group-stable, and avoids
     # enumerating all q^d vectors; g sends e_i to column i of its matrix
-    columns = V.on(V.group.elements()).transpose(0, 2, 1).reshape(-1, d)
+    columns = V.T.transpose(0, 2, 1).reshape(-1, d)
     return sorted(set(map(tuple, columns.tolist())))
 
 

@@ -10,8 +10,9 @@ of the action at a few elements; most readers want only the generators'.
 A Rep built from a tensor stores it.  induce and direct_sum return
 modules that keep the data that define them instead: the subgroup's coset
 action with the induced-from module, or the summands.  They gather on()
-from that data, keep each stack once gathered, the generators' above
-all, and build T, by the same gather over every element, only when a
+from that data, keep the generators' stack and other stacks up to T's
+cells, apply their action to vectors (orbit, lower_lift) from the same
+data, and build T, by the same gather over every element, only when a
 caller reads it.  Two
 Reps are equal when group, field and the generators' matrices agree,
 which determine the action, so neither equality nor hashing builds T.
@@ -117,15 +118,23 @@ class Rep:
     def on(self, elements: Sequence[int]) -> np.ndarray:
         """The read-only (k, d, d) stack of the action at the k listed
         elements, in order."""
-        stack = self.T.take(elements, axis=0)
+        return self._take(np.asarray(elements, dtype=np.intp))
+
+    def _take(self, at: np.ndarray) -> np.ndarray:
+        """on() for an index array, a stack that no module keeps."""
+        stack = self.T.take(at, axis=0)
         stack.flags.writeable = False
         return stack
 
+    def _apply(self, at: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The (k, d, m) stack of the matrices of the k elements of the
+        index array at, each times the (d, m) int16 array cols."""
+        return self.field.ax_matmul_batch(self._take(at), cols)
+
     def orbit(self, vec: Sequence[int]) -> np.ndarray:
-        """The (|G|, d) array whose row g is the image of vec under g, in
-        one batched product."""
+        """The (|G|, d) array whose row g is the image of vec under g."""
         col = np.asarray(vec, dtype=np.int16).reshape(-1, 1)
-        return self.field.ax_matmul_batch(self.on(self.group.elements()), col)[:, :, 0]
+        return self._apply(np.arange(self.group.order), col)[:, :, 0]
 
     def __eq__(self, other):
         if self is other:
@@ -147,54 +156,93 @@ class Rep:
 
 class _Deferred(Rep):
     """A module kept as the data that define it: _gather(at) builds the
-    (k, d, d) stack of the action at the k elements of the index array at.
-    Every stack gathered is kept, keyed by its element list: readers ask a
-    module for a few lists (the generators, the coset representatives or
-    their inverses, a subgroup's members), so a rerun gathers nothing.  T
-    is the stack of every element, gathered on its first read."""
+    (k, d, d) stack of the action at the k elements of the index array at,
+    and _apply works from the same data without building that stack.
+    on() keeps the stacks it gathers, keyed by the element list: the
+    generators' always, the others while all of them together hold no
+    more cells than T.  Readers ask a module
+    for a few short lists (the generators, the coset representatives or
+    their inverses, a subgroup's members), so a rerun gathers nothing,
+    and a module never holds more than the dense one it stands for.  T is
+    the gather over every element, built on its first read; it replaces
+    the kept stacks, and later stacks are taken from it."""
 
-    __slots__ = ("_stacks",)
+    __slots__ = ("_stacks", "_kept")
+
+    def _defer(self, group: FinGroup, field: FiniteField, dim: int):
+        self.group, self.field, self.dim = group, field, dim
+        self._hash, self._stacks, self._kept = None, {}, 0
 
     def on(self, elements: Sequence[int]) -> np.ndarray:
         at = np.asarray(elements, dtype=np.intp)
+        if self._stacks is None:  # T is built
+            return self._take(at)
         key = at.tobytes()
         stack = self._stacks.get(key)
         if stack is None:
-            stack = self._gather(at)
-            stack.flags.writeable = False
-            self._stacks[key] = stack
+            stack = self._take(at)
+            gens = self.group.generators()
+            if key == np.asarray(gens, dtype=np.intp).tobytes():
+                self._stacks[key] = stack
+            elif self._kept + stack.size <= (self.group.order - len(gens)) * self.dim * self.dim:
+                self._stacks[key] = stack
+                self._kept += stack.size
+        return stack
+
+    def _take(self, at: np.ndarray) -> np.ndarray:
+        if self._stacks is None:
+            return super()._take(at)
+        stack = self._gather(at)
+        stack.flags.writeable = False
         return stack
 
     def __getattr__(self, name):
         # reached only for an unset slot, and T is the one left unset
         if name != "T":
             raise AttributeError(name)
-        self.T = self.on(self.group.elements())
-        return self.T
+        T = self._gather(np.arange(self.group.order))
+        T.flags.writeable = False
+        self.T, self._stacks, self._kept = T, None, 0
+        return T
 
 
 class _Induced(_Deferred):
     """induce(U, W): functions on the right cosets of U valued in W, kept
-    as U, whose coset_action is already checked, and W."""
+    as U, whose coset_action is already checked, and W.  g sends block i
+    to block j[g, i], acting there by W at u[g, i], for (j, u) =
+    coset_action(U); coset_action has checked that (j, u) compose as G
+    does, which makes these block matrices an action for any
+    representation W of U."""
 
     __slots__ = ("_sub", "_inner")
 
     def __init__(self, U: Subgroup, W: Rep):
-        self.group, self.field, self.dim = U.parent, W.field, U.index * W.dim
-        self._hash, self._stacks = None, {}
+        self._defer(U.parent, W.field, U.index * W.dim)
         self._sub, self._inner = U, W
 
-    def _gather(self, at: np.ndarray) -> np.ndarray:
-        U, W = self._sub, self._inner
+    def _blocks(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """j[at], where each element sends each block, and the (k, n, dW,
+        dW) stack of W at u[at], how it acts there."""
+        U = self._sub
         j, u = coset_action(U)
-        k, n, dW = len(at), j.shape[1], W.dim
-        # g sends block i to block j[g, i], acting there by W at u[g, i];
-        # coset_action has checked that (j, u) compose as G does, which
-        # makes these block matrices an action for any representation W of U
-        blocks = W.on(U.local_index[u[at]].reshape(-1)).reshape(k, n, dW, dW)
+        k, n, dW = len(at), j.shape[1], self._inner.dim
+        return j[at], self._inner._take(U.local_index[u[at]].reshape(-1)).reshape(k, n, dW, dW)
+
+    def _gather(self, at: np.ndarray) -> np.ndarray:
+        to, blocks = self._blocks(at)
+        k, n, dW = blocks.shape[:3]
         out = np.zeros((k, n, dW, n, dW), dtype=np.int16)
-        out[np.arange(k)[:, None], j[at], :, np.arange(n)[None, :], :] = blocks
+        out[np.arange(k)[:, None], to, :, np.arange(n)[None, :], :] = blocks
         return out.reshape(k, n * dW, n * dW)
+
+    def _apply(self, at: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        to, blocks = self._blocks(at)
+        (k, n, dW), m = blocks.shape[:3], cols.shape[1]
+        # block i of the columns, moved by W at u[g, i] into block j[g, i]
+        moved = self.field.ax_matmul_batch(blocks, cols.reshape(n, dW, m))
+        out = np.zeros(moved.shape, dtype=np.int16)
+        out[np.arange(k)[:, None], to] = moved
+        return out.reshape(k, n * dW, m)
 
 
 class _Sum(_Deferred):
@@ -203,17 +251,23 @@ class _Sum(_Deferred):
     __slots__ = ("_parts",)
 
     def __init__(self, reps: Sequence[Rep]):
-        self.group, self.field, self.dim = reps[0].group, reps[0].field, sum(V.dim for V in reps)
-        self._hash, self._stacks = None, {}
+        self._defer(reps[0].group, reps[0].field, sum(V.dim for V in reps))
         self._parts = tuple(reps)
 
     def _gather(self, at: np.ndarray) -> np.ndarray:
         out = np.zeros((len(at), self.dim, self.dim), dtype=np.int16)
         o = 0
         for V in self._parts:
-            out[:, o : o + V.dim, o : o + V.dim] = V.on(at)
+            out[:, o : o + V.dim, o : o + V.dim] = V._take(at)
             o += V.dim
         return out
+
+    def _apply(self, at: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        out, o = [], 0
+        for V in self._parts:
+            out.append(V._apply(at, cols[o : o + V.dim]))
+            o += V.dim
+        return np.concatenate(out, axis=1)
 
 
 class RepMap:
@@ -407,13 +461,19 @@ def induce(U: Subgroup, W: Rep) -> Rep:
 # stack it came from is; no map here checks that.
 
 
-def coset_stack(U: Subgroup, V: Rep, inverse: bool = False) -> np.ndarray:
-    """The (index, d, d) stack of rho_V(r_i), or of rho_V(r_i^-1) when
-    inverse is set, in block order."""
+def _coset_elements(U: Subgroup, V: Rep, inverse: bool = False) -> np.ndarray:
+    """The representatives r_i, or their inverses when inverse is set, in
+    block order, for a representation V of U's parent."""
     if V.group != U.parent:
         raise ValueError("V must be a representation of U's parent group")
     reps = coset_lookup(U.parent, U)[0]
-    return V.on(U.parent.inverse[reps] if inverse else reps)
+    return U.parent.inverse[reps] if inverse else reps
+
+
+def coset_stack(U: Subgroup, V: Rep, inverse: bool = False) -> np.ndarray:
+    """The (index, d, d) stack of rho_V(r_i), or of rho_V(r_i^-1) when
+    inverse is set, in block order."""
+    return V.on(_coset_elements(U, V, inverse))
 
 
 def own_block(U: Subgroup, W: Rep) -> np.ndarray:
@@ -446,11 +506,11 @@ def _block_row(field: FiniteField, stack: np.ndarray) -> Matrix:
 
 def lower_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:
     """U-maps W -> Res V to G-maps Ind W -> V: block column i is
-    rho_V(r_i^-1) X."""
-    stack = coset_stack(U, V, inverse=True)
+    rho_V(r_i^-1) X, from the k dW columns of all X at once."""
+    at = _coset_elements(U, V, inverse=True)
     k, dV, dW = X.shape
-    moved = V.field.ax_matmul_batch(stack, X[:, None])
-    return moved.transpose(0, 2, 1, 3).reshape(k, dV, len(stack) * dW)
+    moved = V._apply(at, X.transpose(1, 0, 2).reshape(dV, k * dW))
+    return moved.reshape(len(at), dV, k, dW).transpose(2, 1, 0, 3).reshape(k, dV, len(at) * dW)
 
 
 def upper_lift(U: Subgroup, V: Rep, X: np.ndarray) -> np.ndarray:

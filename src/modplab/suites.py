@@ -742,7 +742,7 @@ def _check_central_extensions(
         for chi in chars:
             W = extend_by_central_character(V, K, C, chi)
             _ensure(
-                np.array_equal(W.on(on_K), V.on(V.group.elements())),
+                np.array_equal(W.on(on_K), V.T),
                 "restriction back to K changed the action",
             )
             _ensure(

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROW_KEYS = {"argv", "case", "limit_gb", "outcome", "wall_s", "maxrss_mb", "stdout_sha256", "stderr_tail"}
+ROW_KEYS = {"argv", "case", "limit_gb", "timeout_s", "outcome", "wall_s", "maxrss_mb", "stdout_sha256", "stderr_tail"}
 
 
 def test_quick_mode_writes_every_section(tmp_path):
@@ -26,5 +26,6 @@ def test_quick_mode_writes_every_section(tmp_path):
         assert row["maxrss_mb"] > 0 and row["wall_s"] > 0
         assert len(row["stdout_sha256"]) == 64
     assert data["scale"][0]["limit_gb"] == 4.0
+    assert all(row["timeout_s"] == 300.0 for row in data["scale"] + data["ladder"])
     # a verify report's summary is kept with its row
     assert data["ladder"][0]["summary"]["fail"] == 0

@@ -1,9 +1,10 @@
 """Induced modules and direct sums keep the data that define them: on()
-gathers the action at the elements asked for, each stack gathered is
-kept, and the dense T is built only when a caller reads it.  The gathered
-stacks must equal the materialised tensor's slices, be read-only, and
-compare and hash like it; the suites' projectivity and cover paths must
-never build an induced or a cover-source T."""
+gathers the action at the elements asked for and keeps what it gathers
+within T's cells, and the dense T is built only when a caller reads it.
+The gathered stacks and orbits must equal the materialised tensor's,
+stacks must be read-only, and the modules must compare and hash like it;
+the suites' projectivity and cover paths must never gather an induced or
+a cover-source stack as long as T."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from conftest import ROOT, start_cold
 from modplab import reps
 from modplab.catalog import catalog_fields, catalog_groups, catalog_reps, load_catalog
 from modplab.covers import induced_trivial
-from modplab.exact import projectivity_flags
+from modplab.exact import projectivity_flags, relative_projectivity_test
 from modplab.groups import Subgroup, all_subgroups
 from modplab.reps import Rep, direct_sum, induce, regular_rep, trivial_rep
 from modplab.suites import run_suite
@@ -71,7 +72,9 @@ def test_gathered_stacks_equal_the_materialised_slices(gname, renumber, data):
         lazy, dense = make(), make().T
         for elements in (S, [], gens):
             assert np.array_equal(lazy.on(elements), dense[elements]), elements
-        assert lazy.on(gens) is lazy.on(list(gens))  # a gathered stack is kept
+        assert lazy.on(gens) is lazy.on(list(gens))  # the generators' stack is kept
+        vec = data.draw(st.lists(st.integers(0, F.order - 1), min_size=lazy.dim, max_size=lazy.dim), label="v")
+        assert np.array_equal(lazy.orbit(vec), Rep._of(G, F, dense).orbit(vec))
         assert not _built(lazy)
     assert np.array_equal(direct_sum(parts).T, _dense_sum(parts))
 
@@ -108,17 +111,42 @@ def test_equality_and_hash_match_the_materialised_module():
         assert lazy != Rep._of(G, F, changed)
 
 
+def _kept_cells(V: Rep) -> int:
+    return sum(stack.size for stack in V._stacks.values())
+
+
+def test_kept_stacks_never_hold_more_than_the_tensor():
+    """A trace test against the trivial subgroup gathers two stacks of
+    |G| elements, the representatives and their inverses; a kept module
+    keeps at most T's cells of them, builds no T, and gives the same
+    answer as the dense module."""
+    for gname, fname in (("S3", "F2"), ("A4", "F3"), ("D4", "F2")):
+        G, F = catalog_groups()[gname], catalog_fields()[fname]
+        pool = list(catalog_reps(G, F, 4).values())
+        one = Subgroup.trivial(G)
+        for U in all_subgroups(G):
+            perm = induce(U, trivial_rep(U.as_group(), F))
+            for P in (perm, direct_sum([induce(U, trivial_rep(U.as_group(), F)), pool[-1]])):
+                dense = Rep._of(G, F, type(P)._gather(P, np.arange(G.order)))
+                for V in (one, U):
+                    ok, _ = relative_projectivity_test(P, V)
+                    assert ok == relative_projectivity_test(dense, V)[0]
+                    assert _kept_cells(P) <= G.order * P.dim * P.dim
+                assert not _built(P)
+
+
 def _spy_builds(monkeypatch) -> list:
-    """Record the type of every kept module whose T gets built."""
+    """Record the type of every kept module that gathers a stack of |G|
+    or more elements, as long as its T: building T is one such gather."""
     builds = []
-    original = reps._Deferred.__getattr__
+    for cls in (reps._Induced, reps._Sum):
 
-    def spy(self, name):
-        if name == "T":
-            builds.append(type(self).__name__)
-        return original(self, name)
+        def spy(self, at, original=cls._gather):
+            if len(at) >= self.group.order:
+                builds.append(type(self).__name__)
+            return original(self, at)
 
-    monkeypatch.setattr(reps._Deferred, "__getattr__", spy)
+        monkeypatch.setattr(cls, "_gather", spy)
     return builds
 
 
