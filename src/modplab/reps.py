@@ -10,10 +10,10 @@ of the action at a few elements; most readers want only the generators'.
 A Rep built from a tensor stores it.  induce and direct_sum return
 modules that keep the data that define them instead: the subgroup's coset
 action with the induced-from module, or the summands.  They gather on()
-from that data, keep the generators' stack and other stacks up to T's
-cells, apply their action to vectors (orbit, lower_lift) from the same
-data, and build T, by the same gather over every element, only when a
-caller reads it.  Two
+from that data, keep what they gather below twice T's size, apply their
+action to vectors (orbit, lower_lift) from the same data, and build T,
+by the same gather over every element, only when a caller reads it or
+asks for more than they keep.  Two
 Reps are equal when group, field and the generators' matrices agree,
 which determine the action, so neither equality nor hashing builds T.
 The homomorphism property is verified when a Rep wraps a tensor: the
@@ -118,13 +118,12 @@ class Rep:
     def on(self, elements: Sequence[int]) -> np.ndarray:
         """The read-only (k, d, d) stack of the action at the k listed
         elements, in order."""
-        return self._take(np.asarray(elements, dtype=np.intp))
-
-    def _take(self, at: np.ndarray) -> np.ndarray:
-        """on() for an index array, a stack that no module keeps."""
-        stack = self.T.take(at, axis=0)
+        stack = self.T.take(elements, axis=0)
         stack.flags.writeable = False
         return stack
+
+    # on() for an index array, a stack that no module keeps
+    _take = on
 
     def _apply(self, at: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The (k, d, m) stack of the matrices of the k elements of the
@@ -158,14 +157,15 @@ class _Deferred(Rep):
     """A module kept as the data that define it: _gather(at) builds the
     (k, d, d) stack of the action at the k elements of the index array at,
     and _apply works from the same data without building that stack.
-    on() keeps the stacks it gathers, keyed by the element list: the
-    generators' always, the others while all of them together hold no
-    more cells than T.  Readers ask a module
-    for a few short lists (the generators, the coset representatives or
-    their inverses, a subgroup's members), so a rerun gathers nothing,
-    and a module never holds more than the dense one it stands for.  T is
-    the gather over every element, built on its first read; it replaces
-    the kept stacks, and later stacks are taken from it."""
+    on() keeps the stacks it gathers, keyed by the element list, while
+    they hold fewer than 2 |G| matrices together: room for the generators
+    and for what one trace test reads against a subgroup of order 2, its
+    coset representatives, their inverses and its members, but not for
+    two stacks as long as T.  So a rerun gathers nothing, and a module
+    never holds twice the dense one it stands for.  T is the gather over
+    every element, built on its first read or when a gather would reach
+    that bound; it replaces the kept stacks, and later stacks are taken
+    from it."""
 
     __slots__ = ("_stacks", "_kept")
 
@@ -180,13 +180,10 @@ class _Deferred(Rep):
         key = at.tobytes()
         stack = self._stacks.get(key)
         if stack is None:
-            stack = self._take(at)
-            gens = self.group.generators()
-            if key == np.asarray(gens, dtype=np.intp).tobytes():
-                self._stacks[key] = stack
-            elif self._kept + stack.size <= (self.group.order - len(gens)) * self.dim * self.dim:
-                self._stacks[key] = stack
-                self._kept += stack.size
+            if self._kept + len(at) >= 2 * self.group.order:
+                return Rep._take(self, at)  # reads T, so builds it
+            stack = self._stacks[key] = self._take(at)
+            self._kept += len(at)
         return stack
 
     def _take(self, at: np.ndarray) -> np.ndarray:
@@ -202,7 +199,7 @@ class _Deferred(Rep):
             raise AttributeError(name)
         T = self._gather(np.arange(self.group.order))
         T.flags.writeable = False
-        self.T, self._stacks, self._kept = T, None, 0
+        self.T, self._stacks = T, None
         return T
 
 

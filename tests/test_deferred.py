@@ -70,10 +70,13 @@ def test_gathered_stacks_equal_the_materialised_slices(gname, renumber, data):
     for make in modules:
         S = data.draw(element_lists, label="elements")
         lazy, dense = make(), make().T
+        assert lazy.on(gens) is lazy.on(list(gens))  # a gathered stack is kept
         for elements in (S, [], gens):
             assert np.array_equal(lazy.on(elements), dense[elements]), elements
-        assert lazy.on(gens) is lazy.on(list(gens))  # the generators' stack is kept
+        # T is built only once 2 |G| matrices would be kept
+        assert _built(lazy) == (len(gens) + len(S) >= 2 * G.order)
         vec = data.draw(st.lists(st.integers(0, F.order - 1), min_size=lazy.dim, max_size=lazy.dim), label="v")
+        lazy = make()
         assert np.array_equal(lazy.orbit(vec), Rep._of(G, F, dense).orbit(vec))
         assert not _built(lazy)
     assert np.array_equal(direct_sum(parts).T, _dense_sum(parts))
@@ -111,28 +114,35 @@ def test_equality_and_hash_match_the_materialised_module():
         assert lazy != Rep._of(G, F, changed)
 
 
-def _kept_cells(V: Rep) -> int:
-    return sum(stack.size for stack in V._stacks.values())
+def _held_cells(V: Rep) -> int:
+    """The cells of V's T once built, else of its kept stacks."""
+    return Rep.T.__get__(V, Rep).size if _built(V) else sum(stack.size for stack in V._stacks.values())
 
 
-def test_kept_stacks_never_hold_more_than_the_tensor():
-    """A trace test against the trivial subgroup gathers two stacks of
-    |G| elements, the representatives and their inverses; a kept module
-    keeps at most T's cells of them, builds no T, and gives the same
-    answer as the dense module."""
+def test_kept_stacks_never_hold_more_than_twice_the_tensor():
+    """A trace test against the trivial subgroup reads two stacks of |G|
+    elements, the representatives and their inverses: a kept module ends
+    it holding no more than its T.  After trace tests against every
+    subgroup it holds less than twice T, and it answers as the dense
+    module does."""
     for gname, fname in (("S3", "F2"), ("A4", "F3"), ("D4", "F2")):
         G, F = catalog_groups()[gname], catalog_fields()[fname]
         pool = list(catalog_reps(G, F, 4).values())
         one = Subgroup.trivial(G)
         for U in all_subgroups(G):
-            perm = induce(U, trivial_rep(U.as_group(), F))
-            for P in (perm, direct_sum([induce(U, trivial_rep(U.as_group(), F)), pool[-1]])):
-                dense = Rep._of(G, F, type(P)._gather(P, np.arange(G.order)))
-                for V in (one, U):
-                    ok, _ = relative_projectivity_test(P, V)
-                    assert ok == relative_projectivity_test(dense, V)[0]
-                    assert _kept_cells(P) <= G.order * P.dim * P.dim
-                assert not _built(P)
+            for make in (
+                lambda: induce(U, trivial_rep(U.as_group(), F)),
+                lambda: direct_sum([induce(U, trivial_rep(U.as_group(), F)), pool[-1]]),
+            ):
+                P = make()
+                cells = G.order * P.dim * P.dim
+                relative_projectivity_test(P, one)
+                assert _held_cells(P) <= cells
+                P = make()
+                dense = Rep._of(G, F, make().T)
+                for V in all_subgroups(G):
+                    assert relative_projectivity_test(P, V)[0] == relative_projectivity_test(dense, V)[0]
+                    assert _held_cells(P) < 2 * cells
 
 
 def _spy_builds(monkeypatch) -> list:
