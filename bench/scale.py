@@ -2,7 +2,7 @@
 the built-in catalog, one child process per case under an address-space
 limit, and writes one canonical JSON file.
 
-    python3 bench/scale.py [--out BENCH_33.json] [--quick]
+    python3 bench/scale.py --out FILE [--quick]
 
 Children run `python -m modplab.cli` from this checkout's src/, strictly one
 at a time.  The groups (S4, S5 and the direct products C4xS4, C8xS4) are
@@ -19,7 +19,8 @@ seconds, the same for every child), the outcome ("exit N", "signal N" or
 "timeout"), the wall time, the child's peak resident set (ru_maxrss from
 wait4), the SHA-256 of its stdout, the verify report's summary when stdout
 is one, and the last line of stderr.  --quick runs one tiny case per
-section, which the tier-1 smoke test uses to check the schema.
+section, which the tier-1 smoke test uses to check the schema.  --out has
+no default, so no run overwrites a committed BENCH_<n>.json unless asked.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def run(quick: bool) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_33.json"))
+    parser.add_argument("--out", required=True, help="the JSON file to write, e.g. BENCH_<n>.json")
     parser.add_argument("--quick", action="store_true", help="one tiny case per section")
     args = parser.parse_args(argv)
     result = run(args.quick)

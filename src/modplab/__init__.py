@@ -37,12 +37,15 @@ from .reps import (
 from .covers import (
     CoverAssembly,
     CoverageError,
+    ModuleCovers,
     assemble_cover,
     character_eigenspace,
     cover_map,
+    cover_vectors,
     extend_by_central_character,
     fixed_cover_subspace,
     induced_trivial,
+    module_covers,
     qualifying_subgroups,
 )
 from .exact import (

@@ -6,7 +6,9 @@ For a subgroup U fixing a vector v, the map sending a function f on the
 coset space to sum_{cosets} f(r) r^{-1} v is equivariant and hits v at the
 indicator of the trivial coset; its image is the span of the orbit of v.
 Summing such blocks over qualifying subgroups of many vectors produces a
-surjection onto the representation, when enough vectors qualify.
+surjection onto the representation, when enough vectors qualify.  The maps
+of all the vectors one subgroup qualifies for are built and checked as one
+stack.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .fields import FiniteField, p_part
 from .groups import Subgroup, all_subgroups
-from .linalg import Matrix, Subspace, hstack
+from .linalg import Matrix, Subspace
 from .reps import (
     Character,
     Rep,
@@ -26,6 +28,7 @@ from .reps import (
     direct_sum,
     equivariant_kernel,
     induce,
+    intertwines,
     lower_lift,
     trivial_rep,
 )
@@ -35,9 +38,12 @@ __all__ = [
     "CoverBlock",
     "CoverAssembly",
     "induced_trivial",
+    "ModuleCovers",
     "cover_map",
     "nonzero_vectors",
+    "cover_vectors",
     "qualifying_subgroups",
+    "module_covers",
     "assemble_cover",
     "fixed_cover_subspace",
     "character_eigenspace",
@@ -67,22 +73,28 @@ def induced_trivial(U: Subgroup, field: FiniteField) -> Rep:
     return store[key]
 
 
-def _vector(V: Rep, v) -> np.ndarray:
-    """v as a vector of V, its entries range-checked field codes."""
-    vec = Matrix(V.field, np.reshape(v, (1, -1))).a[0]
-    if len(vec) != V.dim:
+def _vectors(V: Rep, vectors) -> np.ndarray:
+    """The vectors of V as the rows of a (k, dV) array of range-checked
+    field codes."""
+    shape = (len(vectors), -1) if len(vectors) else (0, V.dim)
+    rows = Matrix(V.field, np.reshape(vectors, shape)).a
+    if rows.shape[1] != V.dim:
         raise ValueError("vector length differs from the representation dimension")
-    return vec
+    return rows
 
 
-def cover_map(U: Subgroup, V: Rep, v) -> RepMap:
-    """The equivariant map from induced_trivial(U) sending the indicator of
-    the trivial coset to v: the lower lift of the U-map 1 |-> v.  That map
-    is equivariant exactly when U fixes v, so a vector U moves raises
-    ValueError("map is not equivariant")."""
-    col = _vector(V, v).reshape(1, -1, 1)
-    mat = Matrix._of(V.field, lower_lift(U, V, col)[0])
-    return RepMap(induced_trivial(U, V.field), V, mat)
+def cover_map(U: Subgroup, V: Rep, vectors) -> np.ndarray:
+    """The read-only (k, dV, [G:U]) stack of the equivariant maps from
+    induced_trivial(U) to V, map i sending the indicator of the trivial
+    coset to the i-th of the k vectors: the lower lifts of the U-maps
+    1 |-> v, built as one stack.  Such a map is equivariant exactly when U
+    fixes its vector, and the stack is checked with one intertwines call,
+    so a vector U moves raises ValueError("map is not equivariant")."""
+    stack = lower_lift(U, V, _vectors(V, vectors)[:, :, None])
+    if not intertwines(induced_trivial(U, V.field), V, stack):
+        raise ValueError("map is not equivariant")
+    stack.flags.writeable = False
+    return stack
 
 
 def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]:
@@ -92,7 +104,7 @@ def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]
     The zero vector is rejected: every subgroup would qualify vacuously.
     """
     G = V.group
-    vec = _vector(V, v)
+    vec = _vectors(V, [v])[0]
     if not vec.any():
         raise ValueError("zero vector is excluded")
     orbit = V.orbit(vec)
@@ -111,6 +123,30 @@ def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]
         if G.order // J.order > d:
             out.append(U)
     return out
+
+
+class ModuleCovers(NamedTuple):
+    """The cover maps onto a module at a list of vectors, one cover_map
+    stack per subgroup: row j of a stack is the map of the rows[j]-th
+    vector."""
+
+    target: Rep
+    vectors: tuple[tuple, ...]
+    subgroups: tuple[tuple[Subgroup, ...], ...]  # each vector's qualifying subgroups
+    stacks: tuple[tuple[Subgroup, tuple[int, ...], np.ndarray], ...]  # (U, rows, stack)
+
+    def only(self, vectors) -> "ModuleCovers":
+        """The covers at the listed vectors, each one of these covers'."""
+        index = {vec: i for i, vec in enumerate(self.vectors)}
+        picked = [index[tuple(vec)] for vec in vectors]
+        renumber = {i: new for new, i in enumerate(picked)}
+        stacks = []
+        for U, rows, stack in self.stacks:
+            keep = [j for j, i in enumerate(rows) if i in renumber]
+            if keep:
+                stacks.append((U, tuple(renumber[rows[j]] for j in keep), stack[keep]))
+        vecs = tuple(self.vectors[i] for i in picked)
+        return ModuleCovers(self.target, vecs, tuple(self.subgroups[i] for i in picked), tuple(stacks))
 
 
 class CoverBlock(NamedTuple):
@@ -132,57 +168,74 @@ def nonzero_vectors(field: FiniteField, dim: int) -> list[tuple]:
     return [vec for vec in itertools.product(range(field.order), repeat=dim) if any(vec)]
 
 
-def _default_vectors(V: Rep) -> list[tuple]:
+def cover_vectors(V: Rep) -> list[tuple]:
+    """The vectors a cover of V is assembled at: every nonzero vector while
+    there are at most ENUM_VECTOR_LIMIT of them, else the orbit of the
+    standard basis, which spans, stays group-stable, and avoids enumerating
+    all q^d vectors."""
     q, d = V.field.order, V.dim
     if q**d <= ENUM_VECTOR_LIMIT:
         return nonzero_vectors(V.field, d)
-    # orbit of the standard basis: spans, stays group-stable, and avoids
-    # enumerating all q^d vectors; g sends e_i to column i of its matrix
+    # g sends e_i to column i of its matrix
     columns = V.T.transpose(0, 2, 1).reshape(-1, d)
     return sorted(set(map(tuple, columns.tolist())))
 
 
-def assemble_cover(V: Rep) -> CoverAssembly:
-    """Build the direct sum of induced trivial blocks over qualifying
-    (vector, subgroup) pairs together with the combined map onto V.
+def module_covers(V: Rep, vectors) -> ModuleCovers:
+    """The cover maps onto V at the given nonzero vectors: each vector's
+    qualifying subgroups, found once, and for each subgroup U one
+    cover_map stack over every vector that U qualifies for."""
+    vectors = tuple(map(tuple, vectors))
+    subgroups = tuple(tuple(qualifying_subgroups(V, vec)) for vec in vectors)
+    rows: dict = {}  # U.members -> (U, the indices of the vectors U qualifies for)
+    for i, omega in enumerate(subgroups):
+        for U in omega:
+            rows.setdefault(U.members, (U, []))[1].append(i)
+    stacks = tuple((U, tuple(at), cover_map(U, V, [vectors[i] for i in at])) for U, at in rows.values())
+    return ModuleCovers(V, vectors, subgroups, stacks)
+
+
+def assemble_cover(covers: ModuleCovers) -> CoverAssembly:
+    """Build the direct sum of induced trivial blocks over the qualifying
+    (vector, subgroup) pairs of covers, vector by vector, together with
+    the combined map onto covers.target.
 
     Raises CoverageError when the vectors admitting at least one qualifying
-    subgroup do not span V; vectors with an empty qualifying set are
-    recorded as dropped, never silently ignored.
+    subgroup do not span the target; vectors with an empty qualifying set
+    are recorded as dropped, never silently ignored.
     """
+    V = covers.target
     G, field = V.group, V.field
     if V.dim == 0:
         zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16))
         onto = RepMap(zero, V, Matrix.zeros(field, 0, 0), validate=False)
         return CoverAssembly(zero, onto, (), ())
-    chosen = _default_vectors(V)
+    column = {(i, U.members): m for U, rows, stack in covers.stacks for i, m in zip(rows, stack)}
     blocks: list[CoverBlock] = []
     block_reps: list[Rep] = []
-    block_cols: list[Matrix] = []
+    block_cols: list[np.ndarray] = []
     dropped: list[tuple] = []
     covered: list[tuple] = []
     offset = 0
-    for vec in chosen:
-        omega = qualifying_subgroups(V, vec)
+    for i, (vec, omega) in enumerate(zip(covers.vectors, covers.subgroups)):
         if not omega:
             dropped.append(vec)
             continue
         covered.append(vec)
         for U in omega:
-            phi = cover_map(U, V, vec)
-            blocks.append(CoverBlock(vec, U, offset, phi.source.dim))
-            block_reps.append(phi.source)
-            block_cols.append(phi.matrix)
-            offset += phi.source.dim
+            blocks.append(CoverBlock(vec, U, offset, U.index))
+            block_reps.append(induced_trivial(U, field))
+            block_cols.append(column[i, U.members])
+            offset += U.index
     if Subspace.from_rows(field, V.dim, covered).dim != V.dim:
         raise CoverageError(
             "vectors with a qualifying subgroup do not span the target "
-            f"({len(dropped)} of {len(chosen)} candidate vectors dropped)",
+            f"({len(dropped)} of {len(covers.vectors)} candidate vectors dropped)",
             dropped,
         )
     S = direct_sum(block_reps)  # each block is a verified rep
-    # equivariance holds blockwise: every cover_map above was validated
-    onto = RepMap(S, V, hstack(block_cols), validate=False)
+    # equivariance holds blockwise: cover_map validated every stack
+    onto = RepMap(S, V, Matrix._of(field, np.concatenate(block_cols, axis=1)), validate=False)
     if onto.rank() != V.dim:
         raise CoverageError("assembled map is not surjective", dropped)
     return CoverAssembly(S, onto, tuple(blocks), tuple(dropped))

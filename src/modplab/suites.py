@@ -34,10 +34,11 @@ from .covers import (
     CoverageError,
     assemble_cover,
     character_eigenspace,
-    cover_map,
+    cover_vectors,
     extend_by_central_character,
     fixed_cover_subspace,
     induced_trivial,
+    module_covers,
     nonzero_vectors,
     qualifying_subgroups,
 )
@@ -239,20 +240,20 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
     """Cover maps of V are anchored at their vector and not injective, and
     the assembled cover succeeds exactly when V has no free summand."""
     _ensure(fixed_points(V).dim >= 1, "nonzero rep with zero fixed space")
+    covers = module_covers(V, nonzero_vectors(F, V.dim))
     anchored = 0
-    for v in nonzero_vectors(F, V.dim):
-        for U in qualifying_subgroups(V, v):
-            phi = cover_map(U, V, v)
-            _ensure(not phi.is_injective(), "qualifying subgroup produced an injective cover map")
-            anchor = lower_drop(U, trivial_rep(U.as_group(), F), phi.matrix.a[None])
-            _ensure(
-                np.array_equal(anchor[0, :, 0], v),
-                "indicator of the trivial coset missed its vector",
-            )
-            anchored += 1
+    for U, rows, stack in covers.stacks:
+        for m in stack:
+            _ensure(Matrix._of(F, m).rank() < U.index, "qualifying subgroup produced an injective cover map")
+        anchor = lower_drop(U, trivial_rep(U.as_group(), F), stack)
+        _ensure(
+            np.array_equal(anchor[:, :, 0], [covers.vectors[i] for i in rows]),
+            "indicator of the trivial coset missed its vector",
+        )
+        anchored += len(rows)
     expect_fail = _expect_uncoverable(K, F, V)
     try:
-        asm = assemble_cover(V)
+        asm = assemble_cover(covers.only(cover_vectors(V)))
     except CoverageError:
         _ensure(expect_fail, "coverage failed although no free summand is present")
         return {"anchored": anchored, "cover": "uncoverable-as-classified"}
@@ -658,17 +659,22 @@ def _primary_parts(G: FinGroup, p: int) -> tuple[Subgroup, Subgroup]:
     return K, C
 
 
-def _check_projectors(pool: dict[str, Rep], C: Subgroup, chars: list) -> dict:
+def _check_projectors(pool: dict[str, Rep], C: Subgroup, chars: list, images: dict) -> dict:
     """Each eigenspace has a projector onto it, and with a full dual the
     eigenspaces exhaust V.  Returns each eigenspace by (rep name,
-    character index)."""
+    character index).  images maps a projector, by its field and codes, to
+    its column space; the cases of one suite run share it, so each distinct
+    projector is reduced once."""
     spaces = {}
     for name, V in pool.items():
         dims = 0
         for j, chi in enumerate(chars):
             space, P = character_eigenspace(V, C, chi)
             _ensure(P is not None, "projector unavailable for p'-order center")
-            _ensure(column_space(P) == space, "projector image mismatch")
+            key = (P.field.key(), P.a.shape, P.a.tobytes())
+            if key not in images:
+                images[key] = column_space(P)
+            _ensure(images[key] == space, "projector image mismatch")
             B = space.basis
             _ensure(B @ P.transpose() == B, "projector not identity on eigenspace")
             dims += space.dim
@@ -776,12 +782,14 @@ def _chi_case(
     C: Subgroup,
     rng: random.Random,
     surjection_counts: list[int],
+    images: dict,
 ) -> dict:
     """One chi-functor case; its surjection count joins the suite total
-    once that check has passed, even if a later check fails."""
+    once that check has passed, even if a later check fails.  images is
+    _check_projectors' map of projector column spaces."""
     chars = characters_of(C, F)
     pool = catalog_reps(G, F, 3)
-    spaces = _check_projectors(pool, C, chars)
+    spaces = _check_projectors(pool, C, chars, images)
     surjections = _check_surjections(F, pool, spaces, chars, rng)
     surjection_counts.append(surjections)
     extensions = _check_central_extensions(G, F, K, C, chars)
@@ -812,6 +820,7 @@ def _check_regular_eigenspaces(G: FinGroup, F: FiniteField) -> dict:
 def suite_chi_functor(seed: int, catalog) -> list[Case]:
     cases: list[Case] = []
     surjection_counts: list[int] = []
+    images: dict = {}
     for gname, G, fname, F in _pairs(catalog, ("C2", "C3", "C4", "C5", "C6", "C9", "V4")):
         if not G.is_abelian():
             continue
@@ -819,7 +828,7 @@ def suite_chi_functor(seed: int, catalog) -> list[Case]:
         if C.order == 1:
             continue
         rng = random.Random(f"{seed}:chi:{gname}:{fname}")
-        args = (G, F, K, C, rng, surjection_counts)
+        args = (G, F, K, C, rng, surjection_counts, images)
         inputs = {"group": gname, "field": fname, "center_part": list(C.members)}
         _run_case(cases, f"chi/{gname}/{fname}", inputs, _chi_case, *args)
     for gname, G, fname, F in _pairs(catalog, ("C3",), ("F4",)):

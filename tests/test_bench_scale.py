@@ -29,3 +29,17 @@ def test_quick_mode_writes_every_section(tmp_path):
     assert all(row["timeout_s"] == 300.0 for row in data["scale"] + data["ladder"])
     # a verify report's summary is kept with its row
     assert data["ladder"][0]["summary"]["fail"] == 0
+
+
+def test_a_run_without_out_exits_2_and_writes_nothing(tmp_path):
+    """--out has no default: a run that omits it stops at argument parsing
+    and leaves the working directory and the committed records alone."""
+    records = {name: os.path.getmtime(os.path.join(ROOT, name)) for name in os.listdir(ROOT) if name.startswith("BENCH_")}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "bench", "scale.py"), "--quick"],
+        capture_output=True, timeout=60, cwd=tmp_path, text=True,
+    )
+    assert proc.returncode == 2 and "--out" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+    assert {name: os.path.getmtime(os.path.join(ROOT, name)) for name in records} == records
+    assert sorted(name for name in os.listdir(ROOT) if name.startswith("BENCH_")) == sorted(records)

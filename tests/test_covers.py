@@ -7,9 +7,11 @@ from modplab.covers import (
     assemble_cover,
     character_eigenspace,
     cover_map,
+    cover_vectors,
     extend_by_central_character,
     fixed_cover_subspace,
     induced_trivial,
+    module_covers,
     qualifying_subgroups,
 )
 from modplab.fields import FiniteField
@@ -70,13 +72,20 @@ def test_qualifying_subgroups_with_central():
         qualifying_subgroups(W, (1,), C)  # C acts nontrivially here
 
 
+def _assemble(V):
+    return assemble_cover(module_covers(V, cover_vectors(V)))
+
+
 def test_cover_map_frozen_augmentation():
     C2 = cyclic_group(2)
-    phi = cover_map(Subgroup.trivial(C2), trivial_rep(C2, F2), (1,))
-    assert phi.matrix.a.tolist() == [[1, 1]]
-    assert row_reduce(phi.matrix).dim == 1
+    phi = cover_map(Subgroup.trivial(C2), trivial_rep(C2, F2), [(1,)])
+    assert phi.tolist() == [[[1, 1]]] and not phi.flags.writeable
+    assert row_reduce(Matrix(F2, phi[0])).dim == 1
     with pytest.raises(ValueError, match="map is not equivariant"):
-        cover_map(Subgroup.full(C2), regular_rep(C2, F2), (1, 0))  # not fixed
+        cover_map(Subgroup.full(C2), regular_rep(C2, F2), [(1, 0)])  # not fixed
+    with pytest.raises(ValueError, match="map is not equivariant"):
+        cover_map(Subgroup.full(C2), regular_rep(C2, F2), [(1, 1), (1, 0)])  # one moved in the stack
+    assert cover_map(Subgroup.full(C2), regular_rep(C2, F2), []).shape == (0, 2, 1)
 
 
 @pytest.mark.parametrize("q, code", [(2, 3), (2, -1), (3, -1), (4, 7)])
@@ -86,7 +95,7 @@ def test_vector_codes_outside_the_field_are_rejected(q, code):
     C2 = cyclic_group(2)
     V = trivial_rep(C2, F)
     with pytest.raises(ValueError, match="out of field range"):
-        cover_map(Subgroup.trivial(C2), V, (code,))
+        cover_map(Subgroup.trivial(C2), V, [(code,)])
     with pytest.raises(ValueError, match="out of field range"):
         qualifying_subgroups(V, (code,))
 
@@ -95,7 +104,7 @@ def test_vector_of_the_wrong_length_is_rejected():
     C2 = cyclic_group(2)
     V = trivial_rep(C2, F2)
     with pytest.raises(ValueError, match="vector length"):
-        cover_map(Subgroup.trivial(C2), V, (1, 0))
+        cover_map(Subgroup.trivial(C2), V, [(1, 0)])
     with pytest.raises(ValueError, match="vector length"):
         qualifying_subgroups(V, (1, 0))
 
@@ -104,15 +113,15 @@ def test_cover_map_kernel_nonzero_on_qualifying():
     C4 = cyclic_group(4)
     V = trivial_rep(C4, F2)
     for U in qualifying_subgroups(V, (1,)):
-        phi = cover_map(U, V, (1,))
-        assert row_reduce(phi.matrix).dim > 0
+        (phi,) = cover_map(U, V, [(1,)])
+        assert row_reduce(Matrix(F2, phi)).dim > 0
         # the indicator of the trivial coset maps to the vector itself
-        assert phi.matrix.a[:, 0].tolist() == [1]
+        assert phi[:, 0].tolist() == [1]
 
 
 def test_assemble_cover_frozen():
     C2 = cyclic_group(2)
-    asm = assemble_cover(trivial_rep(C2, F2))
+    asm = _assemble(trivial_rep(C2, F2))
     assert asm.source.dim == 2
     assert [(b.vector, b.subgroup.members) for b in asm.blocks] == [((1,), (0,))]
     assert asm.onto.matrix.a.tolist() == [[1, 1]]
@@ -123,19 +132,19 @@ def test_assemble_cover_frozen():
 def test_assemble_cover_uncoverable():
     C2 = cyclic_group(2)
     with pytest.raises(CoverageError):
-        assemble_cover(regular_rep(C2, F2))  # free module: no vector qualifies
+        _assemble(regular_rep(C2, F2))  # free module: no vector qualifies
 
 
 def test_assemble_cover_zero_rep():
     C2 = cyclic_group(2)
-    asm = assemble_cover(trivial_rep(C2, F2, 0))
+    asm = _assemble(trivial_rep(C2, F2, 0))
     assert asm.source.dim == 0 and asm.blocks == ()
 
 
 def test_fixed_cover_subspace_dies_under_phi():
     # p-group: the assembled map vanishes on full-group fixed points of S
     C4 = cyclic_group(4)
-    asm = assemble_cover(trivial_rep(C4, F2))
+    asm = _assemble(trivial_rep(C4, F2))
     sk = fixed_cover_subspace(asm)
     assert sk.dim == len(asm.blocks)
     assert sk == fixed_points(asm.source)
@@ -242,3 +251,59 @@ def test_extend_rejects_incompatible_overlap():
     chi = [c for c in characters_of(full, F4) if not c.is_trivial()][0]
     with pytest.raises(ValueError):
         extend_by_central_character(trivial_rep(C3, F4), full, full, chi)
+
+
+def _phi_pairs():
+    """Each built-in p-group with each built-in field of its characteristic."""
+    from modplab.catalog import catalog_fields, catalog_groups
+    from modplab.fields import p_part
+
+    for gname, K in sorted(catalog_groups().items()):
+        for fname, F in sorted(catalog_fields().items()):
+            if K.order > 1 and p_part(K.order, F.p)[1] == 1:
+                yield pytest.param(K, F, id=f"{gname}-{fname}")
+
+
+@pytest.mark.parametrize("K, F", list(_phi_pairs()))
+def test_module_covers_stack_the_per_vector_lower_lifts(K, F):
+    """For every pool rep, nonzero vector v and qualifying U, the row of
+    U's stack that belongs to v is the lower lift of the U-map 1 |-> v, and
+    each (vector, subgroup) pair has exactly one row."""
+    from modplab.catalog import catalog_reps
+    from modplab.covers import nonzero_vectors
+
+    for name, V in catalog_reps(K, F, 3).items():
+        vectors = nonzero_vectors(F, V.dim)
+        covers = module_covers(V, vectors)
+        assert covers.vectors == tuple(vectors)
+        assert [[U.members for U in omega] for omega in covers.subgroups] == [
+            [U.members for U in qualifying_subgroups(V, v)] for v in vectors
+        ], name
+        pairs = []
+        for U, rows, stack in covers.stacks:
+            assert stack.shape == (len(rows), V.dim, U.index) and not stack.flags.writeable
+            for i, m in zip(rows, stack):
+                col = np.array(vectors[i], dtype=np.int16).reshape(1, -1, 1)
+                assert np.array_equal(m, lower_lift(U, V, col)[0]), (name, vectors[i], U)
+                pairs.append((i, U.members))
+        want = [(i, U.members) for i, omega in enumerate(covers.subgroups) for U in omega]
+        assert sorted(pairs) == sorted(want), name
+
+
+def test_only_keeps_the_maps_of_the_listed_vectors():
+    """Covers narrowed to some vectors equal covers built at those vectors,
+    in the order listed, and the assembly over them is the same."""
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    from modplab.covers import nonzero_vectors
+
+    F = catalog_fields()["F9"]
+    V = catalog_reps(catalog_groups()["C9"], F, 3)["jordan3"]
+    every = module_covers(V, nonzero_vectors(F, V.dim))
+    picked = cover_vectors(V)[::-1]
+    assert len(picked) < len(every.vectors)
+    narrow, built = every.only(picked), module_covers(V, picked)
+    assert narrow.vectors == built.vectors and narrow.subgroups == built.subgroups
+    key = lambda covers: {(i, U.members): m.tolist() for U, rows, st in covers.stacks for i, m in zip(rows, st)}
+    assert key(narrow) == key(built)
+    a, b = assemble_cover(narrow), assemble_cover(built)
+    assert a.blocks == b.blocks and a.onto.matrix == b.onto.matrix

@@ -325,3 +325,57 @@ def test_projectivity_flags_are_the_two_separate_tests(name, field):
             projective = relative_projectivity_test(P, U)[0]
             injective = u_split_search(adjunction_unit(U, P), full, "retraction") is not None
             assert projectivity_flags(P, U) == (projective, injective)
+
+
+def test_trace_test_checks_its_witness_on_the_stacks_it_holds(monkeypatch):
+    """Over every subgroup of S3 and A4, the trace test checks Y against
+    the generators' stack it gathered, without restricting P to U."""
+    from conftest import profiled
+
+    trace, copy = exact.relative_projectivity_test.__code__, reps.restrict.__code__
+    restricted = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is copy and frame.f_back.f_code is trace:
+            restricted.append(frame.f_locals["U"])
+
+    def run():
+        for G in (sym3(), alt4()):
+            for U in all_subgroups(G):
+                for P in catalog_reps(G, F3, 3).values():
+                    relative_projectivity_test(P, U)
+
+    start_cold(monkeypatch)
+    profiled(hook, run)
+    assert restricted == []
+
+
+def test_a_tampered_trace_witness_raises(monkeypatch):
+    """Y plus a matrix that the relative trace kills, but that does not
+    commute with U, still sections the counit; the equivariance check
+    catches it."""
+    import numpy as np
+
+    from modplab.linalg import row_reduce
+
+    S3 = sym3()
+    U = Subgroup(S3, [0, 3])
+    P = regular_rep(S3, F3)
+    g = P.on(U.generators())
+    killed = row_reduce(exact._trace_operator(F3, *exact._trace_stacks(P, P, U))).basis.a
+    Z = next(
+        z.reshape(6, 6)
+        for z in killed
+        if not np.array_equal(F3.ax_matmul_batch(z.reshape(6, 6), g), F3.ax_matmul_batch(g, z.reshape(6, 6)))
+    )
+    flag, _ = relative_projectivity_test(P, U)
+    assert flag
+    solve = exact._equivariant_solve
+
+    def tampered(*args):
+        Y = solve(*args)
+        return Matrix(F3, F3.ax_add(Y.a, Z))
+
+    monkeypatch.setattr(exact, "_equivariant_solve", tampered)
+    with pytest.raises(AssertionError, match="trace witness is not U-equivariant"):
+        relative_projectivity_test(P, U)

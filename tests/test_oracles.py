@@ -1549,8 +1549,9 @@ def test_adjunction_matrices_match_block_layout(gname):
         F = catalog_fields()[fname]
         for U in all_subgroups(G):
             for name, P in catalog_reps(G, F, 4).items():
-                for v in fixed_points(restrict(P, U)).basis.a.tolist():
-                    assert covers.cover_map(U, P, v).matrix == ref_cover_columns(U, P, v), (fname, U, name)
+                fixed = fixed_points(restrict(P, U)).basis.a
+                for v, phi in zip(fixed, covers.cover_map(U, P, fixed)):
+                    assert Matrix(F, phi) == ref_cover_columns(U, P, v), (fname, U, name)
                 if not _fits_induce(P, U):
                     continue
                 want = ref_adjunction_matrices(U, P)

@@ -249,3 +249,61 @@ def test_chi_functor_ranks_each_qualifying_vector_once(monkeypatch, fresh_memos)
     assert report["summary"]["pass"] == report["summary"]["total"]
     vectors = sum(c["details"].get("omega_vectors", 0) for c in report["cases"])
     assert vectors == 190 and reductions == vectors
+
+
+def test_phi_machinery_builds_each_cover_map_once(monkeypatch, fresh_memos):
+    """Cold, the phi case of jordan3 on C9 over F9, whose cover is
+    assembled at 7 of its 728 nonzero vectors: each vector's qualifying
+    set is found once, each (vector, subgroup) map is built once, and each
+    subgroup's stack is checked with one intertwines call."""
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+
+    start_cold(monkeypatch)
+    K, F = catalog_groups()["C9"], catalog_fields()["F9"]
+    V = catalog_reps(K, F, 3)["jordan3"]
+    qualify, build, check = covers.qualifying_subgroups.__code__, covers.cover_map.__code__, reps.intertwines.__code__
+    asked, built, checked = Counter(), Counter(), Counter()
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is qualify:
+            asked[tuple(frame.f_locals["v"])] += 1
+        elif frame.f_code is build:
+            U = frame.f_locals["U"].members
+            built.update((tuple(v), U) for v in frame.f_locals["vectors"])
+        elif frame.f_code is check and frame.f_back.f_code is build:
+            checked[frame.f_back.f_locals["U"].members] += 1
+
+    details = profiled(hook, lambda: suites._phi_rep(K, F, V))
+    assert details["blocks"] > 0
+    assert len(asked) == 728 and set(asked.values()) == {1}
+    assert len(built) == details["anchored"] and set(built.values()) == {1}
+    assert set(checked) == {U for _, U in built} and set(checked.values()) == {1}
+
+
+def test_chi_functor_reduces_each_distinct_projector_once(monkeypatch, fresh_memos):
+    """Cold at seed 0: _check_projectors checks 190 projectors, 26 of them
+    distinct by field and codes, and reduces the column space of each
+    distinct one once, counted as _rref calls under column_space."""
+    start_cold(monkeypatch)
+    rref, span = linalg._rref.__code__, linalg.column_space.__code__
+    check, eigen = suites._check_projectors.__code__, covers.character_eigenspace.__code__
+    projectors = []
+    reductions = 0
+
+    def hook(frame, event, arg):
+        nonlocal reductions
+        if event == "return" and frame.f_code is eigen and frame.f_back.f_code is check:
+            P = arg[1]
+            projectors.append((P.field.key(), P.a.shape, P.a.tobytes()))
+        elif event == "call" and frame.f_code is rref:
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not span:
+                caller = caller.f_back
+            reductions += caller is not None and caller.f_back.f_code is check
+
+    report = profiled(hook, lambda: run_suite("chi-functor", seed=0))
+    assert report["summary"]["pass"] == report["summary"]["total"]
+    assert len(projectors) == 190
+    assert reductions == len(set(projectors)) == 26
