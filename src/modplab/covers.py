@@ -127,24 +127,24 @@ def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]
 
 class ModuleCovers(NamedTuple):
     """The cover maps onto a module at a list of vectors, one cover_map
-    stack per subgroup: row j of a stack is the map of the rows[j]-th
-    vector."""
+    stack per subgroup U: row j of U's stack is the map of the j-th vector
+    U qualifies for."""
 
     target: Rep
     vectors: tuple[tuple, ...]
     subgroups: tuple[tuple[Subgroup, ...], ...]  # each vector's qualifying subgroups
-    stacks: tuple[tuple[Subgroup, tuple[int, ...], np.ndarray], ...]  # (U, rows, stack)
+    stacks: tuple[tuple[Subgroup, tuple[tuple, ...], np.ndarray], ...]  # (U, its vectors, stack)
 
     def only(self, vectors) -> "ModuleCovers":
         """The covers at the listed vectors, each one of these covers'."""
         index = {vec: i for i, vec in enumerate(self.vectors)}
         picked = [index[tuple(vec)] for vec in vectors]
-        renumber = {i: new for new, i in enumerate(picked)}
+        kept = {self.vectors[i] for i in picked}
         stacks = []
-        for U, rows, stack in self.stacks:
-            keep = [j for j, i in enumerate(rows) if i in renumber]
-            if keep:
-                stacks.append((U, tuple(renumber[rows[j]] for j in keep), stack[keep]))
+        for U, vecs, stack in self.stacks:
+            rows = [j for j, vec in enumerate(vecs) if vec in kept]
+            if rows:
+                stacks.append((U, tuple(vecs[j] for j in rows), stack[rows]))
         vecs = tuple(self.vectors[i] for i in picked)
         return ModuleCovers(self.target, vecs, tuple(self.subgroups[i] for i in picked), tuple(stacks))
 
@@ -187,11 +187,11 @@ def module_covers(V: Rep, vectors) -> ModuleCovers:
     cover_map stack over every vector that U qualifies for."""
     vectors = tuple(map(tuple, vectors))
     subgroups = tuple(tuple(qualifying_subgroups(V, vec)) for vec in vectors)
-    rows: dict = {}  # U.members -> (U, the indices of the vectors U qualifies for)
-    for i, omega in enumerate(subgroups):
+    qualified: dict = {}  # U.members -> (U, the vectors U qualifies for)
+    for vec, omega in zip(vectors, subgroups):
         for U in omega:
-            rows.setdefault(U.members, (U, []))[1].append(i)
-    stacks = tuple((U, tuple(at), cover_map(U, V, [vectors[i] for i in at])) for U, at in rows.values())
+            qualified.setdefault(U.members, (U, []))[1].append(vec)
+    stacks = tuple((U, tuple(vecs), cover_map(U, V, vecs)) for U, vecs in qualified.values())
     return ModuleCovers(V, vectors, subgroups, stacks)
 
 
@@ -210,14 +210,14 @@ def assemble_cover(covers: ModuleCovers) -> CoverAssembly:
         zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16))
         onto = RepMap(zero, V, Matrix.zeros(field, 0, 0), validate=False)
         return CoverAssembly(zero, onto, (), ())
-    column = {(i, U.members): m for U, rows, stack in covers.stacks for i, m in zip(rows, stack)}
+    column = {(vec, U.members): m for U, vecs, stack in covers.stacks for vec, m in zip(vecs, stack)}
     blocks: list[CoverBlock] = []
     block_reps: list[Rep] = []
     block_cols: list[np.ndarray] = []
     dropped: list[tuple] = []
     covered: list[tuple] = []
     offset = 0
-    for i, (vec, omega) in enumerate(zip(covers.vectors, covers.subgroups)):
+    for vec, omega in zip(covers.vectors, covers.subgroups):
         if not omega:
             dropped.append(vec)
             continue
@@ -225,7 +225,7 @@ def assemble_cover(covers: ModuleCovers) -> CoverAssembly:
         for U in omega:
             blocks.append(CoverBlock(vec, U, offset, U.index))
             block_reps.append(induced_trivial(U, field))
-            block_cols.append(column[i, U.members])
+            block_cols.append(column[vec, U.members])
             offset += U.index
     if Subspace.from_rows(field, V.dim, covered).dim != V.dim:
         raise CoverageError(

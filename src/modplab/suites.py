@@ -242,15 +242,12 @@ def _phi_rep(K: FinGroup, F: FiniteField, V: Rep) -> dict:
     _ensure(fixed_points(V).dim >= 1, "nonzero rep with zero fixed space")
     covers = module_covers(V, nonzero_vectors(F, V.dim))
     anchored = 0
-    for U, rows, stack in covers.stacks:
+    for U, vecs, stack in covers.stacks:
         for m in stack:
             _ensure(Matrix._of(F, m).rank() < U.index, "qualifying subgroup produced an injective cover map")
         anchor = lower_drop(U, trivial_rep(U.as_group(), F), stack)
-        _ensure(
-            np.array_equal(anchor[:, :, 0], [covers.vectors[i] for i in rows]),
-            "indicator of the trivial coset missed its vector",
-        )
-        anchored += len(rows)
+        _ensure(np.array_equal(anchor[:, :, 0], vecs), "indicator of the trivial coset missed its vector")
+        anchored += len(vecs)
     expect_fail = _expect_uncoverable(K, F, V)
     try:
         asm = assemble_cover(covers.only(cover_vectors(V)))

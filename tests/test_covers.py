@@ -280,13 +280,13 @@ def test_module_covers_stack_the_per_vector_lower_lifts(K, F):
             [U.members for U in qualifying_subgroups(V, v)] for v in vectors
         ], name
         pairs = []
-        for U, rows, stack in covers.stacks:
-            assert stack.shape == (len(rows), V.dim, U.index) and not stack.flags.writeable
-            for i, m in zip(rows, stack):
-                col = np.array(vectors[i], dtype=np.int16).reshape(1, -1, 1)
-                assert np.array_equal(m, lower_lift(U, V, col)[0]), (name, vectors[i], U)
-                pairs.append((i, U.members))
-        want = [(i, U.members) for i, omega in enumerate(covers.subgroups) for U in omega]
+        for U, vecs, stack in covers.stacks:
+            assert stack.shape == (len(vecs), V.dim, U.index) and not stack.flags.writeable
+            for v, m in zip(vecs, stack):
+                col = np.array(v, dtype=np.int16).reshape(1, -1, 1)
+                assert np.array_equal(m, lower_lift(U, V, col)[0]), (name, v, U)
+                pairs.append((v, U.members))
+        want = [(v, U.members) for v, omega in zip(vectors, covers.subgroups) for U in omega]
         assert sorted(pairs) == sorted(want), name
 
 
@@ -303,7 +303,7 @@ def test_only_keeps_the_maps_of_the_listed_vectors():
     assert len(picked) < len(every.vectors)
     narrow, built = every.only(picked), module_covers(V, picked)
     assert narrow.vectors == built.vectors and narrow.subgroups == built.subgroups
-    key = lambda covers: {(i, U.members): m.tolist() for U, rows, st in covers.stacks for i, m in zip(rows, st)}
+    key = lambda covers: {(v, U.members): m.tolist() for U, vecs, st in covers.stacks for v, m in zip(vecs, st)}
     assert key(narrow) == key(built)
     a, b = assemble_cover(narrow), assemble_cover(built)
     assert a.blocks == b.blocks and a.onto.matrix == b.onto.matrix
