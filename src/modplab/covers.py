@@ -137,16 +137,15 @@ class ModuleCovers(NamedTuple):
 
     def only(self, vectors) -> "ModuleCovers":
         """The covers at the listed vectors, each one of these covers'."""
+        picked = tuple(map(tuple, vectors))
         index = {vec: i for i, vec in enumerate(self.vectors)}
-        picked = [index[tuple(vec)] for vec in vectors]
-        kept = {self.vectors[i] for i in picked}
-        stacks = []
+        subgroups = tuple(self.subgroups[index[vec]] for vec in picked)
+        kept, stacks = set(picked), []
         for U, vecs, stack in self.stacks:
             rows = [j for j, vec in enumerate(vecs) if vec in kept]
             if rows:
                 stacks.append((U, tuple(vecs[j] for j in rows), stack[rows]))
-        vecs = tuple(self.vectors[i] for i in picked)
-        return ModuleCovers(self.target, vecs, tuple(self.subgroups[i] for i in picked), tuple(stacks))
+        return ModuleCovers(self.target, picked, subgroups, tuple(stacks))
 
 
 class CoverBlock(NamedTuple):

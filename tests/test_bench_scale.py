@@ -34,7 +34,8 @@ def test_quick_mode_writes_every_section(tmp_path):
 def test_a_run_without_out_exits_2_and_writes_nothing(tmp_path):
     """--out has no default: a run that omits it stops at argument parsing
     and leaves the working directory and the committed records alone."""
-    records = {name: os.path.getmtime(os.path.join(ROOT, name)) for name in os.listdir(ROOT) if name.startswith("BENCH_")}
+    names = [name for name in os.listdir(ROOT) if name.startswith("BENCH_")]
+    records = {name: os.path.getmtime(os.path.join(ROOT, name)) for name in names}
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "bench", "scale.py"), "--quick"],
         capture_output=True, timeout=60, cwd=tmp_path, text=True,

@@ -135,7 +135,9 @@ def _records():
     for each record type of the library."""
     F2 = FiniteField(2)
     C2, C4, D4 = cyclic_group(2), cyclic_group(4), catalog_groups()["D4"]
-    asm, other_asm = (assemble_cover(module_covers(V, cover_vectors(V))) for V in (trivial_rep(C4, F2), trivial_rep(C4, F2, 0)))
+    asm, other_asm = (
+        assemble_cover(module_covers(V, cover_vectors(V))) for V in (trivial_rep(C4, F2), trivial_rep(C4, F2, 0))
+    )
     block = asm.blocks[0]
     cert, other_cert = fairness_refinement(1, 1, 2), fairness_refinement(2, 1, 3)
     full = Subgroup.full(D4)
