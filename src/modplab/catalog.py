@@ -239,6 +239,6 @@ def load_catalog(path: str) -> dict:
     return {"groups": groups, "fields": fields}
 
 
-def subgroup_id(G: FinGroup, U: Subgroup) -> str:
+def subgroup_id(U: Subgroup) -> str:
     """Stable identifier of a subgroup inside its parent's enumeration."""
     return "o%d.%s" % (U.order, "-".join(map(str, U.members)))

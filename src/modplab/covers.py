@@ -127,32 +127,17 @@ def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]
 
 class ModuleCovers(NamedTuple):
     """The cover maps onto a module at a list of vectors, one cover_map
-    stack per subgroup U: row j of U's stack is the map of the j-th vector
-    U qualifies for."""
+    stack per subgroup U, in all_subgroups order: row j of U's stack is
+    the map of the j-th vector U qualifies for."""
 
     target: Rep
     vectors: tuple[tuple, ...]
-    subgroups: tuple[tuple[Subgroup, ...], ...]  # each vector's qualifying subgroups
     stacks: tuple[tuple[Subgroup, tuple[tuple, ...], np.ndarray], ...]  # (U, its vectors, stack)
-
-    def only(self, vectors) -> "ModuleCovers":
-        """The covers at the listed vectors, each one of these covers'."""
-        picked = tuple(map(tuple, vectors))
-        index = {vec: i for i, vec in enumerate(self.vectors)}
-        subgroups = tuple(self.subgroups[index[vec]] for vec in picked)
-        kept, stacks = set(picked), []
-        for U, vecs, stack in self.stacks:
-            rows = [j for j, vec in enumerate(vecs) if vec in kept]
-            if rows:
-                stacks.append((U, tuple(vecs[j] for j in rows), stack[rows]))
-        return ModuleCovers(self.target, picked, subgroups, tuple(stacks))
 
 
 class CoverBlock(NamedTuple):
     vector: tuple
-    subgroup: Subgroup  # the qualifying U
-    offset: int
-    size: int
+    subgroup: Subgroup  # the qualifying U; the block is induced_trivial(U)
 
 
 class CoverAssembly(NamedTuple):
@@ -185,59 +170,54 @@ def module_covers(V: Rep, vectors) -> ModuleCovers:
     qualifying subgroups, found once, and for each subgroup U one
     cover_map stack over every vector that U qualifies for."""
     vectors = tuple(map(tuple, vectors))
-    subgroups = tuple(tuple(qualifying_subgroups(V, vec)) for vec in vectors)
-    qualified: dict = {}  # U.members -> (U, the vectors U qualifies for)
-    for vec, omega in zip(vectors, subgroups):
-        for U in omega:
-            qualified.setdefault(U.members, (U, []))[1].append(vec)
-    stacks = tuple((U, tuple(vecs), cover_map(U, V, vecs)) for U, vecs in qualified.values())
-    return ModuleCovers(V, vectors, subgroups, stacks)
+    qualified = {U.members: (U, []) for U in all_subgroups(V.group)}  # U.members -> (U, its vectors)
+    for vec in vectors:
+        for U in qualifying_subgroups(V, vec):
+            qualified[U.members][1].append(vec)
+    stacks = tuple((U, tuple(vecs), cover_map(U, V, vecs)) for U, vecs in qualified.values() if vecs)
+    return ModuleCovers(V, vectors, stacks)
 
 
-def assemble_cover(covers: ModuleCovers) -> CoverAssembly:
+def assemble_cover(covers: ModuleCovers, vectors) -> CoverAssembly:
     """Build the direct sum of induced trivial blocks over the qualifying
-    (vector, subgroup) pairs of covers, vector by vector, together with
+    (vector, subgroup) pairs at the listed vectors, vector by vector and
+    each vector's subgroups in qualifying_subgroups order, together with
     the combined map onto covers.target.
 
-    Raises CoverageError when the vectors admitting at least one qualifying
+    Raises ValueError for a listed vector that covers was not built at,
+    and CoverageError when the vectors admitting at least one qualifying
     subgroup do not span the target; vectors with an empty qualifying set
     are recorded as dropped, never silently ignored.
     """
     V = covers.target
     G, field = V.group, V.field
+    vectors = tuple(map(tuple, vectors))
+    if not set(vectors) <= set(covers.vectors):
+        raise ValueError("vector is not one of the vectors the covers were built at")
     if V.dim == 0:
         zero = Rep._of(G, field, np.zeros((G.order, 0, 0), dtype=np.int16))
         onto = RepMap(zero, V, Matrix.zeros(field, 0, 0), validate=False)
         return CoverAssembly(zero, onto, (), ())
-    column = {(vec, U.members): m for U, vecs, stack in covers.stacks for vec, m in zip(vecs, stack)}
-    blocks: list[CoverBlock] = []
-    block_reps: list[Rep] = []
-    block_cols: list[np.ndarray] = []
-    dropped: list[tuple] = []
-    covered: list[tuple] = []
-    offset = 0
-    for vec, omega in zip(covers.vectors, covers.subgroups):
-        if not omega:
-            dropped.append(vec)
-            continue
-        covered.append(vec)
-        for U in omega:
-            blocks.append(CoverBlock(vec, U, offset, U.index))
-            block_reps.append(induced_trivial(U, field))
-            block_cols.append(column[vec, U.members])
-            offset += U.index
+    maps = {vec: [] for vec in vectors}  # vec -> its (U, map) pairs, in all_subgroups order
+    for U, vecs, stack in covers.stacks:
+        for vec, m in zip(vecs, stack):
+            if vec in maps:
+                maps[vec].append((U, m))
+    dropped = [vec for vec in vectors if not maps[vec]]
+    covered = [vec for vec in vectors if maps[vec]]
     if Subspace.from_rows(field, V.dim, covered).dim != V.dim:
         raise CoverageError(
             "vectors with a qualifying subgroup do not span the target "
-            f"({len(dropped)} of {len(covers.vectors)} candidate vectors dropped)",
+            f"({len(dropped)} of {len(vectors)} candidate vectors dropped)",
             dropped,
         )
-    S = direct_sum(block_reps)  # each block is a verified rep
+    pairs = [(vec, U, m) for vec in covered for U, m in maps[vec]]
+    S = direct_sum([induced_trivial(U, field) for _, U, _ in pairs])  # each block is a verified rep
     # equivariance holds blockwise: cover_map validated every stack
-    onto = RepMap(S, V, Matrix._of(field, np.concatenate(block_cols, axis=1)), validate=False)
+    onto = RepMap(S, V, Matrix._of(field, np.concatenate([m for *_, m in pairs], axis=1)), validate=False)
     if onto.rank() != V.dim:
         raise CoverageError("assembled map is not surjective", dropped)
-    return CoverAssembly(S, onto, tuple(blocks), tuple(dropped))
+    return CoverAssembly(S, onto, tuple(CoverBlock(vec, U) for vec, U, _ in pairs), tuple(dropped))
 
 
 def fixed_cover_subspace(asm: CoverAssembly) -> Subspace:
@@ -245,7 +225,7 @@ def fixed_cover_subspace(asm: CoverAssembly) -> Subspace:
     function per block."""
     S = asm.source
     # the blocks tile the source in order, so column i lies in block[i]
-    block = np.repeat(np.arange(len(asm.blocks)), [blk.size for blk in asm.blocks])
+    block = np.repeat(np.arange(len(asm.blocks)), [blk.subgroup.index for blk in asm.blocks])
     rows = np.zeros((len(asm.blocks), S.dim), dtype=np.int16)
     rows[block, np.arange(S.dim)] = 1
     return Subspace.from_rows(S.field, S.dim, Matrix._of(S.field, rows))

@@ -59,11 +59,7 @@ class StableHomResult(NamedTuple):
     stable_dim: int
 
     def to_json(self) -> dict:
-        return {
-            "total_dim": self.total_dim,
-            "factoring_dim": self.factoring_dim,
-            "stable_dim": self.stable_dim,
-        }
+        return self._asdict()
 
 
 def u_split_search(f: RepMap, U: Subgroup, kind: str) -> Matrix | None:

@@ -62,7 +62,7 @@ class DepthTriple(NamedTuple):
         )
 
     def to_json(self) -> dict:
-        return {"upper": self.upper, "torus": self.torus, "lower": self.lower}
+        return self._asdict()
 
 
 class CertComponent(NamedTuple):
@@ -81,23 +81,10 @@ class FairnessCertificate(NamedTuple):
     p: int | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "m": self.m,
-            "n": self.n,
-            "n_prime": self.n_prime,
-            "components": [
-                {
-                    "name": c.name,
-                    "lhs_expr": c.lhs_expr,
-                    "rhs_expr": c.rhs_expr,
-                    "strict_for_all_a": c.strict_for_all_a,
-                }
-                for c in self.components
-            ],
-            "reduction_note": self.reduction_note,
-        }
-        if self.p is not None:
-            out["p"] = self.p
+        out = self._asdict()
+        out["components"] = [c._asdict() for c in self.components]
+        if self.p is None:
+            del out["p"]
         return out
 
 

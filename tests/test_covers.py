@@ -73,7 +73,8 @@ def test_qualifying_subgroups_with_central():
 
 
 def _assemble(V):
-    return assemble_cover(module_covers(V, cover_vectors(V)))
+    vectors = cover_vectors(V)
+    return assemble_cover(module_covers(V, vectors), vectors)
 
 
 def test_cover_map_frozen_augmentation():
@@ -267,43 +268,73 @@ def _phi_pairs():
 @pytest.mark.parametrize("K, F", list(_phi_pairs()))
 def test_module_covers_stack_the_per_vector_lower_lifts(K, F):
     """For every pool rep, nonzero vector v and qualifying U, the row of
-    U's stack that belongs to v is the lower lift of the U-map 1 |-> v, and
-    each (vector, subgroup) pair has exactly one row."""
+    U's stack that belongs to v is the lower lift of the U-map 1 |-> v;
+    the stacks come in all_subgroups order, and each vector's subgroups,
+    read from the stacks, are its qualifying subgroups in their order."""
     from modplab.catalog import catalog_reps
     from modplab.covers import nonzero_vectors
+    from modplab.groups import all_subgroups
 
+    order = [U.members for U in all_subgroups(K)]
     for name, V in catalog_reps(K, F, 3).items():
         vectors = nonzero_vectors(F, V.dim)
         covers = module_covers(V, vectors)
         assert covers.vectors == tuple(vectors)
-        assert [[U.members for U in omega] for omega in covers.subgroups] == [
-            [U.members for U in qualifying_subgroups(V, v)] for v in vectors
-        ], name
-        pairs = []
+        stacked = [U.members for U, _, _ in covers.stacks]
+        assert stacked == sorted(stacked, key=order.index) and len(set(stacked)) == len(stacked), name
+        subgroups = {v: [] for v in vectors}
         for U, vecs, stack in covers.stacks:
             assert stack.shape == (len(vecs), V.dim, U.index) and not stack.flags.writeable
             for v, m in zip(vecs, stack):
                 col = np.array(v, dtype=np.int16).reshape(1, -1, 1)
                 assert np.array_equal(m, lower_lift(U, V, col)[0]), (name, v, U)
-                pairs.append((v, U.members))
-        want = [(v, U.members) for v, omega in zip(vectors, covers.subgroups) for U in omega]
-        assert sorted(pairs) == sorted(want), name
+                subgroups[v].append(U.members)
+        assert subgroups == {v: [U.members for U in qualifying_subgroups(V, v)] for v in vectors}, name
+
+
+def _jordan3():
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+
+    F = catalog_fields()["F9"]
+    return F, catalog_reps(catalog_groups()["C9"], F, 3)["jordan3"]
 
 
 def test_only_keeps_the_maps_of_the_listed_vectors():
-    """Covers narrowed to some vectors equal covers built at those vectors,
-    in the order listed, and the assembly over them is the same."""
-    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+    """The assembly reads only the maps of the listed vectors: covers built
+    at every nonzero vector and assembled at some of them, in the order
+    listed, give the assembly of covers built at those."""
     from modplab.covers import nonzero_vectors
 
-    F = catalog_fields()["F9"]
-    V = catalog_reps(catalog_groups()["C9"], F, 3)["jordan3"]
+    F, V = _jordan3()
     every = module_covers(V, nonzero_vectors(F, V.dim))
     picked = cover_vectors(V)[::-1]
     assert len(picked) < len(every.vectors)
-    narrow, built = every.only(picked), module_covers(V, picked)
-    assert narrow.vectors == built.vectors and narrow.subgroups == built.subgroups
-    key = lambda covers: {(v, U.members): m.tolist() for U, vecs, st in covers.stacks for v, m in zip(vecs, st)}
-    assert key(narrow) == key(built)
-    a, b = assemble_cover(narrow), assemble_cover(built)
-    assert a.blocks == b.blocks and a.onto.matrix == b.onto.matrix
+    a, b = assemble_cover(every, picked), assemble_cover(module_covers(V, picked), picked)
+    assert a.blocks == b.blocks and a.dropped == b.dropped and a.onto.matrix == b.onto.matrix
+
+
+def test_assembly_rejects_a_vector_the_covers_were_not_built_at():
+    F, V = _jordan3()
+    picked = cover_vectors(V)
+    covers = module_covers(V, picked[1:])
+    with pytest.raises(ValueError, match="not one of the vectors"):
+        assemble_cover(covers, picked)
+
+
+def test_assembly_drops_a_vector_with_no_qualifying_subgroup():
+    """Over F2, a unit vector of the regular module of C3 spans a free
+    module, so no subgroup qualifies for it; the other nonzero vectors
+    still span, and the unit vectors are listed as dropped.  Over C2 the
+    free module is all there is, and the failed cover carries its drops."""
+    from modplab.covers import nonzero_vectors
+
+    V = regular_rep(cyclic_group(3), F2)
+    vectors = nonzero_vectors(F2, 3)
+    asm = assemble_cover(module_covers(V, vectors), vectors)
+    units = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert asm.dropped == units and all(qualifying_subgroups(V, v) == [] for v in units)
+    assert asm.blocks and not {b.vector for b in asm.blocks} & set(units)
+    W = regular_rep(cyclic_group(2), F2)
+    with pytest.raises(CoverageError) as info:
+        assemble_cover(module_covers(W, [(1, 0), (1, 1)]), [(1, 0), (1, 1)])
+    assert info.value.dropped == ((1, 0),)

@@ -136,7 +136,8 @@ def _records():
     F2 = FiniteField(2)
     C2, C4, D4 = cyclic_group(2), cyclic_group(4), catalog_groups()["D4"]
     asm, other_asm = (
-        assemble_cover(module_covers(V, cover_vectors(V))) for V in (trivial_rep(C4, F2), trivial_rep(C4, F2, 0))
+        assemble_cover(module_covers(V, cover_vectors(V)), cover_vectors(V))
+        for V in (trivial_rep(C4, F2), trivial_rep(C4, F2, 0))
     )
     block = asm.blocks[0]
     cert, other_cert = fairness_refinement(1, 1, 2), fairness_refinement(2, 1, 3)
@@ -152,11 +153,7 @@ def _records():
             witness_search(D4, full, full, Subgroup.trivial(D4)),
             "outcome",
         ),
-        "CoverBlock": (
-            block,
-            CoverBlock(block.vector, block.subgroup, block.offset + 1, block.size),
-            "offset",
-        ),
+        "CoverBlock": (block, CoverBlock(block.vector, Subgroup.full(C4)), "subgroup"),
         "CoverAssembly": (asm, other_asm, "blocks"),
         "StableHomResult": (stable_hom(triv, triv, E), stable_hom(triv, reg, E), "stable_dim"),
     }

@@ -188,6 +188,32 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, f"defaulted parameters no call in src/ sets to another value: {sorted(unset)}"
 
 
+def _unread_allowed(module, function, param):
+    # run_suite calls every suite as fn(seed, catalog); the deterministic
+    # suites take the seed they do not draw from
+    return module == "suites.py" and function.startswith("suite_") and param == "seed"
+
+
+def test_every_parameter_is_read():
+    """Each parameter of a function, method or lambda in the package is
+    read in its body, so a caller never passes a value nothing uses."""
+    unread = []
+    for name, tree in _package_trees().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            names = (n for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            function = getattr(fn, "name", "<lambda>")
+            unread += [
+                f"{name}:{function}:{x}" for x in params if x not in read and not _unread_allowed(name, function, x)
+            ]
+    assert not unread, f"parameters their function never reads: {sorted(unread)}"
+
+
 def test_coset_lookup_is_read_only_by_the_owners_of_the_block_layout():
     """groups.py computes the cosets and reps.py writes every map in
     induce's block layout; exact.py reads cosets only to list the

@@ -282,6 +282,42 @@ def test_phi_machinery_builds_each_cover_map_once(monkeypatch, fresh_memos):
     assert set(checked) == {U for _, U in built} and set(checked.values()) == {1}
 
 
+def _jordan3():
+    from modplab.catalog import catalog_fields, catalog_groups, catalog_reps
+
+    K, F = catalog_groups()["C9"], catalog_fields()["F9"]
+    return K, F, catalog_reps(K, F, 3)["jordan3"]
+
+
+def test_phi_machinery_ranks_the_assembled_cover_once(monkeypatch, fresh_memos):
+    """Cold, the phi case of jordan3 on C9 over F9 asks the rank of its one
+    assembled map once, inside assemble_cover, and of no other RepMap."""
+    start_cold(monkeypatch)
+    K, F, V = _jordan3()
+    rank = reps.RepMap.rank.__code__
+    callers = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is rank:
+            callers.append(frame.f_back.f_code.co_name)
+
+    details = profiled(hook, lambda: suites._phi_rep(K, F, V))
+    assert details["blocks"] > 0
+    assert callers == ["assemble_cover"]
+
+
+def test_phi_case_fails_when_the_assembled_map_falls_short_of_onto(monkeypatch, fresh_memos):
+    """With every RepMap rank one short of the target, assemble_cover
+    rejects the assembled map, and the phi case of jordan3, which has no
+    free summand, reads fail."""
+    K, F, V = _jordan3()
+    monkeypatch.setattr(covers.RepMap, "rank", lambda self: V.dim - 1)
+    cases = []
+    suites._run_case(cases, "phi/C9/F9/jordan3", {}, suites._phi_rep, K, F, V)
+    assert cases[0].outcome == "fail"
+    assert cases[0].details["reason"] == "coverage failed although no free summand is present"
+
+
 def test_chi_functor_reduces_each_distinct_projector_once(monkeypatch, fresh_memos):
     """Cold at seed 0: _check_projectors checks 190 projectors, 26 of them
     distinct by field and codes, and reduces the column space of each
