@@ -2,7 +2,7 @@
 the built-in catalog, one child process per case under an address-space
 limit, and writes one canonical JSON file.
 
-    python3 bench/scale.py --out FILE [--quick]
+    python3 bench/scale.py --out FILE [--quick] [--against BENCH_<n>.json]
 
 Children run `python -m modplab.cli` from this checkout's src/, strictly one
 at a time.  The groups (S4, S5 and the direct products C4xS4, C8xS4) are
@@ -21,6 +21,12 @@ wait4), the SHA-256 of its stdout, the verify report's summary when stdout
 is one, and the last line of stderr.  --quick runs one tiny case per
 section, which the tier-1 smoke test uses to check the schema.  --out has
 no default, so no run overwrites a committed BENCH_<n>.json unless asked.
+
+--against OLD compares the new run with an earlier file, row by row: for
+each (section, case, memory limit) it prints the outcome, the stdout
+SHA-256 (first 16 hex digits), the peak RSS and the wall time of both
+runs, and it exits 1 when a row's outcome or SHA-256 differs or a row is
+in one file only.  Wall times from two runs compare only on one machine.
 """
 
 from __future__ import annotations
@@ -99,7 +105,7 @@ def write_inputs(tmp: str, cases) -> None:
 
 def argv_of(case) -> list[str]:
     """The command line of a case, its files named relative to the input
-    directory, where the child runs: `stable` prints the --group path."""
+    directory, where the child runs."""
     what, gname, fname = case
     if what == "stable":
         return ["stable", "--group", f"{gname}.json", "--field", fname]
@@ -187,11 +193,46 @@ def run(quick: bool) -> dict:
     return result
 
 
+def compare(old: dict, new: dict) -> tuple[list[str], bool]:
+    """The comparison lines of two harness files, and whether every row
+    is in both with the same outcome and stdout SHA-256."""
+
+    def rows(data):
+        return {
+            (section, row["case"], row["limit_gb"]): row
+            for section in ("scale", "ladder")
+            for row in data.get(section, [])
+        }
+
+    before, after = rows(old), rows(new)
+    lines, same = [], True
+    for key in [*before, *(k for k in after if k not in before)]:
+        a, b = before.get(key), after.get(key)
+        if a is None or b is None:
+            same = False
+            lines.append(f"{key[0]:6} {key[1]:32} {key[2]:5} GB  only in the {'new' if a is None else 'old'} run")
+            continue
+        differs = [what for what in ("outcome", "stdout_sha256") if a[what] != b[what]]
+        same = same and not differs
+        lines.append(
+            f"{key[0]:6} {key[1]:32} {key[2]:5} GB  {a['outcome']} | {b['outcome']}"
+            f"  {a['stdout_sha256'][:16]} | {b['stdout_sha256'][:16]}"
+            f"  {a['maxrss_mb']:.1f} | {b['maxrss_mb']:.1f} MB  {a['wall_s']:.2f} | {b['wall_s']:.2f} s"
+            f"  {'DIFFERS: ' + ', '.join(differs) if differs else 'same'}"
+        )
+    return lines, same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write, e.g. BENCH_<n>.json")
     parser.add_argument("--quick", action="store_true", help="one tiny case per section")
+    parser.add_argument("--against", help="an earlier harness file to compare the new run with")
     args = parser.parse_args(argv)
+    old = None
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            old = json.load(fh)
     result = run(args.quick)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
@@ -199,7 +240,12 @@ def main(argv=None) -> int:
         for row in result[section]:
             print(f"{section:6} {row['case']:32} {row['limit_gb']:5} GB  {row['outcome']:18}"
                   f" {row['wall_s']:7.2f} s {row['maxrss_mb']:8.1f} MB")
-    return 0
+    if old is None:
+        return 0
+    lines, same = compare(old, result)
+    print(f"\nagainst {args.against} (old | new):")
+    print("\n".join(lines))
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from .fairness import (
 )
 from .groups import FinGroup, Subgroup
 from .jordan import cyclic_generator, jordan_block_rep, stable_jordan_type
-from .reports import canonical_json, render_text
+from .reports import canonical_json, input_digest, render_text
 from .suites import run_suite
 
 __all__ = ["main", "run"]
@@ -88,19 +88,21 @@ def _named(kind: str, name: str, catalog: dict | None):
     return found[name]
 
 
-def _resolve_group(name_or_path: str, catalog: dict | None) -> FinGroup:
-    """A group by name, or a group JSON file by path; a path that names
-    nothing is an unknown group."""
+def _resolve_group(name_or_path: str, catalog: dict | None) -> tuple[FinGroup, str]:
+    """A group by name, or a group JSON file by path, with the name a report
+    prints: a file's is the input digest of its JSON, which no path moves.
+    A path that names nothing is an unknown group."""
     if name_or_path.endswith(".json") or os.path.sep in name_or_path:
         try:
             with open(name_or_path, encoding="utf-8") as fh:
-                return group_from_json(json.load(fh))
+                data = json.load(fh)
+                return group_from_json(data), input_digest(data)
         except OSError:
             pass
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed group file {name_or_path}: {exc}") from exc
         raise ValueError(f"unknown group {name_or_path!r}")
-    return _named("group", name_or_path, catalog)
+    return _named("group", name_or_path, catalog), name_or_path
 
 
 def _parse_members(G: FinGroup, text: str) -> Subgroup:
@@ -226,7 +228,7 @@ def _fairness_sl2(args) -> int:
 def _fairness_finite(args) -> int:
     if args.group is None:
         raise ValueError("finite mode requires --group")
-    G = _resolve_group(args.group, _load_catalog(args.catalog))
+    G, gname = _resolve_group(args.group, _load_catalog(args.catalog))
     K = _parse_members(G, args.K) if args.K else Subgroup.full(G)
     H = _parse_members(G, args.H) if args.H else Subgroup.full(G)
     if args.Hprime is not None:
@@ -238,14 +240,14 @@ def _fairness_finite(args) -> int:
         "schema": "1",
         "command": "fairness",
         "mode": "finite",
-        "group": args.group,
+        "group": gname,
         "report": report.to_json(),
     }
     if args.format == "json":
         text = canonical_json(body)
     else:
         r = body["report"]
-        head = f"fairness finite  group={args.group}  outcome={r['outcome']}"
+        head = f"fairness finite  group={gname}  outcome={r['outcome']}"
         if r["witness"] is not None:
             head += f"  g={r['witness']} ({r['witness_label']})"
         text = head + "\n"
@@ -265,7 +267,7 @@ def cmd_fairness(args) -> int:
 
 def cmd_stable(args) -> int:
     catalog = _load_catalog(args.catalog)
-    G = _resolve_group(args.group, catalog)
+    G, gname = _resolve_group(args.group, catalog)
     F = _named("field", args.field, catalog)
     U = _parse_members(G, args.U) if args.U else Subgroup.trivial(G)
     pool = catalog_reps(G, F, 4)
@@ -319,7 +321,7 @@ def cmd_stable(args) -> int:
     body = {
         "schema": "1",
         "command": "stable",
-        "group": args.group,
+        "group": gname,
         "field": args.field,
         "subgroup": list(U.members),
         "rows": rows,
@@ -329,7 +331,7 @@ def cmd_stable(args) -> int:
     if args.format == "json":
         text = canonical_json(body)
     else:
-        lines = [f"stable homs  group={args.group} field={args.field} U={list(U.members)}"]
+        lines = [f"stable homs  group={gname} field={args.field} U={list(U.members)}"]
         for r in rows:
             lines.append(
                 "  %-18s proj %d/%d/%d  inj %d/%d/%d"

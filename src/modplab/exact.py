@@ -26,6 +26,7 @@ from .reps import (
     _lift_rows,
     coset_stack,
     counit_matrix,
+    equivariant_kernel,
     hom_space,
     induce,
     intertwines,
@@ -100,6 +101,16 @@ def _split_constraint(field: FiniteField, F: np.ndarray, kind: str) -> Matrix:
     return Matrix._of(field, fixed.reshape(d * d, ds * dt))
 
 
+def _check_split(name: str, splits: str, composite: Matrix, S: Rep, T: Rep, X: Matrix, U: Subgroup) -> None:
+    """The one check of a split witness: composite, the witness composed
+    with the map it splits, must be the identity, and X, a map S -> T,
+    must be U-equivariant, read on U's generator stacks of S and T."""
+    if composite != Matrix.identity(composite.field, composite.rows):
+        raise AssertionError(f"{name} failed to {splits}")
+    if not intertwines(S, T, X.a, U):
+        raise AssertionError(f"{name} is not U-equivariant")
+
+
 def averaging_section(
     sigma: Matrix, f: RepMap, Uprime: Subgroup, U: Subgroup
 ) -> Matrix:
@@ -112,23 +123,19 @@ def averaging_section(
         raise ValueError("U' must be a subgroup of U")
     if f.matrix @ sigma != Matrix.identity(field, W.dim):
         raise ValueError("sigma is not a section of f")
-    if not intertwines(restrict(W, Uprime), restrict(V, Uprime), sigma.a):
+    if not intertwines(W, V, sigma.a, Uprime):
         raise ValueError("sigma is not U'-equivariant")
     index = U.order // Uprime.order
     if index % field.p == 0:
         raise ValueError("index is divisible by the field characteristic")
     # the cosets U'r inside U, each by its least element
     R = [r for r in coset_lookup(G, Uprime)[0] if U.contains(r)]
-    # sum over r of rho_V(r^-1) sigma rho_W(r) as one product of the row of
-    # blocks rho_V(r^-1) sigma by the column of blocks rho_W(r)
-    n, dV, dW = len(R), V.dim, W.dim
-    left = field.ax_matmul_batch(V.on(G.inverse[R]), sigma.a).transpose(1, 0, 2)
-    acc = field.ax_matmul(left.reshape(dV, n * dW), W.on(R).reshape(n * dW, dW))
-    out = Matrix._of(field, field.ax_scale(acc, field.inv(index % field.p)))
-    if f.matrix @ out != Matrix.identity(field, W.dim):
-        raise AssertionError("averaged map stopped being a section")
-    if not intertwines(restrict(W, U), restrict(V, U), out.a):
-        raise AssertionError("averaged section is not U-equivariant")
+    # the relative trace from U' to U of sigma, as the trace test takes it:
+    # the row of blocks rho_V(r^-1) times the column of blocks sigma rho_W(r)
+    lifted = _lift_rows(field, sigma.a[None], W.on(R))[0]
+    trace = field.ax_matmul(_block_row(field, V.on(G.inverse[R])).a, lifted)
+    out = Matrix._of(field, field.ax_scale(trace, field.inv(index % field.p)))
+    _check_split("averaged section", "section f", f.matrix @ out, W, V, out, U)
     return out
 
 
@@ -159,11 +166,8 @@ def unit_retraction(U: Subgroup, X: Rep) -> Matrix:
     """Evaluation at the identity, the counit's block of U's own coset with
     the others zeroed: a U-equivariant retraction of the unit."""
     ind = _induced_from_restriction(U, X)
-    field, local = X.field, restrict(X, U)
-    R = Matrix._of(field, counit_matrix(U, X).a * own_block(U, local))
-    if R @ unit_matrix(U, X) != Matrix.identity(field, X.dim):
-        raise AssertionError("evaluation at the identity failed to retract")
-    RepMap(restrict(ind, U), local, R)
+    R = Matrix._of(X.field, counit_matrix(U, X).a * own_block(U, restrict(X, U)))
+    _check_split("unit retraction", "retract the unit", R @ unit_matrix(U, X), ind, X, R, U)
     return R
 
 
@@ -177,11 +181,8 @@ def counit_section(U: Subgroup, X: Rep) -> Matrix:
     the unit's block of U's own coset with the others zeroed: a
     U-equivariant section of the counit."""
     ind = _induced_from_restriction(U, X)
-    field, local = X.field, restrict(X, U)
-    S = Matrix._of(field, unit_matrix(U, X).a * own_block(U, local)[:, None])
-    if counit_matrix(U, X) @ S != Matrix.identity(field, X.dim):
-        raise AssertionError("canonical section failed against the counit")
-    RepMap(local, restrict(ind, U), S)
+    S = Matrix._of(X.field, unit_matrix(U, X).a * own_block(U, restrict(X, U))[:, None])
+    _check_split("counit section", "section the counit", counit_matrix(U, X) @ S, X, ind, S, U)
     return S
 
 
@@ -193,16 +194,13 @@ def suspension_section(U: Subgroup, X: Rep, ses: ShortExactSeq) -> Matrix:
     lift's equivariance lies in that image, so the product is equivariant.
     """
     A, proj = ses.left, ses.right
-    field = X.field
     rho = unit_retraction(U, X)
-    lift = solve(proj.matrix, Matrix.identity(field, proj.target.dim))
+    lift = solve(proj.matrix, Matrix.identity(X.field, proj.target.dim))
     if lift is None:
         raise AssertionError("suspension projection is not surjective")
-    ident = Matrix.identity(field, A.target.dim)
-    sigma = (ident - A.matrix @ rho) @ lift
-    if proj.matrix @ sigma != Matrix.identity(field, proj.target.dim):
-        raise AssertionError("canonical section failed against the projection")
-    RepMap(restrict(proj.target, U), restrict(proj.source, U), sigma)
+    sigma = (Matrix.identity(X.field, A.target.dim) - A.matrix @ rho) @ lift
+    split = proj.matrix @ sigma
+    _check_split("suspension section", "section the projection", split, proj.target, proj.source, sigma, U)
     return sigma
 
 
@@ -251,11 +249,7 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None
         return (False, None)
     # the upper lift of Y and the counit, from the stacks just gathered
     X = Matrix._of(field, _lift_rows(field, Y.a[None], right)[0])
-    if _block_row(field, left) @ X != Matrix.identity(field, P.dim):
-        raise AssertionError("trace witness failed to section the counit")
-    # Y commutes with the generators of U, whose stack acting holds
-    if not np.array_equal(field.ax_matmul_batch(Y.a, acting), field.ax_matmul_batch(acting, Y.a)):
-        raise AssertionError("trace witness is not U-equivariant")
+    _check_split("trace witness", "section the counit", _block_row(field, left) @ X, P, P, Y, U)
     return (True, X)
 
 
@@ -339,8 +333,9 @@ def stable_hom(V1: Rep, V2: Rep, U: Subgroup) -> StableHomResult:
     (equivalently U-injective) object.  By Higman's criterion those are the
     relative traces of the U-maps V1 -> V2."""
     total = hom_space(V1, V2)
-    local = hom_space(restrict(V1, U), restrict(V2, U))
-    moved = local.basis @ _trace_operator(V1.field, *_trace_stacks(V1, V2, U)).transpose()
+    left, right = _trace_stacks(V1, V2, U)  # refuses a U of another group
+    local = equivariant_kernel(V1.field, V1.on(U.generators()), V2.on(U.generators()))
+    moved = local.basis @ _trace_operator(V1.field, left, right).transpose()
     factoring = Subspace.from_rows(V1.field, V1.dim * V2.dim, moved)
     if not total.contains_space(factoring):
         raise AssertionError("factoring maps left the hom space")

@@ -153,8 +153,6 @@ class FiniteField:
         self.order = p**k
         self.modulus = smallest_irreducible(p, k)
         self._key = (p, k, self.modulus)
-        self.zero = 0
-        self.one = 1
         # ax_matmul_batch's largest inner dimension m whose sums stay exact
         # in float32 and in float64: entries of a product of codes are at
         # most m*(p-1)**2; over an extension field the folded digit sums

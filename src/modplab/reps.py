@@ -613,11 +613,13 @@ def _equivariant_solve(
     return x
 
 
-def intertwines(S: Rep, T: Rep, X: np.ndarray) -> bool:
+def intertwines(S: Rep, T: Rep, X: np.ndarray, U: Subgroup | None = None) -> bool:
     """Whether every map in the (..., dT, dS) stack X is equivariant from S
-    to T: X @ rho_S(g) == rho_T(g) @ X for each generator g, checked with
-    two batched products for the whole stack."""
-    gens = S.group.generators()
+    to T, or U-equivariant for a subgroup U of their group: X @ rho_S(g) ==
+    rho_T(g) @ X for each generator g of either, in two batched products."""
+    if U is not None and U.parent != S.group:
+        raise ValueError("subgroup of a different group")
+    gens = S.group.generators() if U is None else U.generators()
     if not gens:
         return True
     f, X = S.field, X[..., None, :, :]

@@ -704,3 +704,29 @@ def test_cli_exit_codes_hold_under_fuzzing(fuzz_dir, data):
     if code == 1:
         report = out_file.read_text() if "--out" in argv and out_file.exists() else out.getvalue()
         assert _has_failed_case(report), argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [["stable", "--field", "F2", "--pairs", "triv:triv"], ["fairness", "--mode", "finite", "--H", "0,2"]],
+    ids=["stable", "fairness"],
+)
+def test_a_group_file_prints_the_same_bytes_through_any_path(tmp_path, monkeypatch, capsys, argv, fmt):
+    """The report names a group file by the digest of its JSON, so the
+    same file read by an absolute path, by a path through another
+    directory and by a relative path prints byte-identical reports."""
+    from modplab.catalog import cyclic_group
+    from modplab.reports import input_digest
+
+    data = cyclic_group(4).to_json()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "c4.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path / "sub")
+    outs = set()
+    for path in (str(tmp_path / "c4.json"), str(tmp_path / "sub" / ".." / "c4.json"), "../c4.json"):
+        code, out, err = run([*argv, "--group", path, "--format", fmt], capsys)
+        assert code == 0, err
+        assert "c4.json" not in out and input_digest(data) in out
+        outs.add(out)
+    assert len(outs) == 1

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import start_cold
@@ -23,7 +24,7 @@ from modplab.exact import (
 )
 from modplab.fields import FiniteField
 from modplab.jordan import jordan_block_rep, jordan_type, stable_jordan_type
-from modplab.linalg import Matrix, Subspace
+from modplab.linalg import Matrix, Subspace, row_reduce
 from modplab.groups import Subgroup, all_subgroups
 from modplab.reps import (
     RepMap,
@@ -379,3 +380,183 @@ def test_a_tampered_trace_witness_raises(monkeypatch):
     monkeypatch.setattr(exact, "_equivariant_solve", tampered)
     with pytest.raises(AssertionError, match="trace witness is not U-equivariant"):
         relative_projectivity_test(P, U)
+
+
+@pytest.mark.parametrize("U", _foreign_subgroups(), ids=repr)
+def test_stable_hom_rejects_a_subgroup_of_another_group(U):
+    reg = regular_rep(sym3(), F2)
+    with pytest.raises(ValueError, match="parent group"):
+        stable_hom(reg, reg, U)
+
+
+def _averaging_input(field):
+    """F[S3] onto F, and the section at the basis vector of the identity,
+    which only the trivial subgroup fixes."""
+    return _augmentation(sym3(), field), Matrix(field, [[1]] + [[0]] * 5)
+
+
+@pytest.mark.parametrize("U", _foreign_subgroups(), ids=repr)
+def test_averaging_section_rejects_a_subgroup_of_another_group(U):
+    """U from another group, with U' its trivial subgroup, and U' from
+    another group, with U all of S3."""
+    aug, sigma = _averaging_input(F5)
+    with pytest.raises(ValueError, match="subgroup of a different group"):
+        averaging_section(sigma, aug, Subgroup.trivial(U.parent), U)
+    with pytest.raises(ValueError, match="U' must be a subgroup of U"):
+        averaging_section(sigma, aug, U, Subgroup.full(sym3()))
+
+
+@pytest.mark.parametrize("U", _foreign_subgroups(), ids=repr)
+def test_suspension_section_rejects_a_subgroup_of_another_group(U):
+    S3 = sym3()
+    X = catalog_reps(S3, F3)["perm3"]
+    _, ses = suspension(X, Subgroup(S3, [0, 3]))
+    with pytest.raises(ValueError, match="parent group"):
+        suspension_section(U, X, ses)
+
+
+# Each split witness in exact, run with one of its inputs tampered so that
+# the witness breaks one of the two things its check reads: the composite
+# with the map it splits stops being the identity while the witness stays
+# U-equivariant ("composite"), or the composite stays the identity while
+# the witness stops being U-equivariant ("equivariance").  Each returns
+# the call to make, the witness's name and what it splits.
+
+
+def _tampered_averaging(monkeypatch, broken):
+    """From the trivial subgroup to S3 over F5, where the index 6 is 1:
+    scaling the trace by 2 in place of 1/6 keeps it S3-equivariant, and
+    averaging over the identity's coset alone returns the section."""
+    F = FiniteField(5)
+    aug, sigma = _averaging_input(F)
+    if broken == "composite":
+        monkeypatch.setattr(F, "inv", lambda a: 2)
+    else:
+        monkeypatch.setattr(exact, "coset_lookup", lambda G, U: ([G.identity], None))
+    E, S3 = Subgroup.trivial(sym3()), Subgroup.full(sym3())
+    return lambda: averaging_section(sigma, aug, E, S3), "averaged section", "section f"
+
+
+def _tampered_adjunction(entry, name, splits):
+    """unit_retraction or counit_section on perm3 of S3 over F3 and U of
+    order 2: marking no block gives the zero map; marking the block of
+    the next coset r gives rho(r^-1), or rho(r), there, which still
+    composes to the identity."""
+
+    def tamper(monkeypatch, broken):
+        S3 = sym3()
+        X = catalog_reps(S3, F3)["perm3"]
+        if broken == "composite":
+            monkeypatch.setattr(exact, "own_block", lambda U, W: np.zeros(U.index * W.dim, dtype=bool))
+        else:
+            monkeypatch.setattr(exact, "own_block", lambda U, W: np.roll(reps.own_block(U, W), W.dim))
+        return lambda: entry(Subgroup(S3, [0, 3]), X), name, splits
+
+    return tamper
+
+
+def _tampered_suspension_section(monkeypatch, broken):
+    """A zero lift gives the zero section; a zero unit retraction leaves
+    the lift uncorrected, a section that U does not fix."""
+    S3 = sym3()
+    U = Subgroup(S3, [0, 3])
+    X = catalog_reps(S3, F3)["perm3"]
+    _, ses = suspension(X, U)
+    if broken == "composite":
+        monkeypatch.setattr(exact, "solve", lambda A, B: Matrix.zeros(A.field, A.cols, B.cols))
+    else:
+        monkeypatch.setattr(exact, "unit_retraction", lambda U, X: Matrix.zeros(X.field, X.dim, U.index * X.dim))
+    return lambda: suspension_section(U, X, ses), "suspension section", "section the projection"
+
+
+def _tampered_trace_witness(monkeypatch, broken):
+    """2Y has trace 2; Y plus a map of trace 0 that does not commute with
+    U keeps trace 1."""
+    S3 = sym3()
+    U = Subgroup(S3, [0, 3])
+    P = regular_rep(S3, F3)
+    if broken == "composite":
+        Z = None
+    else:
+        g = P.on(U.generators())
+        killed = row_reduce(exact._trace_operator(F3, *exact._trace_stacks(P, P, U))).basis.a.reshape(-1, 6, 6)
+        Z = next(z for z in killed if not np.array_equal(F3.ax_matmul_batch(z, g), F3.ax_matmul_batch(g, z)))
+    solve = exact._equivariant_solve
+
+    def tampered(*args):
+        Y = solve(*args).a
+        return Matrix._of(F3, F3.ax_add(Y, Y if Z is None else Z))
+
+    monkeypatch.setattr(exact, "_equivariant_solve", tampered)
+    return lambda: relative_projectivity_test(P, U), "trace witness", "section the counit"
+
+
+TAMPERED = {
+    "averaging_section": _tampered_averaging,
+    "unit_retraction": _tampered_adjunction(unit_retraction, "unit retraction", "retract the unit"),
+    "counit_section": _tampered_adjunction(counit_section, "counit section", "section the counit"),
+    "suspension_section": _tampered_suspension_section,
+    "relative_projectivity_test": _tampered_trace_witness,
+}
+
+
+@pytest.mark.parametrize("broken", ["composite", "equivariance"])
+@pytest.mark.parametrize("witness", sorted(TAMPERED))
+def test_a_tampered_split_witness_raises(monkeypatch, witness, broken):
+    """Every witness passes its check untampered, and each tamper fails
+    the one check it breaks, with that check's message."""
+    with monkeypatch.context() as patch:
+        call, name, splits = TAMPERED[witness](patch, broken)
+    call()
+    call, name, splits = TAMPERED[witness](monkeypatch, broken)
+    message = f"{name} failed to {splits}" if broken == "composite" else f"{name} is not U-equivariant"
+    with pytest.raises(AssertionError, match=message):
+        call()
+
+
+def test_stable_hom_rejects_factoring_maps_outside_the_hom_space(monkeypatch):
+    """With the identity in place of the trace, the U-maps themselves pass
+    for factoring maps, and for U = 1 most of them are not G-maps."""
+    S3 = sym3()
+    reg = regular_rep(S3, F3)
+
+    def identity(field, left, right):
+        return Matrix.identity(field, left.shape[1] * right.shape[1])
+
+    monkeypatch.setattr(exact, "_trace_operator", identity)
+    with pytest.raises(AssertionError, match="factoring maps left the hom space"):
+        stable_hom(reg, reg, Subgroup.trivial(S3))
+
+
+def test_witnesses_and_stable_hom_restrict_no_module(monkeypatch):
+    """Over exact-axioms, stable-frobenius and higman on the built-in
+    catalog at seed 0, the split witnesses and stable_hom read U's
+    generator stacks, not restrictions: averaging_section,
+    suspension_section and stable_hom restrict nothing, and
+    unit_retraction and counit_section restrict X once per call, for
+    own_block."""
+    from collections import Counter
+
+    from conftest import profiled
+    from modplab.suites import run_suite
+
+    copy = reps.restrict.__code__
+    watched = {"averaging_section", "suspension_section", "stable_hom", "unit_retraction", "counit_section"}
+    calls, restricts = Counter(), Counter()
+
+    def hook(frame, event, arg):
+        if event != "call":
+            return
+        name = frame.f_code.co_name
+        if frame.f_code is copy:
+            restricts[frame.f_back.f_code.co_name] += 1
+        elif name in watched and frame.f_globals is vars(exact):
+            calls[name] += 1
+
+    start_cold(monkeypatch)
+    profiled(hook, lambda: [run_suite(suite, seed=0) for suite in ("exact-axioms", "stable-frobenius", "higman")])
+    assert set(calls) == watched
+    for name in ("averaging_section", "suspension_section", "stable_hom"):
+        assert restricts[name] == 0, name
+    for name in ("unit_retraction", "counit_section"):
+        assert restricts[name] <= calls[name], name

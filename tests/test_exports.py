@@ -124,6 +124,43 @@ def test_every_public_function_has_a_caller_in_src():
     assert not unused, f"public functions nothing in src/ calls: {unused}"
 
 
+# attributes stored on self that nothing in src/ reads, each kept for the
+# reason given
+STORES_ALLOWED = {
+    # the exception's payload: a caller that catches the failed cover reads
+    # the vectors that had no qualifying subgroup from it
+    "covers.py:CoverageError.dropped",
+}
+
+
+def test_every_attribute_stored_on_self_is_read():
+    """Each attribute a method stores on self is read as an attribute
+    somewhere in the package, so a field nothing reads leaves the tree.
+    An attribute read by name on any object counts as read."""
+    trees = _package_trees()
+    read = Counter(
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+    unread = sorted(
+        {
+            f"{name}:{cls.name}.{node.attr}"
+            for name, tree in trees.items()
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"
+            and not read[node.attr]
+        }
+        - STORES_ALLOWED
+    )
+    assert not unread, f"attributes stored on self that nothing in src/ reads: {unread}"
+
+
 # parameters whose default is the only value real callers want
 DEFAULTS_ALLOWED = {"cli.main:argv"}
 

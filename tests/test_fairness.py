@@ -203,3 +203,42 @@ def test_sl2_oracle_command_does_not_import_numpy_ma():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stderr.strip() == "False"
+
+
+def _claim_strict(cert, **claims):
+    """cert with the named components' strict_for_all_a set as given."""
+    return cert._replace(
+        components=tuple(c._replace(strict_for_all_a=claims.get(c.name, c.strict_for_all_a)) for c in cert.components)
+    )
+
+
+TAMPERED_CERTIFICATES = {
+    # no refinement at all, and a depth no subgroup has: overlap_depths
+    # would refuse n' = 0
+    "n_prime-equals-n": lambda: fairness_refinement(1, 1)._replace(n_prime=1),
+    "n_prime-below-1": lambda: fairness_refinement(1, 1)._replace(n_prime=0),
+    # n < n' <= m: both overlaps are the depth-m subgroup at a = 0
+    "equal-triples-at-a-0": lambda: fairness_refinement(5, 2)._replace(n_prime=3),
+    # the lower depths both settle at m once 2a clears n and n'
+    "lower-claimed-strict": lambda: _claim_strict(fairness_refinement(2, 2), lower=True),
+    "no-strict-component": lambda: _claim_strict(fairness_refinement(2, 2), upper=False, torus=False, lower=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_CERTIFICATES))
+def test_verify_certificate_rejects_a_tampered_certificate(name):
+    """Each rejecting return of verify_certificate that a certificate from
+    fairness_refinement can reach, reached by one edit to such a
+    certificate."""
+    assert verify_certificate(TAMPERED_CERTIFICATES[name]()) is False
+
+
+def test_dominates_is_componentwise_at_least():
+    """A triple raised in one component dominates the original, and the
+    original does not dominate it: containment fails in that component."""
+    base = DepthTriple(2, 2, 2)
+    assert base.dominates(base)
+    for i in range(3):
+        raised = DepthTriple(*(d + (j == i) for j, d in enumerate(base)))
+        assert raised.dominates(base)
+        assert not base.dominates(raised), raised

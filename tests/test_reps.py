@@ -233,6 +233,29 @@ def test_short_exact_seq_rejects_each_failed_check(name, message):
         ShortExactSeq(*_ses_case(name))
 
 
+def test_intertwines_on_a_subgroup_reads_its_generators():
+    """With a subgroup, intertwines agrees with the whole-group check on
+    the restrictions, for every subgroup of S3 and every U-map of the
+    regular module; a subgroup of another group is refused as restrict
+    refuses it, by its own check, whatever its indices."""
+    from modplab.catalog import alt4
+    from modplab.groups import all_subgroups
+
+    S3 = sym3()
+    reg = regular_rep(S3, F3)
+    E = Subgroup.trivial(S3)
+    maps = hom_space(restrict(reg, E), restrict(reg, E)).basis.a.reshape(-1, reg.dim, reg.dim)
+    for U in all_subgroups(S3):
+        local = restrict(reg, U)
+        for X in maps:
+            assert intertwines(reg, reg, X, U) == intertwines(local, local, X), U
+        assert intertwines(reg, reg, maps, U) == all(intertwines(local, local, X) for X in maps)
+    for U in (Subgroup(cyclic_group(4), [0, 2]), Subgroup(alt4(), [0, 3]), Subgroup(alt4(), [0, 8])):
+        for check in (intertwines, lambda S, T, X, U: restrict(S, U)):
+            with pytest.raises(ValueError, match="subgroup of a different group"):
+                check(reg, reg, maps[0], U)
+
+
 def test_intertwines_rejects_one_changed_entry_of_the_last_map():
     S3 = sym3()
     reg = regular_rep(S3, F3)
