@@ -104,10 +104,10 @@ def qualifying_subgroups(V: Rep, v, C: Subgroup | None = None) -> list[Subgroup]
     The zero vector is rejected: every subgroup would qualify vacuously.
     """
     G = V.group
-    vec = _vectors(V, [v])[0]
+    orbit = V.orbit(v)
+    vec = orbit[G.identity]
     if not vec.any():
         raise ValueError("zero vector is excluded")
-    orbit = V.orbit(vec)
     fixed = (orbit == vec).all(axis=1)  # fixed[g]: g sends v to itself
     if C is not None:
         if C.parent != G or not C.is_central():

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import FiniteField
 from .groups import Subgroup, coset_lookup
 from .linalg import Matrix, Subspace, check_cells, row_reduce, solve
 from .reps import (
@@ -24,6 +23,7 @@ from .reps import (
     _block_row,
     _equivariant_solve,
     _lift_rows,
+    _trace_operator,
     coset_stack,
     counit_matrix,
     equivariant_kernel,
@@ -78,27 +78,13 @@ def u_split_search(f: RepMap, U: Subgroup, kind: str) -> Matrix | None:
     field = f.source.field
     ds, dt = f.source.dim, f.target.dim
     gens = U.generators()
-    F = f.matrix.a
+    F = f.matrix.a[None]
     d = dt if kind == "section" else ds
     check_cells("u_split_search", d * d, ds * dt)
-    return _equivariant_solve(field, f.target.on(gens), f.source.on(gens), d, _split_constraint, F, kind)
-
-
-def _split_constraint(field: FiniteField, F: np.ndarray, kind: str) -> Matrix:
-    """F @ X = I (kind "section") or X @ F = I ("retraction") as
-    C vec(X) = vec(I) on the ds x dt matrices X flattened row major, for
-    the dt x ds matrix F, built by index like equivariance_system; at
-    ds * dt == 0 it is solvable exactly when the identity it asks for is
-    empty."""
-    dt, ds = F.shape
-    d = dt if kind == "section" else ds
-    fixed = np.zeros((d, d, ds, dt), dtype=np.int16)
-    a = np.arange(d)
-    if kind == "section":
-        fixed[:, a, :, a] = F  # row (i, j), column (k, j) holds F[i, k]
-    else:
-        fixed[a, :, a, :] = F.T  # row (i, j), column (i, l) holds F[l, j]
-    return Matrix._of(field, fixed.reshape(d * d, ds * dt))
+    # F X = I or X F = I, a relative trace with one term
+    I = np.eye(d, dtype=np.int16)[None]
+    left, right = (F, I) if kind == "section" else (I, F)
+    return _equivariant_solve(field, f.target.on(gens), f.source.on(gens), left, right)
 
 
 def _check_split(name: str, splits: str, composite: Matrix, S: Rep, T: Rep, X: Matrix, U: Subgroup) -> None:
@@ -166,7 +152,7 @@ def unit_retraction(U: Subgroup, X: Rep) -> Matrix:
     """Evaluation at the identity, the counit's block of U's own coset with
     the others zeroed: a U-equivariant retraction of the unit."""
     ind = _induced_from_restriction(U, X)
-    R = Matrix._of(X.field, counit_matrix(U, X).a * own_block(U, restrict(X, U)))
+    R = Matrix._of(X.field, counit_matrix(U, X).a * own_block(U, X.dim))
     _check_split("unit retraction", "retract the unit", R @ unit_matrix(U, X), ind, X, R, U)
     return R
 
@@ -181,7 +167,7 @@ def counit_section(U: Subgroup, X: Rep) -> Matrix:
     the unit's block of U's own coset with the others zeroed: a
     U-equivariant section of the counit."""
     ind = _induced_from_restriction(U, X)
-    S = Matrix._of(X.field, unit_matrix(U, X).a * own_block(U, restrict(X, U))[:, None])
+    S = Matrix._of(X.field, unit_matrix(U, X).a * own_block(U, X.dim)[:, None])
     _check_split("counit section", "section the counit", counit_matrix(U, X) @ S, X, ind, S, U)
     return S
 
@@ -216,19 +202,6 @@ def _trace_stacks(V1: Rep, V2: Rep, U: Subgroup) -> tuple[np.ndarray, np.ndarray
     return coset_stack(U, V2, inverse=True), coset_stack(U, V1)
 
 
-def _trace_operator(field: FiniteField, left: np.ndarray, right: np.ndarray) -> Matrix:
-    """Matrix of the relative trace X |-> sum over r of left[r] X right[r],
-    on d2 x d1 matrices X flattened row major, for the (n, d2, d2) and
-    (n, d1, d1) stacks of _trace_stacks."""
-    n, d2, d1 = len(left), left.shape[1], right.shape[1]
-    # the sum over r of left[r] (x) right[r]^T as one product: entry
-    # ((i, j), (k, l)) is sum_r left[r][i, k] right[r][l, j]
-    rows = left.reshape(n, d2 * d2)  # row r: (i, k)
-    cols = right.transpose(0, 2, 1).reshape(n, d1 * d1)  # row r: (j, l)
-    trace = field.ax_matmul(rows.T, cols).reshape(d2, d2, d1, d1).transpose(0, 2, 1, 3)
-    return Matrix._of(field, trace.reshape(d2 * d1, d2 * d1))
-
-
 def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None]:
     """Whether P is relatively U-projective, which for group algebras is the
     same as relatively U-injective, by Higman's criterion: the identity of P
@@ -244,7 +217,7 @@ def relative_projectivity_test(P: Rep, U: Subgroup) -> tuple[bool, Matrix | None
     field = P.field
     acting = P.on(U.generators())
     left, right = _trace_stacks(P, P, U)
-    Y = _equivariant_solve(field, acting, acting, P.dim, _trace_operator, left, right)
+    Y = _equivariant_solve(field, acting, acting, left, right)
     if Y is None:
         return (False, None)
     # the upper lift of Y and the counit, from the stacks just gathered

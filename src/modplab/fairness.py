@@ -314,6 +314,8 @@ def verify_certificate(cert: FairnessCertificate) -> bool:
         rhs = overlap_depths(m, n, a)
         if not lhs.dominates(rhs):
             return False
+        # an early exit only: at equal triples every component is marked
+        # non-strict below, so a later return refuses the certificate too
         if lhs == rhs:
             return False
         for name in strict_seen:

@@ -336,6 +336,8 @@ class Subgroup:
     def join(self, other: "Subgroup") -> "Subgroup":
         """Smallest subgroup containing both (the product set when one is
         central), memoised on the parent."""
+        if self.parent is not other.parent and self.parent != other.parent:
+            raise ValueError("different parents")
         key = (self.members, other.members)
         hit = self.parent._join_cache.get(key)
         if hit is None:

@@ -24,13 +24,15 @@ skips that dense check: groups.coset_action proves the same two things
 once per subgroup, on the integer data induce gathers its blocks from.
 hom_space, fixed_points and the character eigenspaces of covers are all
 one memoised kernel, equivariant_kernel; the split searches and the trace
-test of exact are one memoised affine solve, _equivariant_solve.
+test of exact are one memoised affine solve, _equivariant_solve: X
+commutes with two stacks and the sum of left[r] X right[r] is the
+identity, a one-term sum for a split search.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -131,8 +133,12 @@ class Rep:
         return self.field.ax_matmul_batch(self._take(at), cols)
 
     def orbit(self, vec: Sequence[int]) -> np.ndarray:
-        """The (|G|, d) array whose row g is the image of vec under g."""
-        col = np.asarray(vec, dtype=np.int16).reshape(-1, 1)
+        """The (|G|, d) array whose row g is the image of vec under g; vec
+        must be d field codes."""
+        raw = np.asarray(vec)
+        if raw.shape != (self.dim,):
+            raise ValueError("vector length differs from the representation dimension")
+        col = field_codes(self.field, raw).reshape(-1, 1)
         return self._apply(np.arange(self.group.order), col)[:, :, 0]
 
     def __eq__(self, other):
@@ -410,6 +416,8 @@ def rep_from_generators(
 
 
 def direct_sum(reps: Sequence[Rep]) -> Rep:
+    if not reps:
+        raise ValueError("no summands given")
     G, field = reps[0].group, reps[0].field
     if any(V.group != G or V.field != field for V in reps):
         raise ValueError("reps live over different groups or fields")
@@ -473,14 +481,12 @@ def coset_stack(U: Subgroup, V: Rep, inverse: bool = False) -> np.ndarray:
     return V.on(_coset_elements(U, V, inverse))
 
 
-def own_block(U: Subgroup, W: Rep) -> np.ndarray:
-    """Whether each coordinate of Ind W lies in the block of U's own coset,
-    pos[identity].  That coset's representative r0 is the least member of
-    U, element 0 of U.as_group()."""
-    if W.group != U.as_group():
-        raise ValueError("W must be a representation of U.as_group()")
+def own_block(U: Subgroup, d: int) -> np.ndarray:
+    """Whether each coordinate of Ind W, for a W of dimension d, lies in the
+    block of U's own coset, pos[identity].  That coset's representative r0
+    is the least member of U, element 0 of U.as_group()."""
     G = U.parent
-    return np.arange(U.index * W.dim) // W.dim == coset_lookup(G, U)[1][G.identity]
+    return np.arange(U.index * d) // d == coset_lookup(G, U)[1][G.identity]
 
 
 def unit_matrix(U: Subgroup, X: Rep) -> Matrix:
@@ -524,12 +530,16 @@ def _lift_rows(field: FiniteField, X: np.ndarray, stack: np.ndarray) -> np.ndarr
 
 def lower_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
     """The inverse of lower_lift: F[:, :, own block] rho_W(r0)."""
-    return W.field.ax_matmul_batch(F[:, :, own_block(U, W)], W.on([0])[0])
+    if W.group != U.as_group():
+        raise ValueError("W must be a representation of U.as_group()")
+    return W.field.ax_matmul_batch(F[:, :, own_block(U, W.dim)], W.on([0])[0])
 
 
 def upper_drop(U: Subgroup, W: Rep, F: np.ndarray) -> np.ndarray:
     """The inverse of upper_lift: rho_W(r0^-1) F[:, own block]."""
-    return W.field.ax_matmul_batch(W.on([W.group.inv(0)])[0], F[:, own_block(U, W)])
+    if W.group != U.as_group():
+        raise ValueError("W must be a representation of U.as_group()")
+    return W.field.ax_matmul_batch(W.on([W.group.inv(0)])[0], F[:, own_block(U, W.dim)])
 
 
 def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Matrix:
@@ -548,14 +558,27 @@ def equivariance_system(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> M
     return Matrix._of(field, out.reshape(s * d2 * d1, d2 * d1))
 
 
+def _trace_operator(field: FiniteField, left: np.ndarray, right: np.ndarray) -> Matrix:
+    """Matrix of X |-> sum over r of left[r] X right[r], for the (n, a, b)
+    stack left and the (n, c, e) stack right, on b x c matrices X
+    flattened row major: (a e) x (b c), entry ((i, j), (k, l)) the sum
+    over r of left[r][i, k] right[r][l, j].  The relative trace and the
+    one-sided inverses of a map are all of this form."""
+    n, a, b = left.shape
+    c, e = right.shape[1:]
+    # the sum over r of left[r] (x) right[r]^T as one product
+    rows = left.reshape(n, a * b)  # row r: (i, k)
+    cols = right.transpose(0, 2, 1).reshape(n, e * c)  # row r: (j, l)
+    op = field.ax_matmul(rows.T, cols).reshape(a, b, e, c).transpose(0, 2, 1, 3)
+    return Matrix._of(field, op.reshape(a * e, b * c))
+
+
 # The memo of equivariant_kernel and _equivariant_solve.  A kernel entry is
 # (field key, both stack shapes, both stacks' int16 bytes) -> the kernel,
 # and counts both stacks' cells, its basis cells and memo.ENTRY_OVERHEAD.
-# A solve entry is ("solve", field key, d, the constraint builder's
-# qualified name, both stack shapes, both stacks' int16 bytes, then each
-# builder argument: an array as its shape and int16 bytes, anything else
-# as it is) -> (the solution or None,), and counts the stacks', the
-# argument arrays' and the solution's cells and memo.ENTRY_OVERHEAD: the
+# A solve entry is ("solve", field key, then the shape and int16 bytes of
+# T_in, T_out, left and right) -> (the solution or None,), and counts the
+# four stacks' and the solution's cells and memo.ENTRY_OVERHEAD: the
 # constraint they build, d**4 cells for a relative trace, is neither kept
 # nor counted.  A kernel key begins with a field key, a tuple, so it never
 # equals a solve key.
@@ -581,31 +604,29 @@ def equivariant_kernel(field: FiniteField, T1: np.ndarray, T2: np.ndarray) -> Su
 
 
 def _equivariant_solve(
-    field: FiniteField, T_in: np.ndarray, T_out: np.ndarray, d: int, build: Callable[..., Matrix], *args
+    field: FiniteField, T_in: np.ndarray, T_out: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> Matrix | None:
     """The canonical X with X T_in[i] == T_out[i] X for every i, for the
     int16 stacks T_in (s, d_in, d_in) and T_out (s, d_out, d_out), and
-    C vec(X) = vec(I_d), X flattened row major, where C = build(field,
-    *args); None if there is none.  The answer is memoised on the field,
-    d, build's qualified name, both stacks and args (int16 arrays and
-    hashable values), None included, and C is built only on a miss; a
-    repeat call returns the same read-only Matrix."""
-    arrays = [a for a in args if isinstance(a, np.ndarray)]
-    cells = T_in.size + T_out.size + sum(a.size for a in arrays) + ENTRY_OVERHEAD
+    sum over r of left[r] X right[r] == I_d, d = left.shape[1]; None if
+    there is none.  The answer is memoised on the field and the four
+    stacks, None included, and the trace operator is built only on a
+    miss; a repeat call returns the same read-only Matrix."""
+    stacks = (T_in, T_out, left, right)
+    cells = sum(a.size for a in stacks) + ENTRY_OVERHEAD
     # the key copies every input, so it is built only when the memo could
     # store the entry
     key = None
     if cells <= _KERNEL_MEMO.budget:
-        key = ("solve", field.key(), d, build.__qualname__, T_in.shape, T_out.shape)
-        key += (T_in.tobytes(), T_out.tobytes())
-        key += tuple((a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in args)
+        key = ("solve", field.key()) + tuple(part for a in stacks for part in (a.shape, a.tobytes()))
         known = _KERNEL_MEMO.get(key)
         if known is not None:
             return known[0]
+    d = left.shape[1]
     equi = equivariance_system(field, T_in, T_out)
     rhs = np.zeros((equi.rows + d * d, 1), dtype=np.int16)
     rhs[equi.rows :, 0] = np.eye(d, dtype=np.int16).reshape(-1)
-    x = solve(vstack([equi, build(field, *args)]), Matrix._of(field, rhs))
+    x = solve(vstack([equi, _trace_operator(field, left, right)]), Matrix._of(field, rhs))
     if x is not None:
         x = Matrix._of(field, x.a.reshape(T_out.shape[1], T_in.shape[1]))
     if key is not None:

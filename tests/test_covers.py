@@ -177,9 +177,11 @@ def test_frobenius_transport_rejects_mismatch():
     for lift in (lower_lift, upper_lift):
         with pytest.raises(ValueError):
             lift(U, trivial_rep(cyclic_group(6), F3), X)  # V not on U's parent
-    for drop in (lower_drop, upper_drop):
-        with pytest.raises(ValueError):
-            drop(U, trivial_rep(S3, F3), np.zeros((1, 3, 3), dtype=np.int16))  # W not on U
+    # W not on U: the drops read W's matrices, so each checks W itself
+    for other in (S3, cyclic_group(3)):
+        for drop in (lower_drop, upper_drop):
+            with pytest.raises(ValueError, match=r"^W must be a representation of U\.as_group\(\)$"):
+                drop(U, trivial_rep(other, F3), np.zeros((1, 3, 3), dtype=np.int16))
 
 
 def test_character_eigenspace_frozen():

@@ -144,86 +144,74 @@ def test_fixed_points_and_eigenspaces_match_the_hand_built_systems(gname):
 
 # ---- _equivariant_solve ----
 
-# X is 1 x 2 and must commute with the swap: X = (x, x).  With C = (1 1)
-# that asks for 2x = 1, which F3 solves with x = 2 and F2 cannot; with
-# C = (1 0) it asks for x = 1.
+# X is 1 x 2 and must commute with the swap: X = (x, x).  The constraint
+# x1 + x2 = 1 is left = [[1]], right = [[1], [1]]: it asks for 2x = 1,
+# which F3 solves with x = 2 and F2 cannot; x1 = 1, right = [[1], [0]],
+# asks for x = 1.
 SWAP = np.array([[[0, 1], [1, 0]]], dtype=np.int16)
 ONE = np.ones((1, 1, 1), dtype=np.int16)
+BOTH = np.array([[[1], [1]]], dtype=np.int16)
+FIRST = np.array([[[1], [0]]], dtype=np.int16)
 
 
-def _counting_systems(monkeypatch):
+def _counting(monkeypatch, name):
+    """Count the calls of the reps function name, under every module name
+    it is bound to, by the shape of its second argument."""
     calls = []
-    real = reps.equivariance_system
+    real = getattr(reps, name)
 
-    def counting(field, T1, T2):
-        calls.append(T1.shape)
-        return real(field, T1, T2)
+    @functools.wraps(real)
+    def counting(field, first, *rest):
+        calls.append(first.shape)
+        return real(field, first, *rest)
 
-    monkeypatch.setattr(reps, "equivariance_system", counting)
+    for module in (reps, exact):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
-def _solve(T_in, T_out, C, d, built=None):
-    """_equivariant_solve for a given constraint C, built from its own
-    codes; built, if given, collects C each time the solve builds it."""
-
-    def given(field, codes):
-        if built is not None:
-            built.append(C)
-        return Matrix._of(field, codes)
-
-    return _equivariant_solve(C.field, T_in, T_out, d, given, C.a)
+def _counting_systems(monkeypatch):
+    return _counting(monkeypatch, "equivariance_system")
 
 
 def test_solve_keys_on_field_d_shapes_and_constraint(fresh_memos):
     F2, F3 = FiniteField(2), FiniteField(3)
-    both, first = [[1, 1]], [[1, 0]]
-    assert _solve(SWAP, ONE, Matrix(F3, both), 1).a.tolist() == [[2, 2]]
-    assert _solve(SWAP, ONE, Matrix(F2, both), 1) is None
-    assert _solve(SWAP, ONE, Matrix(F3, first), 1).a.tolist() == [[1, 1]]
+    assert _equivariant_solve(F3, SWAP, ONE, ONE, BOTH).a.tolist() == [[2, 2]]
+    assert _equivariant_solve(F2, SWAP, ONE, ONE, BOTH) is None
+    assert _equivariant_solve(F3, SWAP, ONE, ONE, FIRST).a.tolist() == [[1, 1]]
     # the swap's codes as four 1 x 1 matrices, one of them 0: there X = 0
     four = SWAP.reshape(4, 1, 1)
-    assert _solve(four, np.ones_like(four), Matrix(F3, [[1]]), 1) is None
+    assert _equivariant_solve(F3, four, np.ones_like(four), ONE, ONE) is None
     assert len(reps._KERNEL_MEMO) == 4
-    # d must match C's rows whatever the memo holds
+    # x1 + x2 = 1 as the sum of two terms, X (1 0)^T + X (0 1)^T: the
+    # same answer from other stacks, so another entry
+    apart = np.array([[[1], [0]], [[0], [1]]], dtype=np.int16)
+    assert _equivariant_solve(F3, SWAP, ONE, np.ones((2, 1, 1), dtype=np.int16), apart).a.tolist() == [[2, 2]]
+    assert len(reps._KERNEL_MEMO) == 5
+    # the identity is d x d for d = left's rows; a right of another width
+    # gives the operator a e != d**2 rows, refused whatever the memo holds
     with pytest.raises(ValueError, match="row count mismatch"):
-        _solve(SWAP, ONE, Matrix(F3, both), 2)
+        _equivariant_solve(F3, SWAP, ONE, ONE, np.ones((1, 2, 2), dtype=np.int16))
 
 
 def test_solve_memoises_an_inconsistent_system(monkeypatch, fresh_memos):
     calls = _counting_systems(monkeypatch)
-    C = Matrix(FiniteField(2), [[1, 1]])
-    assert _solve(SWAP, ONE, C, 1) is None
+    F2 = FiniteField(2)
+    assert _equivariant_solve(F2, SWAP, ONE, ONE, BOTH) is None
     assert len(calls) == 1 and len(reps._KERNEL_MEMO) == 1
-    assert _solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1) is None
+    assert _equivariant_solve(F2, SWAP.copy(), ONE.copy(), ONE.copy(), BOTH.copy()) is None
     assert len(calls) == 1 and len(reps._KERNEL_MEMO) == 1
 
 
 def test_solve_hit_returns_an_equal_read_only_matrix(monkeypatch, fresh_memos):
-    calls = _counting_systems(monkeypatch)
-    C, built = Matrix(FiniteField(3), [[1, 1]]), []
-    cold = _solve(SWAP, ONE, C, 1, built)
-    again = _solve(SWAP.copy(), ONE.copy(), Matrix(C.field, C.a.copy()), 1, built)
-    assert again is cold and again == Matrix(C.field, [[2, 2]])
-    assert not again.a.flags.writeable and len(calls) == 1 and len(built) == 1
-
-
-def test_solve_keys_on_the_builder(fresh_memos):
-    """The same stacks and arguments given to another builder are another
-    entry, built anew."""
-    C, built = Matrix(FiniteField(3), [[1, 1]]), []
-
-    def first(field, codes):
-        built.append("first")
-        return Matrix._of(field, codes)
-
-    def other(field, codes):
-        built.append("other")
-        return Matrix._of(field, codes)
-
-    got = [_equivariant_solve(C.field, SWAP, ONE, 1, build, C.a) for build in (first, other)]
-    assert got[0] == got[1] and got[0] is not got[1]
-    assert built == ["first", "other"] and len(reps._KERNEL_MEMO) == 2
+    systems = _counting_systems(monkeypatch)
+    built = _counting(monkeypatch, "_trace_operator")
+    F3 = FiniteField(3)
+    cold = _equivariant_solve(F3, SWAP, ONE, ONE, BOTH)
+    again = _equivariant_solve(F3, SWAP.copy(), ONE.copy(), ONE.copy(), BOTH.copy())
+    assert again is cold and again == Matrix(F3, [[2, 2]])
+    assert not again.a.flags.writeable and len(systems) == 1 and len(built) == 1
 
 
 def test_solve_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
@@ -245,8 +233,8 @@ def test_solve_memo_never_exceeds_its_cell_budget(monkeypatch, fresh_memos):
 def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
     """higman and stable-frobenius over the benchmark's large catalog, run
     twice in one process: the second run reads every kernel and solve from
-    the memo, builds no equivariance system, trace operator or split
-    constraint, eliminates nothing and reports the same bytes."""
+    the memo, builds no equivariance system or trace operator, eliminates
+    nothing and reports the same bytes."""
     from pathlib import Path
 
     from modplab.catalog import load_catalog
@@ -259,15 +247,9 @@ def test_a_warm_rerun_builds_and_eliminates_no_system(monkeypatch, fresh_memos):
     def run_both():
         return [canonical_json(run_suite(s, 0, catalog)) for s in ("higman", "stable-frobenius")]
 
-    builders = []
-    for name in ("_trace_operator", "_split_constraint"):
-        real_builder = getattr(exact, name)
-        counting_builder = functools.wraps(real_builder)(
-            lambda *a, name=name, real=real_builder: builders.append(name) or real(*a)
-        )
-        monkeypatch.setattr(exact, name, counting_builder)
+    builders = _counting(monkeypatch, "_trace_operator")
     cold = run_both()
-    assert set(builders) == {"_trace_operator", "_split_constraint"}
+    assert builders
     builders.clear()
     systems = _counting_systems(monkeypatch)
     eliminations = []
@@ -332,7 +314,8 @@ def test_trace_solves_with_other_coset_stacks_share_no_entry(monkeypatch, fresh_
     assert not np.array_equal(coset_stack(U, P1), coset_stack(U, P2))
     systems = _counting_systems(monkeypatch)
     assert relative_projectivity_test(P1, U)[0] and relative_projectivity_test(P2, U)[0]
-    assert [key[3] for key in _solve_keys()] == ["_trace_operator", "_trace_operator"]
+    # each key holds left, the stack over C3's two cosets, at 6
+    assert [key[6] for key in _solve_keys()] == [(2, 1, 1), (2, 1, 1)]
     assert len(systems) == 2
     relative_projectivity_test(Rep._of(G, F, P1.T.copy()), U)
     assert len(_solve_keys()) == 2 and len(systems) == 2
@@ -340,7 +323,8 @@ def test_trace_solves_with_other_coset_stacks_share_no_entry(monkeypatch, fresh_
 
 def test_split_searches_of_other_kinds_or_maps_share_no_entry(fresh_memos):
     """The identity of a module and twice it, searched for a section and
-    for a retraction: four entries, and the sections differ."""
+    for a retraction: three entries, since I X = I and X I = I are one
+    system, and the sections differ."""
     from modplab.exact import u_split_search
     from modplab.groups import Subgroup
     from modplab.reps import RepMap
@@ -355,6 +339,20 @@ def test_split_searches_of_other_kinds_or_maps_share_no_entry(fresh_memos):
         for k, f in enumerate((one, two))
         for kind in ("section", "retraction")
     }
-    assert len(_solve_keys()) == 4
+    assert len(_solve_keys()) == 3
     assert got["section", 0] == got["retraction", 0] == Matrix.identity(F, 2)
     assert got["section", 1] == got["retraction", 1] == Matrix(F, [[2, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("name", sorted(catalog_reps(catalog_groups()["S3"], catalog_fields()["F3"], 4)))
+def test_projectivity_flags_over_the_whole_group_solve_one_system(name, monkeypatch, fresh_memos):
+    """With U = G the trace test and the search for the unit's retraction
+    both ask for X commuting with G and I X I = I: one system, one entry."""
+    from modplab.exact import projectivity_flags
+    from modplab.groups import Subgroup
+
+    G, F = catalog_groups()["S3"], catalog_fields()["F3"]
+    P = catalog_reps(G, F, 4)[name]
+    systems = _counting_systems(monkeypatch)
+    assert projectivity_flags(P, Subgroup.full(G)) == (True, True)
+    assert len(systems) == 1 and len(_solve_keys()) == 1

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from modplab import fairness
 from modplab.catalog import cyclic_group, klein_group, sym3
 from modplab.fairness import (
     DepthTriple,
@@ -231,6 +232,26 @@ def test_verify_certificate_rejects_a_tampered_certificate(name):
     fairness_refinement can reach, reached by one edit to such a
     certificate."""
     assert verify_certificate(TAMPERED_CERTIFICATES[name]()) is False
+
+
+def test_verify_certificate_rejects_an_overlap_that_does_not_dominate(monkeypatch):
+    """The containment return, which no certificate reaches while
+    overlap_depths grows with the depth: with the refined overlap one
+    below the original in the upper component and one above in the
+    others, no component is ever equal, so only that return can refuse
+    the certificate."""
+    cert = fairness_refinement(2, 2)
+    assert verify_certificate(cert)
+    real = fairness.overlap_depths
+
+    def skewed(m, n, a):
+        if n != cert.n_prime:
+            return real(m, n, a)
+        t = real(m, cert.n, a)
+        return DepthTriple(t.upper - 1, t.torus + 1, t.lower + 1)
+
+    monkeypatch.setattr(fairness, "overlap_depths", skewed)
+    assert verify_certificate(cert) is False
 
 
 def test_dominates_is_componentwise_at_least():

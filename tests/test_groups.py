@@ -151,6 +151,21 @@ def test_conjugate_intersect_names_a_parent_mismatch(H):
         conjugate_intersect(TRANSPOSITION, H(), 1)
 
 
+@pytest.mark.parametrize("H", [lambda: Subgroup(cyclic_group(4), [0, 2]), lambda: Subgroup(alt4(), [0, 8])])
+def test_join_and_intersect_name_a_parent_mismatch(H):
+    """Subgroups of two groups have no join: the member indices of one
+    mean other elements in the other, so the join is refused, in either
+    order, before its memo is read, as the intersection is."""
+    A, B = Subgroup(sym3(), [0, 3]), H()
+    cached = (dict(A.parent._join_cache), dict(B.parent._join_cache))
+    for op in ("join", "intersect"):
+        with pytest.raises(ValueError, match="^different parents$"):
+            getattr(A, op)(B)
+        with pytest.raises(ValueError, match="^different parents$"):
+            getattr(B, op)(A)
+    assert (A.parent._join_cache, B.parent._join_cache) == cached
+
+
 def test_subgroup_generate_frozen():
     S3 = sym3()
     assert Subgroup.generate(S3, [1]).members == (0, 1, 2)

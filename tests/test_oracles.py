@@ -1064,6 +1064,43 @@ def ref_stable_hom(V1, V2, U, flavor):
     return Subspace.from_rows(field, amb, Matrix._of(field, moved.reshape(through.dim, amb)))
 
 
+def ref_trace_operator(F, left, right):
+    """The sum over r of the Kronecker products left[r] (x) right[r]^T,
+    entry by entry in schoolbook arithmetic: the matrix of X |-> the sum
+    of left[r] X right[r] on row-major flattened X."""
+    n, a, b = left.shape
+    c, e = right.shape[1:]
+    out = np.zeros((a * e, b * c), dtype=np.int64)
+    for r, i, j, k, l in itertools.product(range(n), range(a), range(e), range(b), range(c)):
+        out[i * e + j, k * c + l] = ref_add(F, out[i * e + j, k * c + l], ref_mul(F, left[r, i, k], right[r, l, j]))
+    return out
+
+
+@pytest.mark.parametrize("pk", MEMBERSHIP_FIELDS, ids=["F2", "F3", "F4", "F9"])
+def test_trace_operator_matches_summed_kronecker_products(pk):
+    """Random stacks of every shape up to 3, zero included: the operator is
+    the summed Kronecker products, and it sends X to the sum of the
+    schoolbook products left[r] X right[r]."""
+    from modplab.reps import _trace_operator
+
+    F = field(*pk)
+    rng = np.random.default_rng(list(pk))
+    for _ in range(40):
+        n, a, b, c, e = (int(x) for x in rng.integers(0, 4, size=5))
+        left = rng.integers(0, F.order, size=(n, a, b)).astype(np.int16)
+        right = rng.integers(0, F.order, size=(n, c, e)).astype(np.int16)
+        want = ref_trace_operator(F, left, right)
+        got = _trace_operator(F, left, right).a
+        assert got.dtype == np.int16 and np.array_equal(got, want)
+        X = rng.integers(0, F.order, size=(b, c))
+        summed = np.zeros((a, e), dtype=np.int64)
+        for r in range(n):
+            term = ref_matmul(F, ref_matmul(F, left[r], X), right[r])
+            for i, j in itertools.product(range(a), range(e)):
+                summed[i, j] = ref_add(F, summed[i, j], term[i, j])
+        assert np.array_equal(ref_matmul(F, want, X.reshape(-1, 1)).reshape(a, e), summed)
+
+
 def _split_flags(P, U):
     """Relative projectivity by the split search on the counit, and
     relative injectivity by the split search on the unit."""
@@ -1661,7 +1698,7 @@ def test_coset_stacks_match_per_coset_gathers(gname):
         W, i0 = restrict(V, U), reps.index(min(U.members))
         want = np.zeros(U.index * W.dim, dtype=bool)
         want[i0 * W.dim : (i0 + 1) * W.dim] = True
-        assert np.array_equal(own_block(U, W), want)
+        assert np.array_equal(own_block(U, W.dim), want)
         I = np.eye(V.dim, dtype=np.int16)[None]
         assert np.array_equal(lower_drop(U, W, lower_lift(U, V, I)), I)
         assert np.array_equal(upper_drop(U, W, upper_lift(U, V, I)), I)

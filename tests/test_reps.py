@@ -167,6 +167,32 @@ def test_cyclic_span_dim_frozen():
     assert cyclic_span(reg, (1, 0)).dim == 2
 
 
+@pytest.mark.parametrize(
+    "field, vec, message",
+    [
+        (F2, [5, 7], "out of field range"),
+        (F2, [-1, 0], "out of field range"),
+        (F4, [4, 0], "out of field range"),
+        (F2, [1.5, 0], "integer field codes"),
+        (F3, [1, 0, 0], "vector length"),
+        (F3, [1], "vector length"),
+        (F3, [[1, 0]], "vector length"),
+    ],
+)
+def test_orbit_and_cyclic_span_reject_a_vector_that_is_not_d_field_codes(field, vec, message):
+    """A code is never cast into the field: over F2, (5, 7) is not (1, 1),
+    and neither 1.5 nor -1 is a code."""
+    V = regular_rep(cyclic_group(2), field)
+    for call in (V.orbit, lambda v: cyclic_span(V, v)):
+        with pytest.raises(ValueError, match=message):
+            call(vec)
+
+
+def test_direct_sum_of_no_summands_is_refused():
+    with pytest.raises(ValueError, match="no summands"):
+        direct_sum([])
+
+
 def test_direct_sum():
     C2 = cyclic_group(2)
     s = direct_sum([trivial_rep(C2, F2), regular_rep(C2, F2)])
