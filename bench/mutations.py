@@ -13,7 +13,7 @@ with the reason its check decides nothing; it is then reported as such and
 is not a failure.  The exit status is 1 when any other row survives, an
 expected survivor is caught, or a row's text is not found exactly once,
 and 0 otherwise.  Rows run one at a time; the whole sweep takes about
-15 s on a 2-core machine.
+35 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -68,6 +68,72 @@ MUTATIONS = [
         "    if not total.contains_space(factoring):",
         "    if False:",
         "tests/test_exact.py::test_stable_hom_rejects_factoring_maps_outside_the_hom_space",
+    ),
+    Mutation(
+        "averaging-section-is-section",
+        "exact.py",
+        "    if f.matrix @ sigma != Matrix.identity(field, W.dim):",
+        "    if False:",
+        "tests/test_exact.py::test_averaging_section_rejects_a_bad_input[no-section]",
+    ),
+    Mutation(
+        "averaging-section-equivariant",
+        "exact.py",
+        "    if not intertwines(W, V, sigma.a, Uprime):",
+        "    if False:",
+        "tests/test_exact.py::test_averaging_section_rejects_a_bad_input[not-u-prime-equivariant]",
+    ),
+    Mutation(
+        "averaging-section-index",
+        "exact.py",
+        "    if index % field.p == 0:",
+        "    if False:",
+        "tests/test_exact.py::test_averaging_section_rejects_a_bad_input[index-divisible-by-p]",
+    ),
+    # qualifying_subgroups checks C with the same condition, so the raise
+    # line makes the text occur once
+    Mutation(
+        "extend-central",
+        "covers.py",
+        '    if C.parent != G or not C.is_central():\n        raise ValueError("C must be a central subgroup of the ambient group")',
+        '    if False:\n        raise ValueError("C must be a central subgroup of the ambient group")',
+        "tests/test_covers.py::test_extend_rejects_a_bad_input[C-not-central]",
+    ),
+    Mutation(
+        "extend-character-domain",
+        "covers.py",
+        "    if chi.domain != C or chi.field != V.field:",
+        "    if False:",
+        "tests/test_covers.py::test_extend_rejects_a_bad_input[character-not-on-C]",
+    ),
+    Mutation(
+        "extend-rep-of-K",
+        "covers.py",
+        "    if V.group != K.as_group():",
+        "    if False:",
+        "tests/test_covers.py::test_extend_rejects_a_bad_input[V-not-of-K]",
+    ),
+    Mutation(
+        "extend-overlap",
+        "covers.py",
+        "    if not np.array_equal(V.on(local[overlap]), scalars * np.eye(V.dim, dtype=np.int16)):",
+        "    if False:",
+        "tests/test_covers.py::test_extend_rejects_incompatible_overlap",
+    ),
+    Mutation(
+        "extend-factorization",
+        "covers.py",
+        "    if not in_K.any(axis=1).all():",
+        "    if False:",
+        "tests/test_covers.py::test_extend_by_central_character_frozen",
+        survives="C is central, so the join is the product set KC and every element factors",
+    ),
+    Mutation(
+        "bruteforce-window",
+        "fairness.py",
+        "    if a not in oracle_exponents(m, n, N):",
+        "    if False:",
+        "tests/test_fairness.py::test_bruteforce_refuses_exactly_the_exponents_outside_the_window",
     ),
     Mutation(
         "dominates",

@@ -29,6 +29,7 @@ from .fairness import (
     PrecisionError,
     central_refinement,
     fairness_refinement,
+    oracle_exponents,
     overlap_depths,
     overlap_depths_bruteforce,
     verify_certificate,
@@ -127,19 +128,6 @@ def cmd_verify(args) -> int:
 # fairness
 
 
-def _in_window(m: int, n: int, N: int, a: int) -> bool:
-    """Whether the exponent a fits the precision N at depths m and n."""
-    return n + 2 * a < N and m + 2 * a <= N
-
-
-def _valid_exponents(m: int, n: int, N: int):
-    """Lazily, so a huge N fails at the first oracle row's cap check."""
-    a = 0
-    while _in_window(m, n, N, a):
-        yield a
-        a += 1
-
-
 def _oracle_rows(p: int, N: int, m: int, n: int, exponents) -> list[dict]:
     rows = []
     for a in exponents:
@@ -178,24 +166,18 @@ def _fairness_sl2(args) -> int:
         }
     if args.oracle_N is not None:
         N = args.oracle_N
+        window = oracle_exponents(args.m, cert.n_prime, N)
         if args.a is not None:
-            base = _oracle_rows(args.p, N, args.m, args.n, [args.a])
-            refined = (
-                _oracle_rows(args.p, N, args.m, cert.n_prime, [args.a])
-                if _in_window(args.m, cert.n_prime, N, args.a)
-                else []
-            )
+            base = [args.a]
+            refined = [args.a] if args.a in window else []
         else:
             # with no valid exponent, the brute force at a = 0 raises
             # the error that decides the exit code
-            base = _oracle_rows(
-                args.p, N, args.m, args.n, _valid_exponents(args.m, args.n, N)
-            ) or _oracle_rows(args.p, N, args.m, args.n, [0])
-            refined = _oracle_rows(
-                args.p, N, args.m, cert.n_prime,
-                _valid_exponents(args.m, cert.n_prime, N),
-            )
-        rows = base + refined
+            base = oracle_exponents(args.m, args.n, N) or [0]
+            refined = window
+        rows = _oracle_rows(args.p, N, args.m, args.n, base) + _oracle_rows(
+            args.p, N, args.m, cert.n_prime, refined
+        )
         body["oracle"] = rows
         body["oracle_agreement"] = "pass" if all(r["agree"] for r in rows) else "fail"
         ok = ok and body["oracle_agreement"] == "pass"
@@ -234,7 +216,7 @@ def _fairness_finite(args) -> int:
     if args.Hprime is not None:
         Hp = _parse_members(G, args.Hprime)
     else:
-        Hp = central_refinement(G, K, H)
+        Hp = central_refinement(H)
     report = witness_search(G, K, H, Hp)
     body = {
         "schema": "1",

@@ -593,9 +593,10 @@ def _stable_case(G: FinGroup, F: FiniteField, U: Subgroup) -> dict:
     return {"objects": agree}
 
 
-def _stable_jordan(G: FinGroup, F: FiniteField, p: int) -> dict:
-    """Loop and suspension of Jordan blocks of C_p against their stable
-    types, and stable homs of the trivial module."""
+def _stable_jordan(G: FinGroup, F: FiniteField) -> dict:
+    """Loop and suspension of Jordan blocks of C_p, p = F.p, against their
+    stable types, and stable homs of the trivial module."""
+    p = F.p
     E = Subgroup.trivial(G)
     table = {}
     for i in range(1, p):
@@ -634,12 +635,11 @@ def _stable_jordan(G: FinGroup, F: FiniteField, p: int) -> dict:
 def suite_stable_frobenius(seed: int, catalog) -> list[Case]:
     cases: list[Case] = []
     _subgroup_cases(cases, "stable", catalog, _stable_case)
-    primes = {("C2", "F2"): 2, ("C3", "F3"): 3, ("C5", "F5"): 5}
+    jordan = {("C2", "F2"), ("C3", "F3"), ("C5", "F5")}
     for gname, G, fname, F in _pairs(catalog, ("C2", "C3", "C5"), ("F2", "F3", "F5")):
-        if (gname, fname) in primes:
+        if (gname, fname) in jordan:
             inputs = {"group": gname, "field": fname}
-            args = (G, F, primes[gname, fname])
-            _run_case(cases, f"stable/jordan/{gname}/{fname}", inputs, _stable_jordan, *args)
+            _run_case(cases, f"stable/jordan/{gname}/{fname}", inputs, _stable_jordan, G, F)
     return cases
 
 

@@ -252,8 +252,38 @@ def test_extend_rejects_incompatible_overlap():
     C3 = cyclic_group(3)
     full = Subgroup.full(C3)
     chi = [c for c in characters_of(full, F4) if not c.is_trivial()][0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="character disagrees with the action on the overlap"):
         extend_by_central_character(trivial_rep(C3, F4), full, full, chi)
+
+
+def _extend_inputs(name):
+    """(V, K, C, chi) for extend_by_central_character, breaking only the
+    named condition on its input: a C that is not central, a character
+    of another subgroup, a V of another group."""
+    if name == "C-not-central":
+        S3 = sym3()
+        C = Subgroup(S3, [0, 3])
+        return trivial_rep(S3, F4), Subgroup.full(S3), C, characters_of(C, F4)[0]
+    C3 = cyclic_group(3)
+    full, E = Subgroup.full(C3), Subgroup.trivial(C3)
+    if name == "character-not-on-C":
+        return trivial_rep(C3, F4), full, E, characters_of(full, F4)[1]
+    return trivial_rep(cyclic_group(2), F4), full, E, characters_of(E, F4)[0]
+
+
+EXTEND_REJECTS = {
+    "C-not-central": "C must be a central subgroup of the ambient group",
+    "character-not-on-C": "character must live on C over the same field",
+    "V-not-of-K": "V must be a representation of K",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTEND_REJECTS))
+def test_extend_rejects_a_bad_input(name):
+    """Each input check, reached by an input that breaks it alone.  Without
+    the check, each input either extends or fails in another way."""
+    with pytest.raises(ValueError, match=EXTEND_REJECTS[name]):
+        extend_by_central_character(*_extend_inputs(name))
 
 
 def _phi_pairs():

@@ -406,6 +406,28 @@ def test_averaging_section_rejects_a_subgroup_of_another_group(U):
         averaging_section(sigma, aug, U, Subgroup.full(sym3()))
 
 
+# Each input check of averaging_section after its subgroup check, reached
+# by one input that breaks that condition alone: (field, sigma, U', U,
+# the check's message).  Without the check, each input either returns or
+# fails the section's own AssertionError, so only the check's ValueError
+# passes.
+AVERAGING_REJECTS = {
+    "no-section": (F5, lambda F: Matrix(F, [[0]] * 6), [0], "sigma is not a section of f"),
+    # the identity's basis vector is fixed by no transposition
+    "not-u-prime-equivariant": (F5, lambda F: _averaging_input(F)[1], [0, 3], "sigma is not U'-equivariant"),
+    # [S3 : 1] = 6 in characteristic 2
+    "index-divisible-by-p": (F2, lambda F: _averaging_input(F)[1], [0], "index is divisible by the field characteristic"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AVERAGING_REJECTS))
+def test_averaging_section_rejects_a_bad_input(name):
+    field, sigma, uprime, message = AVERAGING_REJECTS[name]
+    S3 = sym3()
+    with pytest.raises(ValueError, match=message):
+        averaging_section(sigma(field), _augmentation(S3, field), Subgroup(S3, uprime), Subgroup.full(S3))
+
+
 @pytest.mark.parametrize("U", _foreign_subgroups(), ids=repr)
 def test_suspension_section_rejects_a_subgroup_of_another_group(U):
     S3 = sym3()

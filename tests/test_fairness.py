@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,13 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from modplab import fairness
+from conftest import profiled
+from modplab import cli, fairness
 from modplab.catalog import cyclic_group, klein_group, sym3
 from modplab.fairness import (
     DepthTriple,
     PrecisionError,
     central_refinement,
     fairness_refinement,
+    oracle_exponents,
     overlap_depths,
     overlap_depths_bruteforce,
     verify_certificate,
@@ -73,20 +76,20 @@ def test_witness_report_json():
 
 def test_central_refinement_frozen():
     C4 = cyclic_group(4)
-    got = central_refinement(C4, Subgroup.full(C4), Subgroup(C4, [0, 2]))
+    got = central_refinement(Subgroup(C4, [0, 2]))
     assert got.members == (0,)
     V4 = klein_group()
-    got2 = central_refinement(V4, Subgroup.full(V4), Subgroup.full(V4))
+    got2 = central_refinement(Subgroup.full(V4))
     assert got2.order == 2 and not got2.contains(1)  # avoids the first nontrivial element
     with pytest.raises(ValueError):
-        central_refinement(sym3(), Subgroup.full(sym3()), Subgroup(sym3(), [0, 3]))
+        central_refinement(Subgroup(sym3(), [0, 3]))
 
 
 def test_central_refinement_always_exhausts():
     for G in (cyclic_group(4), cyclic_group(9), klein_group()):
         full = Subgroup.full(G)
         for H in (full, Subgroup.generate(G, [1])):
-            Hp = central_refinement(G, full, H)
+            Hp = central_refinement(H)
             assert witness_search(G, full, H, Hp).outcome == "exhausted"
 
 
@@ -132,6 +135,41 @@ def test_bruteforce_precision_gate():
         overlap_depths_bruteforce(6, 4, 1, 1, 0)
     with pytest.raises(ValueError):
         overlap_depths_bruteforce(2, 9, 1, 1, 0)  # 2^24 elements, over the cap
+
+
+def _in_window(m, n, N, a):
+    """The precision window, written out: the conjugated entries and the
+    depth-m test on the divided lower entry are determined modulo p^N."""
+    return n + 2 * a < N and m < N and m + 2 * a <= N
+
+
+def test_oracle_exponents_are_the_precision_window():
+    for N in range(-2, 12):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                window = oracle_exponents(m, n, N)
+                assert isinstance(window, range)
+                assert list(window) == [a for a in range(N + 2) if _in_window(m, n, N, a)], (m, n, N)
+
+
+def test_bruteforce_refuses_exactly_the_exponents_outside_the_window():
+    """Every (p, N, m, n, a) whose enumeration is under the cap: a
+    PrecisionError outside the window, a triple inside it."""
+    outside = 0
+    for p in (2, 3):
+        for N in range(1, 6):
+            for m in range(1, 6):
+                for n in range(1, 6):
+                    if p ** (3 * (N - n)) > fairness.BRUTE_FORCE_CAP:
+                        continue
+                    for a in range(4):
+                        if _in_window(m, n, N, a):
+                            assert overlap_depths_bruteforce(p, N, m, n, a) == overlap_depths(m, n, a)
+                            continue
+                        with pytest.raises(PrecisionError, match="outside the precision window"):
+                            overlap_depths_bruteforce(p, N, m, n, a)
+                        outside += 1
+    assert outside > 0
 
 
 def test_closed_form_matches_bruteforce_grid():
@@ -187,6 +225,32 @@ def test_certificate_json_schema():
 
 def test_depth_triple_json():
     assert overlap_depths(1, 2, 1).to_json() == {"upper": 4, "torus": 2, "lower": 1}
+
+
+def test_an_sl2_command_verifies_its_certificate_once(capsys):
+    """Counted by runs of verify_certificate's code object, whatever name
+    it is called through."""
+    code = fairness.verify_certificate.__code__
+    runs = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            runs.append(frame.f_locals["cert"].n_prime)
+
+    argv = "fairness --mode sl2 --p 3 --m 1 --n 1 --oracle-N 4".split()
+    assert profiled(hook, lambda: cli.main(argv)) == 0
+    assert runs == [2]
+    assert '"certificate_valid":true' in capsys.readouterr().out
+
+
+def test_a_certificate_that_fails_its_check_exits_1_with_the_report(monkeypatch, capsys):
+    for module in (fairness, cli):
+        monkeypatch.setattr(module, "verify_certificate", lambda cert: False)
+    code = cli.main("fairness --mode sl2 --p 3 --m 1 --n 1 --oracle-N 4".split())
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    body = json.loads(captured.out)
+    assert body["certificate_valid"] is False and body["oracle_agreement"] == "pass"
 
 
 def test_sl2_oracle_command_does_not_import_numpy_ma():
